@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -20,7 +20,6 @@ import numpy as np
 from . import autodiff as ad
 from . import energy as en
 from . import losses
-from . import nn
 
 __all__ = ["Norm", "AttackConfig", "AttackReport", "project", "pgd",
            "attack_sweep", "attack_report_to_csv"]
@@ -82,9 +81,7 @@ def project(delta: np.ndarray, norm: Norm, epsilon: float) -> np.ndarray:
 def _input_gradient(model, params, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     tape = ad.Tape()
     x_leaf = tape.leaf(x)
-    bound = {k: ad.Tensor(v) for k, v in params.arrays.items()} \
-        if isinstance(params, nn.Parameters) else params
-    logits = en.model_logits(model, bound, x_leaf)
+    logits = en.model_logits(model, params, x_leaf)
     loss = losses.cross_entropy(logits, y)
     grad = ad.backward(tape, loss, [x_leaf])[x_leaf].value
     if not np.all(np.isfinite(grad)):
@@ -156,9 +153,7 @@ def _verify_budget(delta: np.ndarray, norm: Norm, epsilon: float) -> None:
 
 
 def _accuracy(model, params, x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
-    bound = {k: ad.Tensor(v) for k, v in params.arrays.items()} \
-        if isinstance(params, nn.Parameters) else params
-    logits = en.model_logits(model, bound, ad.Tensor(x)).value
+    logits = en.model_logits(model, params, ad.Tensor(x)).value
     pred = logits.argmax(axis=1)
     correct = pred == y
     return float(correct.mean()), correct
@@ -179,9 +174,7 @@ def attack_sweep(model, params, dataset, norm: Norm, epsilons: Sequence[float],
     adv_accs = []
     successes = []
     for i, eps in enumerate(eps_list):
-        cfg = AttackConfig(norm=norm, epsilon=eps, n_steps=base.n_steps,
-                           step_size=base.step_size, random_start=base.random_start,
-                           clip_lo=base.clip_lo, clip_hi=base.clip_hi)
+        cfg = replace(base, norm=norm, epsilon=eps)
         x_adv = pgd(model, params, x, y, cfg, rng=np.random.default_rng([seed, i]))
         _verify_budget(x_adv - x, norm, eps)
         acc, correct = _accuracy(model, params, x_adv, y)

@@ -21,10 +21,7 @@ __all__ = [
     "ShapeError",
     "Tensor",
     "Tape",
-    "GradientMap",
-    "record",
     "backward",
-    "grad_l2norm_of_grad",
     # primitive ops
     "add", "sub", "mul", "div", "neg", "matmul", "transpose", "reshape",
     "broadcast", "sum_", "mean", "relu", "exp", "log", "logsumexp",
@@ -111,14 +108,10 @@ class Tensor:
 
 
 class _Node:
-    __slots__ = ("kind", "parents", "inputs", "value", "forward_fn", "vjp")
+    __slots__ = ("value", "vjp")
 
-    def __init__(self, kind, parents, inputs, value, forward_fn, vjp):
-        self.kind = kind
-        self.parents = parents      # ids of recorded parents, strictly < own id
-        self.inputs = inputs        # per-argument: int node id, or baked constant
+    def __init__(self, value, vjp):
         self.value = value          # cached forward value
-        self.forward_fn = forward_fn  # None for leaves
         self.vjp = vjp              # g -> [(parent_id, grad Tensor)], None for leaves
 
 
@@ -135,26 +128,11 @@ class Tape:
     def leaf(self, value) -> Tensor:
         """Register an input as a differentiable leaf."""
         arr = _as_array(value)
-        self.nodes.append(_Node("leaf", (), (), arr, None, None))
+        self.nodes.append(_Node(arr, None))
         return Tensor(arr, self, len(self.nodes) - 1)
 
     def is_leaf(self, node_id: int) -> bool:
-        return self.nodes[node_id].forward_fn is None
-
-    def replay_matches(self) -> bool:
-        """Recompute every node from the leaves; True iff all cached values
-        are reproduced bit-exactly."""
-        replayed: dict[int, np.ndarray] = {}
-        for nid, node in enumerate(self.nodes):
-            if node.forward_fn is None:
-                replayed[nid] = node.value
-                continue
-            args = [replayed[a] if isinstance(a, int) else a for a in node.inputs]
-            out = node.forward_fn(*args)
-            if not np.array_equal(out, node.value):
-                return False
-            replayed[nid] = out
-        return True
+        return self.nodes[node_id].vjp is None
 
 
 def _lift(x) -> Tensor:
@@ -173,15 +151,13 @@ def _find_tape(tensors: Sequence[Tensor]) -> Optional[Tape]:
     return tape
 
 
-def _register(kind: str, inputs: Sequence[Tensor], value: np.ndarray,
-              forward_fn: Callable, vjp_factory: Callable[[Tensor], Callable]) -> Tensor:
+def _register(inputs: Sequence[Tensor], value: np.ndarray,
+              vjp_factory: Callable[[Tensor], Callable]) -> Tensor:
     value = _as_array(value)
     tape = _find_tape(inputs)
     if tape is None or not tape._recording:
         return Tensor(value)
-    parents = tuple(t.node for t in inputs if t.node is not None)
-    descr = tuple(t.node if t.node is not None else t.value for t in inputs)
-    node = _Node(kind, parents, descr, value, forward_fn, None)
+    node = _Node(value, None)
     tape.nodes.append(node)
     out = Tensor(value, tape, len(tape.nodes) - 1)
     node.vjp = vjp_factory(out)
@@ -225,7 +201,7 @@ def add(a, b) -> Tensor:
             return _pairs((a, _unbroadcast(g, a.shape)), (b, _unbroadcast(g, b.shape)))
         return vjp
 
-    return _register("add", (a, b), out, np.add, factory)
+    return _register((a, b), out, factory)
 
 
 def sub(a, b) -> Tensor:
@@ -238,7 +214,7 @@ def sub(a, b) -> Tensor:
                           (b, _unbroadcast(neg(g), b.shape)))
         return vjp
 
-    return _register("sub", (a, b), out, np.subtract, factory)
+    return _register((a, b), out, factory)
 
 
 def mul(a, b) -> Tensor:
@@ -251,7 +227,7 @@ def mul(a, b) -> Tensor:
                           (b, _unbroadcast(mul(g, a), b.shape)))
         return vjp
 
-    return _register("mul", (a, b), out, np.multiply, factory)
+    return _register((a, b), out, factory)
 
 
 def div(a, b) -> Tensor:
@@ -264,7 +240,7 @@ def div(a, b) -> Tensor:
                           (b, _unbroadcast(neg(div(mul(g, a), mul(b, b))), b.shape)))
         return vjp
 
-    return _register("div", (a, b), out, np.divide, factory)
+    return _register((a, b), out, factory)
 
 
 def neg(a) -> Tensor:
@@ -275,7 +251,7 @@ def neg(a) -> Tensor:
             return _pairs((a, neg(g)))
         return vjp
 
-    return _register("neg", (a,), np.negative(a.value), np.negative, factory)
+    return _register((a,), np.negative(a.value), factory)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +268,7 @@ def matmul(a, b) -> Tensor:
                           (b, matmul(transpose(a), g)))
         return vjp
 
-    return _register("matmul", (a, b), a.value @ b.value, np.matmul, factory)
+    return _register((a, b), a.value @ b.value, factory)
 
 
 def transpose(a, axes: Optional[Sequence[int]] = None) -> Tensor:
@@ -303,15 +279,12 @@ def transpose(a, axes: Optional[Sequence[int]] = None) -> Tensor:
     inverse = tuple(int(i) for i in np.argsort(axes))
     out = np.asarray(np.transpose(a.value, axes), order="C")
 
-    def forward_fn(av):
-        return np.asarray(np.transpose(av, axes), order="C")
-
     def factory(_):
         def vjp(g):
             return _pairs((a, transpose(g, inverse)))
         return vjp
 
-    return _register("transpose", (a,), out, forward_fn, factory)
+    return _register((a,), out, factory)
 
 
 def reshape(a, shape) -> Tensor:
@@ -323,15 +296,12 @@ def reshape(a, shape) -> Tensor:
         raise ShapeError(f"reshape: cannot view {a.shape} as {shape}") from exc
     src_shape = a.shape
 
-    def forward_fn(av):
-        return np.asarray(av.reshape(shape), order="C")
-
     def factory(_):
         def vjp(g):
             return _pairs((a, reshape(g, src_shape)))
         return vjp
 
-    return _register("reshape", (a,), out, forward_fn, factory)
+    return _register((a,), out, factory)
 
 
 def broadcast(a, shape) -> Tensor:
@@ -343,15 +313,12 @@ def broadcast(a, shape) -> Tensor:
         raise ShapeError(f"broadcast: cannot broadcast {a.shape} to {shape}") from exc
     src_shape = a.shape
 
-    def forward_fn(av):
-        return np.asarray(np.broadcast_to(av, shape), order="C").copy()
-
     def factory(_):
         def vjp(g):
             return _pairs((a, _unbroadcast(g, src_shape)))
         return vjp
 
-    return _register("broadcast", (a,), out, forward_fn, factory)
+    return _register((a,), out, factory)
 
 
 # ---------------------------------------------------------------------------
@@ -376,15 +343,12 @@ def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
     src_shape = a.shape
     out = np.sum(a.value, axis=axes or None, keepdims=keepdims)
 
-    def forward_fn(av):
-        return np.sum(av, axis=axes or None, keepdims=keepdims)
-
     def factory(_):
         def vjp(g):
             return _pairs((a, broadcast(reshape(g, keep), src_shape)))
         return vjp
 
-    return _register("sum", (a,), out, forward_fn, factory)
+    return _register((a,), out, factory)
 
 
 def mean(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -395,15 +359,12 @@ def mean(a, axis=None, keepdims: bool = False) -> Tensor:
     count = float(np.prod([a.shape[i] for i in axes])) if axes else 1.0
     out = np.mean(a.value, axis=axes or None, keepdims=keepdims)
 
-    def forward_fn(av):
-        return np.mean(av, axis=axes or None, keepdims=keepdims)
-
     def factory(_):
         def vjp(g):
             return _pairs((a, broadcast(reshape(mul(g, 1.0 / count), keep), src_shape)))
         return vjp
 
-    return _register("mean", (a,), out, forward_fn, factory)
+    return _register((a,), out, factory)
 
 
 def logsumexp(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -412,14 +373,11 @@ def logsumexp(a, axis=None, keepdims: bool = False) -> Tensor:
     axes = _norm_axes(axis, a.ndim)
     keep = _keep_shape(a.shape, axes)
     src_shape = a.shape
-
-    def forward_fn(av):
-        m = np.max(av, axis=axes or None, keepdims=True)
-        m = np.where(np.isfinite(m), m, 0.0)
-        s = np.log(np.sum(np.exp(av - m), axis=axes or None, keepdims=True)) + m
-        return s if keepdims else s.reshape(_drop_axes(av.shape, axes))
-
-    out = forward_fn(a.value)
+    m = np.max(a.value, axis=axes or None, keepdims=True)
+    m = np.where(np.isfinite(m), m, 0.0)
+    out = np.log(np.sum(np.exp(a.value - m), axis=axes or None, keepdims=True)) + m
+    if not keepdims:
+        out = out.reshape(_drop_axes(src_shape, axes))
 
     def factory(out_t):
         def vjp(g):
@@ -429,7 +387,7 @@ def logsumexp(a, axis=None, keepdims: bool = False) -> Tensor:
             return _pairs((a, mul(broadcast(gg, src_shape), soft)))
         return vjp
 
-    return _register("logsumexp", (a,), out, forward_fn, factory)
+    return _register((a,), out, factory)
 
 
 def _drop_axes(shape: tuple, axes: tuple) -> tuple:
@@ -443,16 +401,13 @@ def relu(a) -> Tensor:
     a = _lift(a)
     mask = (a.value > 0).astype(np.float64)
 
-    def forward_fn(av):
-        return np.maximum(av, 0.0)
-
     def factory(_):
         def vjp(g):
             # relu'' is zero a.e.; the mask is a constant w.r.t. differentiation
             return _pairs((a, mul(g, mask)))
         return vjp
 
-    return _register("relu", (a,), np.maximum(a.value, 0.0), forward_fn, factory)
+    return _register((a,), np.maximum(a.value, 0.0), factory)
 
 
 def exp(a) -> Tensor:
@@ -463,7 +418,7 @@ def exp(a) -> Tensor:
             return _pairs((a, mul(g, out_t)))
         return vjp
 
-    return _register("exp", (a,), np.exp(a.value), np.exp, factory)
+    return _register((a,), np.exp(a.value), factory)
 
 
 def log(a) -> Tensor:
@@ -474,7 +429,7 @@ def log(a) -> Tensor:
             return _pairs((a, div(g, a)))
         return vjp
 
-    return _register("log", (a,), np.log(a.value), np.log, factory)
+    return _register((a,), np.log(a.value), factory)
 
 
 def square(a) -> Tensor:
@@ -485,7 +440,7 @@ def square(a) -> Tensor:
             return _pairs((a, mul(g, mul(a, 2.0))))
         return vjp
 
-    return _register("square", (a,), np.square(a.value), np.square, factory)
+    return _register((a,), np.square(a.value), factory)
 
 
 def sqrt(a) -> Tensor:
@@ -496,7 +451,7 @@ def sqrt(a) -> Tensor:
             return _pairs((a, div(g, mul(out_t, 2.0))))
         return vjp
 
-    return _register("sqrt", (a,), np.sqrt(a.value), np.sqrt, factory)
+    return _register((a,), np.sqrt(a.value), factory)
 
 
 def l2norm(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -510,11 +465,7 @@ def l2norm(a, axis=None, keepdims: bool = False) -> Tensor:
     axes = _norm_axes(axis, a.ndim)
     keep = _keep_shape(a.shape, axes)
     src_shape = a.shape
-
-    def forward_fn(av):
-        return np.sqrt(np.sum(np.square(av), axis=axes or None, keepdims=keepdims))
-
-    out = forward_fn(a.value)
+    out = np.sqrt(np.sum(np.square(a.value), axis=axes or None, keepdims=keepdims))
 
     def factory(out_t):
         def vjp(g):
@@ -527,7 +478,7 @@ def l2norm(a, axis=None, keepdims: bool = False) -> Tensor:
             return _pairs((a, mul(broadcast(coeff, src_shape), a)))
         return vjp
 
-    return _register("l2norm", (a,), out, forward_fn, factory)
+    return _register((a,), out, factory)
 
 
 # ---------------------------------------------------------------------------
@@ -548,15 +499,12 @@ def gather(a, index) -> Tensor:
     onehot = np.zeros((n, k))
     onehot[rows, idx] = 1.0
 
-    def forward_fn(av):
-        return av[rows, idx]
-
     def factory(_):
         def vjp(g):
             return _pairs((a, mul(broadcast(reshape(g, (n, 1)), (n, k)), onehot)))
         return vjp
 
-    return _register("gather", (a,), a.value[rows, idx], forward_fn, factory)
+    return _register((a,), a.value[rows, idx], factory)
 
 
 def take(a, index) -> Tensor:
@@ -569,15 +517,12 @@ def take(a, index) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= width):
         raise ValueError(f"take: index out of range [0, {width})")
 
-    def forward_fn(av):
-        return np.asarray(av[:, idx], order="C")
-
     def factory(_):
         def vjp(g):
             return _pairs((a, scatter_add(g, idx, width)))
         return vjp
 
-    return _register("take", (a,), forward_fn(a.value), forward_fn, factory)
+    return _register((a,), np.asarray(a.value[:, idx], order="C"), factory)
 
 
 def scatter_add(a, index, width: int) -> Tensor:
@@ -589,17 +534,15 @@ def scatter_add(a, index, width: int) -> Tensor:
     if idx.shape[0] != a.shape[1]:
         raise ShapeError(f"scatter_add: index length {idx.shape[0]} != columns {a.shape[1]}")
 
-    def forward_fn(av):
-        out = np.zeros((av.shape[0], width))
-        np.add.at(out, (slice(None), idx), av)
-        return out
+    out = np.zeros((a.shape[0], width))
+    np.add.at(out, (slice(None), idx), a.value)
 
     def factory(_):
         def vjp(g):
             return _pairs((a, take(g, idx)))
         return vjp
 
-    return _register("scatter_add", (a,), forward_fn(a.value), forward_fn, factory)
+    return _register((a,), out, factory)
 
 
 # ---------------------------------------------------------------------------
@@ -643,54 +586,13 @@ def conv2d(x, w, b=None, padding: int = 0) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# recording entry point + backward
-
-_DISPATCH = {
-    "add": add, "sub": sub, "mul": mul, "div": div, "neg": neg,
-    "matmul": matmul, "transpose": transpose, "reshape": reshape,
-    "broadcast": broadcast, "sum": sum_, "mean": mean, "relu": relu,
-    "exp": exp, "log": log, "logsumexp": logsumexp, "square": square,
-    "sqrt": sqrt, "l2norm": l2norm, "gather": gather, "take": take,
-    "scatter_add": scatter_add, "conv2d": conv2d,
-}
-
-
-def record(kind: str, *inputs, **kwargs) -> Tensor:
-    """Apply a primitive by name, recording it on the inputs' tape."""
-    try:
-        op = _DISPATCH[kind]
-    except KeyError:
-        raise ValueError(f"record: unknown op kind {kind!r}") from None
-    return op(*inputs, **kwargs)
-
-
-class GradientMap:
-    """Gradients keyed by leaf node id; leaves the output never reached
-    get an explicit zero gradient."""
-
-    def __init__(self, grads: dict):
-        self._grads = grads
-
-    @staticmethod
-    def _key(leaf) -> int:
-        return leaf.node if isinstance(leaf, Tensor) else int(leaf)
-
-    def __getitem__(self, leaf) -> Tensor:
-        return self._grads[self._key(leaf)]
-
-    def __contains__(self, leaf) -> bool:
-        return self._key(leaf) in self._grads
-
-    def __len__(self) -> int:
-        return len(self._grads)
-
-    def items(self):
-        return self._grads.items()
-
+# backward
 
 def backward(tape: Tape, output: Tensor, wrt: Iterable[Tensor],
-             create_graph: bool = False) -> GradientMap:
-    """Gradients of a scalar ``output`` with respect to leaf tensors.
+             create_graph: bool = False) -> dict:
+    """Gradients of a scalar ``output`` with respect to leaf tensors, keyed
+    by those tensors; a leaf the output never reached gets an explicit
+    zero gradient.
 
     With ``create_graph=True`` every backward computation is recorded on
     the tape, so the returned gradients are differentiable nodes.
@@ -723,14 +625,8 @@ def backward(tape: Tape, output: Tensor, wrt: Iterable[Tensor],
     finally:
         tape._recording = previous
 
-    out: dict[int, Tensor] = {}
+    out: dict[Tensor, Tensor] = {}
     for leaf in wrt:
         g = grads.get(leaf.node)
-        out[leaf.node] = g if g is not None else Tensor(np.zeros(leaf.shape))
-    return GradientMap(out)
-
-
-def grad_l2norm_of_grad(tape: Tape, energy: Tensor, input_leaf: Tensor) -> Tensor:
-    """Differentiable ||d(energy)/d(input)||_2 as a tape node."""
-    grad = backward(tape, energy, [input_leaf], create_graph=True)[input_leaf]
-    return l2norm(grad)
+        out[leaf] = g if g is not None else Tensor(np.zeros(leaf.shape))
+    return out

@@ -6,8 +6,9 @@ keys rejected), writes its artifacts plus a reproducibility manifest
 into the output directory, and exits 0 on success, 1 on usage/config
 errors, 2 on runtime failures.
 
-Environment: EBMKIT_OUT overrides the output directory, EBMKIT_THREADS
-caps BLAS threads (best effort; recorded in the manifest).
+Environment: EBMKIT_OUT overrides the output directory. BLAS threads
+follow OMP_NUM_THREADS / OPENBLAS_NUM_THREADS / MKL_NUM_THREADS as set
+before the process starts; the manifest records their values.
 """
 
 from __future__ import annotations
@@ -141,6 +142,26 @@ def build_dataset(section: dict, split_seed_offset: int = 1000):
     raise losses.ConfigError(f"unknown data kind {kind!r}")
 
 
+# the splits each command reads from its data section
+_READS = {"train": ("train", "test"), "eval": ("test",), "calibrate": ("test",),
+          "ood": ("test",), "attack": ("test",), "hist-egm": ("train",)}
+
+
+def check_data_files(config: dict, command: str) -> None:
+    """Reject a config that lacks data the command reads (the ood_data
+    section, or the files of a cifar split) before any file is read."""
+    if command == "ood" and "ood_data" not in config:
+        raise losses.ConfigError("ood command requires an ood_data section")
+    for name in ("data", "ood_data") if command == "ood" else ("data",):
+        section = config.get(name, {})
+        if section.get("kind") not in ("cifar10", "cifar100"):
+            continue
+        for split in _READS.get(command, ()):
+            if not section.get(f"{split}_files"):
+                raise losses.ConfigError(
+                    f"{command} reads the {split} split: {name}.{split}_files is missing")
+
+
 def build_sampler(section: dict) -> smp.SgldConfig:
     init = section.get("init", [-1.0, 1.0])
     return smp.SgldConfig(
@@ -194,16 +215,21 @@ def _sha256(path) -> str:
 
 
 def write_manifest(out_dir: Path, command: str, config: dict, seed,
-                   checkpoint_path=None) -> None:
+                   checkpoint_path=None, eval_data=None) -> None:
     manifest = {
         "command": command,
         "config": config,
         "seed": seed,
         "versions": {"ebmkit": __version__, "numpy": np.__version__},
-        "threads": os.environ.get("EBMKIT_THREADS"),
+        # read by BLAS when numpy loaded it, so these are the settings in effect
+        "blas_env": {var: os.environ.get(var) for var in
+                     ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")},
     }
     if checkpoint_path is not None:
         manifest["checkpoint_sha256"] = _sha256(checkpoint_path)
+    if eval_data is not None:
+        manifest["eval_data"] = {"split": eval_data.split,
+                                 "provenance": eval_data.provenance}
     with open(out_dir / f"manifest_{command}.json", "w") as fh:
         json.dump(manifest, fh, indent=2)
 
@@ -232,8 +258,7 @@ def _load_checkpoint(args) -> trainer.Checkpoint:
 # ---------------------------------------------------------------------------
 # commands
 
-def cmd_train(args) -> int:
-    config = load_config(args.config)
+def cmd_train(args, config: dict) -> int:
     if args.seed is not None:
         config["seed"] = args.seed
     out = _out_dir(args, config)
@@ -246,7 +271,7 @@ def cmd_train(args) -> int:
     ckpt_path = out / "checkpoint_final.npz"
     trainer.checkpoint_save(ckpt, ckpt_path)
     trainer.runlog_to_csv(log, out / "runlog.csv")
-    write_manifest(out, "train", config, tc.seed, ckpt_path)
+    write_manifest(out, "train", config, tc.seed, ckpt_path, test_ds)
     last = log.records[-1] if log.records else None
     if last:
         print(f"trained {tc.epochs} epochs: eval accuracy {last.eval_accuracy:.4f}, "
@@ -255,8 +280,7 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
-    config = load_config(args.config)
+def cmd_eval(args, config: dict) -> int:
     out = _out_dir(args, config)
     ckpt = _load_checkpoint(args)
     _, test_ds = build_dataset(config["data"])
@@ -266,32 +290,29 @@ def cmd_eval(args) -> int:
         fh.write("accuracy,mean_confidence,ece\n")
         fh.write(f"{result.accuracy:.12g},{result.mean_confidence:.12g},"
                  f"{result.ece_report.value:.12g}\n")
-    write_manifest(out, "eval", config, config.get("seed", 0), args.checkpoint)
+    write_manifest(out, "eval", config, config.get("seed", 0), args.checkpoint, test_ds)
     print(f"accuracy {result.accuracy:.4f}, confidence {result.mean_confidence:.4f}, "
           f"ECE {result.ece_report.value:.4f}")
     return 0
 
 
-def cmd_calibrate(args) -> int:
-    config = load_config(args.config)
+def cmd_calibrate(args, config: dict) -> int:
     out = _out_dir(args, config)
     ckpt = _load_checkpoint(args)
     _, test_ds = build_dataset(config["data"])
     n_bins = config.get("metrics", {}).get("ece_bins", metrics.DEFAULT_ECE_BINS)
     result = trainer.evaluate(ckpt, test_ds, n_bins=n_bins)
     metrics.ece_to_csv(result.ece_report, out / "calibration_bins.csv")
-    write_manifest(out, "calibrate", config, config.get("seed", 0), args.checkpoint)
+    write_manifest(out, "calibrate", config, config.get("seed", 0), args.checkpoint,
+                   test_ds)
     print(f"ECE {result.ece_report.value:.4f} over {n_bins} bins "
           f"-> {out / 'calibration_bins.csv'}")
     return 0
 
 
-def cmd_ood(args) -> int:
-    config = load_config(args.config)
+def cmd_ood(args, config: dict) -> int:
     out = _out_dir(args, config)
     ckpt = _load_checkpoint(args)
-    if "ood_data" not in config:
-        raise losses.ConfigError("ood command requires an ood_data section")
     _, in_ds = build_dataset(config["data"])
     _, out_ds = build_dataset(config["ood_data"])
     kind = en.ScoreKind(args.score)
@@ -318,13 +339,12 @@ def cmd_ood(args) -> int:
     with open(out / "ood_auroc.csv", "w") as fh:
         fh.write("score_kind,auroc,n_in,n_out\n")
         fh.write(f"{kind.value},{roc.auroc:.12g},{len(scores_in)},{len(scores_out)}\n")
-    write_manifest(out, "ood", config, config.get("seed", 0), args.checkpoint)
+    write_manifest(out, "ood", config, config.get("seed", 0), args.checkpoint, in_ds)
     print(f"AUROC[{kind.value}] = {roc.auroc:.4f}")
     return 0
 
 
-def cmd_attack(args) -> int:
-    config = load_config(args.config)
+def cmd_attack(args, config: dict) -> int:
     out = _out_dir(args, config)
     ckpt = _load_checkpoint(args)
     _, test_ds = build_dataset(config["data"])
@@ -339,29 +359,28 @@ def cmd_attack(args) -> int:
                                   epsilons, config=base,
                                   seed=config.get("seed", 0))
     attacks.attack_report_to_csv(report, out / "attack.csv")
-    write_manifest(out, "attack", config, config.get("seed", 0), args.checkpoint)
+    write_manifest(out, "attack", config, config.get("seed", 0), args.checkpoint, test_ds)
     for eps, acc in zip(report.epsilons, report.adversarial_accuracy):
         print(f"{norm.value} eps={eps:g}: adversarial accuracy {acc:.4f} "
               f"(clean {report.clean_accuracy:.4f})")
     return 0
 
 
-def cmd_hist_egm(args) -> int:
-    config = load_config(args.config)
+def cmd_hist_egm(args, config: dict) -> int:
     out = _out_dir(args, config)
     ckpt = _load_checkpoint(args)
     train_ds, _ = build_dataset(config["data"])
-    grads = en.energy_grad_input(ckpt.model, ckpt.params, train_ds.x)
-    egm = np.linalg.norm(grads.reshape(grads.shape[0], -1), axis=1)
+    egm = -metrics.score_dataset(ckpt.model, ckpt.params, train_ds,
+                                 en.ScoreKind.APPROXIMATE_MASS)
     bins = config.get("hist", {}).get("bins", 30)
     metrics.histogram_to_csv(metrics.histogram(egm, bins), out / "egm_hist.csv")
-    write_manifest(out, "hist-egm", config, config.get("seed", 0), args.checkpoint)
+    write_manifest(out, "hist-egm", config, config.get("seed", 0), args.checkpoint,
+                   train_ds)
     print(f"mean EGM {egm.mean():.6g} over {egm.size} examples -> {out / 'egm_hist.csv'}")
     return 0
 
 
-def cmd_sample(args) -> int:
-    config = load_config(args.config)
+def cmd_sample(args, config: dict) -> int:
     out = _out_dir(args, config)
     section = config.get("sample", {})
     n = args.n or section.get("n", 64)
@@ -381,8 +400,7 @@ def cmd_sample(args) -> int:
     rng = np.random.default_rng(config.get("seed", 0))
     x0 = rng.uniform(sampler_cfg.init_lo, sampler_cfg.init_hi, size=(n,) + tuple(shape))
     result = smp.sgld_chain(model, params, x0, sampler_cfg,
-                            rng=np.random.default_rng([config.get("seed", 0), 1]),
-                            _trace_egm=not sampler_cfg.noise)
+                            rng=np.random.default_rng([config.get("seed", 0), 1]))
     ok = ~result.report.diverged_mask
     flat_dim = int(np.prod(result.samples.shape[1:]))
     survivors = result.samples[ok].reshape(int(ok.sum()), flat_dim)
@@ -418,7 +436,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--out", help="output directory (overrides config)")
         p.add_argument("--seed", type=int, help="seed override")
-        p.add_argument("--threads", type=int, help="BLAS thread cap (best effort)")
         if checkpoint:
             p.add_argument("--checkpoint", help="checkpoint .npz path")
 
@@ -454,12 +471,10 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    if getattr(args, "threads", None):
-        os.environ["EBMKIT_THREADS"] = str(args.threads)
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(args.threads))
     try:
-        return _COMMANDS[args.command](args)
+        config = load_config(args.config)
+        check_data_files(config, args.command)
+        return _COMMANDS[args.command](args, config)
     except (losses.ConfigError, UsageError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

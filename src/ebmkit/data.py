@@ -15,7 +15,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 __all__ = [
-    "Dataset", "CifarFormatError", "BatchIterator",
+    "Dataset", "CifarFormatError",
     "gen_gaussian_mixture_2d", "read_cifar_binary", "cifar10_int",
     "batches", "with_label_noise", "dataset_to_csv", "dataset_from_csv",
 ]
@@ -132,41 +132,20 @@ def cifar10_int(current_batch: np.ndarray, previous_batch: np.ndarray, seed: int
     return np.clip(mid, -1.0, 1.0)
 
 
-class BatchIterator:
-    """Seeded epoch batching with access to the previous batch.
-
-    The shuffle for epoch ``e`` is a pure function of (seed, e): the
-    same seed reproduces the same order, and every epoch visits each
-    example exactly once (the final batch may be short). The previous
-    batch handle feeds the interpolation transform; the first batch of
-    an epoch pairs with itself.
-    """
-
-    def __init__(self, dataset: Dataset, batch_size: int, seed: int):
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        self.dataset = dataset
-        self.batch_size = batch_size
-        self.seed = seed
-        self.previous: Optional[np.ndarray] = None
-
-    def epoch(self, epoch_index: int = 0) -> Iterator[tuple]:
-        order = np.random.default_rng([self.seed, epoch_index]).permutation(len(self.dataset))
-        self.previous = None
-        for start in range(0, len(self.dataset), self.batch_size):
-            pick = order[start:start + self.batch_size]
-            x = self.dataset.x[pick]
-            y = self.dataset.y[pick]
-            if self.previous is None:
-                self.previous = x
-            yield x, y
-            self.previous = x
-
-
 def batches(dataset: Dataset, batch_size: int, seed: int,
             epoch: int = 0) -> Iterator[tuple]:
-    """One seeded epoch of (x, y) batches."""
-    yield from BatchIterator(dataset, batch_size, seed).epoch(epoch)
+    """One seeded epoch of (x, y) batches.
+
+    The shuffle for epoch ``epoch`` is a pure function of (seed, epoch):
+    the same seed reproduces the same order, and every epoch visits each
+    example exactly once (the final batch may be short).
+    """
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
+    order = np.random.default_rng([seed, epoch]).permutation(len(dataset))
+    for start in range(0, len(dataset), batch_size):
+        pick = order[start:start + batch_size]
+        yield dataset.x[pick], dataset.y[pick]
 
 
 def with_label_noise(dataset: Dataset, fraction: float, seed: int) -> Dataset:

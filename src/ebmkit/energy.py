@@ -79,11 +79,13 @@ def energy_grad_input(model, params, x_batch) -> np.ndarray:
     x_batch = np.asarray(x_batch, dtype=np.float64)
     tape = ad.Tape()
     x = tape.leaf(x_batch)
-    if isinstance(params, nn.Parameters):
-        params = {k: ad.Tensor(v) for k, v in params.arrays.items()}
     logits = model_logits(model, params, x)
     total = ad.sum_(energy(logits))
     grad = ad.backward(tape, total, [x])[x]
+    # node closures hold tensors that hold the tape, a reference cycle;
+    # emptying the tape frees this pass now instead of at the next cyclic
+    # collection, so consecutive batches do not stack their peaks
+    tape.nodes.clear()
     return grad.value
 
 

@@ -23,7 +23,7 @@ from . import sampler as smp
 
 __all__ = [
     "Mode", "LossConfig", "LossBreakdown", "LossGraph", "ConfigError",
-    "cross_entropy", "ebm_loss", "grad_penalty", "combined_loss", "loss_graph",
+    "cross_entropy", "loss_graph",
 ]
 
 
@@ -39,23 +39,19 @@ class Mode(enum.Enum):
 
 @dataclass(frozen=True)
 class LossConfig:
-    """Objective selection plus the penalty/cross-entropy mixing weights.
-
-    beta + gamma = 1 is enforced at construction; pass
-    ``allow_unnormalized=True`` only for testing/ablation setups.
-    """
+    """Objective selection plus the penalty/cross-entropy mixing weights;
+    beta + gamma = 1 is enforced at construction."""
 
     mode: Mode = Mode.CROSS_ENTROPY
     beta: float = 0.5
     gamma: float = 0.5
     sampler: Optional[smp.SgldConfig] = None
     literal_sign: bool = False
-    allow_unnormalized: bool = False
 
     def __post_init__(self):
         if self.beta < 0 or self.gamma < 0:
             raise ConfigError("beta and gamma must be non-negative")
-        if not self.allow_unnormalized and abs(self.beta + self.gamma - 1.0) > 1e-12:
+        if abs(self.beta + self.gamma - 1.0) > 1e-12:
             raise ConfigError(f"beta + gamma must equal 1, got {self.beta + self.gamma}")
         if self.mode is Mode.JEM and self.sampler is None:
             raise ConfigError("JEM mode requires a sampler config")
@@ -83,21 +79,6 @@ class LossGraph:
     gen_indices: Optional[np.ndarray] = None   # their buffer slots
 
 
-def _ensure_bound(params) -> dict:
-    if isinstance(params, nn.Parameters):
-        return {k: ad.Tensor(v) for k, v in params.arrays.items()}
-    return params
-
-
-def _ensure_leaf(x) -> tuple[ad.Tensor, ad.Tape]:
-    if isinstance(x, ad.Tensor):
-        if x.node is None:
-            raise ValueError("input tensor must be a tape leaf")
-        return x, x.tape
-    tape = ad.Tape()
-    return tape.leaf(np.asarray(x, dtype=np.float64)), tape
-
-
 def cross_entropy(logits: ad.Tensor, labels) -> ad.Tensor:
     """Mean negative log-probability of the true labels."""
     logits = logits if isinstance(logits, ad.Tensor) else ad.Tensor(logits)
@@ -106,18 +87,6 @@ def cross_entropy(logits: ad.Tensor, labels) -> ad.Tensor:
     if labels.size and (labels.min() < 0 or labels.max() >= k):
         raise ValueError(f"cross_entropy: label out of range [0, {k})")
     return ad.mean(ad.sub(ad.logsumexp(logits, axis=1), ad.gather(logits, labels)))
-
-
-def ebm_loss(model, params, x_train, x_gen) -> ad.Tensor:
-    """Sum of generated-sample energies minus sum of training energies."""
-    xt = np.asarray(x_train, dtype=np.float64)
-    xg = np.asarray(x_gen, dtype=np.float64)
-    if xt.shape[1:] != xg.shape[1:]:
-        raise ad.ShapeError(f"ebm_loss: example shapes differ, {xt.shape} vs {xg.shape}")
-    bound = _ensure_bound(params)
-    e_gen = en.energy(en.model_logits(model, bound, ad.Tensor(xg)))
-    e_train = en.energy(en.model_logits(model, bound, ad.Tensor(xt)))
-    return ad.sub(ad.sum_(e_gen), ad.sum_(e_train))
 
 
 def _penalty_from_logits(tape: ad.Tape, logits: ad.Tensor, x_leaf: ad.Tensor,
@@ -130,15 +99,6 @@ def _penalty_from_logits(tape: ad.Tape, logits: ad.Tensor, x_leaf: ad.Tensor,
     return ad.neg(pen) if literal_sign else pen
 
 
-def grad_penalty(model, params, x_train, literal_sign: bool = False) -> ad.Tensor:
-    """Batch mean of ||dE/dx||_2, differentiable w.r.t. the parameters
-    when they are bound tape leaves (double backprop)."""
-    x_leaf, tape = _ensure_leaf(x_train)
-    bound = _ensure_bound(params)
-    logits = en.model_logits(model, bound, x_leaf)
-    return _penalty_from_logits(tape, logits, x_leaf, literal_sign)
-
-
 def loss_graph(config: LossConfig, model, params: nn.Parameters, x_batch, labels,
                buffer: Optional[smp.ReplayBuffer] = None,
                rng: Union[np.random.Generator, int] = 0,
@@ -148,7 +108,8 @@ def loss_graph(config: LossConfig, model, params: nn.Parameters, x_batch, labels
     Parameters are bound as differentiable leaves; the caller runs
     ``backward(graph.tape, graph.total, graph.bound.values())`` and
     steps the optimizer. ``x_gen`` overrides the sampler (testing and
-    ablation only).
+    ablation only). The penalty alone is NGEBM mode with beta=1, gamma=0;
+    the generative term alone is ``breakdown.auxiliary`` in JEM mode.
     """
     x_batch = np.asarray(x_batch, dtype=np.float64)
     tape = ad.Tape()
@@ -200,11 +161,3 @@ def loss_graph(config: LossConfig, model, params: nn.Parameters, x_batch, labels
                        auxiliary=aux.item(), diverged_chains=diverged)
     return LossGraph(total, bd, tape, bound, x_gen, gen_indices)
 
-
-def combined_loss(config: LossConfig, model, params: nn.Parameters, x_batch, labels,
-                  buffer: Optional[smp.ReplayBuffer] = None,
-                  rng: Union[np.random.Generator, int] = 0,
-                  x_gen=None) -> LossBreakdown:
-    """Evaluate the configured objective and return its breakdown."""
-    return loss_graph(config, model, params, x_batch, labels,
-                      buffer=buffer, rng=rng, x_gen=x_gen).breakdown

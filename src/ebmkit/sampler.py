@@ -24,7 +24,7 @@ from . import energy as en
 
 __all__ = [
     "SgldConfig", "ReplayBuffer", "DivergenceReport", "ChainResult",
-    "buffer_draw", "buffer_push", "sgld_chain", "sgld_chain_deterministic",
+    "buffer_draw", "buffer_push", "sgld_chain",
     "QuadraticBowlEnergy", "ConcaveBowlEnergy",
 ]
 
@@ -78,7 +78,7 @@ class DivergenceReport:
 class ChainResult:
     samples: np.ndarray
     report: DivergenceReport
-    egm_trace: Optional[list] = None      # deterministic chains only
+    egm_trace: Optional[list] = None      # noise-free chains only
     converged: Optional[bool] = None
 
 
@@ -169,14 +169,16 @@ def _check_rows(x: np.ndarray, bound: float) -> tuple[np.ndarray, np.ndarray, Op
 
 
 def sgld_chain(model, params, x0: np.ndarray, config: SgldConfig,
-               rng: Union[np.random.Generator, int] = 0,
-               _trace_egm: bool = False) -> ChainResult:
+               rng: Union[np.random.Generator, int] = 0) -> ChainResult:
     """Run a batch of chains for config.n_steps updates.
 
     Model parameters are read-only throughout. Chains that produce a
     non-finite coordinate or leave the divergence bound are frozen at
     their last finite state and flagged in the report; healthy chains
-    keep running.
+    keep running. Noise-free chains (``config.noise`` False) descend the
+    energy and also record a per-step trace of the mean energy-gradient
+    magnitude; they count as converged when its final value drops below
+    ``config.convergence_eta``.
     """
     rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     x = np.array(x0, dtype=np.float64, copy=True)
@@ -186,7 +188,7 @@ def sgld_chain(model, params, x0: np.ndarray, config: SgldConfig,
     for i in range(config.n_steps):
         step = config.step_at(i)
         grads = en.energy_grad_input(model, params, x)
-        if _trace_egm:
+        if not config.noise:
             trace.append(float(np.linalg.norm(
                 grads.reshape(grads.shape[0], -1), axis=1).mean()))
         update = -(step / 2.0) * grads
@@ -210,24 +212,10 @@ def sgld_chain(model, params, x0: np.ndarray, config: SgldConfig,
             proposal = np.where(newly_bad.reshape((-1,) + (1,) * (x.ndim - 1)), x, proposal)
         x = proposal
     result = ChainResult(samples=x, report=report)
-    if _trace_egm:
+    if not config.noise:
         result.egm_trace = trace
         result.converged = bool(trace and trace[-1] < config.convergence_eta)
     return result
-
-
-def sgld_chain_deterministic(model, params, x0: np.ndarray,
-                             config: SgldConfig) -> ChainResult:
-    """Noise-free descent on the energy, with a per-step trace of the
-    mean energy-gradient magnitude; converged when the final trace value
-    drops below config.convergence_eta."""
-    quiet = SgldConfig(n_steps=config.n_steps, step_size=config.step_size,
-                       decay_exponent=config.decay_exponent,
-                       init_lo=config.init_lo, init_hi=config.init_hi,
-                       noise=False, noise_scale=None,
-                       divergence_bound=config.divergence_bound,
-                       convergence_eta=config.convergence_eta)
-    return sgld_chain(model, params, x0, quiet, rng=0, _trace_egm=True)
 
 
 # ---------------------------------------------------------------------------

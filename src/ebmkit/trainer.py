@@ -9,6 +9,7 @@ sampler-driven runs reproduce given identical RNG streams.
 
 from __future__ import annotations
 
+import copy
 import csv
 import json
 import zipfile
@@ -33,6 +34,7 @@ __all__ = [
 
 CHECKPOINT_FORMAT_VERSION = 1
 PROBE_SIZE = 512   # fixed subset for the per-epoch gradient-magnitude telemetry
+EVAL_BATCH_SIZE = 512
 
 
 class CheckpointError(RuntimeError):
@@ -51,15 +53,9 @@ class TrainConfig:
     batch_size: int = 64
     seed: int = 0
     schedule: nn.LrSchedule = field(default_factory=lambda: nn.LrSchedule(1e-4))
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     checkpoint_interval: int = 0       # 0 -> no intermediate checkpoints
     checkpoint_dir: Optional[str] = None
     divergence_policy: str = "skip-batch"   # or "abort"
-    buffer_capacity: int = 10000
-    buffer_reinit_prob: float = 0.05
-    probe_size: int = PROBE_SIZE
 
     def __post_init__(self):
         if self.divergence_policy not in ("skip-batch", "abort"):
@@ -115,19 +111,21 @@ class EvalResult:
 
 def _mean_egm(model, params, dataset, probe_size: int) -> float:
     probe = dataset.x[:min(probe_size, len(dataset))]
-    grads = en.energy_grad_input(model, params, probe)
-    return float(np.linalg.norm(grads.reshape(grads.shape[0], -1), axis=1).mean())
+    egm = -metrics.score_dataset(model, params, probe, en.ScoreKind.APPROXIMATE_MASS)
+    return float(egm.mean())
 
 
-def _accuracy(model, params, dataset, batch_size: int = 512) -> float:
-    hits = 0
-    for start in range(0, len(dataset), batch_size):
-        x = dataset.x[start:start + batch_size]
-        y = dataset.y[start:start + batch_size]
-        logits = nn.forward(model, params, x).value if isinstance(model, nn.ModelSpec) \
-            else en.model_logits(model, params, ad.Tensor(x)).value
-        hits += int((logits.argmax(axis=1) == y).sum())
-    return hits / len(dataset)
+def _logits(model, params, x: np.ndarray, batch_size: int = EVAL_BATCH_SIZE) -> np.ndarray:
+    """Logits for every row of ``x``, computed in batches so that peak
+    memory follows the batch size, not the set size."""
+    return np.concatenate([
+        en.model_logits(model, params, ad.Tensor(x[start:start + batch_size])).value
+        for start in range(0, x.shape[0], batch_size)])
+
+
+def _accuracy(model, params, dataset, batch_size: int = EVAL_BATCH_SIZE) -> float:
+    logits = _logits(model, params, dataset.x, batch_size)
+    return int((logits.argmax(axis=1) == dataset.y).sum()) / len(dataset)
 
 
 def train(config: TrainConfig, dataset_train: datamod.Dataset,
@@ -142,25 +140,17 @@ def train(config: TrainConfig, dataset_train: datamod.Dataset,
     mode = config.loss.mode
     if resume is not None:
         params = resume.params.copy()
-        adam = nn.AdamState(m={k: v.copy() for k, v in resume.adam.m.items()},
-                            v={k: v.copy() for k, v in resume.adam.v.items()},
-                            t=resume.adam.t, lr=resume.adam.lr,
-                            beta1=resume.adam.beta1, beta2=resume.adam.beta2,
-                            eps=resume.adam.eps)
+        adam = copy.deepcopy(resume.adam)
         start_epoch = resume.epoch
     else:
         params = nn.init(config.model, config.seed)
-        adam = nn.AdamState.for_params(params, lr=config.schedule.base_rate,
-                                       beta1=config.adam_beta1,
-                                       beta2=config.adam_beta2, eps=config.adam_eps)
+        adam = nn.AdamState.for_params(params, lr=config.schedule.base_rate)
         start_epoch = 0
 
     sampler_rng = np.random.default_rng([config.seed, 2])
     buffer = None
     if mode is losses.Mode.JEM:
-        buffer = smp.ReplayBuffer(capacity=config.buffer_capacity,
-                                  reinit_prob=config.buffer_reinit_prob,
-                                  rng=np.random.default_rng([config.seed, 3]),
+        buffer = smp.ReplayBuffer(rng=np.random.default_rng([config.seed, 3]),
                                   sanity_bound=config.loss.sampler.bound)
     if resume is not None:
         if resume.sampler_rng_state is not None:
@@ -172,14 +162,14 @@ def train(config: TrainConfig, dataset_train: datamod.Dataset,
                             np.full(resume.buffer_samples.shape[0], -1))
 
     log = RunLog()
-    iterator = datamod.BatchIterator(dataset_train, config.batch_size, config.seed)
     for epoch in range(start_epoch, config.epochs):
         adam.lr = nn.lr_at(config.schedule, epoch)
         totals = np.zeros(3)
         n_batches = 0
         diverged = 0
         skipped = 0
-        for batch_index, (x, y) in enumerate(iterator.epoch(epoch)):
+        for batch_index, (x, y) in enumerate(
+                datamod.batches(dataset_train, config.batch_size, config.seed, epoch)):
             graph = losses.loss_graph(config.loss, config.model, params, x, y,
                                       buffer=buffer, rng=sampler_rng)
             diverged += graph.breakdown.diverged_chains
@@ -210,7 +200,7 @@ def train(config: TrainConfig, dataset_train: datamod.Dataset,
             loss_aux=totals[2] / denom, diverged_chains=diverged,
             skipped_batches=skipped,
             eval_accuracy=_accuracy(config.model, params, dataset_eval),
-            mean_egm=_mean_egm(config.model, params, dataset_train, config.probe_size)))
+            mean_egm=_mean_egm(config.model, params, dataset_train, PROBE_SIZE)))
 
         if config.checkpoint_interval and (epoch + 1) % config.checkpoint_interval == 0:
             ckpt = _snapshot(config, params, adam, epoch + 1, sampler_rng, buffer)
@@ -223,10 +213,7 @@ def train(config: TrainConfig, dataset_train: datamod.Dataset,
 def _snapshot(config, params, adam, epoch, sampler_rng, buffer) -> Checkpoint:
     return Checkpoint(
         model=config.model, params=params.copy(),
-        adam=nn.AdamState(m={k: v.copy() for k, v in adam.m.items()},
-                          v={k: v.copy() for k, v in adam.v.items()},
-                          t=adam.t, lr=adam.lr, beta1=adam.beta1,
-                          beta2=adam.beta2, eps=adam.eps),
+        adam=copy.deepcopy(adam),
         epoch=epoch,
         sampler_rng_state=sampler_rng.bit_generator.state,
         buffer_rng_state=buffer.rng.bit_generator.state if buffer is not None else None,
@@ -237,7 +224,7 @@ def _snapshot(config, params, adam, epoch, sampler_rng, buffer) -> Checkpoint:
 def evaluate(checkpoint: Checkpoint, dataset: datamod.Dataset,
              n_bins: int = metrics.DEFAULT_ECE_BINS) -> EvalResult:
     """Accuracy, mean confidence, and the calibration report."""
-    logits = nn.forward(checkpoint.model, checkpoint.params, dataset.x).value
+    logits = _logits(checkpoint.model, checkpoint.params, dataset.x)
     probs = en.softmax_probs(logits)
     confidence = probs.max(axis=1)
     correct = probs.argmax(axis=1) == dataset.y

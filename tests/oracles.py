@@ -111,3 +111,16 @@ def pair_count_auroc(scores_in, scores_out):
             elif si == so:
                 wins += 0.5
     return wins / (len(scores_in) * len(scores_out))
+
+
+def threshold_sweep_roc(scores_in, scores_out):
+    """ROC curve by a loop over every distinct score, highest first:
+    predict "in" when score >= t. Points run from (0, 0) to (1, 1)."""
+    s_in = np.asarray(scores_in, dtype=np.float64)
+    s_out = np.asarray(scores_out, dtype=np.float64)
+    curve = [(0.0, 0.0)]
+    for t in np.unique(np.concatenate([s_in, s_out]))[::-1]:
+        curve.append((float(np.mean(s_out >= t)), float(np.mean(s_in >= t))))
+    if curve[-1] != (1.0, 1.0):
+        curve.append((1.0, 1.0))
+    return tuple(curve)

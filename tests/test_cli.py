@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ebmkit import cli
+from ebmkit import data
 
 
 def toy_config(out_dir, mode="ce", epochs=3, n=50, extra=None):
@@ -212,3 +213,70 @@ class TestSample:
         stats = json.loads((out / "divergence.json").read_text())
         lines = (out / "samples.csv").read_text().strip().splitlines()
         assert len(lines) - 1 == 16 - stats["n_diverged"]
+
+
+class TestDataConfigValidation:
+    def cifar_config(self, tmp_path, **files):
+        path = tmp_path / "batch.bin"
+        rng = np.random.default_rng(0)
+        records = np.concatenate([np.zeros((4, 1), dtype=np.uint8),
+                                  rng.integers(0, 256, size=(4, 3072), dtype=np.uint8)], axis=1)
+        records.tofile(path)
+        config = toy_config(tmp_path / "run", epochs=1)
+        config["model"] = {"kind": "conv", "input_shape": [3, 32, 32], "channels": [2],
+                           "classes": 10}
+        config["data"] = {"kind": "cifar10",
+                          **{key: [str(path)] for key in files}}
+        config["ood_data"] = dict(config["data"])
+        return write_config(tmp_path, config)
+
+    def test_train_without_test_files_exits_one_before_training(self, tmp_path, capsys):
+        path = self.cifar_config(tmp_path, train_files=True)
+        assert cli.main(["train", "--config", str(path)]) == 1
+        assert "test_files" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "checkpoint_final.npz").exists()
+
+    def test_train_without_train_files_exits_one(self, tmp_path, capsys):
+        path = self.cifar_config(tmp_path, test_files=True)
+        assert cli.main(["train", "--config", str(path)]) == 1
+        assert "train_files" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "checkpoint_final.npz").exists()
+
+    @pytest.mark.parametrize("command,missing", [
+        ("eval", "test_files"), ("calibrate", "test_files"), ("attack", "test_files"),
+        ("ood", "test_files"), ("hist-egm", "train_files")])
+    def test_command_without_its_split_exits_one(self, tmp_path, capsys, command, missing):
+        present = "train_files" if missing == "test_files" else "test_files"
+        path = self.cifar_config(tmp_path, **{present: True})
+        # the config is rejected before the (absent) checkpoint is opened
+        assert cli.main([command, "--config", str(path),
+                         "--checkpoint", str(tmp_path / "absent.npz")]) == 1
+        assert missing in capsys.readouterr().err
+
+
+class TestManifest:
+    def test_records_blas_env_and_evaluated_split(self, trained):
+        out, _ = trained
+        manifest = json.loads((out / "manifest_train.json").read_text())
+        assert set(manifest["blas_env"]) == {"OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                                             "MKL_NUM_THREADS"}
+        assert manifest["eval_data"]["split"] == "test"
+        assert "threads" not in manifest
+
+    def test_csv_data_evaluates_its_training_file(self, trained, tmp_path):
+        out, config_path = trained
+        csv_path = tmp_path / "points.csv"
+        data.dataset_to_csv(data.gen_gaussian_mixture_2d(
+            10, [(-0.5, 0.0), (0.5, 0.0)], 0.15, seed=3), csv_path)
+        config = json.loads(config_path.read_text())
+        config["data"] = {"kind": "csv", "path": str(csv_path), "classes": 2}
+        path = write_config(tmp_path, config, "csv.json")
+        eval_out = tmp_path / "eval"
+        assert cli.main(["eval", "--config", str(path), "--out", str(eval_out),
+                         "--checkpoint", str(out / "checkpoint_final.npz")]) == 0
+        manifest = json.loads((eval_out / "manifest_eval.json").read_text())
+        assert manifest["eval_data"] == {"split": "train", "provenance": f"csv:{csv_path}"}
+
+    def test_threads_flag_is_gone(self, trained):
+        _, config_path = trained
+        assert cli.main(["train", "--config", str(config_path), "--threads", "1"]) == 1

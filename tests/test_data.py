@@ -153,22 +153,11 @@ class TestBatches:
         assert seen.shape[0] == 11
         assert np.array_equal(np.sort(seen[:, 0]), np.sort(ds.x[:, 0]))
 
-    def test_previous_batch_handle(self):
-        ds = self.make(9)
-        it = data.BatchIterator(ds, 4, seed=1)
-        prevs = []
-        for x, _ in it.epoch(0):
-            prevs.append(it.previous)
-        # first batch pairs with itself; afterwards previous trails by one
-        assert np.array_equal(prevs[0], prevs[0])
-        assert prevs[1].shape[0] == 4
-
     def test_epochs_differ_but_runs_match(self):
         ds = self.make(10)
-        it = data.BatchIterator(ds, 10, seed=3)
-        first = next(iter(it.epoch(0)))[1].tolist()
-        second = next(iter(it.epoch(1)))[1].tolist()
-        again = next(iter(it.epoch(0)))[1].tolist()
+        first = next(data.batches(ds, 10, seed=3, epoch=0))[1].tolist()
+        second = next(data.batches(ds, 10, seed=3, epoch=1))[1].tolist()
+        again = next(data.batches(ds, 10, seed=3, epoch=0))[1].tolist()
         assert first == again
         assert first != second
 

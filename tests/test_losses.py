@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,6 +17,26 @@ def linear_single_logit(w, b=0.0):
     params = nn.Parameters({"layer0.w": w.reshape(-1, 1),
                             "layer0.b": np.array([float(b)])})
     return spec, params
+
+
+# the penalty alone: NGEBM mode with beta=1, gamma=0
+PENALTY = losses.LossConfig(mode=losses.Mode.NGEBM, beta=1.0, gamma=0.0)
+JEM = losses.LossConfig(mode=losses.Mode.JEM, sampler=smp.SgldConfig())
+
+
+def zero_labels(x):
+    return np.zeros(len(x), dtype=np.int64)
+
+
+def penalty(spec, params, x, literal_sign=False):
+    cfg = dataclasses.replace(PENALTY, literal_sign=literal_sign)
+    return losses.loss_graph(cfg, spec, params, x, zero_labels(x)).breakdown.auxiliary
+
+
+def generative_term(spec, params, xt, xg):
+    """JEM's generative term alone, over fixed generated samples."""
+    graph = losses.loss_graph(JEM, spec, params, xt, zero_labels(xt), x_gen=xg)
+    return graph.breakdown.auxiliary
 
 
 class TestCrossEntropy:
@@ -48,7 +69,7 @@ class TestEbmLoss:
         spec = nn.ModelSpec.mlp(2, [5], 2)
         params = nn.init(spec, 0)
         x = np.random.default_rng(0).normal(size=(4, 2))
-        assert losses.ebm_loss(spec, params, x, x).item() == 0.0
+        assert generative_term(spec, params, x, x) == 0.0
 
     def test_linear_analytic(self):
         # E = -(w.x + b): loss = w.(sum x - sum x')
@@ -58,7 +79,7 @@ class TestEbmLoss:
         xt = rng.normal(size=(5, 2))
         xg = rng.normal(size=(5, 2))
         want = float(w @ (xt.sum(0) - xg.sum(0)))
-        got = losses.ebm_loss(spec, params, xt, xg).item()
+        got = generative_term(spec, params, xt, xg)
         assert got == pytest.approx(want, abs=1e-10)
 
     def test_doubling_batches_doubles_loss(self):
@@ -67,27 +88,27 @@ class TestEbmLoss:
         rng = np.random.default_rng(2)
         xt = rng.normal(size=(3, 2))
         xg = rng.normal(size=(3, 2))
-        single = losses.ebm_loss(spec, params, xt, xg).item()
-        double = losses.ebm_loss(spec, params, np.vstack([xt, xt]), np.vstack([xg, xg])).item()
+        single = generative_term(spec, params, xt, xg)
+        double = generative_term(spec, params, np.vstack([xt, xt]), np.vstack([xg, xg]))
         assert double == pytest.approx(2 * single, abs=1e-10)
 
     def test_shape_mismatch(self):
         spec = nn.ModelSpec.mlp(2, [4], 2)
         params = nn.init(spec, 0)
         with pytest.raises(ad.ShapeError):
-            losses.ebm_loss(spec, params, np.zeros((2, 2)), np.zeros((2, 3)))
+            generative_term(spec, params, np.zeros((2, 2)), np.zeros((2, 3)))
 
     def test_parameter_gradient_matches_hand_derivation(self):
-        # two-parameter model: dL/dw = sum x - sum x', dL/db = 0
+        # two-parameter model: dL/dw = sum x - sum x', dL/db = 0; with a
+        # single logit the cross-entropy and its gradient are exactly zero
         w = np.array([0.7, -0.2])
         spec, params = linear_single_logit(w, b=0.1)
         rng = np.random.default_rng(3)
         xt = rng.normal(size=(4, 2))
         xg = rng.normal(size=(4, 2))
-        tape = ad.Tape()
-        bound = params.bind(tape)
-        loss = losses.ebm_loss(spec, bound, xt, xg)
-        gm = ad.backward(tape, loss, list(bound.values()))
+        graph = losses.loss_graph(JEM, spec, params, xt, zero_labels(xt), x_gen=xg)
+        bound = graph.bound
+        gm = ad.backward(graph.tape, graph.total, list(bound.values()))
         want_w = (xt.sum(0) - xg.sum(0)).reshape(-1, 1)
         assert np.all(np.abs(gm[bound["layer0.w"]].value - want_w) < 1e-10)
         assert np.all(np.abs(gm[bound["layer0.b"]].value) < 1e-10)
@@ -97,7 +118,7 @@ class TestGradPenalty:
     def test_linear_model_norm_of_w(self):
         spec, params = linear_single_logit([3.0, 4.0])
         x = np.random.default_rng(0).normal(size=(6, 2))
-        assert losses.grad_penalty(spec, params, x).item() == pytest.approx(5.0, abs=1e-12)
+        assert penalty(spec, params, x) == pytest.approx(5.0, abs=1e-12)
 
     def test_zero_network_zero_penalty(self):
         spec = nn.ModelSpec.mlp(2, [4], 2)
@@ -105,19 +126,19 @@ class TestGradPenalty:
         for name in params.arrays:
             params.arrays[name][:] = 0.0
         x = np.random.default_rng(1).normal(size=(5, 2))
-        assert losses.grad_penalty(spec, params, x).item() == 0.0
+        assert penalty(spec, params, x) == 0.0
 
     def test_penalty_never_negative(self):
         spec = nn.ModelSpec.mlp(2, [6], 3)
         params = nn.init(spec, 4)
         x = np.random.default_rng(4).normal(size=(8, 2))
-        assert losses.grad_penalty(spec, params, x).item() >= 0.0
+        assert penalty(spec, params, x) >= 0.0
 
     def test_literal_sign_flag_negates(self):
         spec, params = linear_single_logit([3.0, 4.0])
         x = np.zeros((2, 2))
-        plus = losses.grad_penalty(spec, params, x).item()
-        minus = losses.grad_penalty(spec, params, x, literal_sign=True).item()
+        plus = penalty(spec, params, x)
+        minus = penalty(spec, params, x, literal_sign=True)
         assert minus == -plus
 
     def test_parameter_gradient_matches_finite_differences(self):
@@ -137,7 +158,7 @@ class TestGradPenalty:
             def f(v, name=name):
                 arrays = {k: a.copy() for k, a in params.arrays.items()}
                 arrays[name] = v
-                return losses.grad_penalty(spec, nn.Parameters(arrays), x).item()
+                return penalty(spec, nn.Parameters(arrays), x)
             fd = central_diff(f, params.arrays[name], h=1e-4)
             assert close_rel(gm[leaf].value, fd, 1e-4), name
 
@@ -162,11 +183,6 @@ class TestLossConfig:
         with pytest.raises(losses.ConfigError):
             losses.LossConfig(mode=losses.Mode.NGEBM, beta=0.4, gamma=0.4)
 
-    def test_override_flag_permits_testing_weights(self):
-        cfg = losses.LossConfig(mode=losses.Mode.NGEBM, beta=0.0, gamma=0.0,
-                                allow_unnormalized=True)
-        assert cfg.beta == 0.0
-
     def test_negative_weights_rejected(self):
         with pytest.raises(losses.ConfigError):
             losses.LossConfig(beta=-0.1, gamma=1.1)
@@ -186,42 +202,42 @@ class TestCombinedLoss:
 
     def test_beta_zero_reduces_to_cross_entropy(self):
         cfg = losses.LossConfig(mode=losses.Mode.NGEBM, beta=0.0, gamma=1.0)
-        bd = losses.combined_loss(cfg, self.spec, self.params, self.x, self.y)
+        bd = losses.loss_graph(cfg, self.spec, self.params, self.x, self.y).breakdown
         ce = losses.cross_entropy(nn.forward(self.spec, self.params, self.x), self.y).item()
         assert bd.total == pytest.approx(ce, abs=1e-12)
 
     def test_equal_weights_arithmetic(self):
         cfg = losses.LossConfig(mode=losses.Mode.NGEBM, beta=0.5, gamma=0.5)
-        bd = losses.combined_loss(cfg, self.spec, self.params, self.x, self.y)
+        bd = losses.loss_graph(cfg, self.spec, self.params, self.x, self.y).breakdown
         ce = losses.cross_entropy(nn.forward(self.spec, self.params, self.x), self.y).item()
-        pen = losses.grad_penalty(self.spec, self.params, self.x).item()
+        pen = penalty(self.spec, self.params, self.x)
         assert bd.total == pytest.approx(0.5 * ce + 0.5 * pen, abs=1e-12)
         assert bd.cross_entropy == pytest.approx(ce, abs=1e-12)
         assert bd.auxiliary == pytest.approx(pen, abs=1e-12)
 
     def test_breakdown_recomputes_total(self):
         cfg = losses.LossConfig(mode=losses.Mode.NGEBM, beta=0.3, gamma=0.7)
-        bd = losses.combined_loss(cfg, self.spec, self.params, self.x, self.y)
+        bd = losses.loss_graph(cfg, self.spec, self.params, self.x, self.y).breakdown
         assert bd.total == pytest.approx(0.7 * bd.cross_entropy + 0.3 * bd.auxiliary,
                                          abs=1e-12)
 
     def test_jem_with_generated_equal_to_train_is_ce(self):
         cfg = losses.LossConfig(mode=losses.Mode.JEM, sampler=smp.SgldConfig())
-        bd = losses.combined_loss(cfg, self.spec, self.params, self.x, self.y,
-                                  x_gen=self.x)
+        bd = losses.loss_graph(cfg, self.spec, self.params, self.x, self.y,
+                               x_gen=self.x).breakdown
         ce = losses.cross_entropy(nn.forward(self.spec, self.params, self.x), self.y).item()
         assert bd.total == pytest.approx(ce, abs=1e-12)
 
     def test_jem_without_buffer_errors(self):
         cfg = losses.LossConfig(mode=losses.Mode.JEM, sampler=smp.SgldConfig())
         with pytest.raises(losses.ConfigError, match="buffer"):
-            losses.combined_loss(cfg, self.spec, self.params, self.x, self.y)
+            losses.loss_graph(cfg, self.spec, self.params, self.x, self.y)
 
     def test_jem_end_to_end_with_buffer(self):
         cfg = losses.LossConfig(mode=losses.Mode.JEM,
                                 sampler=smp.SgldConfig(n_steps=3, step_size=0.1))
         buffer = smp.ReplayBuffer(capacity=50, rng=3)
-        bd = losses.combined_loss(cfg, self.spec, self.params, self.x, self.y,
-                                  buffer=buffer, rng=11)
+        bd = losses.loss_graph(cfg, self.spec, self.params, self.x, self.y,
+                               buffer=buffer, rng=11).breakdown
         assert np.isfinite(bd.total)
         assert bd.total == pytest.approx(bd.cross_entropy + bd.auxiliary, abs=1e-12)

@@ -6,7 +6,7 @@ import pytest
 from ebmkit import energy as en
 from ebmkit import metrics
 from ebmkit import nn
-from oracles import brute_force_ece, pair_count_auroc
+from oracles import brute_force_ece, pair_count_auroc, threshold_sweep_roc
 
 
 class TestEce:
@@ -106,6 +106,14 @@ class TestAuroc:
         assert all(b >= a for a, b in zip(fprs, fprs[1:]))
         assert all(b >= a for a, b in zip(tprs, tprs[1:]))
         assert 0.0 <= result.auroc <= 1.0
+
+    def test_curve_matches_threshold_loop_with_shared_ties(self):
+        # scores on a coarse grid, so most values occur in both sets
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            s_in = rng.integers(0, 12, size=int(rng.integers(1, 80))) / 4.0
+            s_out = rng.integers(0, 12, size=int(rng.integers(1, 80))) / 4.0
+            assert metrics.auroc(s_in, s_out).curve == threshold_sweep_roc(s_in, s_out)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -136,11 +138,15 @@ class TestSgldChain:
         assert config.step_at(3) == 0.5
 
 
+def noise_free_chain(model, x0, config):
+    return smp.sgld_chain(model, {}, x0, dataclasses.replace(config, noise=False))
+
+
 class TestDeterministicChain:
     def test_egm_trace_strictly_decreasing_on_bowl(self):
         model = smp.QuadraticBowlEnergy()
         x0 = np.array([[1.0, 1.0]])
-        out = smp.sgld_chain_deterministic(model, {}, x0, quad_config(n_steps=10, step_size=0.5))
+        out = noise_free_chain(model, x0, quad_config(n_steps=10, step_size=0.5))
         trace = out.egm_trace
         assert len(trace) == 10
         assert all(b < a for a, b in zip(trace, trace[1:]))
@@ -148,15 +154,20 @@ class TestDeterministicChain:
     def test_convergence_flag(self):
         model = smp.QuadraticBowlEnergy()
         x0 = np.array([[1.0, 1.0]])
-        out = smp.sgld_chain_deterministic(model, {}, x0, quad_config(n_steps=30))
+        out = noise_free_chain(model, x0, quad_config(n_steps=30))
         assert out.converged is True
-        short = smp.sgld_chain_deterministic(model, {}, x0, quad_config(n_steps=2))
+        short = noise_free_chain(model, x0, quad_config(n_steps=2))
         assert short.converged is False
+
+    def test_noisy_chain_records_no_trace(self):
+        model = smp.QuadraticBowlEnergy()
+        out = smp.sgld_chain(model, {}, np.array([[0.5]]), quad_config(noise=True))
+        assert out.egm_trace is None and out.converged is None
 
     def test_trace_length_equals_steps(self):
         model = smp.QuadraticBowlEnergy()
         x0 = np.array([[0.5]])
-        out = smp.sgld_chain_deterministic(model, {}, x0, quad_config(n_steps=7))
+        out = noise_free_chain(model, x0, quad_config(n_steps=7))
         assert len(out.egm_trace) == 7
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -136,6 +138,26 @@ class TestEvaluate:
         ckpt, _ = trainer.train(ce_config(epochs=20), train_ds, test_ds)
         result = trainer.evaluate(ckpt, test_ds)
         assert result.accuracy == 1.0
+
+    def test_peak_memory_follows_batch_size_not_set_size(self):
+        spec = nn.ModelSpec.small_conv((1, 8, 8), [4], 3)
+        params = nn.init(spec, 0)
+        ckpt = trainer.Checkpoint(model=spec, params=params,
+                                  adam=nn.AdamState.for_params(params), epoch=0)
+        rng = np.random.default_rng(1)
+
+        def peak_bytes(n):
+            ds = datamod.Dataset(rng.uniform(-1, 1, size=(n, 1, 8, 8)),
+                                 rng.integers(0, 3, size=n), classes=3)
+            tracemalloc.start()
+            try:
+                trainer.evaluate(ckpt, ds)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one_batch = peak_bytes(trainer.EVAL_BATCH_SIZE)
+        assert peak_bytes(4 * trainer.EVAL_BATCH_SIZE) < 1.5 * one_batch
 
     def test_ece_report_recomputable(self):
         train_ds, test_ds = blob_task(n=50)
