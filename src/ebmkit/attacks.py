@@ -25,6 +25,10 @@ __all__ = ["Norm", "AttackConfig", "AttackReport", "project", "pgd",
            "attack_sweep", "attack_report_to_csv"]
 
 
+# every data source maps inputs into [-1, 1]; attacks keep them there
+_INPUT_RANGE = (-1.0, 1.0)
+
+
 class Norm(enum.Enum):
     L2 = "l2"
     LINF = "linf"
@@ -37,8 +41,6 @@ class AttackConfig:
     n_steps: int = 40
     step_size: Optional[float] = None   # None -> 2.5 * epsilon / n_steps
     random_start: bool = True
-    clip_lo: float = -1.0
-    clip_hi: float = 1.0
 
     def __post_init__(self):
         if self.epsilon < 0:
@@ -116,7 +118,7 @@ def pgd(model, params, x: np.ndarray, y: np.ndarray, config: AttackConfig,
     delta = np.zeros_like(x)
     if config.random_start:
         delta = _random_start(rng, x.shape, config.norm, config.epsilon)
-        delta = np.clip(x + delta, config.clip_lo, config.clip_hi) - x
+        delta = np.clip(x + delta, *_INPUT_RANGE) - x
     for _ in range(config.n_steps):
         grad = _input_gradient(model, params, x + delta, y)
         if config.norm is Norm.LINF:
@@ -126,7 +128,7 @@ def pgd(model, params, x: np.ndarray, y: np.ndarray, config: AttackConfig,
             norms = np.maximum(np.linalg.norm(flat, axis=1, keepdims=True), 1e-12)
             step = (config.step * flat / norms).reshape(grad.shape)
         delta = project(delta + step, config.norm, config.epsilon)
-        delta = np.clip(x + delta, config.clip_lo, config.clip_hi) - x
+        delta = np.clip(x + delta, *_INPUT_RANGE) - x
     x_hat = x + delta
     if config.norm is Norm.LINF:
         # the add/subtract roundtrip can overshoot the budget by an ulp;

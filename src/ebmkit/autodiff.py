@@ -13,6 +13,7 @@ immutable, so read-only sharing is safe.
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -45,12 +46,19 @@ class Tensor:
     as immutable once the tensor exists.
     """
 
-    __slots__ = ("value", "tape", "node")
+    __slots__ = ("value", "_tape", "node")
 
     def __init__(self, value, tape: Optional["Tape"] = None, node: Optional[int] = None):
         self.value = _as_array(value)
-        self.tape = tape
+        # weak: node closures hold tensors, so a strong link back would make
+        # every tape a reference cycle, freed only by the cyclic collector
+        self._tape = None if tape is None else weakref.ref(tape)
         self.node = node
+
+    @property
+    def tape(self) -> Optional["Tape"]:
+        """The tape this tensor is recorded on; None for constants."""
+        return None if self._tape is None else self._tape()
 
     @property
     def shape(self) -> tuple:
@@ -144,9 +152,12 @@ def _find_tape(tensors: Sequence[Tensor]) -> Optional[Tape]:
     for t in tensors:
         if t.node is None:
             continue
+        owner = t.tape
+        if owner is None:
+            raise ValueError("an input's tape has been freed")
         if tape is None:
-            tape = t.tape
-        elif t.tape is not tape:
+            tape = owner
+        elif owner is not tape:
             raise ValueError("inputs are recorded on different tapes")
     return tape
 

@@ -112,54 +112,63 @@ def build_model(section: dict):
     raise losses.ConfigError(f"unknown model kind {kind!r}")
 
 
-def build_dataset(section: dict, split_seed_offset: int = 1000):
-    """Returns (train, test) datasets for the configured source."""
+def build_dataset(section: dict, splits=("train", "test")) -> tuple:
+    """The datasets of ``splits`` ("train" or "test") for the configured
+    source, in that order; only those splits are generated or read."""
     kind = section.get("kind", "gaussian_mixture")
     if kind == "gaussian_mixture":
         seed = section.get("seed", 0)
-        train = datamod.gen_gaussian_mixture_2d(
-            section["n_per_class"], section["centers"], section["std"], seed=seed)
-        test = datamod.gen_gaussian_mixture_2d(
-            section["n_per_class"], section["centers"], section["std"],
-            seed=seed + split_seed_offset, split="test")
-        noise = section.get("label_noise", 0.0)
-        if noise:
-            train = datamod.with_label_noise(train, noise, seed=seed + 1)
-        return train, test
+
+        def generate(split):
+            # the test split draws from its own seed, 1000 above the train seed
+            ds = datamod.gen_gaussian_mixture_2d(
+                section["n_per_class"], section["centers"], section["std"],
+                seed=seed if split == "train" else seed + 1000, split=split)
+            noise = section.get("label_noise", 0.0)
+            if split == "train" and noise:
+                ds = datamod.with_label_noise(ds, noise, seed=seed + 1)
+            return ds
+        return tuple(generate(split) for split in splits)
     if kind in ("cifar10", "cifar100"):
-        def read_all(paths, split):
-            parts = [datamod.read_cifar_binary(p, kind, split) for p in paths]
+        def read_all(split):
+            parts = [datamod.read_cifar_binary(p, kind, split)
+                     for p in section[f"{split}_files"]]
             return datamod.Dataset(np.concatenate([p.x for p in parts]),
                                    np.concatenate([p.y for p in parts]),
                                    classes=parts[0].classes, split=split,
                                    provenance=";".join(p.provenance for p in parts))
-        train = read_all(section["train_files"], "train") if section.get("train_files") else None
-        test = read_all(section["test_files"], "test") if section.get("test_files") else None
-        return train, test
+        return tuple(read_all(split) for split in splits)
     if kind == "csv":
+        # one file serves as every split
         ds = datamod.dataset_from_csv(section["path"], classes=section["classes"])
-        return ds, ds
+        return (ds,) * len(splits)
     raise losses.ConfigError(f"unknown data kind {kind!r}")
 
 
-# the splits each command reads from its data section
-_READS = {"train": ("train", "test"), "eval": ("test",), "calibrate": ("test",),
-          "ood": ("test",), "attack": ("test",), "hist-egm": ("train",)}
+# The (config section, split) pairs each command reads, in the order its
+# cmd_* function takes the datasets. The last pair from "data" is the set
+# the command scores, which the manifest records as eval_data.
+_READS = {
+    "train": (("data", "train"), ("data", "test")),
+    "eval": (("data", "test"),),
+    "calibrate": (("data", "test"),),
+    "ood": (("data", "test"), ("ood_data", "test")),
+    "attack": (("data", "test"),),
+    "hist-egm": (("data", "train"),),
+    "sample": (),
+}
 
 
 def check_data_files(config: dict, command: str) -> None:
-    """Reject a config that lacks data the command reads (the ood_data
-    section, or the files of a cifar split) before any file is read."""
-    if command == "ood" and "ood_data" not in config:
-        raise losses.ConfigError("ood command requires an ood_data section")
-    for name in ("data", "ood_data") if command == "ood" else ("data",):
-        section = config.get(name, {})
-        if section.get("kind") not in ("cifar10", "cifar100"):
-            continue
-        for split in _READS.get(command, ()):
-            if not section.get(f"{split}_files"):
-                raise losses.ConfigError(
-                    f"{command} reads the {split} split: {name}.{split}_files is missing")
+    """Reject a config that lacks data the command reads (a section, or the
+    files of a cifar split) before any file is read."""
+    for name, split in _READS[command]:
+        if name not in config:
+            raise losses.ConfigError(f"{command} reads the {name} section, which is missing")
+        section = config[name]
+        if section.get("kind") in ("cifar10", "cifar100") and not section.get(f"{split}_files"):
+            raise losses.ConfigError(
+                f"{command} reads the {split} split: {name}.{split}_files is missing")
 
 
 def build_sampler(section: dict) -> smp.SgldConfig:
@@ -214,12 +223,12 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def write_manifest(out_dir: Path, command: str, config: dict, seed,
+def write_manifest(out_dir: Path, command: str, config: dict,
                    checkpoint_path=None, eval_data=None) -> None:
     manifest = {
         "command": command,
         "config": config,
-        "seed": seed,
+        "seed": config.get("seed", 0),
         "versions": {"ebmkit": __version__, "numpy": np.__version__},
         # read by BLAS when numpy loaded it, so these are the settings in effect
         "blas_env": {var: os.environ.get(var) for var in
@@ -243,27 +252,19 @@ def _out_dir(args, config) -> Path:
     return path
 
 
-def _require_model_spec(model):
-    if not isinstance(model, nn.ModelSpec):
-        raise losses.ConfigError("this command requires a trainable model (mlp or conv)")
-    return model
-
-
-def _load_checkpoint(args) -> trainer.Checkpoint:
-    if not args.checkpoint:
-        raise losses.ConfigError("this command requires --checkpoint")
-    return trainer.checkpoint_load(args.checkpoint)
-
-
 # ---------------------------------------------------------------------------
 # commands
+#
+# main() resolves everything a command shares: the seed override, the
+# output directory, the --checkpoint it opens (None when not given) and
+# the datasets of _READS. A cmd_* function computes, writes its artifacts
+# into ``out`` and prints a summary; train returns the checkpoint it
+# wrote, which the manifest hashes in place of --checkpoint.
 
-def cmd_train(args, config: dict) -> int:
-    if args.seed is not None:
-        config["seed"] = args.seed
-    out = _out_dir(args, config)
-    model = _require_model_spec(build_model(config["model"]))
-    train_ds, test_ds = build_dataset(config["data"])
+def cmd_train(args, config: dict, out: Path, _, train_ds, test_ds) -> Path:
+    model = build_model(config["model"])
+    if not isinstance(model, nn.ModelSpec):
+        raise losses.ConfigError("this command requires a trainable model (mlp or conv)")
     tc = build_train_config(config, model)
     if tc.checkpoint_interval:
         tc.checkpoint_dir = str(out)
@@ -271,50 +272,32 @@ def cmd_train(args, config: dict) -> int:
     ckpt_path = out / "checkpoint_final.npz"
     trainer.checkpoint_save(ckpt, ckpt_path)
     trainer.runlog_to_csv(log, out / "runlog.csv")
-    write_manifest(out, "train", config, tc.seed, ckpt_path, test_ds)
     last = log.records[-1] if log.records else None
     if last:
         print(f"trained {tc.epochs} epochs: eval accuracy {last.eval_accuracy:.4f}, "
               f"mean EGM {last.mean_egm:.4g}")
     print(f"checkpoint: {ckpt_path}")
-    return 0
+    return ckpt_path
 
 
-def cmd_eval(args, config: dict) -> int:
-    out = _out_dir(args, config)
-    ckpt = _load_checkpoint(args)
-    _, test_ds = build_dataset(config["data"])
+def cmd_evaluate(args, config: dict, out: Path, ckpt, test_ds) -> None:
+    """eval writes the summary row, calibrate the reliability-diagram bins."""
     n_bins = config.get("metrics", {}).get("ece_bins", metrics.DEFAULT_ECE_BINS)
     result = trainer.evaluate(ckpt, test_ds, n_bins=n_bins)
+    if args.command == "calibrate":
+        metrics.ece_to_csv(result.ece_report, out / "calibration_bins.csv")
+        print(f"ECE {result.ece_report.value:.4f} over {n_bins} bins "
+              f"-> {out / 'calibration_bins.csv'}")
+        return
     with open(out / "eval.csv", "w") as fh:
         fh.write("accuracy,mean_confidence,ece\n")
         fh.write(f"{result.accuracy:.12g},{result.mean_confidence:.12g},"
                  f"{result.ece_report.value:.12g}\n")
-    write_manifest(out, "eval", config, config.get("seed", 0), args.checkpoint, test_ds)
     print(f"accuracy {result.accuracy:.4f}, confidence {result.mean_confidence:.4f}, "
           f"ECE {result.ece_report.value:.4f}")
-    return 0
 
 
-def cmd_calibrate(args, config: dict) -> int:
-    out = _out_dir(args, config)
-    ckpt = _load_checkpoint(args)
-    _, test_ds = build_dataset(config["data"])
-    n_bins = config.get("metrics", {}).get("ece_bins", metrics.DEFAULT_ECE_BINS)
-    result = trainer.evaluate(ckpt, test_ds, n_bins=n_bins)
-    metrics.ece_to_csv(result.ece_report, out / "calibration_bins.csv")
-    write_manifest(out, "calibrate", config, config.get("seed", 0), args.checkpoint,
-                   test_ds)
-    print(f"ECE {result.ece_report.value:.4f} over {n_bins} bins "
-          f"-> {out / 'calibration_bins.csv'}")
-    return 0
-
-
-def cmd_ood(args, config: dict) -> int:
-    out = _out_dir(args, config)
-    ckpt = _load_checkpoint(args)
-    _, in_ds = build_dataset(config["data"])
-    _, out_ds = build_dataset(config["ood_data"])
+def cmd_ood(args, config: dict, out: Path, ckpt, in_ds, out_ds) -> None:
     kind = en.ScoreKind(args.score)
     scores_in = metrics.score_dataset(ckpt.model, ckpt.params, in_ds, kind)
     scores_out = metrics.score_dataset(ckpt.model, ckpt.params, out_ds, kind)
@@ -339,15 +322,10 @@ def cmd_ood(args, config: dict) -> int:
     with open(out / "ood_auroc.csv", "w") as fh:
         fh.write("score_kind,auroc,n_in,n_out\n")
         fh.write(f"{kind.value},{roc.auroc:.12g},{len(scores_in)},{len(scores_out)}\n")
-    write_manifest(out, "ood", config, config.get("seed", 0), args.checkpoint, in_ds)
     print(f"AUROC[{kind.value}] = {roc.auroc:.4f}")
-    return 0
 
 
-def cmd_attack(args, config: dict) -> int:
-    out = _out_dir(args, config)
-    ckpt = _load_checkpoint(args)
-    _, test_ds = build_dataset(config["data"])
+def cmd_attack(args, config: dict, out: Path, ckpt, test_ds) -> None:
     section = config.get("attack", {})
     norm = attacks.Norm(args.norm or section.get("norm", "linf"))
     epsilons = args.epsilons or section.get("epsilons", [0.0, 0.1, 0.2])
@@ -359,36 +337,25 @@ def cmd_attack(args, config: dict) -> int:
                                   epsilons, config=base,
                                   seed=config.get("seed", 0))
     attacks.attack_report_to_csv(report, out / "attack.csv")
-    write_manifest(out, "attack", config, config.get("seed", 0), args.checkpoint, test_ds)
     for eps, acc in zip(report.epsilons, report.adversarial_accuracy):
         print(f"{norm.value} eps={eps:g}: adversarial accuracy {acc:.4f} "
               f"(clean {report.clean_accuracy:.4f})")
-    return 0
 
 
-def cmd_hist_egm(args, config: dict) -> int:
-    out = _out_dir(args, config)
-    ckpt = _load_checkpoint(args)
-    train_ds, _ = build_dataset(config["data"])
+def cmd_hist_egm(args, config: dict, out: Path, ckpt, train_ds) -> None:
     egm = -metrics.score_dataset(ckpt.model, ckpt.params, train_ds,
                                  en.ScoreKind.APPROXIMATE_MASS)
     bins = config.get("hist", {}).get("bins", 30)
     metrics.histogram_to_csv(metrics.histogram(egm, bins), out / "egm_hist.csv")
-    write_manifest(out, "hist-egm", config, config.get("seed", 0), args.checkpoint,
-                   train_ds)
     print(f"mean EGM {egm.mean():.6g} over {egm.size} examples -> {out / 'egm_hist.csv'}")
-    return 0
 
 
-def cmd_sample(args, config: dict) -> int:
-    out = _out_dir(args, config)
+def cmd_sample(args, config: dict, out: Path, ckpt) -> None:
     section = config.get("sample", {})
     n = args.n or section.get("n", 64)
     sampler_cfg = build_sampler(section.get("sampler", {}))
-    if args.checkpoint:
-        ckpt = trainer.checkpoint_load(args.checkpoint)
-        model, params = ckpt.model, ckpt.params
-        shape = ckpt.model.input_shape
+    if ckpt is not None:
+        model, params, shape = ckpt.model, ckpt.params, ckpt.model.input_shape
     else:
         model = build_model(config["model"])
         if isinstance(model, nn.ModelSpec):
@@ -419,10 +386,7 @@ def cmd_sample(args, config: dict) -> int:
     }
     with open(out / "divergence.json", "w") as fh:
         json.dump(stats, fh, indent=2)
-    write_manifest(out, "sample", config, config.get("seed", 0),
-                   args.checkpoint if args.checkpoint else None)
     print(f"{survivors.shape[0]} samples written ({stats['n_diverged']} diverged)")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -432,34 +396,34 @@ def _build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, checkpoint=False):
+    def command(name, summary, checkpoint=True):
+        """``checkpoint``: True requires --checkpoint, False makes it
+        optional, None leaves it out."""
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--out", help="output directory (overrides config)")
         p.add_argument("--seed", type=int, help="seed override")
-        if checkpoint:
-            p.add_argument("--checkpoint", help="checkpoint .npz path")
+        if checkpoint is not None:
+            p.add_argument("--checkpoint", required=checkpoint, help="checkpoint .npz path")
+        return p
 
-    common(sub.add_parser("train", help="train a model"))
-    common(sub.add_parser("eval", help="accuracy/confidence/ECE"), checkpoint=True)
-    common(sub.add_parser("calibrate", help="reliability-diagram bins"), checkpoint=True)
-    ood = sub.add_parser("ood", help="out-of-distribution scoring")
-    common(ood, checkpoint=True)
+    command("train", "train a model", checkpoint=None)
+    command("eval", "accuracy/confidence/ECE")
+    command("calibrate", "reliability-diagram bins")
+    ood = command("ood", "out-of-distribution scoring")
     ood.add_argument("--score", default="approximate_mass",
                      choices=[k.value for k in en.ScoreKind])
-    attack = sub.add_parser("attack", help="PGD accuracy-vs-epsilon sweep")
-    common(attack, checkpoint=True)
+    attack = command("attack", "PGD accuracy-vs-epsilon sweep")
     attack.add_argument("--norm", choices=["l2", "linf"])
     attack.add_argument("--epsilons", type=float, nargs="+")
-    common(sub.add_parser("hist-egm", help="energy-derivative histogram"),
-           checkpoint=True)
-    sample = sub.add_parser("sample", help="run sampler chains")
-    common(sample, checkpoint=True)
+    command("hist-egm", "energy-derivative histogram")
+    sample = command("sample", "run sampler chains", checkpoint=False)
     sample.add_argument("--n", type=int, help="number of chains")
     return parser
 
 
 _COMMANDS = {
-    "train": cmd_train, "eval": cmd_eval, "calibrate": cmd_calibrate,
+    "train": cmd_train, "eval": cmd_evaluate, "calibrate": cmd_evaluate,
     "ood": cmd_ood, "attack": cmd_attack, "hist-egm": cmd_hist_egm,
     "sample": cmd_sample,
 }
@@ -473,9 +437,20 @@ def main(argv=None) -> int:
         return 1
     try:
         config = load_config(args.config)
+        if args.seed is not None:
+            config["seed"] = args.seed
         check_data_files(config, args.command)
-        return _COMMANDS[args.command](args, config)
-    except (losses.ConfigError, UsageError) as exc:
+        out = _out_dir(args, config)
+        ckpt_path = getattr(args, "checkpoint", None)
+        ckpt = trainer.checkpoint_load(ckpt_path) if ckpt_path else None
+        reads = _READS[args.command]
+        datasets = [build_dataset(config[name], (split,))[0] for name, split in reads]
+        written = _COMMANDS[args.command](args, config, out, ckpt, *datasets)
+        scored = [ds for (name, _), ds in zip(reads, datasets) if name == "data"]
+        write_manifest(out, args.command, config, written or ckpt_path,
+                       scored[-1] if scored else None)
+        return 0
+    except losses.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - surface as runtime failure

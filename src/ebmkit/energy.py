@@ -81,12 +81,7 @@ def energy_grad_input(model, params, x_batch) -> np.ndarray:
     x = tape.leaf(x_batch)
     logits = model_logits(model, params, x)
     total = ad.sum_(energy(logits))
-    grad = ad.backward(tape, total, [x])[x]
-    # node closures hold tensors that hold the tape, a reference cycle;
-    # emptying the tape frees this pass now instead of at the next cyclic
-    # collection, so consecutive batches do not stack their peaks
-    tape.nodes.clear()
-    return grad.value
+    return ad.backward(tape, total, [x])[x].value
 
 
 def approximate_mass_score(model, params, x_batch) -> np.ndarray:

@@ -2,8 +2,9 @@
 
 ECE uses equal-width bins over [0, 1] with right-inclusive upper edges
 (bin count configurable, default 20; recorded in every report). AUROC
-is the Mann-Whitney rank statistic with midrank ties, which avoids
-threshold-grid approximation error. All emitters write plot-ready CSV.
+is the Mann-Whitney statistic, ties counted half, computed exactly from
+the ROC curve's integer counts with no threshold grid. All emitters
+write plot-ready CSV.
 """
 
 from __future__ import annotations
@@ -92,39 +93,26 @@ def ece(confidences, correct, n_bins: int = DEFAULT_ECE_BINS) -> EceReport:
     return EceReport(n_bins=n_bins, bins=tuple(bins), value=value)
 
 
-def _midranks(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(values.size, dtype=np.float64)
-    sorted_vals = values[order]
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
-
-
 def auroc(scores_in: Sequence[float], scores_out: Sequence[float]) -> RocResult:
     """P(in-distribution score > out score), ties counted half."""
     s_in = np.asarray(scores_in, dtype=np.float64).reshape(-1)
     s_out = np.asarray(scores_out, dtype=np.float64).reshape(-1)
     if s_in.size == 0 or s_out.size == 0:
         raise ValueError("auroc: both score lists must be non-empty")
+    if np.isnan(s_in).any() or np.isnan(s_out).any():
+        raise ValueError("auroc: NaN scores")
 
-    ranks = _midranks(np.concatenate([s_in, s_out]))
-    rank_sum = ranks[:s_in.size].sum()
-    u = rank_sum - s_in.size * (s_in.size + 1) / 2.0
-    value = float(u / (s_in.size * s_out.size))
-
-    # threshold sweep for the curve: predict "in" when score >= t
+    # threshold sweep, predicting "in" when score >= t: counts of each set
+    # at or above every distinct score, ending at (n_in, n_out)
     thresholds = np.unique(np.concatenate([s_in, s_out]))[::-1]
-    tpr = (s_in.size - np.searchsorted(np.sort(s_in), thresholds)) / s_in.size
-    fpr = (s_out.size - np.searchsorted(np.sort(s_out), thresholds)) / s_out.size
-    curve = [(0.0, 0.0)] + list(zip(fpr.tolist(), tpr.tolist()))
-    if curve[-1] != (1.0, 1.0):
-        curve.append((1.0, 1.0))
+    tp = s_in.size - np.searchsorted(np.sort(s_in), thresholds)
+    fp = s_out.size - np.searchsorted(np.sort(s_out), thresholds)
+    # trapezoids over the integer counts: a tie block adds half its pairs
+    tp_prev = np.concatenate([[0], tp[:-1]])
+    two_u = int((np.diff(fp, prepend=0) * (tp_prev + tp)).sum())
+    value = two_u / (2 * s_in.size * s_out.size)
+
+    curve = [(0.0, 0.0)] + list(zip((fp / s_out.size).tolist(), (tp / s_in.size).tolist()))
     return RocResult(auroc=value, curve=tuple(curve))
 
 

@@ -182,17 +182,15 @@ class Parameters:
 
 def _param_names(spec: ModelSpec):
     for i, layer in enumerate(spec.layers):
-        if isinstance(layer, Dense):
-            yield i, layer, f"layer{i}.w", f"layer{i}.b"
-        elif isinstance(layer, Conv):
-            yield i, layer, f"layer{i}.w", f"layer{i}.b"
+        if isinstance(layer, (Dense, Conv)):
+            yield layer, f"layer{i}.w", f"layer{i}.b"
 
 
 def init(spec: ModelSpec, seed: int) -> Parameters:
     """He-scaled normal weights, zero biases, reproducible from seed."""
     rng = np.random.default_rng(seed)
     arrays: dict[str, np.ndarray] = {}
-    for _, layer, wname, bname in _param_names(spec):
+    for layer, wname, bname in _param_names(spec):
         if isinstance(layer, Dense):
             fan_in = layer.in_dim
             arrays[wname] = rng.normal(0.0, np.sqrt(2.0 / fan_in),

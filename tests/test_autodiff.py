@@ -1,9 +1,12 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from ebmkit import autodiff as ad
+from ebmkit import losses, nn
 from oracles import central_diff, close_rel, naive_matmul
 
 
@@ -277,3 +280,23 @@ class TestTapeIsolation:
     def test_constants_do_not_record(self):
         out = ad.add(ad.Tensor([1.0]), ad.Tensor([2.0]))
         assert out.node is None and out.tape is None
+
+    def test_dropped_tape_is_freed_without_the_cyclic_collector(self):
+        spec = nn.ModelSpec.mlp(2, [8], 2)
+        x = np.random.default_rng(0).normal(size=(4, 2))
+        cfg = losses.LossConfig(mode=losses.Mode.NGEBM)
+        gc.disable()
+        try:
+            graph = losses.loss_graph(cfg, spec, nn.init(spec, seed=0), x,
+                                      np.zeros(4, dtype=np.int64))
+            ad.backward(graph.tape, graph.total, list(graph.bound.values()))
+            tape = weakref.ref(graph.tape)
+            del graph
+            assert tape() is None
+        finally:
+            gc.enable()
+
+    def test_tensor_outliving_its_tape_is_rejected(self):
+        x = ad.Tape().leaf([1.0])
+        with pytest.raises(ValueError, match="freed"):
+            ad.square(x)

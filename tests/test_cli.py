@@ -280,3 +280,92 @@ class TestManifest:
     def test_threads_flag_is_gone(self, trained):
         _, config_path = trained
         assert cli.main(["train", "--config", str(config_path), "--threads", "1"]) == 1
+
+
+class TestSeedOverride:
+    def run(self, config_path, out, command, seed, *flags):
+        assert cli.main([command, "--config", str(config_path), "--out", str(out),
+                         "--seed", str(seed), *flags]) == 0
+        return out
+
+    def test_attack_random_starts_follow_seed(self, trained, tmp_path):
+        out, config_path = trained
+        config = json.loads(config_path.read_text())
+        config["attack"] = {"norm": "linf", "n_steps": 1, "random_start": True,
+                            "epsilons": [0.0, 0.3, 0.5, 0.7]}
+        path = write_config(tmp_path, config, "attack.json")
+        ckpt = ("--checkpoint", str(out / "checkpoint_final.npz"))
+        a, b = (self.run(path, tmp_path / str(seed), "attack", seed, *ckpt) for seed in (5, 6))
+        assert (a / "attack.csv").read_text() != (b / "attack.csv").read_text()
+        assert json.loads((a / "manifest_attack.json").read_text())["seed"] == 5
+
+    def test_noisy_sample_chains_follow_seed(self, tmp_path):
+        config = {"seed": 1, "model": {"kind": "quadratic_bowl", "dim": 2},
+                  "sample": {"n": 4, "sampler": {"n_steps": 5, "step_size": 0.1,
+                                                 "noise": True}}}
+        path = write_config(tmp_path, config)
+        a, b = (self.run(path, tmp_path / str(seed), "sample", seed) for seed in (5, 6))
+        assert (a / "samples.csv").read_text() != (b / "samples.csv").read_text()
+        assert json.loads((b / "manifest_sample.json").read_text())["seed"] == 6
+
+    @pytest.mark.parametrize("command,flags", [
+        ("train", ()), ("eval", ()), ("calibrate", ()), ("ood", ("--score", "log_px")),
+        ("attack", ("--epsilons", "0.0")), ("hist-egm", ()), ("sample", ("--n", "2"))])
+    def test_every_manifest_records_the_override(self, trained, tmp_path, command, flags):
+        out, config_path = trained
+        config = json.loads(config_path.read_text())
+        config["ood_data"] = config["data"]
+        config["train"]["epochs"] = 1
+        path = write_config(tmp_path, config)
+        if command != "train":
+            flags += ("--checkpoint", str(out / "checkpoint_final.npz"))
+        self.run(path, tmp_path / "out", command, 11, *flags)
+        manifest = json.loads((tmp_path / "out" / f"manifest_{command}.json").read_text())
+        assert manifest["seed"] == 11 and manifest["config"]["seed"] == 11
+
+
+class TestSplitsRead:
+    """Each command reads the files of the splits it uses and no others."""
+
+    @pytest.fixture(scope="class")
+    def cifar_run(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("cifar")
+        rng = np.random.default_rng(0)
+        files = {}
+        for name, n in (("train", 8), ("test", 4), ("ood", 4)):
+            records = np.concatenate([rng.integers(0, 10, size=(n, 1), dtype=np.uint8),
+                                      rng.integers(0, 256, size=(n, 3072), dtype=np.uint8)],
+                                     axis=1)
+            files[name] = root / f"{name}.bin"
+            records.tofile(files[name])
+        config = toy_config(root / "run", epochs=1)
+        config["model"] = {"kind": "conv", "input_shape": [3, 32, 32], "channels": [2],
+                           "classes": 10}
+        config["data"] = {"kind": "cifar10", "train_files": [str(files["train"])],
+                          "test_files": [str(files["test"])]}
+        config["ood_data"] = {"kind": "cifar10", "train_files": [str(files["train"])],
+                              "test_files": [str(files["ood"])]}
+        config["attack"] = {"n_steps": 1, "epsilons": [0.0, 0.1]}
+        config["sample"] = {"n": 2, "sampler": {"n_steps": 1, "noise": False}}
+        path = write_config(root, config)
+        assert cli.main(["train", "--config", str(path)]) == 0
+        return root, path, files
+
+    @pytest.mark.parametrize("command,reads", [
+        ("train", [("train", "train"), ("test", "test")]),
+        ("eval", [("test", "test")]), ("calibrate", [("test", "test")]),
+        ("attack", [("test", "test")]), ("hist-egm", [("train", "train")]),
+        ("ood", [("test", "test"), ("ood", "test")]), ("sample", [])])
+    def test_reads_only_its_splits(self, cifar_run, tmp_path, monkeypatch, command, reads):
+        root, path, files = cifar_run
+        calls = []
+        real = data.read_cifar_binary
+
+        def counting(file, kind, split):
+            calls.append((file, split))
+            return real(file, kind, split)
+        monkeypatch.setattr(data, "read_cifar_binary", counting)
+        flags = [] if command == "train" else ["--checkpoint",
+                                               str(root / "run" / "checkpoint_final.npz")]
+        assert cli.main([command, "--config", str(path), "--out", str(tmp_path), *flags]) == 0
+        assert calls == [(str(files[name]), split) for name, split in reads]

@@ -113,11 +113,25 @@ class TestAuroc:
         for _ in range(50):
             s_in = rng.integers(0, 12, size=int(rng.integers(1, 80))) / 4.0
             s_out = rng.integers(0, 12, size=int(rng.integers(1, 80))) / 4.0
-            assert metrics.auroc(s_in, s_out).curve == threshold_sweep_roc(s_in, s_out)
+            result = metrics.auroc(s_in, s_out)
+            assert result.curve == threshold_sweep_roc(s_in, s_out)
+            assert result.auroc == pair_count_auroc(list(s_in), list(s_out))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             metrics.auroc([], [1.0])
+
+    @pytest.mark.parametrize("s_in,s_out", [([0.1, np.nan, 0.5], [0.2, 0.3]),
+                                            ([0.1, 0.5], [np.nan])])
+    def test_nan_rejected(self, s_in, s_out):
+        with pytest.raises(ValueError, match="NaN"):
+            metrics.auroc(s_in, s_out)
+
+    def test_infinite_scores_are_valid(self):
+        s_in, s_out = [np.inf, 0.5, -np.inf], [-np.inf, 0.5, 0.2]
+        result = metrics.auroc(s_in, s_out)
+        assert result.auroc == pair_count_auroc(s_in, s_out)
+        assert result.curve == threshold_sweep_roc(np.array(s_in), np.array(s_out))
 
 
 class TestHistogram:
