@@ -17,6 +17,7 @@ import weakref
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "ShapeError",
@@ -557,22 +558,62 @@ def scatter_add(a, index, width: int) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# convolution (composition of take / scatter_add / matmul; differentiable to
-# any order because every building block is)
+# convolution: three recorded numpy kernels whose VJPs are written in the same
+# three kernels, so conv is differentiable to any order
 
-def _conv_indices(c: int, h: int, w: int, k: int, pad: int):
-    hp, wp = h + 2 * pad, w + 2 * pad
-    ho, wo = hp - k + 1, wp - k + 1
-    # where each unpadded pixel lands inside the padded buffer
-    ch, hh, ww = np.meshgrid(np.arange(c), np.arange(h), np.arange(w), indexing="ij")
-    embed = (ch * hp * wp + (hh + pad) * wp + (ww + pad)).reshape(-1)
-    # im2col: rows are output positions, cols are (channel, dy, dx) patches
-    oy, ox = np.meshgrid(np.arange(ho), np.arange(wo), indexing="ij")
-    base = (oy * wp + ox).reshape(-1, 1)                      # L x 1
-    cc, dy, dx = np.meshgrid(np.arange(c), np.arange(k), np.arange(k), indexing="ij")
-    patch = (cc * hp * wp + dy * wp + dx).reshape(1, -1)      # 1 x (C*k*k)
-    cols = (base + patch).reshape(-1)                         # L*C*k*k
-    return embed, cols, hp, wp, ho, wo
+def _im2col(x: np.ndarray, k: int, pad: int):
+    """N x (C*k*k) x (Ho*Wo) patches of ``x`` padded by ``pad`` on each
+    side (cropped when ``pad`` < 0); the output-width axis is innermost."""
+    if pad > 0:
+        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    elif pad < 0:
+        x = x[:, :, -pad:pad, -pad:pad]
+    windows = sliding_window_view(x, (k, k), axis=(2, 3))      # N C Ho Wo k k
+    n, c, ho, wo = windows.shape[:4]
+    return windows.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * k * k, ho * wo), ho, wo
+
+
+def _corr(x: np.ndarray, w: np.ndarray, pad: int) -> np.ndarray:
+    """Forward correlation: x N x C x H x W, w F x C x k x k."""
+    f, _, k, _ = w.shape
+    cols, ho, wo = _im2col(x, k, pad)
+    return np.matmul(w.reshape(f, -1), cols).reshape(x.shape[0], f, ho, wo)
+
+
+def _corr_input_grad(g: np.ndarray, w: np.ndarray, pad: int) -> np.ndarray:
+    """Adjoint of ``_corr`` in x: the full correlation of g with the flipped,
+    channel-swapped kernel, cropped by ``pad`` on each side."""
+    k = w.shape[2]
+    return _corr(g, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), k - 1 - pad)
+
+
+def _corr_weight_grad(x: np.ndarray, g: np.ndarray, pad: int) -> np.ndarray:
+    """Adjoint of ``_corr`` in w: patches of x against the output gradient g."""
+    n, f, ho, wo = g.shape
+    k = x.shape[2] + 2 * pad - ho + 1
+    cols, _, _ = _im2col(x, k, pad)
+    dw = np.matmul(g.reshape(n, f, ho * wo), cols.transpose(0, 2, 1)).sum(axis=0)
+    return dw.reshape(f, x.shape[1], k, k)
+
+
+def _conv_op(kernel: Callable, a: Tensor, b: Tensor, pad: int) -> Tensor:
+    """Record ``kernel(a, b, pad)``. Each kernel is bilinear, and its VJP in
+    either argument is another of the three kernels."""
+    def factory(_):
+        def vjp(g):
+            if kernel is _corr:                 # a = x, b = w
+                grads = (lambda: _conv_op(_corr_input_grad, g, b, pad),
+                         lambda: _conv_op(_corr_weight_grad, a, g, pad))
+            elif kernel is _corr_input_grad:    # a = output grad, b = w
+                grads = (lambda: _conv_op(_corr, g, b, pad),
+                         lambda: _conv_op(_corr_weight_grad, g, a, pad))
+            else:                               # a = x, b = output grad
+                grads = (lambda: _conv_op(_corr_input_grad, b, g, pad),
+                         lambda: _conv_op(_corr, a, g, pad))
+            return [(t.node, grad()) for t, grad in zip((a, b), grads) if t.node is not None]
+        return vjp
+
+    return _register((a, b), kernel(a.value, b.value, pad), factory)
 
 
 def conv2d(x, w, b=None, padding: int = 0) -> Tensor:
@@ -580,20 +621,10 @@ def conv2d(x, w, b=None, padding: int = 0) -> Tensor:
     x, w = _lift(x), _lift(w)
     if x.ndim != 4 or w.ndim != 4 or x.shape[1] != w.shape[1] or w.shape[2] != w.shape[3]:
         raise ShapeError(f"conv2d: incompatible shapes {x.shape} and {w.shape}")
-    n, c, h, wdt = x.shape
-    f, _, k, _ = w.shape
-    embed, cols, hp, wp, ho, wo = _conv_indices(c, h, wdt, k, padding)
-
-    flat = reshape(x, (n, c * h * wdt))
-    padded = scatter_add(flat, embed, c * hp * wp) if padding > 0 else flat
-    patches = reshape(take(padded, cols), (n * ho * wo, c * k * k))
-    kernel = transpose(reshape(w, (f, c * k * k)))
-    out = matmul(patches, kernel)
+    out = _conv_op(_corr, x, w, int(padding))
     if b is not None:
-        out = add(out, _lift(b))
-    out = reshape(out, (n, ho * wo, f))
-    out = transpose(out, (0, 2, 1))
-    return reshape(out, (n, f, ho, wo))
+        out = add(out, reshape(b, (1, w.shape[0], 1, 1)))
+    return out
 
 
 # ---------------------------------------------------------------------------

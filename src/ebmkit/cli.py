@@ -184,7 +184,10 @@ def build_sampler(section: dict) -> smp.SgldConfig:
         convergence_eta=section.get("convergence_eta", 1e-3))
 
 
-def build_train_config(config: dict, model) -> trainer.TrainConfig:
+def build_train_config(config: dict) -> trainer.TrainConfig:
+    model = build_model(config["model"])
+    if not isinstance(model, nn.ModelSpec):
+        raise losses.ConfigError("this command requires a trainable model (mlp or conv)")
     section = config.get("train", {})
     mode_name = section.get("mode", "ce")
     try:
@@ -256,16 +259,13 @@ def _out_dir(args, config) -> Path:
 # commands
 #
 # main() resolves everything a command shares: the seed override, the
-# output directory, the --checkpoint it opens (None when not given) and
-# the datasets of _READS. A cmd_* function computes, writes its artifacts
-# into ``out`` and prints a summary; train returns the checkpoint it
-# wrote, which the manifest hashes in place of --checkpoint.
+# output directory, the --checkpoint it opens (None when not given; for
+# train, the TrainConfig it starts from) and the datasets of _READS. A
+# cmd_* function computes, writes its artifacts into ``out`` and prints a
+# summary; train returns the checkpoint it wrote, which the manifest
+# hashes in place of --checkpoint.
 
-def cmd_train(args, config: dict, out: Path, _, train_ds, test_ds) -> Path:
-    model = build_model(config["model"])
-    if not isinstance(model, nn.ModelSpec):
-        raise losses.ConfigError("this command requires a trainable model (mlp or conv)")
-    tc = build_train_config(config, model)
+def cmd_train(args, config: dict, out: Path, tc, train_ds, test_ds) -> Path:
     if tc.checkpoint_interval:
         tc.checkpoint_dir = str(out)
     ckpt, log = trainer.train(tc, train_ds, test_ds)
@@ -442,7 +442,11 @@ def main(argv=None) -> int:
         check_data_files(config, args.command)
         out = _out_dir(args, config)
         ckpt_path = getattr(args, "checkpoint", None)
-        ckpt = trainer.checkpoint_load(ckpt_path) if ckpt_path else None
+        if args.command == "train":
+            # built before any data is read, so a bad model or train section exits first
+            ckpt = build_train_config(config)
+        else:
+            ckpt = trainer.checkpoint_load(ckpt_path) if ckpt_path else None
         reads = _READS[args.command]
         datasets = [build_dataset(config[name], (split,))[0] for name, split in reads]
         written = _COMMANDS[args.command](args, config, out, ckpt, *datasets)

@@ -43,6 +43,29 @@ def naive_matmul(a, b):
     return out
 
 
+def naive_conv2d(x, w, b, padding):
+    """Loop-based stride-1 cross-correlation with zero padding:
+    x B x C x H x W, w F x C x k x k, b F."""
+    x = np.asarray(x, dtype=np.float64)
+    n, c, h, width = x.shape
+    f, _, k, _ = w.shape
+    ho, wo = h + 2 * padding - k + 1, width + 2 * padding - k + 1
+    out = np.zeros((n, f, ho, wo))
+    for i in range(n):
+        for o in range(f):
+            for y in range(ho):
+                for z in range(wo):
+                    acc = b[o]
+                    for ch in range(c):
+                        for dy in range(k):
+                            for dz in range(k):
+                                row, col = y + dy - padding, z + dz - padding
+                                if 0 <= row < h and 0 <= col < width:
+                                    acc += x[i, ch, row, col] * w[o, ch, dy, dz]
+                    out[i, o, y, z] = acc
+    return out
+
+
 def naive_mlp_forward(x, weights, biases):
     """Loop-based forward pass for a ReLU MLP (linear final layer)."""
     x = np.asarray(x, dtype=np.float64)

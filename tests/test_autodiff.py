@@ -7,7 +7,7 @@ import pytest
 
 from ebmkit import autodiff as ad
 from ebmkit import losses, nn
-from oracles import central_diff, close_rel, naive_matmul
+from oracles import central_diff, close_rel, naive_conv2d, naive_matmul
 
 
 def scalar_loss(op, x_val, extra=None, rng=None):
@@ -178,32 +178,89 @@ def test_primitive_gradient_matches_finite_differences(kind):
         assert close_rel(g, fd, 1e-5), f"{kind}: autodiff vs finite differences"
 
 
+# (x shape, w shape, padding): padding past k - 1 crops the input gradient's
+# full correlation; k = 1 and H != W exercise the window arithmetic
+_CONV_CASES = [((2, 2, 4, 4), (3, 2, 3, 3), pad) for pad in (0, 1, 2, 3)] + [
+    ((2, 3, 4, 4), (2, 3, 1, 1), 0), ((2, 3, 4, 4), (2, 3, 1, 1), 2),
+    ((2, 2, 5, 3), (3, 2, 3, 3), 1), ((1, 2, 3, 6), (2, 2, 2, 2), 0)]
+
+
 def test_conv2d_gradient_matches_finite_differences():
     rng = np.random.default_rng(99)
-    for _ in range(10):
-        x_val = rng.normal(size=(2, 2, 4, 4))
-        w_val = rng.normal(size=(3, 2, 3, 3))
-        b_val = rng.normal(size=(3,))
-        proj = rng.normal(size=(2, 3, 4, 4))
+    for x_shape, w_shape, pad in _CONV_CASES:
+        for _ in range(10):
+            x_val = rng.normal(size=x_shape)
+            w_val = rng.normal(size=w_shape)
+            b_val = rng.normal(size=w_shape[:1])
 
+            tape = ad.Tape()
+            x = tape.leaf(x_val)
+            w = tape.leaf(w_val)
+            b = tape.leaf(b_val)
+            out = ad.conv2d(x, w, b, padding=pad)
+            proj = rng.normal(size=out.shape)
+            loss = ad.sum_(ad.mul(out, proj))
+            gm = ad.backward(tape, loss, [x, w, b])
+
+            def value(xv, wv, bv):
+                return float(np.sum(ad.conv2d(ad.Tensor(xv), ad.Tensor(wv), ad.Tensor(bv),
+                                              padding=pad).value * proj))
+
+            case = f"x {x_shape}, w {w_shape}, padding {pad}"
+            assert close_rel(gm[x].value, central_diff(lambda v: value(v, w_val, b_val), x_val),
+                             1e-5), case
+            assert close_rel(gm[w].value, central_diff(lambda v: value(x_val, v, b_val), w_val),
+                             1e-5), case
+            assert close_rel(gm[b].value, central_diff(lambda v: value(x_val, w_val, v), b_val),
+                             1e-5), case
+
+
+@pytest.mark.parametrize("pad", [1, 3])
+def test_conv2d_double_backward_matches_finite_differences(pad):
+    # d/d(w, b) of mean_i ||dE_i/dx_i|| through one conv, E_i = -logsumexp(conv(x_i))
+    rng = np.random.default_rng(7 + pad)
+    x_val = rng.normal(size=(2, 2, 5, 4))
+    w_val = rng.normal(size=(2, 2, 3, 3)) * 0.5
+    b_val = rng.normal(size=(2,)) * 0.1
+
+    def graph(wv, bv, create_graph):
         tape = ad.Tape()
-        x = tape.leaf(x_val)
-        w = tape.leaf(w_val)
-        b = tape.leaf(b_val)
-        out = ad.conv2d(x, w, b, padding=1)
-        loss = ad.sum_(ad.mul(out, proj))
-        gm = ad.backward(tape, loss, [x, w, b])
+        x, w, b = tape.leaf(x_val), tape.leaf(wv), tape.leaf(bv)
+        out = ad.conv2d(x, w, b, padding=pad)
+        energy = ad.neg(ad.logsumexp(ad.reshape(out, (2, -1)), axis=1))
+        gx = ad.backward(tape, ad.sum_(energy), [x], create_graph=create_graph)[x]
+        return tape, ad.mean(ad.l2norm(ad.reshape(gx, (2, -1)), axis=1)), (w, b)
 
-        def f_x(v):
-            return float(np.sum(ad.conv2d(ad.Tensor(v), ad.Tensor(w_val),
-                                          ad.Tensor(b_val), padding=1).value * proj))
+    tape, penalty, (w, b) = graph(w_val, b_val, create_graph=True)
+    gm = ad.backward(tape, penalty, [w, b])
 
-        def f_w(v):
-            return float(np.sum(ad.conv2d(ad.Tensor(x_val), ad.Tensor(v),
-                                          ad.Tensor(b_val), padding=1).value * proj))
+    def value(wv, bv):
+        return graph(wv, bv, create_graph=False)[1].item()
 
-        assert close_rel(gm[x].value, central_diff(f_x, x_val), 1e-5)
-        assert close_rel(gm[w].value, central_diff(f_w, w_val), 1e-5)
+    assert close_rel(gm[w].value, central_diff(lambda v: value(v, b_val), w_val, h=1e-5), 1e-5)
+    assert close_rel(gm[b].value, central_diff(lambda v: value(w_val, v), b_val, h=1e-5), 1e-5)
+
+
+def test_conv2d_records_one_node():
+    tape = ad.Tape()
+    x = tape.leaf(np.ones((1, 2, 4, 4)))
+    w = tape.leaf(np.ones((3, 2, 3, 3)))
+    ad.conv2d(x, w, padding=1)
+    assert len(tape) == 3
+
+
+def test_conv2d_matches_loop_oracle():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        k = int(rng.integers(1, 4))
+        n, c, f = (int(v) for v in rng.integers(1, 4, size=3))
+        h, width = (int(v) for v in rng.integers(k, k + 5, size=2))
+        pad = int(rng.integers(0, 4))
+        x = rng.normal(size=(n, c, h, width))
+        w = rng.normal(size=(f, c, k, k))
+        b = rng.normal(size=(f,))
+        out = ad.conv2d(ad.Tensor(x), ad.Tensor(w), ad.Tensor(b), padding=pad).value
+        assert close_rel(out, naive_conv2d(x, w, b, pad), 1e-12), (x.shape, w.shape, pad)
 
 
 def grad_l2norm_of_grad(tape, energy, x):

@@ -369,3 +369,19 @@ class TestSplitsRead:
                                                str(root / "run" / "checkpoint_final.npz")]
         assert cli.main([command, "--config", str(path), "--out", str(tmp_path), *flags]) == 0
         assert calls == [(str(files[name]), split) for name, split in reads]
+
+    @pytest.mark.parametrize("section,key,value,message", [
+        ("train", "mode", "bogus", "bogus"),
+        ("model", "kind", "bogus", "bogus"),
+        ("model", "kind", "quadratic_bowl", "trainable")])
+    def test_bad_train_config_exits_before_reading(self, cifar_run, tmp_path, monkeypatch,
+                                                   capsys, section, key, value, message):
+        _, path, _ = cifar_run
+        config = json.loads(path.read_text())
+        config[section][key] = value
+        bad = write_config(tmp_path, config)
+        calls = []
+        monkeypatch.setattr(data, "read_cifar_binary", lambda *a: calls.append(a))
+        assert cli.main(["train", "--config", str(bad), "--out", str(tmp_path)]) == 1
+        assert message in capsys.readouterr().err
+        assert calls == []
