@@ -25,7 +25,7 @@ __all__ = [
     "Tape",
     "backward",
     # primitive ops
-    "add", "sub", "mul", "div", "neg", "matmul", "transpose", "reshape",
+    "add", "sub", "mul", "div", "neg", "matmul", "linear", "transpose", "reshape",
     "broadcast", "sum_", "mean", "relu", "exp", "log", "logsumexp",
     "square", "sqrt", "l2norm", "gather", "take", "scatter_add", "conv2d",
 ]
@@ -117,11 +117,12 @@ class Tensor:
 
 
 class _Node:
-    __slots__ = ("value", "vjp")
+    __slots__ = ("value", "parents", "vjp")
 
-    def __init__(self, value, vjp):
+    def __init__(self, value, parents, vjp):
         self.value = value          # cached forward value
-        self.vjp = vjp              # g -> [(parent_id, grad Tensor)], None for leaves
+        self.parents = parents      # input node ids, None for constants; () for leaves
+        self.vjp = vjp              # (g, i) -> gradient for input i; None for leaves
 
 
 class Tape:
@@ -136,9 +137,9 @@ class Tape:
 
     def leaf(self, value) -> Tensor:
         """Register an input as a differentiable leaf."""
-        arr = _as_array(value)
-        self.nodes.append(_Node(arr, None))
-        return Tensor(arr, self, len(self.nodes) - 1)
+        out = Tensor(value, self, len(self.nodes))
+        self.nodes.append(_Node(out.value, (), None))
+        return out
 
     def is_leaf(self, node_id: int) -> bool:
         return self.nodes[node_id].vjp is None
@@ -164,21 +165,16 @@ def _find_tape(tensors: Sequence[Tensor]) -> Optional[Tape]:
 
 
 def _register(inputs: Sequence[Tensor], value: np.ndarray,
-              vjp_factory: Callable[[Tensor], Callable]) -> Tensor:
-    value = _as_array(value)
+              vjp: Callable[[Tensor, int], Tensor]) -> Tensor:
+    """The output of an op on ``inputs``; on a recording tape ``vjp(g, i)``
+    gives the gradient for ``inputs[i]``. A VJP that needs the output
+    itself closes over the tensor this returns."""
     tape = _find_tape(inputs)
     if tape is None or not tape._recording:
         return Tensor(value)
-    node = _Node(value, None)
-    tape.nodes.append(node)
-    out = Tensor(value, tape, len(tape.nodes) - 1)
-    node.vjp = vjp_factory(out)
+    out = Tensor(value, tape, len(tape.nodes))
+    tape.nodes.append(_Node(out.value, tuple(t.node for t in inputs), vjp))
     return out
-
-
-def _pairs(*entries) -> list:
-    """Keep (tensor, grad) pairs whose tensor is actually recorded."""
-    return [(t.node, g) for t, g in entries if t.node is not None]
 
 
 # ---------------------------------------------------------------------------
@@ -207,63 +203,44 @@ def _unbroadcast(g: Tensor, target_shape: tuple) -> Tensor:
 def add(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
     out = _binary_forward("add", a, b, np.add)
-
-    def factory(_):
-        def vjp(g):
-            return _pairs((a, _unbroadcast(g, a.shape)), (b, _unbroadcast(g, b.shape)))
-        return vjp
-
-    return _register((a, b), out, factory)
+    return _register((a, b), out, lambda g, i: _unbroadcast(g, (a, b)[i].shape))
 
 
 def sub(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
     out = _binary_forward("sub", a, b, np.subtract)
 
-    def factory(_):
-        def vjp(g):
-            return _pairs((a, _unbroadcast(g, a.shape)),
-                          (b, _unbroadcast(neg(g), b.shape)))
-        return vjp
+    def vjp(g, i):
+        return _unbroadcast(g, a.shape) if i == 0 else _unbroadcast(neg(g), b.shape)
 
-    return _register((a, b), out, factory)
+    return _register((a, b), out, vjp)
 
 
 def mul(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
     out = _binary_forward("mul", a, b, np.multiply)
 
-    def factory(_):
-        def vjp(g):
-            return _pairs((a, _unbroadcast(mul(g, b), a.shape)),
-                          (b, _unbroadcast(mul(g, a), b.shape)))
-        return vjp
+    def vjp(g, i):
+        return _unbroadcast(mul(g, b), a.shape) if i == 0 else _unbroadcast(mul(g, a), b.shape)
 
-    return _register((a, b), out, factory)
+    return _register((a, b), out, vjp)
 
 
 def div(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
     out = _binary_forward("div", a, b, np.divide)
 
-    def factory(_):
-        def vjp(g):
-            return _pairs((a, _unbroadcast(div(g, b), a.shape)),
-                          (b, _unbroadcast(neg(div(mul(g, a), mul(b, b))), b.shape)))
-        return vjp
+    def vjp(g, i):
+        if i == 0:
+            return _unbroadcast(div(g, b), a.shape)
+        return _unbroadcast(neg(div(mul(g, a), mul(b, b))), b.shape)
 
-    return _register((a, b), out, factory)
+    return _register((a, b), out, vjp)
 
 
 def neg(a) -> Tensor:
     a = _lift(a)
-
-    def factory(_):
-        def vjp(g):
-            return _pairs((a, neg(g)))
-        return vjp
-
-    return _register((a,), np.negative(a.value), factory)
+    return _register((a,), np.negative(a.value), lambda g, i: neg(g))
 
 
 # ---------------------------------------------------------------------------
@@ -274,29 +251,31 @@ def matmul(a, b) -> Tensor:
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
 
-    def factory(_):
-        def vjp(g):
-            return _pairs((a, matmul(g, transpose(b))),
-                          (b, matmul(transpose(a), g)))
-        return vjp
+    def vjp(g, i):
+        return matmul(g, transpose(b)) if i == 0 else matmul(transpose(a), g)
 
-    return _register((a, b), a.value @ b.value, factory)
+    return _register((a, b), a.value @ b.value, vjp)
+
+
+def linear(x, w, b) -> Tensor:
+    """Dense layer x @ w + b as one node. x: B x D, w: D x F, b: F."""
+    x, w, b = _lift(x), _lift(w), _lift(b)
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ShapeError(f"linear: incompatible shapes {x.shape}, {w.shape} and {b.shape}")
+
+    def vjp(g, i):
+        if i == 0:
+            return matmul(g, transpose(w))
+        return matmul(transpose(x), g) if i == 1 else sum_(g, axis=0)
+
+    return _register((x, w, b), np.add(x.value @ w.value, b.value), vjp)
 
 
 def transpose(a, axes: Optional[Sequence[int]] = None) -> Tensor:
     a = _lift(a)
-    if axes is None:
-        axes = tuple(reversed(range(a.ndim)))
-    axes = tuple(int(ax) for ax in axes)
-    inverse = tuple(int(i) for i in np.argsort(axes))
+    axes = tuple(reversed(range(a.ndim))) if axes is None else tuple(int(ax) for ax in axes)
     out = np.asarray(np.transpose(a.value, axes), order="C")
-
-    def factory(_):
-        def vjp(g):
-            return _pairs((a, transpose(g, inverse)))
-        return vjp
-
-    return _register((a,), out, factory)
+    return _register((a,), out, lambda g, i: transpose(g, np.argsort(axes)))
 
 
 def reshape(a, shape) -> Tensor:
@@ -306,35 +285,21 @@ def reshape(a, shape) -> Tensor:
         out = np.asarray(a.value.reshape(shape), order="C")
     except ValueError as exc:
         raise ShapeError(f"reshape: cannot view {a.shape} as {shape}") from exc
-    src_shape = a.shape
-
-    def factory(_):
-        def vjp(g):
-            return _pairs((a, reshape(g, src_shape)))
-        return vjp
-
-    return _register((a,), out, factory)
+    return _register((a,), out, lambda g, i: reshape(g, a.shape))
 
 
 def broadcast(a, shape) -> Tensor:
     a = _lift(a)
     shape = tuple(int(s) for s in shape)
     try:
-        out = np.asarray(np.broadcast_to(a.value, shape), order="C").copy()
+        out = np.broadcast_to(a.value, shape).copy()
     except ValueError as exc:
         raise ShapeError(f"broadcast: cannot broadcast {a.shape} to {shape}") from exc
-    src_shape = a.shape
-
-    def factory(_):
-        def vjp(g):
-            return _pairs((a, _unbroadcast(g, src_shape)))
-        return vjp
-
-    return _register((a,), out, factory)
+    return _register((a,), out, lambda g, i: _unbroadcast(g, a.shape))
 
 
 # ---------------------------------------------------------------------------
-# reductions
+# reductions; ``axis=None`` reduces every axis and ``axis=()`` none, as in numpy
 
 def _norm_axes(axis, ndim: int) -> tuple:
     if axis is None:
@@ -352,31 +317,18 @@ def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _lift(a)
     axes = _norm_axes(axis, a.ndim)
     keep = _keep_shape(a.shape, axes)
-    src_shape = a.shape
-    out = np.sum(a.value, axis=axes or None, keepdims=keepdims)
-
-    def factory(_):
-        def vjp(g):
-            return _pairs((a, broadcast(reshape(g, keep), src_shape)))
-        return vjp
-
-    return _register((a,), out, factory)
+    out = np.sum(a.value, axis=axes, keepdims=keepdims)
+    return _register((a,), out, lambda g, i: broadcast(reshape(g, keep), a.shape))
 
 
 def mean(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _lift(a)
     axes = _norm_axes(axis, a.ndim)
     keep = _keep_shape(a.shape, axes)
-    src_shape = a.shape
     count = float(np.prod([a.shape[i] for i in axes])) if axes else 1.0
-    out = np.mean(a.value, axis=axes or None, keepdims=keepdims)
-
-    def factory(_):
-        def vjp(g):
-            return _pairs((a, broadcast(reshape(mul(g, 1.0 / count), keep), src_shape)))
-        return vjp
-
-    return _register((a,), out, factory)
+    out = np.mean(a.value, axis=axes, keepdims=keepdims)
+    return _register((a,), out,
+                     lambda g, i: broadcast(reshape(mul(g, 1.0 / count), keep), a.shape))
 
 
 def logsumexp(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -384,22 +336,19 @@ def logsumexp(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _lift(a)
     axes = _norm_axes(axis, a.ndim)
     keep = _keep_shape(a.shape, axes)
-    src_shape = a.shape
-    m = np.max(a.value, axis=axes or None, keepdims=True)
+    m = np.max(a.value, axis=axes, keepdims=True)
     m = np.where(np.isfinite(m), m, 0.0)
-    out = np.log(np.sum(np.exp(a.value - m), axis=axes or None, keepdims=True)) + m
+    value = np.log(np.sum(np.exp(a.value - m), axis=axes, keepdims=True)) + m
     if not keepdims:
-        out = out.reshape(_drop_axes(src_shape, axes))
+        value = value.reshape(_drop_axes(a.shape, axes))
 
-    def factory(out_t):
-        def vjp(g):
-            y = out_t if keepdims else reshape(out_t, keep)
-            soft = exp(sub(a, broadcast(y, src_shape)))
-            gg = g if keepdims else reshape(g, keep)
-            return _pairs((a, mul(broadcast(gg, src_shape), soft)))
-        return vjp
+    def vjp(g, i):
+        # sub and mul broadcast the reduced axes back themselves
+        soft = exp(sub(a, out if keepdims else reshape(out, keep)))
+        return mul(g if keepdims else reshape(g, keep), soft)
 
-    return _register((a,), out, factory)
+    out = _register((a,), value, vjp)
+    return out
 
 
 def _drop_axes(shape: tuple, axes: tuple) -> tuple:
@@ -411,59 +360,31 @@ def _drop_axes(shape: tuple, axes: tuple) -> tuple:
 
 def relu(a) -> Tensor:
     a = _lift(a)
-    mask = (a.value > 0).astype(np.float64)
-
-    def factory(_):
-        def vjp(g):
-            # relu'' is zero a.e.; the mask is a constant w.r.t. differentiation
-            return _pairs((a, mul(g, mask)))
-        return vjp
-
-    return _register((a,), np.maximum(a.value, 0.0), factory)
+    # relu'' is zero a.e.; the mask is a constant w.r.t. differentiation
+    return _register((a,), np.maximum(a.value, 0.0),
+                     lambda g, i: mul(g, (a.value > 0).astype(np.float64)))
 
 
 def exp(a) -> Tensor:
     a = _lift(a)
-
-    def factory(out_t):
-        def vjp(g):
-            return _pairs((a, mul(g, out_t)))
-        return vjp
-
-    return _register((a,), np.exp(a.value), factory)
+    out = _register((a,), np.exp(a.value), lambda g, i: mul(g, out))
+    return out
 
 
 def log(a) -> Tensor:
     a = _lift(a)
-
-    def factory(_):
-        def vjp(g):
-            return _pairs((a, div(g, a)))
-        return vjp
-
-    return _register((a,), np.log(a.value), factory)
+    return _register((a,), np.log(a.value), lambda g, i: div(g, a))
 
 
 def square(a) -> Tensor:
     a = _lift(a)
-
-    def factory(_):
-        def vjp(g):
-            return _pairs((a, mul(g, mul(a, 2.0))))
-        return vjp
-
-    return _register((a,), np.square(a.value), factory)
+    return _register((a,), np.square(a.value), lambda g, i: mul(g, mul(a, 2.0)))
 
 
 def sqrt(a) -> Tensor:
     a = _lift(a)
-
-    def factory(out_t):
-        def vjp(g):
-            return _pairs((a, div(g, mul(out_t, 2.0))))
-        return vjp
-
-    return _register((a,), np.sqrt(a.value), factory)
+    out = _register((a,), np.sqrt(a.value), lambda g, i: div(g, mul(out, 2.0)))
+    return out
 
 
 def l2norm(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -476,21 +397,17 @@ def l2norm(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _lift(a)
     axes = _norm_axes(axis, a.ndim)
     keep = _keep_shape(a.shape, axes)
-    src_shape = a.shape
-    out = np.sqrt(np.sum(np.square(a.value), axis=axes or None, keepdims=keepdims))
+    value = np.sqrt(np.sum(np.square(a.value), axis=axes, keepdims=keepdims))
 
-    def factory(out_t):
-        def vjp(g):
-            alive = (out_t.value != 0.0).astype(np.float64)   # constants by value
-            bump = 1.0 - alive
-            y_safe = add(out_t, bump)        # exact where norm > 0, 1 where it is 0
-            gk = g if keepdims else reshape(g, keep)
-            yk = y_safe if keepdims else reshape(y_safe, keep)
-            coeff = div(mul(gk, alive.reshape(keep) if not keepdims else alive), yk)
-            return _pairs((a, mul(broadcast(coeff, src_shape), a)))
-        return vjp
+    def vjp(g, i):
+        alive = (out.value != 0.0).astype(np.float64)   # constants by value
+        y_safe = add(out, 1.0 - alive)       # exact where norm > 0, 1 where it is 0
+        if not keepdims:
+            g, y_safe, alive = reshape(g, keep), reshape(y_safe, keep), alive.reshape(keep)
+        return mul(div(mul(g, alive), y_safe), a)
 
-    return _register((a,), out, factory)
+    out = _register((a,), value, vjp)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -510,13 +427,7 @@ def gather(a, index) -> Tensor:
     rows = np.arange(n)
     onehot = np.zeros((n, k))
     onehot[rows, idx] = 1.0
-
-    def factory(_):
-        def vjp(g):
-            return _pairs((a, mul(broadcast(reshape(g, (n, 1)), (n, k)), onehot)))
-        return vjp
-
-    return _register((a,), a.value[rows, idx], factory)
+    return _register((a,), a.value[rows, idx], lambda g, i: mul(reshape(g, (n, 1)), onehot))
 
 
 def take(a, index) -> Tensor:
@@ -528,13 +439,8 @@ def take(a, index) -> Tensor:
     width = a.shape[1]
     if idx.size and (idx.min() < 0 or idx.max() >= width):
         raise ValueError(f"take: index out of range [0, {width})")
-
-    def factory(_):
-        def vjp(g):
-            return _pairs((a, scatter_add(g, idx, width)))
-        return vjp
-
-    return _register((a,), np.asarray(a.value[:, idx], order="C"), factory)
+    return _register((a,), np.asarray(a.value[:, idx], order="C"),
+                     lambda g, i: scatter_add(g, idx, width))
 
 
 def scatter_add(a, index, width: int) -> Tensor:
@@ -545,16 +451,9 @@ def scatter_add(a, index, width: int) -> Tensor:
     idx = np.asarray(index, dtype=np.int64).reshape(-1)
     if idx.shape[0] != a.shape[1]:
         raise ShapeError(f"scatter_add: index length {idx.shape[0]} != columns {a.shape[1]}")
-
     out = np.zeros((a.shape[0], width))
     np.add.at(out, (slice(None), idx), a.value)
-
-    def factory(_):
-        def vjp(g):
-            return _pairs((a, take(g, idx)))
-        return vjp
-
-    return _register((a,), out, factory)
+    return _register((a,), out, lambda g, i: take(g, idx))
 
 
 # ---------------------------------------------------------------------------
@@ -599,21 +498,18 @@ def _corr_weight_grad(x: np.ndarray, g: np.ndarray, pad: int) -> np.ndarray:
 def _conv_op(kernel: Callable, a: Tensor, b: Tensor, pad: int) -> Tensor:
     """Record ``kernel(a, b, pad)``. Each kernel is bilinear, and its VJP in
     either argument is another of the three kernels."""
-    def factory(_):
-        def vjp(g):
-            if kernel is _corr:                 # a = x, b = w
-                grads = (lambda: _conv_op(_corr_input_grad, g, b, pad),
-                         lambda: _conv_op(_corr_weight_grad, a, g, pad))
-            elif kernel is _corr_input_grad:    # a = output grad, b = w
-                grads = (lambda: _conv_op(_corr, g, b, pad),
-                         lambda: _conv_op(_corr_weight_grad, g, a, pad))
-            else:                               # a = x, b = output grad
-                grads = (lambda: _conv_op(_corr_input_grad, b, g, pad),
-                         lambda: _conv_op(_corr, a, g, pad))
-            return [(t.node, grad()) for t, grad in zip((a, b), grads) if t.node is not None]
-        return vjp
+    def vjp(g, i):
+        if kernel is _corr:                 # a = x, b = w
+            return (_conv_op(_corr_input_grad, g, b, pad) if i == 0
+                    else _conv_op(_corr_weight_grad, a, g, pad))
+        if kernel is _corr_input_grad:      # a = output grad, b = w
+            return (_conv_op(_corr, g, b, pad) if i == 0
+                    else _conv_op(_corr_weight_grad, g, a, pad))
+        # a = x, b = output grad
+        return (_conv_op(_corr_input_grad, b, g, pad) if i == 0
+                else _conv_op(_corr, a, g, pad))
 
-    return _register((a, b), kernel(a.value, b.value, pad), factory)
+    return _register((a, b), kernel(a.value, b.value, pad), vjp)
 
 
 def conv2d(x, w, b=None, padding: int = 0) -> Tensor:
@@ -636,8 +532,10 @@ def backward(tape: Tape, output: Tensor, wrt: Iterable[Tensor],
     by those tensors; a leaf the output never reached gets an explicit
     zero gradient.
 
-    With ``create_graph=True`` every backward computation is recorded on
-    the tape, so the returned gradients are differentiable nodes.
+    Only nodes that depend on a ``wrt`` leaf get a gradient: a VJP runs
+    only for those of its node's inputs. With ``create_graph=True`` every
+    backward computation is recorded on the tape, so the returned
+    gradients are differentiable nodes.
     """
     if output.node is None or output.tape is not tape:
         raise ValueError("backward: output is not recorded on this tape")
@@ -650,20 +548,28 @@ def backward(tape: Tape, output: Tensor, wrt: Iterable[Tensor],
         if not tape.is_leaf(leaf.node):
             raise ValueError(f"backward: node {leaf.node} is not a leaf")
 
-    grads: dict[int, Tensor] = {output.node: Tensor(np.ones(output.shape))}
+    need = {leaf.node for leaf in wrt}
+    first = min(need, default=output.node)
+    for nid in range(first + 1, output.node + 1):
+        if not need.isdisjoint(tape.nodes[nid].parents):
+            need.add(nid)
+
+    grads: dict[int, Tensor] = {}
+    if output.node in need:
+        grads[output.node] = Tensor(np.ones(output.shape))
     previous = tape._recording
     tape._recording = bool(create_graph)
     try:
-        for nid in range(output.node, -1, -1):
+        for nid in range(output.node, first, -1):
             g = grads.get(nid)
             if g is None:
                 continue
             node = tape.nodes[nid]
-            if node.vjp is None:
-                continue
-            for pid, pg in node.vjp(g):
-                held = grads.get(pid)
-                grads[pid] = pg if held is None else add(held, pg)
+            for i, pid in enumerate(node.parents):
+                if pid in need:
+                    pg = node.vjp(g, i)
+                    held = grads.get(pid)
+                    grads[pid] = pg if held is None else add(held, pg)
     finally:
         tape._recording = previous
 

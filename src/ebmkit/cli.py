@@ -171,17 +171,21 @@ def check_data_files(config: dict, command: str) -> None:
                 f"{command} reads the {split} split: {name}.{split}_files is missing")
 
 
+def _given(section: dict, *keys: str, **renamed: str) -> dict:
+    """Keyword arguments for the ``keys`` (and ``renamed`` keyword=key
+    pairs) present in ``section``; every absent key keeps the default
+    of the dataclass it builds."""
+    kwargs = {key: section[key] for key in keys if key in section}
+    kwargs.update({kw: section[key] for kw, key in renamed.items() if key in section})
+    return kwargs
+
+
 def build_sampler(section: dict) -> smp.SgldConfig:
-    init = section.get("init", [-1.0, 1.0])
-    return smp.SgldConfig(
-        n_steps=section.get("n_steps", 20),
-        step_size=section.get("step_size", 1.0),
-        decay_exponent=section.get("decay_exponent", 0.0),
-        init_lo=init[0], init_hi=init[1],
-        noise=section.get("noise", True),
-        noise_scale=section.get("noise_scale"),
-        divergence_bound=section.get("divergence_bound"),
-        convergence_eta=section.get("convergence_eta", 1e-3))
+    if "init" in section:
+        section = dict(section, init_lo=section["init"][0], init_hi=section["init"][1])
+    return smp.SgldConfig(**_given(section, "n_steps", "step_size", "decay_exponent",
+                                   "init_lo", "init_hi", "noise", "noise_scale",
+                                   "divergence_bound", "convergence_eta"))
 
 
 def build_train_config(config: dict) -> trainer.TrainConfig:
@@ -194,25 +198,17 @@ def build_train_config(config: dict) -> trainer.TrainConfig:
         mode = losses.Mode(mode_name)
     except ValueError:
         raise losses.ConfigError(f"unknown training mode {mode_name!r}") from None
-    sampler_cfg = build_sampler(section["sampler"]) if "sampler" in section else None
-    if mode is losses.Mode.JEM and sampler_cfg is None:
-        sampler_cfg = smp.SgldConfig()
-    loss_cfg = losses.LossConfig(mode=mode,
-                                 beta=section.get("beta", 0.5),
-                                 gamma=section.get("gamma", 0.5),
-                                 sampler=sampler_cfg,
-                                 literal_sign=section.get("literal_sign", False))
+    sampler_cfg = (build_sampler(section.get("sampler", {}))
+                   if "sampler" in section or mode is losses.Mode.JEM else None)
+    loss_cfg = losses.LossConfig(mode=mode, sampler=sampler_cfg,
+                                 **_given(section, "beta", "gamma", "literal_sign"))
     return trainer.TrainConfig(
         model=model, loss=loss_cfg,
-        epochs=section.get("epochs", 150),
-        batch_size=section.get("batch_size", 64),
-        seed=config.get("seed", 0),
-        schedule=nn.LrSchedule(section.get("lr", 1e-4),
-                               tuple(section.get("milestones", [])),
-                               section.get("decay_factor", 0.1)),
-        checkpoint_interval=section.get("checkpoint_interval", 0),
-        checkpoint_dir=None,
-        divergence_policy=section.get("divergence_policy", "skip-batch"))
+        schedule=nn.LrSchedule(**_given(section, "milestones", base_rate="lr",
+                                        factor="decay_factor")),
+        **_given(config, "seed"),
+        **_given(section, "epochs", "batch_size", "checkpoint_interval",
+                 "divergence_policy"))
 
 
 # ---------------------------------------------------------------------------

@@ -216,7 +216,7 @@ def forward(spec: ModelSpec, params, x) -> ad.Tensor:
             f"forward: input shape {h.shape} does not match (batch,) + {spec.input_shape}")
     for i, layer in enumerate(spec.layers):
         if isinstance(layer, Dense):
-            h = ad.add(ad.matmul(h, params[f"layer{i}.w"]), params[f"layer{i}.b"])
+            h = ad.linear(h, params[f"layer{i}.w"], params[f"layer{i}.b"])
         elif isinstance(layer, Relu):
             h = ad.relu(h)
         elif isinstance(layer, Flatten):
@@ -275,7 +275,7 @@ class LrSchedule:
     """Staircase decay: rate drops by ``factor`` at each milestone epoch
     (inclusive: the decay applies from the milestone epoch onward)."""
 
-    base_rate: float
+    base_rate: float = 1e-4
     milestones: tuple = ()
     factor: float = 0.1
 

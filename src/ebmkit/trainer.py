@@ -52,7 +52,7 @@ class TrainConfig:
     epochs: int = 150
     batch_size: int = 64
     seed: int = 0
-    schedule: nn.LrSchedule = field(default_factory=lambda: nn.LrSchedule(1e-4))
+    schedule: nn.LrSchedule = field(default_factory=nn.LrSchedule)
     checkpoint_interval: int = 0       # 0 -> no intermediate checkpoints
     checkpoint_dir: Optional[str] = None
     divergence_policy: str = "skip-batch"   # or "abort"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ebmkit import autodiff as ad
-from ebmkit import losses, nn
+from ebmkit import energy, losses, nn
 from oracles import central_diff, close_rel, naive_conv2d, naive_matmul
 
 
@@ -44,6 +44,35 @@ class TestForward:
     def test_add_shape_error(self):
         with pytest.raises(ad.ShapeError, match="add"):
             ad.add(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((4,))))
+
+    def test_linear_matches_matmul_then_add(self):
+        rng = np.random.default_rng(4)
+        x, w, b = rng.normal(size=(5, 3)), rng.normal(size=(3, 4)), rng.normal(size=(4,))
+        fused = ad.linear(ad.Tensor(x), ad.Tensor(w), ad.Tensor(b))
+        assert np.array_equal(fused.value, ad.add(ad.matmul(x, w), b).value)
+
+    @pytest.mark.parametrize("shapes", [((3,), (3, 4), (4,)), ((2, 3), (2, 4), (4,)),
+                                        ((2, 3), (3, 4), (3,)), ((2, 3), (3, 4), (1, 4))])
+    def test_linear_shape_error(self, shapes):
+        with pytest.raises(ad.ShapeError, match="linear"):
+            ad.linear(*(ad.Tensor(np.ones(shape)) for shape in shapes))
+
+    @pytest.mark.parametrize("reduce, ref", [
+        (ad.sum_, lambda v: np.sum(v, axis=())), (ad.mean, lambda v: np.mean(v, axis=())),
+        (ad.l2norm, np.abs), (ad.logsumexp, lambda v: v)])
+    def test_empty_axis_reduces_nothing(self, reduce, ref):
+        # as in numpy, axis=() reduces no axis while axis=None reduces all
+        rng = np.random.default_rng(8)
+        x_val = rng.uniform(0.5, 2.0, size=(2, 3)) * rng.choice([-1.0, 1.0], size=(2, 3))
+        proj = rng.normal(size=(2, 3))
+        tape = ad.Tape()
+        x = tape.leaf(x_val)
+        y = reduce(x, axis=())
+        assert y.shape == (2, 3)
+        assert np.allclose(y.value, ref(x_val), rtol=1e-15, atol=0)
+        g = ad.backward(tape, ad.sum_(ad.mul(y, proj)), [x])[x].value
+        slope = np.sign(x_val) if reduce is ad.l2norm else np.ones_like(x_val)
+        assert np.allclose(g, proj * slope, rtol=1e-15, atol=0)
 
     def test_logsumexp_overflow_safe(self):
         out = ad.logsumexp(ad.Tensor([1000.0, 1000.0]))
@@ -116,6 +145,82 @@ class TestBackward:
         assert g.item() == 6.0
 
 
+class TestPruning:
+    """backward runs a VJP only for the inputs that lead to a wrt leaf."""
+
+    @staticmethod
+    def mlp_tape(bind):
+        spec = nn.ModelSpec.mlp(3, [5], 2)
+        params = nn.init(spec, seed=2)
+        tape = ad.Tape()
+        weights = params.bind(tape) if bind else params
+        x = tape.leaf(np.random.default_rng(1).normal(size=(4, 3)))
+        logits = nn.forward(spec, weights, x)
+        return tape, x, weights, logits
+
+    @staticmethod
+    def record_matmuls(monkeypatch):
+        shapes = []
+        matmul = ad.matmul
+
+        def recorded(a, b):
+            out = matmul(a, b)
+            shapes.append(out.shape)
+            return out
+
+        monkeypatch.setattr(ad, "matmul", recorded)
+        return shapes
+
+    @pytest.mark.parametrize("bind", [False, True], ids=["constant_weights", "leaf_weights"])
+    def test_input_gradient_computes_no_weight_gradient(self, monkeypatch, bind):
+        tape, x, _, logits = self.mlp_tape(bind)
+        total = ad.sum_(energy.energy(logits))
+        shapes = self.record_matmuls(monkeypatch)
+        ad.backward(tape, total, [x], create_graph=bind)
+        assert shapes == [(4, 5), (4, 3)]      # dE/dh, then dE/dx; no (3, 5) or (5, 2)
+
+    @pytest.mark.parametrize("create_graph", [False, True])
+    def test_subset_gradients_match_the_full_set_bit_for_bit(self, monkeypatch, create_graph):
+        tape, x, bound, logits = self.mlp_tape(bind=True)
+        total = ad.add(losses.cross_entropy(logits, [0, 1, 1, 0]),
+                       ad.sum_(energy.energy(logits)))
+        shapes = self.record_matmuls(monkeypatch)
+        full = ad.backward(tape, total, [x, *bound.values()], create_graph=create_graph)
+        full_products = len(shapes)
+        for subset in ([x], [bound["layer0.w"]], [bound["layer2.b"], x]):
+            shapes.clear()
+            part = ad.backward(tape, total, subset, create_graph=create_graph)
+            for leaf in subset:
+                assert np.array_equal(part[leaf].value, full[leaf].value)
+            assert len(shapes) < full_products
+
+    def test_ngebm_step_runs_only_the_needed_conv_kernels(self, monkeypatch):
+        spec = nn.ModelSpec.small_conv((2, 6, 6), [3, 3], 3)
+        params = nn.init(spec, seed=0)
+        x = np.random.default_rng(0).normal(size=(4, 2, 6, 6))
+        entries, depth = [], [0]
+        for name in ("_corr", "_corr_input_grad", "_corr_weight_grad"):
+            def counted(*args, kernel=getattr(ad, name), name=name):
+                if depth[0] == 0:           # _corr_input_grad runs _corr inside
+                    entries.append(name)
+                depth[0] += 1
+                try:
+                    return kernel(*args)
+                finally:
+                    depth[0] -= 1
+            monkeypatch.setattr(ad, name, counted)
+
+        graph = losses.loss_graph(losses.LossConfig(mode=losses.Mode.NGEBM), spec, params, x,
+                                  np.array([0, 1, 2, 0]))
+        ad.backward(graph.tape, graph.total, list(graph.bound.values()))
+        # forward 2; dE/dx pass 2 (no weight gradients); parameter pass 7 (no
+        # input gradient for the data batch)
+        assert len(entries) == 11, entries
+        entries.clear()
+        energy.energy_grad_input(spec, params, x)
+        assert entries.count("_corr_weight_grad") == 0 and len(entries) == 4
+
+
 # regions keep finite differences away from non-smooth points
 _FD_CASES = {
     "add": dict(op=lambda x: ad.add(x, 0.7), shape=(3, 4)),
@@ -124,6 +229,8 @@ _FD_CASES = {
     "div": dict(op=lambda x: ad.div(1.0, x), shape=(3, 4), lo=0.5, hi=2.0),
     "neg": dict(op=ad.neg, shape=(5,)),
     "matmul": dict(op=None, shape=(3, 4)),  # special-cased below
+    # x feeds all three inputs, so every branch of the VJP is checked
+    "linear": dict(op=lambda x: ad.linear(x, ad.transpose(x), ad.sum_(x, axis=0)), shape=(3, 3)),
     "transpose": dict(op=lambda x: ad.transpose(x), shape=(3, 4)),
     "reshape": dict(op=lambda x: ad.reshape(x, (4, 3)), shape=(3, 4)),
     "broadcast": dict(op=lambda x: ad.broadcast(x, (5, 3, 4)), shape=(3, 4)),
@@ -284,36 +391,38 @@ class TestGradNormOfGrad:
         assert norm.item() == 3.0
 
     def test_second_order_matches_finite_differences_of_first_order(self):
-        # d/dtheta of ||dE/dx|| via double backprop vs FD over a 2-layer MLP
+        # d/dtheta of ||dE/dx|| via double backprop vs FD over a 2-layer MLP,
+        # with the first layer as matmul + add and as the fused linear
         rng = np.random.default_rng(11)
         w1 = rng.normal(size=(2, 6)) * 0.7
         b1 = rng.normal(size=(6,)) * 0.1
         w2 = rng.normal(size=(6, 1)) * 0.7
         x_val = rng.normal(size=(1, 2))
 
-        def norm_of_input_grad(w1v, b1v, w2v):
-            tape = ad.Tape()
-            x = tape.leaf(x_val)
-            t_w1, t_b1, t_w2 = tape.leaf(w1v), tape.leaf(b1v), tape.leaf(w2v)
-            h = ad.relu(ad.add(ad.matmul(x, t_w1), t_b1))
-            e = ad.sum_(ad.matmul(h, t_w2))
-            return tape, x, e, (t_w1, t_b1, t_w2)
+        for dense in (lambda x, w, b: ad.add(ad.matmul(x, w), b), ad.linear):
+            def norm_of_input_grad(w1v, b1v, w2v, dense=dense):
+                tape = ad.Tape()
+                x = tape.leaf(x_val)
+                t_w1, t_b1, t_w2 = tape.leaf(w1v), tape.leaf(b1v), tape.leaf(w2v)
+                h = ad.relu(dense(x, t_w1, t_b1))
+                e = ad.sum_(ad.matmul(h, t_w2))
+                return tape, x, e, (t_w1, t_b1, t_w2)
 
-        tape, x, e, params = norm_of_input_grad(w1, b1, w2)
-        norm = grad_l2norm_of_grad(tape, e, x)
-        gm = ad.backward(tape, norm, list(params))
+            tape, x, e, params = norm_of_input_grad(w1, b1, w2)
+            norm = grad_l2norm_of_grad(tape, e, x)
+            gm = ad.backward(tape, norm, list(params))
 
-        def value_at(w1v, b1v, w2v):
-            tape2, x2, e2, _ = norm_of_input_grad(w1v, b1v, w2v)
-            g = ad.backward(tape2, e2, [x2])[x2]
-            return float(np.linalg.norm(g.value))
+            def value_at(w1v, b1v, w2v, build=norm_of_input_grad):
+                tape2, x2, e2, _ = build(w1v, b1v, w2v)
+                g = ad.backward(tape2, e2, [x2])[x2]
+                return float(np.linalg.norm(g.value))
 
-        fd_w1 = central_diff(lambda v: value_at(v, b1, w2), w1, h=1e-4)
-        fd_b1 = central_diff(lambda v: value_at(w1, v, w2), b1, h=1e-4)
-        fd_w2 = central_diff(lambda v: value_at(w1, b1, v), w2, h=1e-4)
-        assert close_rel(gm[params[0]].value, fd_w1, 1e-4)
-        assert close_rel(gm[params[1]].value, fd_b1, 1e-4)
-        assert close_rel(gm[params[2]].value, fd_w2, 1e-4)
+            fd_w1 = central_diff(lambda v: value_at(v, b1, w2), w1, h=1e-4)
+            fd_b1 = central_diff(lambda v: value_at(w1, v, w2), b1, h=1e-4)
+            fd_w2 = central_diff(lambda v: value_at(w1, b1, v), w2, h=1e-4)
+            assert close_rel(gm[params[0]].value, fd_w1, 1e-4)
+            assert close_rel(gm[params[1]].value, fd_b1, 1e-4)
+            assert close_rel(gm[params[2]].value, fd_w2, 1e-4)
 
     def test_zero_gradient_field_keeps_backward_defined(self):
         tape = ad.Tape()

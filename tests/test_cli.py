@@ -6,6 +6,8 @@ import pytest
 
 from ebmkit import cli
 from ebmkit import data
+from ebmkit import losses, nn, trainer
+from ebmkit import sampler as smp
 
 
 def toy_config(out_dir, mode="ce", epochs=3, n=50, extra=None):
@@ -74,6 +76,32 @@ class TestTrain:
 
     def test_missing_config_flag_exits_one(self):
         assert cli.main(["train"]) == 1
+
+
+class TestConfigDefaults:
+    MODEL = {"kind": "mlp", "input_dim": 2, "hidden": [4], "classes": 2}
+
+    def test_empty_sections_build_the_dataclass_defaults(self):
+        built = cli.build_train_config({"model": self.MODEL, "train": {}})
+        assert built == trainer.TrainConfig(model=cli.build_model(self.MODEL),
+                                            loss=losses.LossConfig())
+        assert cli.build_sampler({}) == smp.SgldConfig()
+        jem = cli.build_train_config({"model": self.MODEL,
+                                      "train": {"mode": "jem", "sampler": {}}})
+        assert jem.loss == losses.LossConfig(mode=losses.Mode.JEM, sampler=smp.SgldConfig())
+
+    def test_given_keys_reach_their_fields(self):
+        section = {"mode": "jem", "epochs": 3, "batch_size": 8, "lr": 0.01,
+                   "milestones": [2], "decay_factor": 0.5, "beta": 0.25, "gamma": 0.75,
+                   "checkpoint_interval": 0, "divergence_policy": "abort",
+                   "sampler": {"n_steps": 4, "init": [-2.0, 3.0], "noise": False}}
+        built = cli.build_train_config({"seed": 9, "model": self.MODEL, "train": section})
+        assert (built.epochs, built.batch_size, built.seed) == (3, 8, 9)
+        assert built.divergence_policy == "abort"
+        assert built.schedule == nn.LrSchedule(0.01, (2,), 0.5)
+        assert (built.loss.beta, built.loss.gamma) == (0.25, 0.75)
+        assert built.loss.sampler == smp.SgldConfig(n_steps=4, init_lo=-2.0, init_hi=3.0,
+                                                    noise=False)
 
 
 class TestEvalAndCalibrate:
