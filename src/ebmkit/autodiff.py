@@ -26,8 +26,8 @@ __all__ = [
     "backward",
     # primitive ops
     "add", "sub", "mul", "div", "neg", "matmul", "linear", "transpose", "reshape",
-    "broadcast", "sum_", "mean", "relu", "exp", "log", "logsumexp",
-    "square", "sqrt", "l2norm", "gather", "take", "scatter_add", "conv2d",
+    "broadcast", "sum_", "mean", "relu", "exp", "logsumexp",
+    "square", "l2norm", "gather", "conv2d",
 ]
 
 
@@ -73,43 +73,10 @@ class Tensor:
     def size(self) -> int:
         return self.value.size
 
-    @property
-    def values(self) -> np.ndarray:
-        """Flat row-major view of the buffer."""
-        return self.value.reshape(-1)
-
     def item(self) -> float:
         if self.value.size != 1:
             raise ShapeError(f"item: tensor of shape {self.shape} is not a scalar")
         return float(self.value.reshape(()))
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __repr__(self):
         tag = f", node={self.node}" if self.node is not None else ""
@@ -140,9 +107,6 @@ class Tape:
         out = Tensor(value, self, len(self.nodes))
         self.nodes.append(_Node(out.value, (), None))
         return out
-
-    def is_leaf(self, node_id: int) -> bool:
-        return self.nodes[node_id].vjp is None
 
 
 def _lift(x) -> Tensor:
@@ -371,20 +335,9 @@ def exp(a) -> Tensor:
     return out
 
 
-def log(a) -> Tensor:
-    a = _lift(a)
-    return _register((a,), np.log(a.value), lambda g, i: div(g, a))
-
-
 def square(a) -> Tensor:
     a = _lift(a)
     return _register((a,), np.square(a.value), lambda g, i: mul(g, mul(a, 2.0)))
-
-
-def sqrt(a) -> Tensor:
-    a = _lift(a)
-    out = _register((a,), np.sqrt(a.value), lambda g, i: div(g, mul(out, 2.0)))
-    return out
 
 
 def l2norm(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -428,32 +381,6 @@ def gather(a, index) -> Tensor:
     onehot = np.zeros((n, k))
     onehot[rows, idx] = 1.0
     return _register((a,), a.value[rows, idx], lambda g, i: mul(reshape(g, (n, 1)), onehot))
-
-
-def take(a, index) -> Tensor:
-    """Column selection with repeats: out[:, j] = a[:, index[j]]."""
-    a = _lift(a)
-    if a.ndim != 2:
-        raise ShapeError(f"take: expected 2-d input, got shape {a.shape}")
-    idx = np.asarray(index, dtype=np.int64).reshape(-1)
-    width = a.shape[1]
-    if idx.size and (idx.min() < 0 or idx.max() >= width):
-        raise ValueError(f"take: index out of range [0, {width})")
-    return _register((a,), np.asarray(a.value[:, idx], order="C"),
-                     lambda g, i: scatter_add(g, idx, width))
-
-
-def scatter_add(a, index, width: int) -> Tensor:
-    """Adjoint of ``take``: out[:, index[j]] += a[:, j] into B x width zeros."""
-    a = _lift(a)
-    if a.ndim != 2:
-        raise ShapeError(f"scatter_add: expected 2-d input, got shape {a.shape}")
-    idx = np.asarray(index, dtype=np.int64).reshape(-1)
-    if idx.shape[0] != a.shape[1]:
-        raise ShapeError(f"scatter_add: index length {idx.shape[0]} != columns {a.shape[1]}")
-    out = np.zeros((a.shape[0], width))
-    np.add.at(out, (slice(None), idx), a.value)
-    return _register((a,), out, lambda g, i: take(g, idx))
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +472,7 @@ def backward(tape: Tape, output: Tensor, wrt: Iterable[Tensor],
     for leaf in wrt:
         if leaf.node is None or leaf.tape is not tape:
             raise ValueError("backward: wrt tensor is not on this tape")
-        if not tape.is_leaf(leaf.node):
+        if tape.nodes[leaf.node].vjp is not None:
             raise ValueError(f"backward: node {leaf.node} is not a leaf")
 
     need = {leaf.node for leaf in wrt}

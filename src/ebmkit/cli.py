@@ -56,10 +56,10 @@ _SCHEMA = {
              "train_files", "test_files", "path", "classes"},
     "ood_data": None,   # same keys as data
     "train": {"mode", "epochs", "batch_size", "lr", "milestones", "decay_factor",
-              "beta", "gamma", "literal_sign", "checkpoint_interval",
+              "beta", "gamma", "checkpoint_interval",
               "divergence_policy", "sampler"},
     "sampler": {"n_steps", "step_size", "decay_exponent", "init", "noise",
-                "noise_scale", "divergence_bound", "convergence_eta"},
+                "divergence_bound", "convergence_eta"},
     "metrics": {"ece_bins"},
     "attack": {"norm", "epsilons", "n_steps", "step_size", "random_start"},
     "sample": {"n", "sampler"},
@@ -181,11 +181,26 @@ def _given(section: dict, *keys: str, **renamed: str) -> dict:
 
 
 def build_sampler(section: dict) -> smp.SgldConfig:
-    if "init" in section:
-        section = dict(section, init_lo=section["init"][0], init_hi=section["init"][1])
-    return smp.SgldConfig(**_given(section, "n_steps", "step_size", "decay_exponent",
-                                   "init_lo", "init_hi", "noise", "noise_scale",
-                                   "divergence_bound", "convergence_eta"))
+    """The SgldConfig of a sampler section. An init that is not a pair, a
+    value of the wrong type (noise: a bool, n_steps: an int, the rest:
+    numbers), or one SgldConfig rejects is a config error."""
+    try:
+        if "init" in section:
+            init = section["init"]
+            if not isinstance(init, list) or len(init) != 2:
+                raise ValueError(f"init must be a pair [lo, hi], got {init!r}")
+            section = dict(section, init_lo=init[0], init_hi=init[1])
+        kwargs = _given(section, "n_steps", "step_size", "decay_exponent", "init_lo",
+                        "init_hi", "noise", "divergence_bound", "convergence_eta")
+        for key, value in kwargs.items():
+            kind = bool if key == "noise" else int if key == "n_steps" else (int, float)
+            if key == "divergence_bound" and value is None:
+                continue
+            if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
+                raise TypeError(f"{key} = {value!r} has the wrong type")
+        return smp.SgldConfig(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise losses.ConfigError(f"sampler: {exc}") from None
 
 
 def build_train_config(config: dict) -> trainer.TrainConfig:
@@ -201,7 +216,7 @@ def build_train_config(config: dict) -> trainer.TrainConfig:
     sampler_cfg = (build_sampler(section.get("sampler", {}))
                    if "sampler" in section or mode is losses.Mode.JEM else None)
     loss_cfg = losses.LossConfig(mode=mode, sampler=sampler_cfg,
-                                 **_given(section, "beta", "gamma", "literal_sign"))
+                                 **_given(section, "beta", "gamma"))
     return trainer.TrainConfig(
         model=model, loss=loss_cfg,
         schedule=nn.LrSchedule(**_given(section, "milestones", base_rate="lr",
@@ -268,7 +283,7 @@ def cmd_train(args, config: dict, out: Path, tc, train_ds, test_ds) -> Path:
     ckpt_path = out / "checkpoint_final.npz"
     trainer.checkpoint_save(ckpt, ckpt_path)
     trainer.runlog_to_csv(log, out / "runlog.csv")
-    last = log.records[-1] if log.records else None
+    last = log[-1] if log else None
     if last:
         print(f"trained {tc.epochs} epochs: eval accuracy {last.eval_accuracy:.4f}, "
               f"mean EGM {last.mean_egm:.4g}")

@@ -10,20 +10,18 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 __all__ = [
     "Dataset", "CifarFormatError",
-    "gen_gaussian_mixture_2d", "read_cifar_binary", "cifar10_int",
-    "batches", "with_label_noise", "dataset_to_csv", "dataset_from_csv",
+    "gen_gaussian_mixture_2d", "read_cifar_binary",
+    "batches", "with_label_noise", "dataset_from_csv",
 ]
 
 CIFAR10_RECORD = 3073    # 1 label byte + 3*32*32 pixels
 CIFAR100_RECORD = 3074   # coarse + fine label bytes + pixels
-
-INT_NOISE_STD = float(np.sqrt(0.001))  # N(0, 0.001) read as variance 0.001
 
 
 class CifarFormatError(ValueError):
@@ -77,11 +75,6 @@ def _byte_to_float(pixels: np.ndarray) -> np.ndarray:
     return pixels.astype(np.float64) / 127.5 - 1.0
 
 
-def float_to_byte(values: np.ndarray) -> np.ndarray:
-    """Inverse pixel mapping; exact for every byte that went in."""
-    return np.round((np.asarray(values) + 1.0) * 127.5).astype(np.uint8)
-
-
 def read_cifar_binary(path, variant: str = "cifar10", split: str = "train") -> Dataset:
     """Parse a CIFAR-10/100 binary batch file into a normalized dataset.
 
@@ -117,21 +110,6 @@ def read_cifar_binary(path, variant: str = "cifar10", split: str = "train") -> D
                    provenance=f"{variant}:{path}")
 
 
-def cifar10_int(current_batch: np.ndarray, previous_batch: np.ndarray, seed: int,
-                noise_std: Optional[float] = None) -> np.ndarray:
-    """Interpolated batch: midpoint of two batches plus small Gaussian
-    noise (variance 0.001 by default), clipped back to [-1, 1]."""
-    cur = np.asarray(current_batch, dtype=np.float64)
-    prev = np.asarray(previous_batch, dtype=np.float64)
-    if cur.shape != prev.shape:
-        raise ValueError(f"cifar10_int: batch shapes differ, {cur.shape} vs {prev.shape}")
-    std = INT_NOISE_STD if noise_std is None else float(noise_std)
-    mid = (cur + prev) / 2.0
-    if std > 0:
-        mid = mid + np.random.default_rng(seed).normal(0.0, std, size=mid.shape)
-    return np.clip(mid, -1.0, 1.0)
-
-
 def batches(dataset: Dataset, batch_size: int, seed: int,
             epoch: int = 0) -> Iterator[tuple]:
     """One seeded epoch of (x, y) batches.
@@ -161,16 +139,6 @@ def with_label_noise(dataset: Dataset, fraction: float, seed: int) -> Dataset:
         y[i] = (y[i] + shift) % dataset.classes
     return Dataset(dataset.x, y, classes=dataset.classes, split=dataset.split,
                    provenance=dataset.provenance + f"+label_noise({fraction}, seed={seed})")
-
-
-def dataset_to_csv(dataset: Dataset, path) -> None:
-    """Flat serialization: one row per example, x columns then label."""
-    flat = dataset.x.reshape(len(dataset), -1)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i}" for i in range(flat.shape[1])] + ["label"])
-        for row, label in zip(flat, dataset.y):
-            writer.writerow([f"{v:.17g}" for v in row] + [int(label)])
 
 
 def dataset_from_csv(path, classes: int, split: str = "train") -> Dataset:

@@ -2,10 +2,8 @@
 loss, and the non-generative input-gradient penalty.
 
 The penalty is the batch mean of ||dE/dx||_2 and is minimized as a
-positive quantity; the sign-flipped variant (where minimizing rewards
-large derivatives) is kept behind ``literal_sign`` for ablations. The
-mean reduction keeps the beta/gamma mixing weights batch-size
-invariant.
+positive quantity. The mean reduction keeps the beta/gamma mixing
+weights batch-size invariant.
 """
 
 from __future__ import annotations
@@ -46,7 +44,6 @@ class LossConfig:
     beta: float = 0.5
     gamma: float = 0.5
     sampler: Optional[smp.SgldConfig] = None
-    literal_sign: bool = False
 
     def __post_init__(self):
         if self.beta < 0 or self.gamma < 0:
@@ -89,14 +86,12 @@ def cross_entropy(logits: ad.Tensor, labels) -> ad.Tensor:
     return ad.mean(ad.sub(ad.logsumexp(logits, axis=1), ad.gather(logits, labels)))
 
 
-def _penalty_from_logits(tape: ad.Tape, logits: ad.Tensor, x_leaf: ad.Tensor,
-                         literal_sign: bool) -> ad.Tensor:
+def _penalty_from_logits(tape: ad.Tape, logits: ad.Tensor, x_leaf: ad.Tensor) -> ad.Tensor:
     batch = x_leaf.shape[0]
     total_e = ad.sum_(en.energy(logits))
     g = ad.backward(tape, total_e, [x_leaf], create_graph=True)[x_leaf]
     rows = ad.l2norm(ad.reshape(g, (batch, int(np.prod(x_leaf.shape[1:])))), axis=1)
-    pen = ad.mean(rows)
-    return ad.neg(pen) if literal_sign else pen
+    return ad.mean(rows)
 
 
 def loss_graph(config: LossConfig, model, params: nn.Parameters, x_batch, labels,
@@ -125,7 +120,7 @@ def loss_graph(config: LossConfig, model, params: nn.Parameters, x_batch, labels
         x_leaf = tape.leaf(x_batch)
         logits = en.model_logits(model, bound, x_leaf)
         ce = cross_entropy(logits, labels)
-        pen = _penalty_from_logits(tape, logits, x_leaf, config.literal_sign)
+        pen = _penalty_from_logits(tape, logits, x_leaf)
         total = ad.add(ad.mul(ce, config.gamma), ad.mul(pen, config.beta))
         bd = LossBreakdown(total=total.item(), cross_entropy=ce.item(),
                            auxiliary=pen.item())

@@ -42,11 +42,6 @@ class EceReport:
     bins: tuple
     value: float
 
-    def recompute(self) -> float:
-        total = sum(b.count for b in self.bins)
-        return sum((b.count / total) * abs(b.accuracy - b.mean_confidence)
-                   for b in self.bins if b.count)
-
 
 @dataclass(frozen=True)
 class RocResult:

@@ -1,9 +1,8 @@
 """Langevin sampling over model inputs, with a replay buffer.
 
 Chains follow x_{i+1} = x_i - (step/2) * dE/dx + noise, where the noise
-is zero-mean Gaussian with variance equal to the current step size (an
-independent noise-scale override exists but defaults off). The step
-size follows a polynomial decay step * (i+1)^(-decay_exponent); the
+is zero-mean Gaussian with variance equal to the current step size. The
+step size follows a polynomial decay step * (i+1)^(-decay_exponent); the
 exponent defaults to 0 (constant step).
 
 Chains are monitored for the documented failure mode of unbounded
@@ -41,7 +40,6 @@ class SgldConfig:
     init_lo: float = -1.0
     init_hi: float = 1.0
     noise: bool = True
-    noise_scale: Optional[float] = None   # None -> std = sqrt(current step)
     divergence_bound: Optional[float] = None
     convergence_eta: float = 1e-3
 
@@ -141,17 +139,17 @@ def buffer_push(buffer: ReplayBuffer, samples: np.ndarray,
     fresh samples append with FIFO eviction. Rows failing the sanity
     check (non-finite or out of bound) are dropped."""
     samples = np.asarray(samples, dtype=np.float64)
-    for row, idx in zip(samples, np.asarray(indices, dtype=np.int64)):
-        if not np.all(np.isfinite(row)):
-            continue
-        if buffer.sanity_bound is not None and np.abs(row).max() > buffer.sanity_bound:
-            continue
-        if 0 <= idx < len(buffer._store):
-            buffer._store[idx] = row.copy()
-        else:
-            buffer._store.append(row.copy())
-            if len(buffer._store) > buffer.capacity:
-                buffer._store.pop(0)
+    indices = np.asarray(indices, dtype=np.int64)
+    flat = samples.reshape(samples.shape[0], -1)
+    keep = np.all(np.isfinite(flat), axis=1)
+    if buffer.sanity_bound is not None:
+        keep &= np.abs(flat).max(axis=1) <= buffer.sanity_bound
+    # cached slots are written before any eviction shifts the slots
+    cached = keep & (indices >= 0) & (indices < len(buffer._store))
+    for row, idx in zip(samples[cached], indices[cached]):
+        buffer._store[idx] = row
+    buffer._store.extend(samples[keep & ~cached])
+    del buffer._store[:max(0, len(buffer._store) - buffer.capacity)]
     return buffer
 
 
@@ -193,8 +191,7 @@ def sgld_chain(model, params, x0: np.ndarray, config: SgldConfig,
                 grads.reshape(grads.shape[0], -1), axis=1).mean()))
         update = -(step / 2.0) * grads
         if config.noise:
-            std = np.sqrt(step) if config.noise_scale is None else config.noise_scale
-            update = update + rng.normal(0.0, std, size=x.shape)
+            update = update + rng.normal(0.0, np.sqrt(step), size=x.shape)
         proposal = np.where(alive.reshape((-1,) + (1,) * (x.ndim - 1)), x + update, x)
         bad, magnitude, reason = _check_rows(proposal, config.bound)
         newly_bad = bad & alive

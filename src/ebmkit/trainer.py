@@ -27,7 +27,7 @@ from . import nn
 from . import sampler as smp
 
 __all__ = [
-    "TrainConfig", "EpochRecord", "RunLog", "Checkpoint", "EvalResult",
+    "TrainConfig", "EpochRecord", "Checkpoint", "EvalResult",
     "CheckpointError", "TrainingDiverged",
     "train", "evaluate", "checkpoint_save", "checkpoint_load", "runlog_to_csv",
 ]
@@ -81,17 +81,6 @@ class EpochRecord:
 
 
 @dataclass
-class RunLog:
-    records: list = field(default_factory=list)
-
-    def append(self, record: EpochRecord):
-        self.records.append(record)
-
-    def __len__(self):
-        return len(self.records)
-
-
-@dataclass
 class Checkpoint:
     model: nn.ModelSpec
     params: nn.Parameters
@@ -130,7 +119,7 @@ def _accuracy(model, params, dataset, batch_size: int = EVAL_BATCH_SIZE) -> floa
 
 def train(config: TrainConfig, dataset_train: datamod.Dataset,
           dataset_eval: datamod.Dataset,
-          resume: Optional[Checkpoint] = None) -> tuple[Checkpoint, RunLog]:
+          resume: Optional[Checkpoint] = None) -> tuple[Checkpoint, list[EpochRecord]]:
     """Run the configured number of epochs and return the final state.
 
     ``resume`` continues a previous run: training from a checkpoint
@@ -161,7 +150,7 @@ def train(config: TrainConfig, dataset_train: datamod.Dataset,
             smp.buffer_push(buffer, resume.buffer_samples,
                             np.full(resume.buffer_samples.shape[0], -1))
 
-    log = RunLog()
+    log = []
     for epoch in range(start_epoch, config.epochs):
         adam.lr = nn.lr_at(config.schedule, epoch)
         totals = np.zeros(3)
@@ -292,13 +281,13 @@ def checkpoint_load(path) -> Checkpoint:
         raise CheckpointError(f"{path}: corrupt or unreadable checkpoint: {exc}") from exc
 
 
-def runlog_to_csv(log: RunLog, path) -> None:
+def runlog_to_csv(log: list[EpochRecord], path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "lr", "loss_total", "loss_ce", "loss_aux",
                          "diverged_chains", "skipped_batches", "eval_accuracy",
                          "mean_egm"])
-        for r in log.records:
+        for r in log:
             writer.writerow([r.epoch, f"{r.lr:.12g}", f"{r.loss_total:.12g}",
                              f"{r.loss_ce:.12g}", f"{r.loss_aux:.12g}",
                              r.diverged_chains, r.skipped_batches,

@@ -4,6 +4,8 @@ Everything here is deliberately naive (loops, finite differences,
 pair counting) and shares no code with the library paths it checks.
 """
 
+import csv
+
 import numpy as np
 
 
@@ -124,6 +126,13 @@ def brute_force_ece(confidences, correct, n_bins):
     return ece
 
 
+def ece_from_bins(bins):
+    """ECE recomputed from a report's bins: count-weighted |accuracy - confidence|."""
+    total = sum(b.count for b in bins)
+    return sum((b.count / total) * abs(b.accuracy - b.mean_confidence)
+               for b in bins if b.count)
+
+
 def pair_count_auroc(scores_in, scores_out):
     """P(in > out) with ties counted half, by O(n^2) enumeration."""
     wins = 0.0
@@ -147,3 +156,20 @@ def threshold_sweep_roc(scores_in, scores_out):
     if curve[-1] != (1.0, 1.0):
         curve.append((1.0, 1.0))
     return tuple(curve)
+
+
+def float_to_byte(values):
+    """Inverse of the reader's pixel mapping x / 127.5 - 1; exact for
+    every byte that went in."""
+    return np.round((np.asarray(values) + 1.0) * 127.5).astype(np.uint8)
+
+
+def dataset_to_csv(dataset, path):
+    """Write a dataset in the layout the csv reader takes: one row per
+    example, x columns then the label."""
+    flat = dataset.x.reshape(len(dataset), -1)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"x{i}" for i in range(flat.shape[1])] + ["label"])
+        for row, label in zip(flat, dataset.y):
+            writer.writerow([f"{v:.17g}" for v in row] + [int(label)])

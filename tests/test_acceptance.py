@@ -23,7 +23,7 @@ from ebmkit import data as datamod
 from ebmkit import energy as en
 from ebmkit import losses, metrics, nn, trainer
 from ebmkit import sampler as smp
-from oracles import brute_force_ece, central_diff, pair_count_auroc
+from oracles import brute_force_ece, central_diff, float_to_byte, pair_count_auroc
 from test_autodiff import _FD_CASES, _fd_input, scalar_loss
 
 CENTERS = [(-0.5, 0.0), (0.5, 0.0)]
@@ -142,7 +142,7 @@ def test_criterion_02_double_backprop_suite():
         bound = params.bind(tape)
         x_leaf = tape.leaf(x)
         logits = nn.forward(spec, bound, x_leaf)
-        pen = losses._penalty_from_logits(tape, logits, x_leaf, False)
+        pen = losses._penalty_from_logits(tape, logits, x_leaf)
         gm = ad.backward(tape, pen, list(bound.values()))
 
         for name, leaf in bound.items():
@@ -273,8 +273,8 @@ def test_criterion_09_egm_separation(clean_bank):
     wins = 0
     ratios = []
     for seed in range(1, 6):
-        ce_egm = clean_bank.runs[seed]["ce"][1].records[-1].mean_egm
-        ng_egm = clean_bank.runs[seed]["ngebm"][1].records[-1].mean_egm
+        ce_egm = clean_bank.runs[seed]["ce"][1][-1].mean_egm
+        ng_egm = clean_bank.runs[seed]["ngebm"][1][-1].mean_egm
         ratios.append(ng_egm / ce_egm)
         wins += ng_egm < 0.5 * ce_egm
     elapsed = clean_bank.elapsed + (time.monotonic() - t0)
@@ -381,7 +381,7 @@ def test_criterion_14_cifar_reader(tmp_path):
     records.tofile(str(path))
 
     ds = datamod.read_cifar_binary(path, "cifar10")
-    roundtrip = (np.array_equal(datamod.float_to_byte(ds.x.reshape(4, 3072)), pixels)
+    roundtrip = (np.array_equal(float_to_byte(ds.x.reshape(4, 3072)), pixels)
                  and np.array_equal(ds.y, labels))
 
     endpoints = (ds.x.reshape(4, 3072)[pixels == 0] == -1.0).all() \

@@ -238,14 +238,10 @@ _FD_CASES = {
     "mean": dict(op=lambda x: ad.mean(x, axis=0), shape=(3, 4)),
     "relu": dict(op=ad.relu, shape=(3, 4), avoid_zero=0.05),
     "exp": dict(op=ad.exp, shape=(3, 4), lo=-1.0, hi=1.0),
-    "log": dict(op=ad.log, shape=(3, 4), lo=0.5, hi=3.0),
     "logsumexp": dict(op=lambda x: ad.logsumexp(x, axis=1), shape=(3, 4)),
     "square": dict(op=ad.square, shape=(3, 4)),
-    "sqrt": dict(op=ad.sqrt, shape=(3, 4), lo=0.5, hi=3.0),
     "l2norm": dict(op=lambda x: ad.l2norm(x, axis=1), shape=(3, 4), lo=0.5, hi=2.0),
     "gather": dict(op=None, shape=(4, 5)),  # special-cased below
-    "take": dict(op=lambda x: ad.take(x, [0, 2, 2, 1]), shape=(3, 4)),
-    "scatter_add": dict(op=lambda x: ad.scatter_add(x, [0, 2, 2, 1], 5), shape=(3, 4)),
 }
 
 

@@ -8,6 +8,7 @@ from ebmkit import cli
 from ebmkit import data
 from ebmkit import losses, nn, trainer
 from ebmkit import sampler as smp
+from oracles import dataset_to_csv
 
 
 def toy_config(out_dir, mode="ce", epochs=3, n=50, extra=None):
@@ -243,6 +244,33 @@ class TestSample:
         assert len(lines) - 1 == 16 - stats["n_diverged"]
 
 
+class TestSamplerConfigValidation:
+    """A bad sampler section is a config error (exit 1); train reports it
+    before any data is read."""
+
+    BAD = [("init", [0.5]), ("n_steps", "20"), ("step_size", 0), ("noise", "false")]
+
+    @pytest.mark.parametrize("key,value", BAD)
+    def test_train_exits_one_before_reading(self, tmp_path, monkeypatch, capsys, key, value):
+        config = toy_config(tmp_path / "out", mode="jem")
+        config["train"]["sampler"] = {"n_steps": 2, "step_size": 0.05, key: value}
+        path = write_config(tmp_path, config)
+        calls = []
+        monkeypatch.setattr(data, "gen_gaussian_mixture_2d", lambda *a, **k: calls.append(a))
+        assert cli.main(["train", "--config", str(path)]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert calls == []
+
+    @pytest.mark.parametrize("key,value", BAD)
+    def test_sample_exits_one(self, tmp_path, capsys, key, value):
+        config = {"out_dir": str(tmp_path / "out"),
+                  "model": {"kind": "quadratic_bowl", "dim": 2},
+                  "sample": {"n": 4, "sampler": {"n_steps": 2, key: value}}}
+        path = write_config(tmp_path, config)
+        assert cli.main(["sample", "--config", str(path)]) == 1
+        assert "config error" in capsys.readouterr().err
+
+
 class TestDataConfigValidation:
     def cifar_config(self, tmp_path, **files):
         path = tmp_path / "batch.bin"
@@ -294,7 +322,7 @@ class TestManifest:
     def test_csv_data_evaluates_its_training_file(self, trained, tmp_path):
         out, config_path = trained
         csv_path = tmp_path / "points.csv"
-        data.dataset_to_csv(data.gen_gaussian_mixture_2d(
+        dataset_to_csv(data.gen_gaussian_mixture_2d(
             10, [(-0.5, 0.0), (0.5, 0.0)], 0.15, seed=3), csv_path)
         config = json.loads(config_path.read_text())
         config["data"] = {"kind": "csv", "path": str(csv_path), "classes": 2}

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ebmkit import data
+from oracles import dataset_to_csv, float_to_byte
 
 
 def write_cifar10_file(path, labels, pixel_fn):
@@ -65,14 +66,16 @@ class TestCifarReader:
         path = tmp_path / "batch.bin"
         write_cifar10_file(path, labels, lambda i: pixels[i])
         ds = data.read_cifar_binary(path, "cifar10")
-        back = data.float_to_byte(ds.x.reshape(5, 3072))
+        back = float_to_byte(ds.x.reshape(5, 3072))
         assert np.array_equal(back, pixels)
         assert np.array_equal(ds.y, labels)
 
-    def test_byte_float_byte_roundtrip_all_values(self):
-        bytes_in = np.arange(256, dtype=np.uint8)
-        floats = bytes_in.astype(np.float64) / 127.5 - 1.0
-        assert np.array_equal(data.float_to_byte(floats), bytes_in)
+    def test_byte_float_byte_roundtrip_all_values(self, tmp_path):
+        bytes_in = (np.arange(3072) % 256).astype(np.uint8)
+        path = tmp_path / "batch.bin"
+        write_cifar10_file(path, [0], lambda i: bytes_in)
+        ds = data.read_cifar_binary(path, "cifar10")
+        assert np.array_equal(float_to_byte(ds.x.reshape(-1)), bytes_in)
 
     def test_truncated_file_reports_offset(self, tmp_path):
         path = tmp_path / "broken.bin"
@@ -95,39 +98,6 @@ class TestCifarReader:
         ds = data.read_cifar_binary(path, "cifar100")
         assert ds.y[0] == 42
         assert ds.classes == 100
-
-
-class TestCifar10Int:
-    def test_identical_batches_zero_noise_is_identity(self):
-        batch = np.random.default_rng(0).uniform(-1, 1, size=(4, 8))
-        out = data.cifar10_int(batch, batch, seed=0, noise_std=0.0)
-        assert np.array_equal(out, batch)
-
-    def test_midpoint_of_constants(self):
-        plus = np.full((3, 5), 1.0)
-        minus = np.full((3, 5), -1.0)
-        out = data.cifar10_int(plus, minus, seed=0, noise_std=0.0)
-        assert np.array_equal(out, np.zeros((3, 5)))
-
-    def test_noise_variance(self):
-        zeros = np.zeros((1, 1_000_000))
-        out = data.cifar10_int(zeros, zeros, seed=5)
-        var = float(out.var())
-        assert abs(var - 0.001) < 0.05 * 0.001
-
-    def test_noise_is_zero_mean(self):
-        zeros = np.zeros((1, 1_000_000))
-        out = data.cifar10_int(zeros, zeros, seed=6)
-        assert abs(out.mean()) < 3 * data.INT_NOISE_STD / 1000.0
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            data.cifar10_int(np.zeros((2, 3)), np.zeros((3, 3)), seed=0)
-
-    def test_output_clipped(self):
-        ones = np.full((2, 100), 1.0)
-        out = data.cifar10_int(ones, ones, seed=1)
-        assert out.max() <= 1.0
 
 
 class TestBatches:
@@ -187,7 +157,7 @@ class TestValidation:
     def test_csv_roundtrip(self, tmp_path):
         ds = data.gen_gaussian_mixture_2d(12, [(-0.5, 0), (0.5, 0)], 0.2, seed=9)
         path = tmp_path / "ds.csv"
-        data.dataset_to_csv(ds, path)
+        dataset_to_csv(ds, path)
         back = data.dataset_from_csv(path, classes=2)
         assert np.allclose(back.x, ds.x, atol=0)
         assert np.array_equal(back.y, ds.y)

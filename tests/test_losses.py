@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -28,9 +27,8 @@ def zero_labels(x):
     return np.zeros(len(x), dtype=np.int64)
 
 
-def penalty(spec, params, x, literal_sign=False):
-    cfg = dataclasses.replace(PENALTY, literal_sign=literal_sign)
-    return losses.loss_graph(cfg, spec, params, x, zero_labels(x)).breakdown.auxiliary
+def penalty(spec, params, x):
+    return losses.loss_graph(PENALTY, spec, params, x, zero_labels(x)).breakdown.auxiliary
 
 
 def generative_term(spec, params, xt, xg):
@@ -134,13 +132,6 @@ class TestGradPenalty:
         x = np.random.default_rng(4).normal(size=(8, 2))
         assert penalty(spec, params, x) >= 0.0
 
-    def test_literal_sign_flag_negates(self):
-        spec, params = linear_single_logit([3.0, 4.0])
-        x = np.zeros((2, 2))
-        plus = penalty(spec, params, x)
-        minus = penalty(spec, params, x, literal_sign=True)
-        assert minus == -plus
-
     def test_parameter_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(5)
         spec = nn.ModelSpec.mlp(2, [6], 2)
@@ -151,7 +142,7 @@ class TestGradPenalty:
         bound = params.bind(tape)
         x_leaf = tape.leaf(x)
         logits = nn.forward(spec, bound, x_leaf)
-        pen = losses._penalty_from_logits(tape, logits, x_leaf, False)
+        pen = losses._penalty_from_logits(tape, logits, x_leaf)
         gm = ad.backward(tape, pen, list(bound.values()))
 
         for name, leaf in bound.items():
@@ -170,7 +161,7 @@ class TestGradPenalty:
         bound = params.bind(tape)
         x_leaf = tape.leaf(x)
         logits = nn.forward(spec, bound, x_leaf)
-        pen = losses._penalty_from_logits(tape, logits, x_leaf, False)
+        pen = losses._penalty_from_logits(tape, logits, x_leaf)
         gm = ad.backward(tape, pen, [bound["layer0.w"]])
         g = gm[bound["layer0.w"]].value
         assert np.allclose(g, params.arrays["layer0.w"], atol=1e-10)  # w / ||w||, ||w||=1

@@ -68,6 +68,12 @@ class TestBufferPush:
         assert buf.sample_at(0)[0] == 9.0
         assert len(buf) == 2
 
+    def test_cached_rows_keep_their_slots_when_a_fresh_row_evicts(self):
+        buf = smp.ReplayBuffer(capacity=3, rng=0)
+        smp.buffer_push(buf, np.array([[0.0], [1.0], [2.0]]), np.full(3, -1))
+        smp.buffer_push(buf, np.array([[10.0], [22.0]]), np.array([-1, 2]))
+        assert [buf.sample_at(i)[0] for i in range(len(buf))] == [1.0, 22.0, 10.0]
+
     def test_non_finite_rows_dropped(self):
         buf = smp.ReplayBuffer(capacity=5, rng=0)
         bad = np.array([[np.nan], [np.inf], [1.0]])
