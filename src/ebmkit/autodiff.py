@@ -387,23 +387,38 @@ def gather(a, index) -> Tensor:
 # convolution: three recorded numpy kernels whose VJPs are written in the same
 # three kernels, so conv is differentiable to any order
 
-def _im2col(x: np.ndarray, k: int, pad: int):
-    """N x (C*k*k) x (Ho*Wo) patches of ``x`` padded by ``pad`` on each
-    side (cropped when ``pad`` < 0); the output-width axis is innermost."""
+# Columns are unfolded one block of images at a time, so the GEMM reads them
+# back from cache; a whole-batch column buffer is bound by memory bandwidth.
+_BLOCK_BYTES = 1 << 20
+
+
+def _im2col_blocks(x: np.ndarray, k: int, pad: int):
+    """Patches of ``x`` padded by ``pad`` on each side (cropped when
+    ``pad`` < 0), as (images, columns) pairs over consecutive blocks of
+    images: columns is block x (C*k*k) x (Ho*Wo), output width innermost,
+    and at most _BLOCK_BYTES unless one image alone is larger."""
     if pad > 0:
         x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     elif pad < 0:
         x = x[:, :, -pad:pad, -pad:pad]
-    windows = sliding_window_view(x, (k, k), axis=(2, 3))      # N C Ho Wo k k
-    n, c, ho, wo = windows.shape[:4]
-    return windows.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * k * k, ho * wo), ho, wo
+    # N C k k Ho Wo, a view: no patch is copied until its block is reshaped
+    windows = sliding_window_view(x, (k, k), axis=(2, 3)).transpose(0, 1, 4, 5, 2, 3)
+    n, c, _, _, ho, wo = windows.shape
+    step = max(1, _BLOCK_BYTES // (c * k * k * ho * wo * windows.itemsize))
+    for start in range(0, n, step):
+        images = slice(start, min(start + step, n))
+        yield images, windows[images].reshape(-1, c * k * k, ho * wo)
 
 
 def _corr(x: np.ndarray, w: np.ndarray, pad: int) -> np.ndarray:
     """Forward correlation: x N x C x H x W, w F x C x k x k."""
     f, _, k, _ = w.shape
-    cols, ho, wo = _im2col(x, k, pad)
-    return np.matmul(w.reshape(f, -1), cols).reshape(x.shape[0], f, ho, wo)
+    ho, wo = x.shape[2] + 2 * pad - k + 1, x.shape[3] + 2 * pad - k + 1
+    out = np.empty((x.shape[0], f, ho * wo))
+    w_rows = w.reshape(f, -1)
+    for images, cols in _im2col_blocks(x, k, pad):
+        np.matmul(w_rows, cols, out=out[images])
+    return out.reshape(x.shape[0], f, ho, wo)
 
 
 def _corr_input_grad(g: np.ndarray, w: np.ndarray, pad: int) -> np.ndarray:
@@ -417,9 +432,11 @@ def _corr_weight_grad(x: np.ndarray, g: np.ndarray, pad: int) -> np.ndarray:
     """Adjoint of ``_corr`` in w: patches of x against the output gradient g."""
     n, f, ho, wo = g.shape
     k = x.shape[2] + 2 * pad - ho + 1
-    cols, _, _ = _im2col(x, k, pad)
-    dw = np.matmul(g.reshape(n, f, ho * wo), cols.transpose(0, 2, 1)).sum(axis=0)
-    return dw.reshape(f, x.shape[1], k, k)
+    g_rows = g.reshape(n, f, ho * wo)
+    per_image = np.empty((n, f, x.shape[1] * k * k))
+    for images, cols in _im2col_blocks(x, k, pad):
+        np.matmul(g_rows[images], cols.transpose(0, 2, 1), out=per_image[images])
+    return per_image.sum(axis=0).reshape(f, x.shape[1], k, k)
 
 
 def _conv_op(kernel: Callable, a: Tensor, b: Tensor, pad: int) -> Tensor:

@@ -74,7 +74,9 @@ def _check_keys(section: dict, name: str) -> None:
         where = f"section {name!r}" if name else "config"
         raise losses.ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
     for key, value in section.items():
-        if isinstance(value, dict) and key in _SCHEMA:
+        if key in _SCHEMA:
+            if not isinstance(value, dict):
+                raise losses.ConfigError(f"section {key!r} must be a JSON object")
             _check_keys(value, key)
 
 
@@ -147,7 +149,8 @@ def build_dataset(section: dict, splits=("train", "test")) -> tuple:
 
 # The (config section, split) pairs each command reads, in the order its
 # cmd_* function takes the datasets. The last pair from "data" is the set
-# the command scores, which the manifest records as eval_data.
+# the command scores, which the manifest records as eval_data; ood also
+# records its "ood_data" set.
 _READS = {
     "train": (("data", "train"), ("data", "test")),
     "eval": (("data", "test"),),
@@ -203,6 +206,37 @@ def build_sampler(section: dict) -> smp.SgldConfig:
         raise losses.ConfigError(f"sampler: {exc}") from None
 
 
+# the least value of each count outside the sampler section
+_COUNTS = {("train", "epochs"): 0, ("train", "batch_size"): 1,
+           ("train", "checkpoint_interval"): 0, ("attack", "n_steps"): 1,
+           ("metrics", "ece_bins"): 1, ("hist", "bins"): 1}
+
+
+def check_values(config: dict) -> None:
+    """Reject a count of _COUNTS that is not an int or is below its least
+    value, an unknown attack norm, an attack step_size that is neither null
+    nor a number > 0, and attack epsilons that are not ascending numbers
+    >= 0."""
+    def number(value, kind=(int, float)):
+        return isinstance(value, kind) and not isinstance(value, bool)
+
+    for (name, key), least in _COUNTS.items():
+        value = config.get(name, {}).get(key, least)
+        if not number(value, int) or value < least:
+            raise losses.ConfigError(f"{name}.{key} must be an integer >= {least}, "
+                                     f"got {value!r}")
+    attack = config.get("attack", {})
+    if "norm" in attack and attack["norm"] not in [n.value for n in attacks.Norm]:
+        raise losses.ConfigError(f"attack.norm must be l2 or linf, got {attack['norm']!r}")
+    step = attack.get("step_size")
+    if step is not None and not (number(step) and step > 0):
+        raise losses.ConfigError(f"attack.step_size must be null or a number > 0, got {step!r}")
+    eps = attack.get("epsilons", [])
+    if not (isinstance(eps, list) and all(number(e) and e >= 0 for e in eps)
+            and eps == sorted(eps)):
+        raise losses.ConfigError(f"attack.epsilons must be ascending numbers >= 0, got {eps!r}")
+
+
 def build_train_config(config: dict) -> trainer.TrainConfig:
     model = build_model(config["model"])
     if not isinstance(model, nn.ModelSpec):
@@ -238,7 +272,7 @@ def _sha256(path) -> str:
 
 
 def write_manifest(out_dir: Path, command: str, config: dict,
-                   checkpoint_path=None, eval_data=None) -> None:
+                   checkpoint_path=None, eval_data=None, ood_data=None) -> None:
     manifest = {
         "command": command,
         "config": config,
@@ -250,9 +284,9 @@ def write_manifest(out_dir: Path, command: str, config: dict,
     }
     if checkpoint_path is not None:
         manifest["checkpoint_sha256"] = _sha256(checkpoint_path)
-    if eval_data is not None:
-        manifest["eval_data"] = {"split": eval_data.split,
-                                 "provenance": eval_data.provenance}
+    for key, ds in (("eval_data", eval_data), ("ood_data", ood_data)):
+        if ds is not None:
+            manifest[key] = {"split": ds.split, "provenance": ds.provenance}
     with open(out_dir / f"manifest_{command}.json", "w") as fh:
         json.dump(manifest, fh, indent=2)
 
@@ -451,6 +485,7 @@ def main(argv=None) -> int:
         if args.seed is not None:
             config["seed"] = args.seed
         check_data_files(config, args.command)
+        check_values(config)
         out = _out_dir(args, config)
         ckpt_path = getattr(args, "checkpoint", None)
         if args.command == "train":
@@ -461,9 +496,9 @@ def main(argv=None) -> int:
         reads = _READS[args.command]
         datasets = [build_dataset(config[name], (split,))[0] for name, split in reads]
         written = _COMMANDS[args.command](args, config, out, ckpt, *datasets)
-        scored = [ds for (name, _), ds in zip(reads, datasets) if name == "data"]
+        last_read = {name: ds for (name, _), ds in zip(reads, datasets)}
         write_manifest(out, args.command, config, written or ckpt_path,
-                       scored[-1] if scored else None)
+                       last_read.get("data"), last_read.get("ood_data"))
         return 0
     except losses.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -68,6 +68,40 @@ def naive_conv2d(x, w, b, padding):
     return out
 
 
+def whole_batch_im2col(x, k, pad):
+    """N x (C*k*k) x (Ho*Wo) patches of x padded by pad (cropped when
+    pad < 0), unfolded for the whole batch in one copy."""
+    if pad > 0:
+        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    elif pad < 0:
+        x = x[:, :, -pad:pad, -pad:pad]
+    windows = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
+    n, c, ho, wo = windows.shape[:4]
+    return windows.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * k * k, ho * wo), ho, wo
+
+
+def whole_batch_corr(x, w, pad):
+    """The conv kernels as one batched matmul over whole-batch columns: the
+    per-image GEMMs and the sum over images that a blocked kernel must
+    reproduce bit for bit."""
+    f, _, k, _ = w.shape
+    cols, ho, wo = whole_batch_im2col(x, k, pad)
+    return np.matmul(w.reshape(f, -1), cols).reshape(x.shape[0], f, ho, wo)
+
+
+def whole_batch_corr_input_grad(g, w, pad):
+    k = w.shape[2]
+    return whole_batch_corr(g, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), k - 1 - pad)
+
+
+def whole_batch_corr_weight_grad(x, g, pad):
+    n, f, ho, wo = g.shape
+    k = x.shape[2] + 2 * pad - ho + 1
+    cols, _, _ = whole_batch_im2col(x, k, pad)
+    dw = np.matmul(g.reshape(n, f, ho * wo), cols.transpose(0, 2, 1)).sum(axis=0)
+    return dw.reshape(f, x.shape[1], k, k)
+
+
 def naive_mlp_forward(x, weights, biases):
     """Loop-based forward pass for a ReLU MLP (linear final layer)."""
     x = np.asarray(x, dtype=np.float64)

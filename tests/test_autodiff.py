@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 
 from ebmkit import autodiff as ad
 from ebmkit import energy, losses, nn
-from oracles import central_diff, close_rel, naive_conv2d, naive_matmul
+from oracles import (central_diff, close_rel, naive_conv2d, naive_matmul, whole_batch_corr,
+                     whole_batch_corr_input_grad, whole_batch_corr_weight_grad)
 
 
 def scalar_loss(op, x_val, extra=None, rng=None):
@@ -364,6 +366,43 @@ def test_conv2d_matches_loop_oracle():
         b = rng.normal(size=(f,))
         out = ad.conv2d(ad.Tensor(x), ad.Tensor(w), ad.Tensor(b), padding=pad).value
         assert close_rel(out, naive_conv2d(x, w, b, pad), 1e-12), (x.shape, w.shape, pad)
+
+
+# padding 0, 1 and > k - 1 (the input gradient then crops), a cropping pad,
+# k = 1 and an even k
+_BLOCK_CASES = [((7, 2, 6, 5), (3, 2, 3, 3), pad) for pad in (0, 1, 4, -1)] + [
+    ((7, 3, 5, 5), (2, 3, 1, 1), 2), ((7, 2, 5, 6), (2, 2, 2, 2), 0)]
+
+
+@pytest.mark.parametrize("per_block", [1, 3, 7])
+@pytest.mark.parametrize("x_shape,w_shape,pad", _BLOCK_CASES)
+def test_blocked_conv_kernels_match_whole_batch_bit_for_bit(monkeypatch, per_block,
+                                                            x_shape, w_shape, pad):
+    # 7 images in blocks of one, of 3 (the last one ragged) and all in one
+    n, c, h, width = x_shape
+    f, _, k, _ = w_shape
+    ho, wo = h + 2 * pad - k + 1, width + 2 * pad - k + 1
+    monkeypatch.setattr(ad, "_BLOCK_BYTES", per_block * c * k * k * ho * wo * 8)
+    rng = np.random.default_rng(10 * per_block + pad + 1)
+    x, w, g = rng.normal(size=x_shape), rng.normal(size=w_shape), rng.normal(size=(n, f, ho, wo))
+    assert len(list(ad._im2col_blocks(x, k, pad))) == -(-n // per_block)
+    assert np.array_equal(ad._corr(x, w, pad), whole_batch_corr(x, w, pad))
+    assert np.array_equal(ad._corr_input_grad(g, w, pad), whole_batch_corr_input_grad(g, w, pad))
+    assert np.array_equal(ad._corr_weight_grad(x, g, pad),
+                          whole_batch_corr_weight_grad(x, g, pad))
+
+
+def test_corr_peaks_below_half_the_whole_batch_column_buffer():
+    rng = np.random.default_rng(0)
+    x, w = rng.normal(size=(64, 8, 32, 32)), rng.normal(size=(8, 8, 3, 3))
+    columns = x.size * 3 * 3 * 8            # 64 x 72 x 1024 float64: 37.7 MB
+    tracemalloc.start()
+    try:
+        ad._corr(x, w, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < columns / 2, peak
 
 
 def grad_l2norm_of_grad(tape, energy, x):

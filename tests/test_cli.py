@@ -271,6 +271,42 @@ class TestSamplerConfigValidation:
         assert "config error" in capsys.readouterr().err
 
 
+class TestSectionValueValidation:
+    """A section that is not an object, or a bad count, norm, step size or
+    epsilon list in train, attack, metrics or hist, is a config error (exit
+    1), reported before any data is read."""
+
+    @pytest.mark.parametrize("command,section,key,value", [
+        ("train", "train", "epochs", "3"), ("train", "train", "batch_size", 0),
+        ("train", "train", "checkpoint_interval", -1),
+        ("attack", "attack", "n_steps", "2"), ("attack", "attack", "norm", "l3"),
+        ("attack", "attack", "step_size", 0),
+        ("attack", "attack", "epsilons", [0.2, 0.1]), ("attack", "attack", "epsilons", [-0.1]),
+        ("calibrate", "metrics", "ece_bins", 0), ("hist-egm", "hist", "bins", 0),
+        ("ood", "hist", "bins", True)])
+    def test_exits_one_before_reading(self, trained, tmp_path, monkeypatch, capsys,
+                                      command, section, key, value):
+        out, config_path = trained
+        config = json.loads(config_path.read_text())
+        config["ood_data"] = config["data"]
+        config.setdefault(section, {})[key] = value
+        path = write_config(tmp_path, config)
+        calls = []
+        monkeypatch.setattr(data, "gen_gaussian_mixture_2d", lambda *a, **k: calls.append(a))
+        flags = [] if command == "train" else ["--checkpoint",
+                                               str(out / "checkpoint_final.npz")]
+        assert cli.main([command, "--config", str(path), "--out", str(tmp_path), *flags]) == 1
+        assert f"{section}.{key}" in capsys.readouterr().err
+        assert calls == []
+
+    @pytest.mark.parametrize("section", ["train", "attack", "data"])
+    def test_section_that_is_not_an_object_exits_one(self, tmp_path, capsys, section):
+        config = toy_config(tmp_path / "run")
+        config[section] = 5
+        assert cli.main(["train", "--config", str(write_config(tmp_path, config))]) == 1
+        assert f"section {section!r}" in capsys.readouterr().err
+
+
 class TestDataConfigValidation:
     def cifar_config(self, tmp_path, **files):
         path = tmp_path / "batch.bin"
@@ -332,6 +368,22 @@ class TestManifest:
                          "--checkpoint", str(out / "checkpoint_final.npz")]) == 0
         manifest = json.loads((eval_out / "manifest_eval.json").read_text())
         assert manifest["eval_data"] == {"split": "train", "provenance": f"csv:{csv_path}"}
+
+    def test_ood_records_its_out_of_distribution_set(self, trained, tmp_path):
+        out, config_path = trained
+        csv_path = tmp_path / "ood.csv"
+        dataset_to_csv(data.gen_gaussian_mixture_2d(
+            10, [(2.0, 2.0), (3.0, 2.0)], 0.15, seed=4), csv_path)
+        config = json.loads(config_path.read_text())
+        config["ood_data"] = {"kind": "csv", "path": str(csv_path), "classes": 2}
+        path = write_config(tmp_path, config, "ood.json")
+        ood_out = tmp_path / "ood"
+        assert cli.main(["ood", "--config", str(path), "--out", str(ood_out),
+                         "--checkpoint", str(out / "checkpoint_final.npz")]) == 0
+        manifest = json.loads((ood_out / "manifest_ood.json").read_text())
+        assert manifest["eval_data"]["split"] == "test"
+        assert manifest["eval_data"]["provenance"].startswith("gaussian_mixture_2d(")
+        assert manifest["ood_data"] == {"split": "train", "provenance": f"csv:{csv_path}"}
 
     def test_threads_flag_is_gone(self, trained):
         _, config_path = trained
