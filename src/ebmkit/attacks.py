@@ -155,9 +155,7 @@ def _verify_budget(delta: np.ndarray, norm: Norm, epsilon: float) -> None:
 
 
 def _accuracy(model, params, x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
-    logits = en.model_logits(model, params, ad.Tensor(x)).value
-    pred = logits.argmax(axis=1)
-    correct = pred == y
+    correct = en._logits_in_blocks(model, params, x).argmax(axis=1) == y
     return float(correct.mean()), correct
 
 

@@ -209,7 +209,7 @@ def build_sampler(section: dict) -> smp.SgldConfig:
 # the least value of each count outside the sampler section
 _COUNTS = {("train", "epochs"): 0, ("train", "batch_size"): 1,
            ("train", "checkpoint_interval"): 0, ("attack", "n_steps"): 1,
-           ("metrics", "ece_bins"): 1, ("hist", "bins"): 1}
+           ("metrics", "ece_bins"): 1, ("hist", "bins"): 1, ("sample", "n"): 1}
 
 
 def check_values(config: dict) -> None:
@@ -372,8 +372,8 @@ def cmd_ood(args, config: dict, out: Path, ckpt, in_ds, out_ds) -> None:
 
 def cmd_attack(args, config: dict, out: Path, ckpt, test_ds) -> None:
     section = config.get("attack", {})
-    norm = attacks.Norm(args.norm or section.get("norm", "linf"))
-    epsilons = args.epsilons or section.get("epsilons", [0.0, 0.1, 0.2])
+    norm = attacks.Norm(section.get("norm", "linf"))
+    epsilons = section.get("epsilons", [0.0, 0.1, 0.2])
     base = attacks.AttackConfig(norm=norm,
                                 n_steps=section.get("n_steps", 40),
                                 step_size=section.get("step_size"),
@@ -397,7 +397,7 @@ def cmd_hist_egm(args, config: dict, out: Path, ckpt, train_ds) -> None:
 
 def cmd_sample(args, config: dict, out: Path, ckpt) -> None:
     section = config.get("sample", {})
-    n = args.n or section.get("n", 64)
+    n = section.get("n", 64)
     sampler_cfg = build_sampler(section.get("sampler", {}))
     if ckpt is not None:
         model, params, shape = ckpt.model, ckpt.params, ckpt.model.input_shape
@@ -484,6 +484,9 @@ def main(argv=None) -> int:
         config = load_config(args.config)
         if args.seed is not None:
             config["seed"] = args.seed
+        for name, key in (("attack", "norm"), ("attack", "epsilons"), ("sample", "n")):
+            if getattr(args, key, None) is not None:   # checked as the key it replaces
+                config.setdefault(name, {})[key] = getattr(args, key)
         check_data_files(config, args.command)
         check_values(config)
         out = _out_dir(args, config)

@@ -69,23 +69,37 @@ def model_logits(model, params, x: ad.Tensor) -> ad.Tensor:
     return model(params, x)
 
 
-def energy_grad_input(model, params, x_batch) -> np.ndarray:
-    """Per-example dE/dx, same shape as the input batch.
+def _in_blocks(fn, model, x) -> np.ndarray:
+    """``fn`` over float64 ``x`` in blocks of ModelSpec.block_rows rows (a
+    plain callable's by input width), concatenated; one call when x fits one."""
+    x = np.asarray(x, dtype=np.float64)
+    rows = model.block_rows if isinstance(model, nn.ModelSpec) else \
+        max(1, nn._ROW_BLOCK_BYTES // (8 * int(np.prod(x.shape[1:]))))
+    if x.shape[0] <= rows:
+        return fn(x)
+    return np.concatenate([fn(x[i:i + rows]) for i in range(0, x.shape[0], rows)])
 
-    One backward pass over the batch-summed energy suffices: examples do
-    not interact anywhere in the model (no batch statistics), so the
-    summed gradient separates into per-example rows.
-    """
-    x_batch = np.asarray(x_batch, dtype=np.float64)
+
+def _logits_in_blocks(model, params, x) -> np.ndarray:
+    """Logits of every row of ``x``, one tape-free forward pass per block."""
+    return _in_blocks(lambda b: model_logits(model, params, ad.Tensor(b)).value, model, x)
+
+
+def _block_grad(model, params, block: np.ndarray) -> np.ndarray:
     tape = ad.Tape()
-    x = tape.leaf(x_batch)
-    logits = model_logits(model, params, x)
-    total = ad.sum_(energy(logits))
-    return ad.backward(tape, total, [x])[x].value
+    x = tape.leaf(block)
+    return ad.backward(tape, ad.sum_(energy(model_logits(model, params, x))), [x])[x].value
+
+
+def energy_grad_input(model, params, x_batch) -> np.ndarray:
+    """Per-example dE/dx, same shape as the input. Examples do not interact
+    in the model (no batch statistics), so one backward pass over a row
+    block's summed energy separates into rows; each block (``_in_blocks``)
+    is one tape, so peak memory follows a block, not the set."""
+    return _in_blocks(lambda block: _block_grad(model, params, block), model, x_batch)
 
 
 def approximate_mass_score(model, params, x_batch) -> np.ndarray:
-    """Score s(x) = -||dE/dx||_2; near zero inside the typical set."""
-    grads = energy_grad_input(model, params, x_batch)
-    flat = grads.reshape(grads.shape[0], -1)
-    return -np.linalg.norm(flat, axis=1)
+    """Score s(x) = -||dE/dx||_2, near zero in the typical set; one block at a time."""
+    return _in_blocks(lambda block: -np.linalg.norm(
+        _block_grad(model, params, block).reshape(len(block), -1), axis=1), model, x_batch)

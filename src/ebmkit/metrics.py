@@ -15,7 +15,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import autodiff as ad
 from . import energy as en
 
 __all__ = [
@@ -122,33 +121,19 @@ def histogram(values, n_bins: int, value_range: Optional[tuple] = None) -> Histo
     return Histogram(edges=edges, density=density)
 
 
-# score_dataset's default batch holds as many input values as 256 CIFAR
-# images: peak memory stays bounded on images, while small inputs run in
-# few batches, where per-batch tape overhead would dominate
-BATCH_VALUES = 256 * 3 * 32 * 32
-
-
-def score_dataset(model, params, dataset, kind: en.ScoreKind,
-                  batch_size: Optional[int] = None) -> np.ndarray:
-    """Chosen OOD score for every example, in dataset order, computed in
-    batches of ``batch_size`` rows (default: BATCH_VALUES input values)."""
+def score_dataset(model, params, dataset, kind: en.ScoreKind) -> np.ndarray:
+    """Chosen OOD score for every example, in dataset order. Logits and
+    input gradients are computed one row block (``ModelSpec.block_rows``)
+    at a time, so peak memory follows a block, not the set."""
     if not isinstance(kind, en.ScoreKind):
         raise ValueError(f"score_dataset: invalid score kind {kind!r}")
     x = dataset.x if hasattr(dataset, "x") else np.asarray(dataset, dtype=np.float64)
-    if batch_size is None:
-        batch_size = max(1, BATCH_VALUES // int(np.prod(x.shape[1:])))
-    out = []
-    for start in range(0, x.shape[0], batch_size):
-        batch = x[start:start + batch_size]
-        if kind is en.ScoreKind.APPROXIMATE_MASS:
-            out.append(en.approximate_mass_score(model, params, batch))
-        else:
-            logits = en.model_logits(model, params, ad.Tensor(batch))
-            if kind is en.ScoreKind.LOG_DENSITY_PROXY:
-                out.append(en.log_px_proxy(logits).value)
-            else:
-                out.append(en.max_softmax_score(logits))
-    return np.concatenate(out)
+    if kind is en.ScoreKind.APPROXIMATE_MASS:
+        return en.approximate_mass_score(model, params, x)
+    logits = en._logits_in_blocks(model, params, x)
+    if kind is en.ScoreKind.LOG_DENSITY_PROXY:
+        return en.log_px_proxy(logits).value
+    return en.max_softmax_score(logits)
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,6 @@ __all__ = [
 
 CHECKPOINT_FORMAT_VERSION = 1
 PROBE_SIZE = 512   # fixed subset for the per-epoch gradient-magnitude telemetry
-EVAL_BATCH_SIZE = 512
 
 
 class CheckpointError(RuntimeError):
@@ -104,16 +103,8 @@ def _mean_egm(model, params, dataset, probe_size: int) -> float:
     return float(egm.mean())
 
 
-def _logits(model, params, x: np.ndarray, batch_size: int = EVAL_BATCH_SIZE) -> np.ndarray:
-    """Logits for every row of ``x``, computed in batches so that peak
-    memory follows the batch size, not the set size."""
-    return np.concatenate([
-        en.model_logits(model, params, ad.Tensor(x[start:start + batch_size])).value
-        for start in range(0, x.shape[0], batch_size)])
-
-
-def _accuracy(model, params, dataset, batch_size: int = EVAL_BATCH_SIZE) -> float:
-    logits = _logits(model, params, dataset.x, batch_size)
+def _accuracy(model, params, dataset) -> float:
+    logits = en._logits_in_blocks(model, params, dataset.x)
     return int((logits.argmax(axis=1) == dataset.y).sum()) / len(dataset)
 
 
@@ -213,7 +204,7 @@ def _snapshot(config, params, adam, epoch, sampler_rng, buffer) -> Checkpoint:
 def evaluate(checkpoint: Checkpoint, dataset: datamod.Dataset,
              n_bins: int = metrics.DEFAULT_ECE_BINS) -> EvalResult:
     """Accuracy, mean confidence, and the calibration report."""
-    logits = _logits(checkpoint.model, checkpoint.params, dataset.x)
+    logits = en._logits_in_blocks(checkpoint.model, checkpoint.params, dataset.x)
     probs = en.softmax_probs(logits)
     confidence = probs.max(axis=1)
     correct = probs.argmax(axis=1) == dataset.y

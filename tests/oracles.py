@@ -5,6 +5,7 @@ pair counting) and shares no code with the library paths it checks.
 """
 
 import csv
+import tracemalloc
 
 import numpy as np
 
@@ -23,6 +24,16 @@ def central_diff(f, x, h=1e-5):
         lo = f(bumped.reshape(x.shape))
         flat[i] = (hi - lo) / (2.0 * h)
     return grad
+
+
+def traced_peak_bytes(fn, *args):
+    """Peak bytes that tracemalloc sees allocated while ``fn(*args)`` runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def close_rel(a, b, tol):

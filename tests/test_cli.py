@@ -307,6 +307,42 @@ class TestSectionValueValidation:
         assert f"section {section!r}" in capsys.readouterr().err
 
 
+class TestFlagValidation:
+    """--epsilons and --n replace the config keys they name and are checked
+    by the same rules, before any data is read or a checkpoint opened."""
+
+    @pytest.mark.parametrize("epsilons", [["0.2", "0.1"], ["-0.1"]])
+    def test_bad_epsilons_exit_one_before_reading(self, trained, tmp_path, monkeypatch,
+                                                  capsys, epsilons):
+        out, config_path = trained
+        calls = []
+        monkeypatch.setattr(data, "gen_gaussian_mixture_2d", lambda *a, **k: calls.append(a))
+        assert cli.main(["attack", "--config", str(config_path), "--out", str(tmp_path),
+                         "--checkpoint", str(out / "checkpoint_final.npz"),
+                         "--epsilons", *epsilons]) == 1
+        assert "attack.epsilons" in capsys.readouterr().err
+        assert calls == []
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_chain_count_below_one_exits_one_before_the_checkpoint(
+            self, trained, tmp_path, monkeypatch, capsys, n):
+        out, config_path = trained
+        calls = []
+        monkeypatch.setattr(trainer, "checkpoint_load", lambda *a: calls.append(a))
+        assert cli.main(["sample", "--config", str(config_path), "--out", str(tmp_path),
+                         "--checkpoint", str(out / "checkpoint_final.npz"), "--n", n]) == 1
+        assert "sample.n" in capsys.readouterr().err
+        assert calls == []
+
+    def test_flags_reach_the_command_and_its_manifest(self, trained, tmp_path):
+        out, config_path = trained
+        assert cli.main(["sample", "--config", str(config_path), "--out", str(tmp_path),
+                         "--checkpoint", str(out / "checkpoint_final.npz"), "--n", "3"]) == 0
+        assert json.loads((tmp_path / "divergence.json").read_text())["n_requested"] == 3
+        manifest = json.loads((tmp_path / "manifest_sample.json").read_text())
+        assert manifest["config"]["sample"]["n"] == 3
+
+
 class TestDataConfigValidation:
     def cifar_config(self, tmp_path, **files):
         path = tmp_path / "batch.bin"

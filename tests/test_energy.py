@@ -6,6 +6,7 @@ import pytest
 from ebmkit import autodiff as ad
 from ebmkit import energy as en
 from ebmkit import nn
+from ebmkit import sampler as smp
 from oracles import central_diff, close_rel
 
 
@@ -136,6 +137,53 @@ class TestEnergyGradInput:
         grads = en.energy_grad_input(spec, params, x)
         assert np.array_equal(grads[0], grads[1])
         assert np.array_equal(grads[0], grads[3])
+
+
+class TestBlocks:
+    """Passes over a set walk it in row blocks; a block is one tape."""
+
+    @staticmethod
+    def count_forwards(monkeypatch):
+        real, rows = en.model_logits, []
+
+        def counting(model, params, x):
+            rows.append(x.shape[0])
+            return real(model, params, x)
+        monkeypatch.setattr(en, "model_logits", counting)
+        return rows
+
+    def test_block_rows_follow_the_widest_activation(self):
+        assert nn.ModelSpec.mlp(2, [32, 32], 2).block_rows == (2 << 20) // (32 * 8)
+        # 8 channels of 32 x 32 outnumber the 3 x 32 x 32 input
+        conv = nn.ModelSpec.small_conv((3, 32, 32), [8, 8], 10)
+        assert conv.block_rows == 32
+        assert nn.ModelSpec.mlp(1 << 19, [2], 2).block_rows == 1
+
+    def test_ragged_mlp_gradient_equals_per_block_calls_bit_for_bit(self, monkeypatch):
+        monkeypatch.setattr(nn, "_ROW_BLOCK_BYTES", 4 * 6 * 8)   # 4 rows of the 6-unit layer
+        spec = nn.ModelSpec.mlp(3, [6, 5], 2)
+        params = nn.init(spec, 3)
+        x = np.random.default_rng(3).normal(size=(10, 3))
+        rows = self.count_forwards(monkeypatch)
+        blocked = en.energy_grad_input(spec, params, x)
+        assert rows == [4, 4, 2]
+        per_block = [en.energy_grad_input(spec, params, x[s:s + 4]) for s in (0, 4, 8)]
+        assert rows[3:] == [4, 4, 2]
+        assert np.array_equal(blocked, np.concatenate(per_block))
+
+    def test_rows_that_fit_one_block_take_one_pass(self, monkeypatch):
+        spec = nn.ModelSpec.mlp(2, [5], 3)
+        rows = self.count_forwards(monkeypatch)
+        en.energy_grad_input(spec, nn.init(spec, 0), np.zeros((spec.block_rows, 2)))
+        assert rows == [spec.block_rows]
+
+    def test_plain_callable_blocks_by_input_width(self, monkeypatch):
+        monkeypatch.setattr(nn, "_ROW_BLOCK_BYTES", 3 * 2 * 8)   # 3 rows of 2 values
+        x = np.random.default_rng(4).normal(size=(7, 2))
+        rows = self.count_forwards(monkeypatch)
+        grads = en.energy_grad_input(smp.QuadraticBowlEnergy(), {}, x)
+        assert rows == [3, 3, 1]
+        assert np.allclose(grads, x, atol=1e-12)    # E = ||x||^2 / 2
 
 
 class TestApproximateMass:

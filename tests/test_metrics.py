@@ -6,7 +6,8 @@ import pytest
 from ebmkit import energy as en
 from ebmkit import metrics
 from ebmkit import nn
-from oracles import brute_force_ece, ece_from_bins, pair_count_auroc, threshold_sweep_roc
+from oracles import (brute_force_ece, ece_from_bins, pair_count_auroc, threshold_sweep_roc,
+                     traced_peak_bytes)
 
 
 class TestEce:
@@ -182,15 +183,45 @@ class TestScoreDataset:
                                        en.ScoreKind.APPROXIMATE_MASS)
         assert np.allclose(scores, -5.0, atol=1e-12)
 
-    def test_batch_size_independence(self):
-        spec = nn.ModelSpec.mlp(2, [5], 3)
-        params = nn.init(spec, 9)
+    def test_batch_size_independence(self, monkeypatch):
         x = np.random.default_rng(9).normal(size=(23, 2))
-        a = metrics.score_dataset(spec, params, x, en.ScoreKind.LOG_DENSITY_PROXY,
-                                  batch_size=4)
-        b = metrics.score_dataset(spec, params, x, en.ScoreKind.LOG_DENSITY_PROXY,
-                                  batch_size=23)
+
+        def scores(rows):
+            # the widest activation is the 5-unit hidden layer: 40 bytes a row
+            monkeypatch.setattr(nn, "_ROW_BLOCK_BYTES", rows * 5 * 8)
+            spec = nn.ModelSpec.mlp(2, [5], 3)
+            assert spec.block_rows == rows
+            return metrics.score_dataset(spec, nn.init(spec, 9), x,
+                                         en.ScoreKind.LOG_DENSITY_PROXY)
+        a = scores(4)
+        b = scores(23)
         assert np.array_equal(a, b)
+
+    def test_approximate_mass_peak_memory_follows_the_block_not_the_set(self):
+        spec = nn.ModelSpec.small_conv((1, 8, 8), [4], 3)
+        params = nn.init(spec, 0)
+        rng = np.random.default_rng(1)
+
+        def peak(n):
+            x = rng.uniform(-1, 1, size=(n, 1, 8, 8))
+            return traced_peak_bytes(metrics.score_dataset, spec, params, x,
+                                     en.ScoreKind.APPROXIMATE_MASS)
+        assert peak(4 * spec.block_rows) < 1.5 * peak(spec.block_rows)
+
+    def test_approximate_mass_keeps_no_set_sized_gradient(self, monkeypatch):
+        # the input is the widest activation, so a set-sized input gradient
+        # would outweigh a block's tape
+        monkeypatch.setattr(nn, "_ROW_BLOCK_BYTES", 32 * 256 * 8)
+        spec = nn.ModelSpec.mlp(256, [4], 2)
+        assert spec.block_rows == 32
+        params = nn.init(spec, 0)
+        rng = np.random.default_rng(2)
+
+        def peak(n):
+            x = rng.normal(size=(n, 256))
+            return traced_peak_bytes(metrics.score_dataset, spec, params, x,
+                                     en.ScoreKind.APPROXIMATE_MASS)
+        assert peak(16 * spec.block_rows) < 1.5 * peak(spec.block_rows)
 
     def test_invalid_kind(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import pytest
 
 from ebmkit import nn
 from ebmkit import sampler as smp
+from oracles import traced_peak_bytes
 
 
 def quad_config(**kw):
@@ -142,6 +143,17 @@ class TestSgldChain:
         assert config.step_at(0) == 2.0
         assert config.step_at(1) == 1.0
         assert config.step_at(3) == 0.5
+
+    def test_peak_memory_follows_the_block_not_the_chain_count(self):
+        spec = nn.ModelSpec.small_conv((1, 8, 8), [4], 3)
+        params = nn.init(spec, 0)
+        config = quad_config(n_steps=2, step_size=0.01, noise=True)
+        rng = np.random.default_rng(1)
+
+        def peak(n):
+            x0 = rng.uniform(-1, 1, size=(n, 1, 8, 8))
+            return traced_peak_bytes(smp.sgld_chain, spec, params, x0, config)
+        assert peak(4 * spec.block_rows) < 1.5 * peak(spec.block_rows)
 
 
 def noise_free_chain(model, x0, config):

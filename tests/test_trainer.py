@@ -183,8 +183,8 @@ class TestEvaluate:
             finally:
                 tracemalloc.stop()
 
-        one_batch = peak_bytes(trainer.EVAL_BATCH_SIZE)
-        assert peak_bytes(4 * trainer.EVAL_BATCH_SIZE) < 1.5 * one_batch
+        one_batch = peak_bytes(spec.block_rows)
+        assert peak_bytes(4 * spec.block_rows) < 1.5 * one_batch
 
     def test_ece_report_recomputable(self):
         train_ds, test_ds = blob_task(n=50)
