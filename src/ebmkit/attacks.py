@@ -81,11 +81,18 @@ def project(delta: np.ndarray, norm: Norm, epsilon: float) -> np.ndarray:
 
 
 def _input_gradient(model, params, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    tape = ad.Tape()
-    x_leaf = tape.leaf(x)
-    logits = en.model_logits(model, params, x_leaf)
-    loss = losses.cross_entropy(logits, y)
-    grad = ad.backward(tape, loss, [x_leaf])[x_leaf].value
+    """d(mean cross-entropy)/dx, one tape per row block: a block's loss is
+    its rows' cross-entropy sum times 1/N, so each row gets the upstream
+    gradient 1/N that the mean over the whole set gives it."""
+    scale = 1.0 / max(x.shape[0], 1)
+
+    def block_gradient(xb, yb):
+        tape = ad.Tape()
+        x_leaf = tape.leaf(xb)
+        nll = losses._nll_rows(en.model_logits(model, params, x_leaf), yb)
+        return ad.backward(tape, ad.mul(ad.sum_(nll), scale), [x_leaf])[x_leaf].value
+
+    grad = en._in_blocks(block_gradient, model, x, y)
     if not np.all(np.isfinite(grad)):
         raise ValueError("pgd: non-finite input gradient")
     return grad

@@ -4,7 +4,9 @@ Everything is float64. Operations record onto a ``Tape``; ``backward``
 walks the tape in reverse topological order. With ``create_graph=True``
 the backward pass is itself built out of recorded primitives, so a
 second backward through a gradient (needed for input-gradient
-penalties) is an ordinary tape traversal.
+penalties) is an ordinary tape traversal. A tape node keeps its output
+and whatever its VJP reads; ``backward`` keeps only the gradients it
+has yet to propagate and those of the requested leaves.
 
 A Tape is single-writer: never record onto one tape from two threads of
 control. Distinct tapes are independent and completed tensors are
@@ -324,9 +326,13 @@ def _drop_axes(shape: tuple, axes: tuple) -> tuple:
 
 def relu(a) -> Tensor:
     a = _lift(a)
-    # relu'' is zero a.e.; the mask is a constant w.r.t. differentiation
-    return _register((a,), np.maximum(a.value, 0.0),
-                     lambda g, i: mul(g, (a.value > 0).astype(np.float64)))
+    return _register((a,), np.maximum(a.value, 0.0), lambda g, i: _relu_grad(g, a))
+
+
+def _relu_grad(g: Tensor, a: Tensor) -> Tensor:
+    """ReLU's VJP, g where a > 0: linear in g, with ``a`` a constant, so
+    relu'' is zero and the mask is recomputed from ``a``, never stored."""
+    return _register((g,), g.value * (a.value > 0), lambda gg, i: _relu_grad(gg, a))
 
 
 def exp(a) -> Tensor:
@@ -439,10 +445,14 @@ def _corr_weight_grad(x: np.ndarray, g: np.ndarray, pad: int) -> np.ndarray:
     return per_image.sum(axis=0).reshape(f, x.shape[1], k, k)
 
 
-def _conv_op(kernel: Callable, a: Tensor, b: Tensor, pad: int) -> Tensor:
-    """Record ``kernel(a, b, pad)``. Each kernel is bilinear, and its VJP in
-    either argument is another of the three kernels."""
+def _conv_op(kernel: Callable, a: Tensor, b: Tensor, pad: int,
+             bias: Optional[Tensor] = None) -> Tensor:
+    """Record ``kernel(a, b, pad)``, plus a per-channel ``bias`` added in
+    place. Each kernel is bilinear, and its VJP in either argument is
+    another of the three kernels."""
     def vjp(g, i):
+        if i == 2:
+            return sum_(g, axis=(0, 2, 3))
         if kernel is _corr:                 # a = x, b = w
             return (_conv_op(_corr_input_grad, g, b, pad) if i == 0
                     else _conv_op(_corr_weight_grad, a, g, pad))
@@ -453,18 +463,24 @@ def _conv_op(kernel: Callable, a: Tensor, b: Tensor, pad: int) -> Tensor:
         return (_conv_op(_corr_input_grad, b, g, pad) if i == 0
                 else _conv_op(_corr, a, g, pad))
 
-    return _register((a, b), kernel(a.value, b.value, pad), vjp)
+    out = kernel(a.value, b.value, pad)
+    if bias is None:
+        return _register((a, b), out, vjp)
+    out += bias.value.reshape(-1, 1, 1)
+    return _register((a, b, bias), out, vjp)
 
 
 def conv2d(x, w, b=None, padding: int = 0) -> Tensor:
-    """2-d convolution, stride 1. x: B x C x H x W, w: F x C x k x k, b: F."""
+    """2-d convolution, stride 1, as one node. x: B x C x H x W,
+    w: F x C x k x k, b: F."""
     x, w = _lift(x), _lift(w)
     if x.ndim != 4 or w.ndim != 4 or x.shape[1] != w.shape[1] or w.shape[2] != w.shape[3]:
         raise ShapeError(f"conv2d: incompatible shapes {x.shape} and {w.shape}")
-    out = _conv_op(_corr, x, w, int(padding))
     if b is not None:
-        out = add(out, reshape(b, (1, w.shape[0], 1, 1)))
-    return out
+        b = _lift(b)
+        if b.shape != w.shape[:1]:
+            raise ShapeError(f"conv2d: bias of shape {b.shape} for {w.shape[0]} filters")
+    return _conv_op(_corr, x, w, int(padding), b)
 
 
 # ---------------------------------------------------------------------------
@@ -477,9 +493,12 @@ def backward(tape: Tape, output: Tensor, wrt: Iterable[Tensor],
     zero gradient.
 
     Only nodes that depend on a ``wrt`` leaf get a gradient: a VJP runs
-    only for those of its node's inputs. With ``create_graph=True`` every
-    backward computation is recorded on the tape, so the returned
-    gradients are differentiable nodes.
+    only for those of its node's inputs. A node's gradient is dropped as
+    soon as its VJPs have run, and only leaf gradients are kept, so
+    without ``create_graph`` the pass holds just the gradients it has yet
+    to propagate. With ``create_graph=True`` every backward computation
+    is recorded on the tape, so the returned gradients are differentiable
+    nodes (and the tape keeps them).
     """
     if output.node is None or output.tape is not tape:
         raise ValueError("backward: output is not recorded on this tape")
@@ -505,10 +524,12 @@ def backward(tape: Tape, output: Tensor, wrt: Iterable[Tensor],
     tape._recording = bool(create_graph)
     try:
         for nid in range(output.node, first, -1):
-            g = grads.get(nid)
+            node = tape.nodes[nid]
+            if node.vjp is None:            # a leaf keeps its gradient
+                continue
+            g = grads.pop(nid, None)        # its VJPs are its last use
             if g is None:
                 continue
-            node = tape.nodes[nid]
             for i, pid in enumerate(node.parents):
                 if pid in need:
                     pg = node.vjp(g, i)

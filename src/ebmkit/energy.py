@@ -69,15 +69,17 @@ def model_logits(model, params, x: ad.Tensor) -> ad.Tensor:
     return model(params, x)
 
 
-def _in_blocks(fn, model, x) -> np.ndarray:
+def _in_blocks(fn, model, x, *aligned) -> np.ndarray:
     """``fn`` over float64 ``x`` in blocks of ModelSpec.block_rows rows (a
-    plain callable's by input width), concatenated; one call when x fits one."""
+    plain callable's by input width), concatenated; one call when x fits one.
+    Each ``aligned`` array is cut into the same row blocks and passed after x."""
     x = np.asarray(x, dtype=np.float64)
     rows = model.block_rows if isinstance(model, nn.ModelSpec) else \
         max(1, nn._ROW_BLOCK_BYTES // (8 * int(np.prod(x.shape[1:]))))
     if x.shape[0] <= rows:
-        return fn(x)
-    return np.concatenate([fn(x[i:i + rows]) for i in range(0, x.shape[0], rows)])
+        return fn(x, *aligned)
+    return np.concatenate([fn(x[i:i + rows], *(a[i:i + rows] for a in aligned))
+                           for i in range(0, x.shape[0], rows)])
 
 
 def _logits_in_blocks(model, params, x) -> np.ndarray:

@@ -78,12 +78,17 @@ class LossGraph:
 
 def cross_entropy(logits: ad.Tensor, labels) -> ad.Tensor:
     """Mean negative log-probability of the true labels."""
+    return ad.mean(_nll_rows(logits, labels))
+
+
+def _nll_rows(logits, labels) -> ad.Tensor:
+    """Per-row negative log-probability of the true labels."""
     logits = logits if isinstance(logits, ad.Tensor) else ad.Tensor(logits)
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)
     k = logits.shape[-1]
     if labels.size and (labels.min() < 0 or labels.max() >= k):
         raise ValueError(f"cross_entropy: label out of range [0, {k})")
-    return ad.mean(ad.sub(ad.logsumexp(logits, axis=1), ad.gather(logits, labels)))
+    return ad.sub(ad.logsumexp(logits, axis=1), ad.gather(logits, labels))
 
 
 def _penalty_from_logits(tape: ad.Tape, logits: ad.Tensor, x_leaf: ad.Tensor) -> ad.Tensor:

@@ -149,11 +149,11 @@ def ece_to_csv(report: EceReport, path) -> None:
 
 
 def roc_to_csv(result: RocResult, path) -> None:
+    # one %-format per point, in csv.writer's dialect: the curve has a point
+    # per distinct score
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["fpr", "tpr"])
-        for fpr, tpr in result.curve:
-            writer.writerow([f"{fpr:.12g}", f"{tpr:.12g}"])
+        fh.write("fpr,tpr\r\n")
+        fh.writelines("%.12g,%.12g\r\n" % point for point in result.curve)
 
 
 def histogram_to_csv(hist: Histogram, path) -> None:

@@ -150,27 +150,19 @@ def train(config: TrainConfig, dataset_train: datamod.Dataset,
         skipped = 0
         for batch_index, (x, y) in enumerate(
                 datamod.batches(dataset_train, config.batch_size, config.seed, epoch)):
-            graph = losses.loss_graph(config.loss, config.model, params, x, y,
-                                      buffer=buffer, rng=sampler_rng)
-            diverged += graph.breakdown.diverged_chains
-            bad = not np.isfinite(graph.breakdown.total)
-            grads = None
-            if not bad:
-                gm = ad.backward(graph.tape, graph.total, list(graph.bound.values()))
-                grads = {name: gm[leaf].value for name, leaf in graph.bound.items()}
-                bad = any(not np.all(np.isfinite(g)) for g in grads.values())
-            if bad:
+            breakdown, grads, gen_samples, gen_indices = _batch_step(
+                config, params, x, y, buffer, sampler_rng)
+            diverged += breakdown.diverged_chains
+            if grads is None or any(not np.all(np.isfinite(g)) for g in grads.values()):
                 if config.divergence_policy == "abort":
                     raise TrainingDiverged(
                         f"non-finite loss or gradient at epoch {epoch}, batch {batch_index}")
                 skipped += 1
                 continue
             nn.adam_step(adam, params, grads)
-            if buffer is not None and graph.gen_samples is not None \
-                    and graph.gen_samples.shape[0]:
-                smp.buffer_push(buffer, graph.gen_samples, graph.gen_indices)
-            totals += (graph.breakdown.total, graph.breakdown.cross_entropy,
-                       graph.breakdown.auxiliary)
+            if buffer is not None and gen_samples is not None and gen_samples.shape[0]:
+                smp.buffer_push(buffer, gen_samples, gen_indices)
+            totals += (breakdown.total, breakdown.cross_entropy, breakdown.auxiliary)
             n_batches += 1
 
         denom = max(n_batches, 1)
@@ -188,6 +180,19 @@ def train(config: TrainConfig, dataset_train: datamod.Dataset,
 
     final = _snapshot(config, params, adam, config.epochs, sampler_rng, buffer)
     return final, log
+
+
+def _batch_step(config, params, x, y, buffer, sampler_rng):
+    """One batch's loss and parameter gradients (None for a non-finite
+    loss). The tape dies on return, so no two batches' tapes, nor a tape
+    and the epoch's telemetry, are ever alive at once."""
+    graph = losses.loss_graph(config.loss, config.model, params, x, y,
+                              buffer=buffer, rng=sampler_rng)
+    grads = None
+    if np.isfinite(graph.breakdown.total):
+        gm = ad.backward(graph.tape, graph.total, list(graph.bound.values()))
+        grads = {name: gm[leaf].value for name, leaf in graph.bound.items()}
+    return graph.breakdown, grads, graph.gen_samples, graph.gen_indices
 
 
 def _snapshot(config, params, adam, epoch, sampler_rng, buffer) -> Checkpoint:

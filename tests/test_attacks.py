@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from ebmkit import attacks
-from ebmkit import nn
+from ebmkit import autodiff as ad
+from ebmkit import losses, nn
 from ebmkit.attacks import AttackConfig, Norm
+from oracles import close_rel, traced_peak_bytes
 
 
 def two_class_linear():
@@ -105,6 +107,32 @@ class TestPgd:
         corners = [x[0] + eps * np.array(s) for s in itertools.product((-1, 1), repeat=2)]
         best = min(margin(c) for c in corners)
         assert margin(adv[0]) == pytest.approx(best, abs=1e-12)
+
+    def test_input_gradient_in_blocks_is_the_whole_set_mean_gradient(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        x, y = rng.normal(size=(40, 2)), rng.integers(0, 3, size=40)
+        spec = nn.ModelSpec.mlp(2, [16], 3)
+        params = nn.init(spec, 1)
+        tape = ad.Tape()
+        x_leaf = tape.leaf(x)
+        loss = losses.cross_entropy(nn.forward(spec, params, x_leaf), y)
+        whole = ad.backward(tape, loss, [x_leaf])[x_leaf].value
+        assert np.array_equal(attacks._input_gradient(spec, params, x, y), whole)
+        monkeypatch.setattr(nn, "_ROW_BLOCK_BYTES", 12 * 16 * 8)
+        spec = nn.ModelSpec.mlp(2, [16], 3)             # 12-row blocks, the last ragged
+        assert spec.block_rows == 12
+        assert close_rel(attacks._input_gradient(spec, params, x, y), whole, 1e-12)
+
+    def test_peak_memory_follows_the_block_not_the_set(self):
+        spec = nn.ModelSpec.small_conv((1, 8, 8), [8], 3)
+        params = nn.init(spec, 0)
+        rng = np.random.default_rng(1)
+
+        def peak(n):
+            x = rng.uniform(-1, 1, size=(n, 1, 8, 8))
+            y = rng.integers(0, 3, size=n)
+            return traced_peak_bytes(attacks._input_gradient, spec, params, x, y)
+        assert peak(4 * spec.block_rows) < 1.5 * peak(spec.block_rows)
 
 
 class TestAttackSweep:

@@ -8,8 +8,8 @@ import pytest
 
 from ebmkit import autodiff as ad
 from ebmkit import energy, losses, nn
-from oracles import (central_diff, close_rel, naive_conv2d, naive_matmul, whole_batch_corr,
-                     whole_batch_corr_input_grad, whole_batch_corr_weight_grad)
+from oracles import (central_diff, close_rel, naive_conv2d, naive_matmul, traced_peak_bytes,
+                     whole_batch_corr, whole_batch_corr_input_grad, whole_batch_corr_weight_grad)
 
 
 def scalar_loss(op, x_val, extra=None, rng=None):
@@ -354,6 +354,38 @@ def test_conv2d_records_one_node():
     assert len(tape) == 3
 
 
+@pytest.mark.parametrize("n", [1, 3])
+def test_conv2d_with_bias_is_one_node_equal_to_conv_plus_bias(n):
+    # the one-node bias against add(conv, reshape(b)), bit for bit:
+    # output, first-order gradients and an input-gradient penalty's gradients
+    rng = np.random.default_rng(n)
+    x_val, w_val, b_val = (rng.normal(size=(n, 2, 5, 4)), rng.normal(size=(3, 2, 3, 3)),
+                           rng.normal(size=(3,)))
+
+    def fused(x, w, b):
+        return ad.conv2d(x, w, b, padding=1)
+
+    def composed(x, w, b):
+        return ad.add(ad.conv2d(x, w, padding=1), ad.reshape(b, (1, 3, 1, 1)))
+
+    results = []
+    for conv in (fused, composed):
+        tape = ad.Tape()
+        x, w, b = tape.leaf(x_val), tape.leaf(w_val), tape.leaf(b_val)
+        out = conv(x, w, b)
+        if conv is fused:
+            assert len(tape) == 4
+        e = ad.sum_(energy.energy(ad.reshape(ad.relu(out), (n, -1))))
+        first = ad.backward(tape, e, [x, w, b], create_graph=True)
+        penalty = ad.sum_(ad.square(first[x]))
+        second = ad.backward(tape, penalty, [w, b])
+        results.append([out.value] + [first[t].value for t in (x, w, b)]
+                       + [second[t].value for t in (w, b)])
+    for got, want in zip(*results):
+        assert np.array_equal(got, want)
+    assert close_rel(results[0][0], naive_conv2d(x_val, w_val, b_val, 1), 1e-12)
+
+
 def test_conv2d_matches_loop_oracle():
     rng = np.random.default_rng(5)
     for _ in range(20):
@@ -408,6 +440,64 @@ def test_corr_peaks_below_half_the_whole_batch_column_buffer():
 def grad_l2norm_of_grad(tape, energy, x):
     """Differentiable ||d(energy)/dx||_2, by double backprop."""
     return ad.l2norm(ad.backward(tape, energy, [x], create_graph=True)[x])
+
+
+def test_backward_without_graph_holds_no_gradient_per_layer():
+    # each node's gradient is dropped once its VJPs have run, so a plain
+    # backward's peak does not grow with depth
+    rng = np.random.default_rng(0)
+
+    def peak(depth):
+        tape = ad.Tape()
+        x = tape.leaf(rng.normal(size=(256, 64)))
+        h = x
+        for _ in range(depth):
+            h = ad.relu(ad.linear(h, rng.normal(size=(64, 64)) * 0.1, np.zeros(64)))
+        return traced_peak_bytes(ad.backward, tape, ad.sum_(h), [x])
+
+    assert peak(16) < 1.5 * peak(2)
+
+
+def test_relu_double_backward_matches_finite_differences():
+    # d/dw of ||dE/dx||^2 with E = sum(relu(x w)^2): relu's VJP is itself
+    # differentiated in g, and relu'' is zero
+    rng = np.random.default_rng(4)
+    x_val, w_val = rng.normal(size=(3, 4)), rng.normal(size=(4, 5))
+    pre = x_val @ w_val
+    assert np.abs(pre).min() > 1e-3        # finite differences stay off the kink
+
+    def penalty(wv, create_graph):
+        tape = ad.Tape()
+        x, w = tape.leaf(x_val), tape.leaf(wv)
+        e = ad.sum_(ad.square(ad.relu(ad.matmul(x, w))))
+        gx = ad.backward(tape, e, [x], create_graph=create_graph)[x]
+        return tape, w, ad.sum_(ad.square(gx))
+
+    tape, w, p = penalty(w_val, create_graph=True)
+    g = ad.backward(tape, p, [w])[w].value
+    fd = central_diff(lambda v: penalty(v, create_graph=False)[2].item(), w_val, h=1e-6)
+    assert close_rel(g, fd, 1e-5)
+
+
+def test_relu_backward_records_no_mask():
+    # a recorded ReLU VJP keeps its output alone: the sum's broadcast ones,
+    # square's two nodes and four ReLU nodes hold seven activation-sized
+    # arrays; a float64 mask kept per ReLU would make eleven
+    x_val = np.random.default_rng(2).normal(size=(256, 64))
+    tape = ad.Tape()
+    x = tape.leaf(x_val)
+    h = x
+    for _ in range(4):
+        h = ad.relu(h)
+    total = ad.sum_(ad.square(h))
+    tracemalloc.start()
+    try:
+        grad = ad.backward(tape, total, [x], create_graph=True)[x]
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(grad.value, 2 * np.maximum(x_val, 0))
+    assert held < 8 * x_val.nbytes, held / x_val.nbytes
 
 
 class TestGradNormOfGrad:

@@ -3,10 +3,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from ebmkit import autodiff as ad
 from ebmkit import data as datamod
 from ebmkit import losses, nn, trainer
 from ebmkit import sampler as smp
-from oracles import ece_from_bins
+from oracles import ece_from_bins, traced_peak_bytes
 
 
 def blob_task(seed=0, n=100, std=0.15):
@@ -143,6 +144,31 @@ class TestTrain:
         ckpt, log = trainer.train(config, train_ds, test_ds)
         assert sum(r.skipped_batches for r in log) == 1
         assert len(log) == 2
+
+    def test_peak_memory_is_one_step_not_two_tapes(self, monkeypatch):
+        # two ngebm batches of a conv net: each batch's tape is freed before
+        # the next one, or the epoch's telemetry, is built; telemetry runs in
+        # 4-image blocks, so its own tapes stay below a 16-image step's
+        monkeypatch.setattr(nn, "_ROW_BLOCK_BYTES", 4 * 4 * 16 * 16 * 8)
+        spec = nn.ModelSpec.small_conv((3, 16, 16), [4, 4], 3)
+        assert spec.block_rows == 4
+        rng = np.random.default_rng(0)
+        train_ds = datamod.Dataset(rng.uniform(-1, 1, size=(32, 3, 16, 16)),
+                                   rng.integers(0, 3, size=32), classes=3)
+        eval_ds = datamod.Dataset(train_ds.x[:2], train_ds.y[:2], classes=3)
+        config = trainer.TrainConfig(model=spec, loss=losses.LossConfig(mode=losses.Mode.NGEBM),
+                                     epochs=1, batch_size=16, seed=0,
+                                     schedule=nn.LrSchedule(1e-3))
+        params = nn.init(spec, 0)
+
+        def one_step():
+            graph = losses.loss_graph(config.loss, spec, params, train_ds.x[:16],
+                                      train_ds.y[:16])
+            ad.backward(graph.tape, graph.total, list(graph.bound.values()))
+
+        step = traced_peak_bytes(one_step)
+        whole = traced_peak_bytes(trainer.train, config, train_ds, eval_ds)
+        assert whole < 1.15 * step, whole / step
 
 
 class TestEvaluate:
