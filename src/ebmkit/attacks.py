@@ -80,17 +80,15 @@ def project(delta: np.ndarray, norm: Norm, epsilon: float) -> np.ndarray:
     return (flat * scale).reshape(delta.shape)
 
 
-def _input_gradient(model, params, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """d(mean cross-entropy)/dx, one tape per row block: a block's loss is
-    its rows' cross-entropy sum times 1/N, so each row gets the upstream
-    gradient 1/N that the mean over the whole set gives it."""
-    scale = 1.0 / max(x.shape[0], 1)
+def _input_gradient(model, params, x: np.ndarray, y: np.ndarray, scale=None, programs=None):
+    """d(scale * summed cross-entropy)/dx, one tape per row block; ``scale``
+    defaults to 1/N, so each row gets the upstream gradient 1/N that the
+    mean over the whole set gives it. ``programs``: as in ``ad.input_grad``."""
+    scale = 1.0 / max(x.shape[0], 1) if scale is None else scale
 
     def block_gradient(xb, yb):
-        tape = ad.Tape()
-        x_leaf = tape.leaf(xb)
-        nll = losses._nll_rows(en.model_logits(model, params, x_leaf), yb)
-        return ad.backward(tape, ad.mul(ad.sum_(nll), scale), [x_leaf])[x_leaf].value
+        return ad.input_grad(lambda x_leaf: ad.mul(ad.sum_(losses._nll_rows(
+            en.model_logits(model, params, x_leaf), yb)), scale), xb, programs)
 
     grad = en._in_blocks(block_gradient, model, x, y)
     if not np.all(np.isfinite(grad)):
@@ -126,17 +124,22 @@ def pgd(model, params, x: np.ndarray, y: np.ndarray, config: AttackConfig,
     if config.random_start:
         delta = _random_start(rng, x.shape, config.norm, config.epsilon)
         delta = np.clip(x + delta, *_INPUT_RANGE) - x
-    for _ in range(config.n_steps):
-        grad = _input_gradient(model, params, x + delta, y)
-        if config.norm is Norm.LINF:
-            step = config.step * np.sign(grad)
-        else:
-            flat = grad.reshape(grad.shape[0], -1)
-            norms = np.maximum(np.linalg.norm(flat, axis=1, keepdims=True), 1e-12)
-            step = (config.step * flat / norms).reshape(grad.shape)
-        delta = project(delta + step, config.norm, config.epsilon)
-        delta = np.clip(x + delta, *_INPUT_RANGE) - x
-    x_hat = x + delta
+
+    def attack(xb, yb, db):     # rows move independently, so a block takes all its steps
+        programs: dict = {}     # and replays the gradient its first step records
+        for _ in range(config.n_steps):
+            grad = _input_gradient(model, params, xb + db, yb, 1.0 / max(len(x), 1), programs)
+            if config.norm is Norm.LINF:
+                step = config.step * np.sign(grad)
+            else:
+                flat = grad.reshape(grad.shape[0], -1)
+                norms = np.maximum(np.linalg.norm(flat, axis=1, keepdims=True), 1e-12)
+                step = (config.step * flat / norms).reshape(grad.shape)
+            db = project(db + step, config.norm, config.epsilon)
+            db = np.clip(xb + db, *_INPUT_RANGE) - xb
+        return db
+
+    x_hat = x + en._in_blocks(attack, model, x, y, delta)
     if config.norm is Norm.LINF:
         # the add/subtract roundtrip can overshoot the budget by an ulp;
         # nudge offending coordinates toward x until ||x_hat - x||_inf <= eps

@@ -4,9 +4,11 @@ Everything is float64. Operations record onto a ``Tape``; ``backward``
 walks the tape in reverse topological order. With ``create_graph=True``
 the backward pass is itself built out of recorded primitives, so a
 second backward through a gradient (needed for input-gradient
-penalties) is an ordinary tape traversal. A tape node keeps its output
-and whatever its VJP reads; ``backward`` keeps only the gradients it
-has yet to propagate and those of the requested leaves.
+penalties) is an ordinary tape traversal. A tape node keeps its output,
+the pure numpy function of its input values that made it (so a
+``Program`` can replay a recording as plain numpy calls) and whatever
+its VJP reads; ``backward`` keeps only the gradients it has yet to
+propagate and those of the requested leaves.
 
 A Tape is single-writer: never record onto one tape from two threads of
 control. Distinct tapes are independent and completed tensors are
@@ -25,7 +27,7 @@ __all__ = [
     "ShapeError",
     "Tensor",
     "Tape",
-    "backward",
+    "backward", "Program", "input_grad",
     # primitive ops
     "add", "sub", "mul", "div", "neg", "matmul", "linear", "transpose", "reshape",
     "broadcast", "sum_", "mean", "relu", "exp", "logsumexp",
@@ -52,7 +54,7 @@ class Tensor:
     __slots__ = ("value", "_tape", "node")
 
     def __init__(self, value, tape: Optional["Tape"] = None, node: Optional[int] = None):
-        self.value = _as_array(value)
+        self.value = np.asarray(value, dtype=np.float64, order="C")   # _as_array, inlined
         # weak: node closures hold tensors, so a strong link back would make
         # every tape a reference cycle, freed only by the cyclic collector
         self._tape = None if tape is None else weakref.ref(tape)
@@ -86,12 +88,14 @@ class Tensor:
 
 
 class _Node:
-    __slots__ = ("value", "parents", "vjp")
+    __slots__ = ("value", "parents", "vjp", "fn", "consts")
 
-    def __init__(self, value, parents, vjp):
+    def __init__(self, value, parents, vjp, fn=None, consts=()):
         self.value = value          # cached forward value
         self.parents = parents      # input node ids, None for constants; () for leaves
         self.vjp = vjp              # (g, i) -> gradient for input i; None for leaves
+        self.fn = fn                # input values -> value; None for leaves
+        self.consts = consts        # constant inputs' values, None for recorded ones; () if none
 
 
 class Tape:
@@ -100,6 +104,7 @@ class Tape:
     def __init__(self):
         self.nodes: list[_Node] = []
         self._recording = True
+        self._replay_only = False   # record for a Program alone: no values or VJPs
 
     def __len__(self):
         return len(self.nodes)
@@ -115,43 +120,41 @@ def _lift(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _find_tape(tensors: Sequence[Tensor]) -> Optional[Tape]:
+def _register(inputs: Sequence[Tensor], fn: Callable[..., np.ndarray],
+              vjp: Callable[[Tensor, int], Optional[Tensor]]) -> Tensor:
+    """The output ``fn(*input values)`` of an op on ``inputs`` (``fn`` reads its
+    arguments alone); on a recording tape ``vjp(g, i)`` gives the gradient for
+    ``inputs[i]``, None if not differentiated. A VJP that needs the output
+    closes over the tensor this returns."""
+    try:
+        n = len(inputs)     # unpacked by hand: a list per call costs more than the op
+        value = (fn(inputs[0].value) if n == 1 else fn(inputs[0].value, inputs[1].value) if n == 2
+                 else fn(*[t.value for t in inputs]))
+    except ValueError as exc:       # numpy's shape error, named after the op
+        op = getattr(fn, "__qualname__", "op").split(".")[0]
+        raise ShapeError(f"{op}: {exc}; input shapes {[t.shape for t in inputs]}") from exc
     tape = None
-    for t in tensors:
-        if t.node is None:
-            continue
-        owner = t.tape
-        if owner is None:
-            raise ValueError("an input's tape has been freed")
-        if tape is None:
+    for t in inputs:
+        if t.node is not None:
+            owner = t._tape()       # recorded, so it has a tape reference
+            if owner is None:
+                raise ValueError("an input's tape has been freed")
+            if tape is not None and owner is not tape:
+                raise ValueError("inputs are recorded on different tapes")
             tape = owner
-        elif owner is not tape:
-            raise ValueError("inputs are recorded on different tapes")
-    return tape
-
-
-def _register(inputs: Sequence[Tensor], value: np.ndarray,
-              vjp: Callable[[Tensor, int], Tensor]) -> Tensor:
-    """The output of an op on ``inputs``; on a recording tape ``vjp(g, i)``
-    gives the gradient for ``inputs[i]``. A VJP that needs the output
-    itself closes over the tensor this returns."""
-    tape = _find_tape(inputs)
     if tape is None or not tape._recording:
         return Tensor(value)
     out = Tensor(value, tape, len(tape.nodes))
-    tape.nodes.append(_Node(out.value, tuple(t.node for t in inputs), vjp))
+    parents = tuple([t.node for t in inputs])
+    consts = tuple([t.value if t.node is None else None for t in inputs]) if None in parents else ()
+    keep = not tape._replay_only    # else no value: it goes once its readers have run
+    tape.nodes.append(_Node(out.value if keep else None, parents, vjp if keep else None,
+                            fn, consts))
     return out
 
 
 # ---------------------------------------------------------------------------
 # elementwise arithmetic
-
-def _binary_forward(kind: str, a: Tensor, b: Tensor, fn: Callable) -> np.ndarray:
-    try:
-        return fn(a.value, b.value)
-    except ValueError as exc:
-        raise ShapeError(f"{kind}: incompatible shapes {a.shape} and {b.shape}") from exc
-
 
 def _unbroadcast(g: Tensor, target_shape: tuple) -> Tensor:
     """Sum a broadcast gradient back down to ``target_shape``."""
@@ -168,45 +171,41 @@ def _unbroadcast(g: Tensor, target_shape: tuple) -> Tensor:
 
 def add(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
-    out = _binary_forward("add", a, b, np.add)
-    return _register((a, b), out, lambda g, i: _unbroadcast(g, (a, b)[i].shape))
+    return _register((a, b), np.add, lambda g, i: _unbroadcast(g, (a, b)[i].shape))
 
 
 def sub(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
-    out = _binary_forward("sub", a, b, np.subtract)
 
     def vjp(g, i):
         return _unbroadcast(g, a.shape) if i == 0 else _unbroadcast(neg(g), b.shape)
 
-    return _register((a, b), out, vjp)
+    return _register((a, b), np.subtract, vjp)
 
 
 def mul(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
-    out = _binary_forward("mul", a, b, np.multiply)
 
     def vjp(g, i):
         return _unbroadcast(mul(g, b), a.shape) if i == 0 else _unbroadcast(mul(g, a), b.shape)
 
-    return _register((a, b), out, vjp)
+    return _register((a, b), np.multiply, vjp)
 
 
 def div(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
-    out = _binary_forward("div", a, b, np.divide)
 
     def vjp(g, i):
         if i == 0:
             return _unbroadcast(div(g, b), a.shape)
         return _unbroadcast(neg(div(mul(g, a), mul(b, b))), b.shape)
 
-    return _register((a, b), out, vjp)
+    return _register((a, b), np.divide, vjp)
 
 
 def neg(a) -> Tensor:
     a = _lift(a)
-    return _register((a,), np.negative(a.value), lambda g, i: neg(g))
+    return _register((a,), np.negative, lambda g, i: neg(g))
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +219,7 @@ def matmul(a, b) -> Tensor:
     def vjp(g, i):
         return matmul(g, transpose(b)) if i == 0 else matmul(transpose(a), g)
 
-    return _register((a, b), a.value @ b.value, vjp)
+    return _register((a, b), np.matmul, vjp)
 
 
 def linear(x, w, b) -> Tensor:
@@ -234,34 +233,28 @@ def linear(x, w, b) -> Tensor:
             return matmul(g, transpose(w))
         return matmul(transpose(x), g) if i == 1 else sum_(g, axis=0)
 
-    return _register((x, w, b), np.add(x.value @ w.value, b.value), vjp)
+    return _register((x, w, b), lambda xv, wv, bv: np.add(xv @ wv, bv), vjp)
 
 
 def transpose(a, axes: Optional[Sequence[int]] = None) -> Tensor:
     a = _lift(a)
     axes = tuple(reversed(range(a.ndim))) if axes is None else tuple(int(ax) for ax in axes)
-    out = np.asarray(np.transpose(a.value, axes), order="C")
-    return _register((a,), out, lambda g, i: transpose(g, np.argsort(axes)))
+    return _register((a,), lambda v: np.asarray(np.transpose(v, axes), order="C"),
+                     lambda g, i: transpose(g, np.argsort(axes)))
 
 
 def reshape(a, shape) -> Tensor:
     a = _lift(a)
     shape = tuple(int(s) for s in np.atleast_1d(shape)) if not isinstance(shape, tuple) else shape
-    try:
-        out = np.asarray(a.value.reshape(shape), order="C")
-    except ValueError as exc:
-        raise ShapeError(f"reshape: cannot view {a.shape} as {shape}") from exc
-    return _register((a,), out, lambda g, i: reshape(g, a.shape))
+    return _register((a,), lambda v: np.asarray(v.reshape(shape), order="C"),
+                     lambda g, i: reshape(g, a.shape))
 
 
 def broadcast(a, shape) -> Tensor:
     a = _lift(a)
     shape = tuple(int(s) for s in shape)
-    try:
-        out = np.broadcast_to(a.value, shape).copy()
-    except ValueError as exc:
-        raise ShapeError(f"broadcast: cannot broadcast {a.shape} to {shape}") from exc
-    return _register((a,), out, lambda g, i: _unbroadcast(g, a.shape))
+    return _register((a,), lambda v: np.broadcast_to(v, shape).copy(),
+                     lambda g, i: _unbroadcast(g, a.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +276,8 @@ def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _lift(a)
     axes = _norm_axes(axis, a.ndim)
     keep = _keep_shape(a.shape, axes)
-    out = np.sum(a.value, axis=axes, keepdims=keepdims)
-    return _register((a,), out, lambda g, i: broadcast(reshape(g, keep), a.shape))
+    return _register((a,), lambda v: np.sum(v, axis=axes, keepdims=keepdims),
+                     lambda g, i: broadcast(reshape(g, keep), a.shape))
 
 
 def mean(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -292,8 +285,7 @@ def mean(a, axis=None, keepdims: bool = False) -> Tensor:
     axes = _norm_axes(axis, a.ndim)
     keep = _keep_shape(a.shape, axes)
     count = float(np.prod([a.shape[i] for i in axes])) if axes else 1.0
-    out = np.mean(a.value, axis=axes, keepdims=keepdims)
-    return _register((a,), out,
+    return _register((a,), lambda v: np.mean(v, axis=axes, keepdims=keepdims),
                      lambda g, i: broadcast(reshape(mul(g, 1.0 / count), keep), a.shape))
 
 
@@ -302,23 +294,20 @@ def logsumexp(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _lift(a)
     axes = _norm_axes(axis, a.ndim)
     keep = _keep_shape(a.shape, axes)
-    m = np.max(a.value, axis=axes, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
-    value = np.log(np.sum(np.exp(a.value - m), axis=axes, keepdims=True)) + m
-    if not keepdims:
-        value = value.reshape(_drop_axes(a.shape, axes))
+
+    def fn(v):
+        m = np.max(v, axis=axes, keepdims=True)
+        m = np.where(np.isfinite(m), m, 0.0)
+        value = np.log(np.sum(np.exp(v - m), axis=axes, keepdims=True)) + m
+        return value if keepdims else np.squeeze(value, axis=axes)
 
     def vjp(g, i):
         # sub and mul broadcast the reduced axes back themselves
         soft = exp(sub(a, out if keepdims else reshape(out, keep)))
         return mul(g if keepdims else reshape(g, keep), soft)
 
-    out = _register((a,), value, vjp)
+    out = _register((a,), fn, vjp)
     return out
-
-
-def _drop_axes(shape: tuple, axes: tuple) -> tuple:
-    return tuple(d for i, d in enumerate(shape) if i not in axes)
 
 
 # ---------------------------------------------------------------------------
@@ -326,24 +315,25 @@ def _drop_axes(shape: tuple, axes: tuple) -> tuple:
 
 def relu(a) -> Tensor:
     a = _lift(a)
-    return _register((a,), np.maximum(a.value, 0.0), lambda g, i: _relu_grad(g, a))
+    return _register((a,), lambda v: np.maximum(v, 0.0), lambda g, i: _mask(g, a, np.greater))
 
 
-def _relu_grad(g: Tensor, a: Tensor) -> Tensor:
-    """ReLU's VJP, g where a > 0: linear in g, with ``a`` a constant, so
-    relu'' is zero and the mask is recomputed from ``a``, never stored."""
-    return _register((g,), g.value * (a.value > 0), lambda gg, i: _relu_grad(gg, a))
+def _mask(g: Tensor, a: Tensor, keep: Callable) -> Tensor:
+    """g where ``keep(a, 0)``, else 0: linear in g and recomputed from ``a``, an
+    input the VJP does not differentiate (a mask is piecewise constant)."""
+    return _register((g, a), lambda gv, av: gv * keep(av, 0),
+                     lambda gg, i: _mask(gg, a, keep) if i == 0 else None)
 
 
 def exp(a) -> Tensor:
     a = _lift(a)
-    out = _register((a,), np.exp(a.value), lambda g, i: mul(g, out))
+    out = _register((a,), np.exp, lambda g, i: mul(g, out))
     return out
 
 
 def square(a) -> Tensor:
     a = _lift(a)
-    return _register((a,), np.square(a.value), lambda g, i: mul(g, mul(a, 2.0)))
+    return _register((a,), np.square, lambda g, i: mul(g, mul(a, 2.0)))
 
 
 def l2norm(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -356,16 +346,16 @@ def l2norm(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _lift(a)
     axes = _norm_axes(axis, a.ndim)
     keep = _keep_shape(a.shape, axes)
-    value = np.sqrt(np.sum(np.square(a.value), axis=axes, keepdims=keepdims))
 
     def vjp(g, i):
-        alive = (out.value != 0.0).astype(np.float64)   # constants by value
-        y_safe = add(out, 1.0 - alive)       # exact where norm > 0, 1 where it is 0
+        live = _mask(g, out, np.not_equal)
+        y_safe = _register((out,), lambda y: np.where(y != 0.0, y, 1.0), lambda gy, j: gy)
         if not keepdims:
-            g, y_safe, alive = reshape(g, keep), reshape(y_safe, keep), alive.reshape(keep)
-        return mul(div(mul(g, alive), y_safe), a)
+            live, y_safe = reshape(live, keep), reshape(y_safe, keep)
+        return mul(div(live, y_safe), a)
 
-    out = _register((a,), value, vjp)
+    out = _register((a,), lambda v: np.sqrt(np.sum(np.square(v), axis=axes, keepdims=keepdims)),
+                    vjp)
     return out
 
 
@@ -386,7 +376,7 @@ def gather(a, index) -> Tensor:
     rows = np.arange(n)
     onehot = np.zeros((n, k))
     onehot[rows, idx] = 1.0
-    return _register((a,), a.value[rows, idx], lambda g, i: mul(reshape(g, (n, 1)), onehot))
+    return _register((a,), lambda v: v[rows, idx], lambda g, i: mul(reshape(g, (n, 1)), onehot))
 
 
 # ---------------------------------------------------------------------------
@@ -463,11 +453,13 @@ def _conv_op(kernel: Callable, a: Tensor, b: Tensor, pad: int,
         return (_conv_op(_corr_input_grad, b, g, pad) if i == 0
                 else _conv_op(_corr, a, g, pad))
 
-    out = kernel(a.value, b.value, pad)
-    if bias is None:
-        return _register((a, b), out, vjp)
-    out += bias.value.reshape(-1, 1, 1)
-    return _register((a, b, bias), out, vjp)
+    def fn(av, bv, *bias_value):
+        out = kernel(av, bv, pad)
+        if bias_value:
+            out += bias_value[0].reshape(-1, 1, 1)
+        return out
+
+    return _register((a, b) if bias is None else (a, b, bias), fn, vjp)
 
 
 def conv2d(x, w, b=None, padding: int = 0) -> Tensor:
@@ -533,6 +525,8 @@ def backward(tape: Tape, output: Tensor, wrt: Iterable[Tensor],
             for i, pid in enumerate(node.parents):
                 if pid in need:
                     pg = node.vjp(g, i)
+                    if pg is None:          # an input the op does not differentiate
+                        continue
                     held = grads.get(pid)
                     grads[pid] = pg if held is None else add(held, pg)
     finally:
@@ -543,3 +537,54 @@ def backward(tape: Tape, output: Tensor, wrt: Iterable[Tensor],
         g = grads.get(leaf.node)
         out[leaf] = g if g is not None else Tensor(np.zeros(leaf.shape))
     return out
+
+
+# ---------------------------------------------------------------------------
+# replay
+
+class Program:
+    """The numpy calls ``output`` needs from ``leaves`` on ``tape``, rerun in order
+    on new leaf values of the recorded shapes, bit-identical as every op is pure;
+    inputs off the tape are held by value, each array dropped after its last reader."""
+
+    def __init__(self, tape: Tape, leaves: Sequence[Tensor], output: Tensor):
+        self._shapes = {leaf.node: leaf.shape for leaf in leaves}
+        self._output, self._value = output.node, output.value if output.node is None else None
+        need = {output.node} - {None}
+        for nid in range(max(need, default=-1), -1, -1):
+            if nid in need and nid not in self._shapes:
+                need.update(p for p in tape.nodes[nid].parents if p is not None)
+        nodes = [(nid, tape.nodes[nid]) for nid in sorted(need - set(self._shapes))]
+        last = {p: k for k, (_, node) in enumerate(nodes) for p in node.parents}
+        # (id, function, parent ids, constants, ids read last); other leaves are constants
+        self._steps = [(nid, node.fn or (lambda v=node.value: v), node.parents,
+                        node.consts or node.parents,
+                        {p for p in node.parents if p is not None and last[p] == k})
+                       for k, (nid, node) in enumerate(nodes)]
+
+    def __call__(self, *values) -> np.ndarray:
+        shapes = [np.shape(v) for v in values]
+        if shapes != list(self._shapes.values()):
+            raise ShapeError(f"program: recorded {list(self._shapes.values())}, given {shapes}")
+        env = dict(zip(self._shapes, map(_as_array, values)))
+        for nid, fn, parents, consts, dead in self._steps:
+            env[nid] = fn(*[c if p is None else env[p] for p, c in zip(parents, consts)])
+            for p in dead:
+                del env[p]
+        return self._value if self._output is None else env[self._output]
+
+
+def input_grad(loss: Callable[[Tensor], Tensor], value, programs: Optional[dict] = None):
+    """d loss(x)/dx at x = ``value`` for a scalar ``loss``. Given a dict
+    ``programs``, the first call of each shape records a ``Program`` there,
+    which later calls replay: ``loss`` must stay one function of x."""
+    if programs is not None and value.shape in programs:
+        return programs[value.shape](value)
+    tape = Tape()
+    x = tape.leaf(value)
+    total = loss(x)
+    tape._replay_only = programs is not None
+    g = backward(tape, total, [x], create_graph=tape._replay_only)[x]
+    if programs is not None:
+        programs[value.shape] = Program(tape, [x], g)
+    return g.value

@@ -87,18 +87,17 @@ def _logits_in_blocks(model, params, x) -> np.ndarray:
     return _in_blocks(lambda b: model_logits(model, params, ad.Tensor(b)).value, model, x)
 
 
-def _block_grad(model, params, block: np.ndarray) -> np.ndarray:
-    tape = ad.Tape()
-    x = tape.leaf(block)
-    return ad.backward(tape, ad.sum_(energy(model_logits(model, params, x))), [x])[x].value
+def _block_grad(model, params, block: np.ndarray, programs=None) -> np.ndarray:
+    return ad.input_grad(lambda x: ad.sum_(energy(model_logits(model, params, x))), block, programs)
 
 
-def energy_grad_input(model, params, x_batch) -> np.ndarray:
+def energy_grad_input(model, params, x_batch, programs=None) -> np.ndarray:
     """Per-example dE/dx, same shape as the input. Examples do not interact
     in the model (no batch statistics), so one backward pass over a row
     block's summed energy separates into rows; each block (``_in_blocks``)
-    is one tape, so peak memory follows a block, not the set."""
-    return _in_blocks(lambda block: _block_grad(model, params, block), model, x_batch)
+    is one tape, so peak memory follows a block, not the set. Calls that share
+    a dict ``programs`` record each block shape's gradient once (``ad.input_grad``)."""
+    return _in_blocks(lambda block: _block_grad(model, params, block, programs), model, x_batch)
 
 
 def approximate_mass_score(model, params, x_batch) -> np.ndarray:

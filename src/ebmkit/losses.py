@@ -155,7 +155,7 @@ def loss_graph(config: LossConfig, model, params: nn.Parameters, x_batch, labels
         return LossGraph(ce, bd, tape, bound, x_gen, gen_indices)
     e_gen = en.energy(en.model_logits(model, bound, ad.Tensor(x_gen)))
     e_train = en.energy(logits)
-    aux = ad.sub(ad.sum_(e_gen), ad.sum_(e_train))
+    aux = ad.sub(ad.mean(e_train), ad.mean(e_gen))     # max likelihood: data below samples
     total = ad.add(ce, aux)
     bd = LossBreakdown(total=total.item(), cross_entropy=ce.item(),
                        auxiliary=aux.item(), diverged_chains=diverged)

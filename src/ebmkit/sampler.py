@@ -154,16 +154,13 @@ def buffer_push(buffer: ReplayBuffer, samples: np.ndarray,
 
 
 def _check_rows(x: np.ndarray, bound: float) -> tuple[np.ndarray, np.ndarray, Optional[str]]:
-    flat = x.reshape(x.shape[0], -1)
-    finite = np.all(np.isfinite(flat), axis=1)
-    magnitude = np.where(finite, np.abs(np.where(np.isfinite(flat), flat, 0.0)).max(axis=1), np.inf)
-    bad_nonfinite = ~finite
-    bad_bound = finite & (magnitude > bound)
-    if bad_nonfinite.any():
-        return bad_nonfinite | bad_bound, magnitude, "non-finite"
-    if bad_bound.any():
-        return bad_bound, magnitude, "bound-exceeded"
-    return np.zeros(x.shape[0], dtype=bool), magnitude, None
+    # one pass: a row's max |x| is NaN or inf exactly when the row is not finite
+    magnitude = np.abs(x.reshape(x.shape[0], -1)).max(axis=1)
+    finite = np.isfinite(magnitude)
+    magnitude[~finite] = np.inf
+    bad = ~finite | (magnitude > bound)
+    reason = "non-finite" if not finite.all() else "bound-exceeded" if bad.any() else None
+    return bad, magnitude, reason
 
 
 def sgld_chain(model, params, x0: np.ndarray, config: SgldConfig,
@@ -183,9 +180,10 @@ def sgld_chain(model, params, x0: np.ndarray, config: SgldConfig,
     report = DivergenceReport(diverged_mask=np.zeros(x.shape[0], dtype=bool))
     trace: list[float] = []
     alive = np.ones(x.shape[0], dtype=bool)
+    programs: dict = {}     # the first step records each block shape's gradient
     for i in range(config.n_steps):
         step = config.step_at(i)
-        grads = en.energy_grad_input(model, params, x)
+        grads = en.energy_grad_input(model, params, x, programs)
         if not config.noise:
             trace.append(float(np.linalg.norm(
                 grads.reshape(grads.shape[0], -1), axis=1).mean()))

@@ -135,6 +135,64 @@ class TestPgd:
         assert peak(4 * spec.block_rows) < 1.5 * peak(spec.block_rows)
 
 
+def eager_steps(monkeypatch):
+    """Make every attack step record a fresh tape, as the gradient ran
+    before attacks replayed it."""
+    real = attacks._input_gradient
+    monkeypatch.setattr(attacks, "_input_gradient",
+                        lambda model, params, x, y, scale=None, programs=None:
+                        real(model, params, x, y, scale))
+
+
+def stepwise_pgd(model, params, x, y, config, seed):
+    """PGD with the whole set taking each step together, one input gradient
+    over every row block per step."""
+    rng = np.random.default_rng(seed)
+    delta = attacks._random_start(rng, x.shape, config.norm, config.epsilon)
+    delta = np.clip(x + delta, -1.0, 1.0) - x
+    for _ in range(config.n_steps):
+        grad = attacks._input_gradient(model, params, x + delta, y)
+        flat = grad.reshape(grad.shape[0], -1)
+        norms = np.maximum(np.linalg.norm(flat, axis=1, keepdims=True), 1e-12)
+        step = (config.step * flat / norms).reshape(grad.shape)
+        delta = attacks.project(delta + step, config.norm, config.epsilon)
+        delta = np.clip(x + delta, -1.0, 1.0) - x
+    return x + delta
+
+
+class TestReplayedAttack:
+    """A row block records its input gradient on its first step and replays it."""
+
+    MODELS = {"mlp": (nn.ModelSpec.mlp(2, [16, 16], 3), (2,)),
+              "conv": (nn.ModelSpec.small_conv((2, 6, 6), [4], 3), (2, 6, 6))}
+
+    @pytest.mark.parametrize("norm", [Norm.LINF, Norm.L2])
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_equals_eager_steps_bit_for_bit(self, monkeypatch, model, norm):
+        monkeypatch.setattr(nn, "_ROW_BLOCK_BYTES", 4 * 4 * 36 * 8)  # 4-row conv blocks
+        base, shape = self.MODELS[model]
+        spec = nn.ModelSpec(base.layers, shape, base.classes)   # blocks under the patch
+        params = nn.init(spec, 4)
+        rng = np.random.default_rng(4)
+        x, y = rng.uniform(-1, 1, size=(10,) + shape), rng.integers(0, 3, size=10)
+        cfg = AttackConfig(norm=norm, epsilon=0.3, n_steps=5)
+        replayed = attacks.pgd(spec, params, x, y, cfg, rng=6)
+        eager_steps(monkeypatch)
+        assert np.array_equal(replayed, attacks.pgd(spec, params, x, y, cfg, rng=6))
+
+    def test_blocks_taking_their_steps_in_turn_match_the_whole_set_stepping_together(
+            self, monkeypatch):
+        monkeypatch.setattr(nn, "_ROW_BLOCK_BYTES", 4 * 4 * 36 * 8)
+        spec = nn.ModelSpec.small_conv((2, 6, 6), [4], 3)
+        assert spec.block_rows == 4
+        params = nn.init(spec, 5)
+        rng = np.random.default_rng(5)
+        x, y = rng.uniform(-1, 1, size=(10, 2, 6, 6)), rng.integers(0, 3, size=10)
+        cfg = AttackConfig(norm=Norm.L2, epsilon=0.5, n_steps=6)
+        assert np.array_equal(attacks.pgd(spec, params, x, y, cfg, rng=3),
+                              stepwise_pgd(spec, params, x, y, cfg, 3))
+
+
 class TestAttackSweep:
     def test_epsilon_zero_matches_clean(self):
         spec, params = two_class_linear()

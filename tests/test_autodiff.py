@@ -591,3 +591,119 @@ class TestTapeIsolation:
         x = ad.Tape().leaf([1.0])
         with pytest.raises(ValueError, match="freed"):
             ad.square(x)
+
+
+# every recorded primitive, each with an input whose values change its
+# masks (relu's sign, l2norm's zero row) between the recording and the replay
+_REPLAY_OPS = {kind: case["op"] for kind, case in _FD_CASES.items() if case["op"] is not None}
+_REPLAY_OPS["matmul"] = lambda x: ad.matmul(x, ad.transpose(x))
+_REPLAY_OPS["gather"] = lambda x: ad.gather(x, [0, 3, 1, 4])
+
+
+def _first_and_second_order(op, x_val, rng_seed=0):
+    """Tape, leaf and [op(x), d<op(x), r>/dx, d<that gradient, s>/dx]; the
+    second order is left out where the first-order gradient is a constant."""
+    rng = np.random.default_rng(rng_seed)
+    tape = ad.Tape()
+    x = tape.leaf(x_val)
+    y = op(x)
+    g = ad.backward(tape, ad.sum_(ad.mul(y, rng.normal(size=y.shape))), [x], create_graph=True)[x]
+    outputs = [y, g]
+    if g.node is not None:
+        s = ad.sum_(ad.mul(g, rng.normal(size=g.shape)))
+        outputs.append(ad.backward(tape, s, [x], create_graph=True)[x])
+    return tape, x, outputs
+
+
+class TestProgram:
+    @pytest.mark.parametrize("kind", sorted(_REPLAY_OPS))
+    def test_replay_equals_a_fresh_recording_bit_for_bit(self, kind):
+        case, op = _FD_CASES[kind], _REPLAY_OPS[kind]
+        rng = np.random.default_rng(7)
+        first, second = _fd_input(rng, case), _fd_input(rng, case)
+        if kind == "l2norm":
+            second[0] = 0.0                 # a zero-norm row: the zero subgradient
+        tape, x, outputs = _first_and_second_order(op, first)
+        programs = [ad.Program(tape, [x], out) for out in outputs]
+        _, _, fresh = _first_and_second_order(op, second)
+        assert len(fresh) == len(programs)
+        for program, want in zip(programs, fresh):
+            assert np.array_equal(program(second), want.value), kind
+
+    @pytest.mark.parametrize("bias", [False, True])
+    def test_conv2d_replays_in_both_inputs(self, bias):
+        rng = np.random.default_rng(8)
+        b = rng.normal(size=3) if bias else None
+
+        def record(x_val, w_val):
+            tape = ad.Tape()
+            x, w = tape.leaf(x_val), tape.leaf(w_val)
+            y = ad.relu(ad.conv2d(x, w, b, padding=1))
+            grads = ad.backward(tape, ad.sum_(ad.square(y)), [x, w], create_graph=True)
+            penalty = ad.sum_(ad.square(grads[x]))
+            return tape, x, w, [y, grads[x], grads[w],
+                                ad.backward(tape, penalty, [w], create_graph=True)[w]]
+
+        shapes = ((2, 2, 5, 5), (3, 2, 3, 3))
+        tape, x, w, outputs = record(*(rng.normal(size=s) for s in shapes))
+        programs = [ad.Program(tape, [x, w], out) for out in outputs]
+        second = [rng.normal(size=s) for s in shapes]
+        for program, want in zip(programs, record(*second)[3]):
+            assert np.array_equal(program(*second), want.value)
+
+    def test_second_order_through_relu_and_l2norm(self):
+        # the ngebm penalty mean ||dE/dx|| and its gradients in x and in a
+        # weight; the replayed x has a zero row, where every ReLU is off and
+        # the penalty takes the zero subgradient
+        spec = nn.ModelSpec.mlp(3, [6, 5], 2)
+        params = nn.init(spec, 0)
+
+        def record(x_val, w_val):
+            tape = ad.Tape()
+            x, w = tape.leaf(x_val), tape.leaf(w_val)
+            bound = {name: ad.Tensor(v) for name, v in params.arrays.items()}
+            bound["layer0.w"] = w
+            total = ad.sum_(energy.energy(nn.forward(spec, bound, x)))
+            gx = ad.backward(tape, total, [x], create_graph=True)[x]
+            penalty = ad.mean(ad.l2norm(gx, axis=1))
+            grads = ad.backward(tape, penalty, [x, w], create_graph=True)
+            return tape, x, w, [gx, penalty, grads[x], grads[w]]
+
+        rng = np.random.default_rng(9)
+        w_val = params.arrays["layer0.w"]
+        tape, x, w, outputs = record(rng.normal(size=(4, 3)), w_val)
+        programs = [ad.Program(tape, [x, w], out) for out in outputs]
+        tape_ref = weakref.ref(tape)
+        del tape, x, w, outputs
+        assert tape_ref() is None           # a program holds no tape
+        x2 = rng.normal(size=(4, 3))
+        x2[2] = 0.0
+        w2 = w_val + rng.normal(size=w_val.shape) * 0.1
+        fresh = record(x2, w2)[3]
+        assert np.all(fresh[0].value[2] == 0.0)
+        for program, want in zip(programs, fresh):
+            assert np.array_equal(program(x2, w2), want.value)
+
+    def test_refuses_leaves_of_another_shape(self):
+        tape = ad.Tape()
+        x = tape.leaf(np.ones((2, 3)))
+        program = ad.Program(tape, [x], ad.sum_(ad.square(x), axis=1))
+        assert np.array_equal(program(np.full((2, 3), 2.0)), [12.0, 12.0])
+        with pytest.raises(ad.ShapeError, match="recorded"):
+            program(np.ones((3, 3)))
+        with pytest.raises(ad.ShapeError, match="recorded"):
+            program(np.ones((2, 3)), np.ones((2, 3)))
+
+    def test_input_grad_records_each_shape_once(self):
+        spec = nn.ModelSpec.mlp(2, [5], 3)
+        params = nn.init(spec, 1)
+
+        def loss(x):
+            return ad.sum_(energy.energy(nn.forward(spec, params, x)))
+
+        rng = np.random.default_rng(10)
+        programs = {}
+        for rows in (4, 4, 3, 4, 3):
+            x_val = rng.normal(size=(rows, 2))
+            assert np.array_equal(ad.input_grad(loss, x_val, programs), ad.input_grad(loss, x_val))
+        assert set(programs) == {(4, 2), (3, 2)}

@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -529,3 +530,25 @@ class TestSplitsRead:
         assert cli.main(["train", "--config", str(bad), "--out", str(tmp_path)]) == 1
         assert message in capsys.readouterr().err
         assert calls == []
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def final_epoch(config_name, seed, out):
+    assert cli.main(["train", "--config", str(CONFIGS / config_name), "--out", str(out),
+                     "--seed", str(seed)]) == 0
+    with open(out / "runlog.csv") as fh:
+        return list(csv.DictReader(fh))[-1]
+
+
+def test_shipped_jem_config_trains_like_ce_without_diverging(tmp_path):
+    # jem health gate: on each seed the final epoch keeps all but at most
+    # 20 of its 400 chains finite and in bound, and the jem classifier's test
+    # accuracy lands within 0.05 of cross-entropy's
+    for seed in range(5):
+        ce = final_epoch("toy_ce.json", seed, tmp_path / f"ce{seed}")
+        jem = final_epoch("toy_jem.json", seed, tmp_path / f"jem{seed}")
+        assert int(jem["diverged_chains"]) <= 20, (seed, jem)
+        gap = abs(float(jem["eval_accuracy"]) - float(ce["eval_accuracy"]))
+        assert gap <= 0.05, (seed, ce["eval_accuracy"], jem["eval_accuracy"])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ebmkit import autodiff as ad
+from ebmkit import energy as en
 from ebmkit import losses
 from ebmkit import nn
 from ebmkit import sampler as smp
@@ -70,17 +71,17 @@ class TestEbmLoss:
         assert generative_term(spec, params, x, x) == 0.0
 
     def test_linear_analytic(self):
-        # E = -(w.x + b): loss = w.(sum x - sum x')
+        # E = -(w.x + b): loss = mean E(x) - mean E(x') = w.(mean x' - mean x)
         w = np.array([2.0, -1.5])
         spec, params = linear_single_logit(w, b=0.3)
         rng = np.random.default_rng(1)
         xt = rng.normal(size=(5, 2))
         xg = rng.normal(size=(5, 2))
-        want = float(w @ (xt.sum(0) - xg.sum(0)))
+        want = float(w @ (xg.mean(0) - xt.mean(0)))
         got = generative_term(spec, params, xt, xg)
         assert got == pytest.approx(want, abs=1e-10)
 
-    def test_doubling_batches_doubles_loss(self):
+    def test_doubling_batches_leaves_loss_unchanged(self):
         spec = nn.ModelSpec.mlp(2, [4], 2)
         params = nn.init(spec, 2)
         rng = np.random.default_rng(2)
@@ -88,7 +89,7 @@ class TestEbmLoss:
         xg = rng.normal(size=(3, 2))
         single = generative_term(spec, params, xt, xg)
         double = generative_term(spec, params, np.vstack([xt, xt]), np.vstack([xg, xg]))
-        assert double == pytest.approx(2 * single, abs=1e-10)
+        assert double == pytest.approx(single, abs=1e-10)
 
     def test_shape_mismatch(self):
         spec = nn.ModelSpec.mlp(2, [4], 2)
@@ -97,7 +98,7 @@ class TestEbmLoss:
             generative_term(spec, params, np.zeros((2, 2)), np.zeros((2, 3)))
 
     def test_parameter_gradient_matches_hand_derivation(self):
-        # two-parameter model: dL/dw = sum x - sum x', dL/db = 0; with a
+        # two-parameter model: dL/dw = mean x' - mean x, dL/db = 0; with a
         # single logit the cross-entropy and its gradient are exactly zero
         w = np.array([0.7, -0.2])
         spec, params = linear_single_logit(w, b=0.1)
@@ -107,9 +108,31 @@ class TestEbmLoss:
         graph = losses.loss_graph(JEM, spec, params, xt, zero_labels(xt), x_gen=xg)
         bound = graph.bound
         gm = ad.backward(graph.tape, graph.total, list(bound.values()))
-        want_w = (xt.sum(0) - xg.sum(0)).reshape(-1, 1)
+        want_w = (xg.mean(0) - xt.mean(0)).reshape(-1, 1)
         assert np.all(np.abs(gm[bound["layer0.w"]].value - want_w) < 1e-10)
         assert np.all(np.abs(gm[bound["layer0.b"]].value) < 1e-10)
+
+    def test_one_step_on_the_generative_term_lowers_data_energy_against_samples(self):
+        # a single logit zeroes the cross-entropy, so the loss is the
+        # generative term alone: mean E(data) - mean E(samples)
+        spec = nn.ModelSpec.mlp(2, [8], 1)
+        params = nn.init(spec, 4)
+        rng = np.random.default_rng(4)
+        xt = rng.normal(size=(16, 2)) * 0.3 + 0.5
+        xg = rng.uniform(-1, 1, size=(16, 2))
+
+        def gap(params):
+            e_train, e_gen = (en.energy(nn.forward(spec, params, x)).value.mean() for x in (xt, xg))
+            return e_train - e_gen
+
+        before = gap(params)
+        graph = losses.loss_graph(JEM, spec, params, xt, zero_labels(xt), x_gen=xg)
+        assert graph.breakdown.cross_entropy == 0.0
+        grads = ad.backward(graph.tape, graph.total, list(graph.bound.values()))
+        adam = nn.AdamState.for_params(params, lr=1e-2)
+        params, _ = nn.adam_step(adam, params, {name: grads[leaf].value
+                                               for name, leaf in graph.bound.items()})
+        assert gap(params) < before
 
 
 class TestGradPenalty:

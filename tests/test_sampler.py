@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from ebmkit import energy as en
 from ebmkit import nn
 from ebmkit import sampler as smp
 from oracles import traced_peak_bytes
@@ -154,6 +155,93 @@ class TestSgldChain:
             x0 = rng.uniform(-1, 1, size=(n, 1, 8, 8))
             return traced_peak_bytes(smp.sgld_chain, spec, params, x0, config)
         assert peak(4 * spec.block_rows) < 1.5 * peak(spec.block_rows)
+
+
+def eager_steps(monkeypatch):
+    """Make every chain step record a fresh tape, as the gradient ran before
+    chains replayed it."""
+    real = en.energy_grad_input
+    monkeypatch.setattr(en, "energy_grad_input",
+                        lambda model, params, x, programs=None: real(model, params, x))
+
+
+def assert_same_chain(a, b):
+    assert np.array_equal(a.samples, b.samples)
+    assert np.array_equal(a.report.diverged_mask, b.report.diverged_mask)
+    assert (a.report.diverged, a.report.step, a.report.magnitude, a.report.reason) == \
+        (b.report.diverged, b.report.step, b.report.magnitude, b.report.reason)
+    assert a.egm_trace == b.egm_trace and a.converged == b.converged
+
+
+class TestReplayedChain:
+    """A chain records its input gradient on the first step and replays it."""
+
+    # model -> (spec, input shape, a divergence bound that some chains cross)
+    MODELS = {"mlp": (nn.ModelSpec.mlp(2, [32, 32], 2), (2,), 3.0),
+              "conv": (nn.ModelSpec.small_conv((2, 6, 6), [4, 4], 3), (2, 6, 6), 5.0)}
+
+    @pytest.mark.parametrize("rows", [5, 12])
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    @pytest.mark.parametrize("kind", ["noisy", "noise_free", "diverging"])
+    def test_equals_eager_steps_bit_for_bit(self, monkeypatch, model, rows, kind):
+        monkeypatch.setattr(nn, "_ROW_BLOCK_BYTES", 4 * 4 * 36 * 8)  # 4-row conv blocks
+        base, shape, bound = self.MODELS[model]
+        spec = nn.ModelSpec(base.layers, shape, base.classes)    # blocks under the patch
+        params = nn.init(spec, 3)
+        config = {"noisy": smp.SgldConfig(n_steps=6, step_size=0.05),
+                  "noise_free": smp.SgldConfig(n_steps=6, step_size=0.5, noise=False),
+                  "diverging": smp.SgldConfig(n_steps=6, step_size=0.5,
+                                              divergence_bound=bound)}[kind]
+        x0 = np.random.default_rng(rows).uniform(-1, 1, size=(rows,) + shape)
+        replayed = smp.sgld_chain(spec, params, x0, config, rng=5)
+        eager_steps(monkeypatch)
+        assert_same_chain(replayed, smp.sgld_chain(spec, params, x0, config, rng=5))
+        if kind == "diverging":
+            assert 0 < replayed.report.diverged_mask.sum() < rows
+
+    def test_four_steps_peak_near_one_eager_step(self, monkeypatch):
+        # recording holds no value past its last reader, as an untaped
+        # backward, and replaying holds no tape: a 32-image block of the
+        # benchmark's conv net
+        spec = nn.ModelSpec.small_conv((3, 32, 32), [8, 8], 10)
+        params = nn.init(spec, 0)
+        x0 = np.random.default_rng(2).uniform(-1, 1, size=(spec.block_rows, 3, 32, 32))
+        config = smp.SgldConfig(n_steps=4, step_size=0.01)
+        replayed = traced_peak_bytes(smp.sgld_chain, spec, params, x0, config)
+        eager_steps(monkeypatch)
+        one_eager = traced_peak_bytes(smp.sgld_chain, spec, params, x0,
+                                      dataclasses.replace(config, n_steps=1))
+        assert replayed <= 1.4 * one_eager, replayed / one_eager
+
+
+def check_rows_two_passes(x, bound):
+    """The divergence check as a finiteness pass, then a magnitude pass."""
+    flat = x.reshape(x.shape[0], -1)
+    finite = np.all(np.isfinite(flat), axis=1)
+    magnitude = np.where(finite, np.abs(np.where(np.isfinite(flat), flat, 0.0)).max(axis=1),
+                         np.inf)
+    bad_bound = finite & (magnitude > bound)
+    if (~finite).any():
+        return ~finite | bad_bound, magnitude, "non-finite"
+    if bad_bound.any():
+        return bad_bound, magnitude, "bound-exceeded"
+    return np.zeros(x.shape[0], dtype=bool), magnitude, None
+
+
+@pytest.mark.parametrize("rows", [
+    [[0.5, -0.2], [0.1, 0.3]],
+    [[0.5, -3.0], [0.1, 0.3]],
+    [[0.5, np.nan], [0.1, 0.3], [2.5, 0.0]],
+    [[np.inf, 0.0], [-np.inf, 9.0], [0.0, -2.5]],
+    [[np.nan, np.inf], [-2.0, 2.0]],
+], ids=["healthy", "out_of_bound", "nan", "plus_minus_inf", "nan_and_inf"])
+def test_check_rows_in_one_pass_matches_two(rows):
+    x = np.array(rows).reshape(len(rows), 1, 2)
+    mask, magnitude, reason = smp._check_rows(x, 2.0)
+    want_mask, want_magnitude, want_reason = check_rows_two_passes(x, 2.0)
+    assert np.array_equal(mask, want_mask)
+    assert np.array_equal(magnitude, want_magnitude)
+    assert reason == want_reason
 
 
 def noise_free_chain(model, x0, config):
