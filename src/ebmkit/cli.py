@@ -1,8 +1,8 @@
 """Command-line surface.
 
 Subcommands: train, eval, calibrate, ood, attack, hist-egm, sample.
-Every command reads a JSON experiment config (schema below, unknown
-keys rejected), writes its artifacts plus a reproducibility manifest
+Every command reads a JSON experiment config (checked against one table
+of rules before any data is read), writes its artifacts and a manifest
 into the output directory, and exits 0 on success, 1 on usage/config
 errors, 2 on runtime failures.
 
@@ -14,11 +14,13 @@ before the process starts; the manifest records their values.
 from __future__ import annotations
 
 import argparse
+import enum
 import hashlib
 import json
 import os
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -45,52 +47,136 @@ class _Parser(argparse.ArgumentParser):
 
 
 # ---------------------------------------------------------------------------
-# config schema
+# config table: per section, key -> (field, rule) or (field, rule, kinds).
+# field: the keyword the key fills ("loss.beta": beta of the LossConfig the
+# train section builds), or None when a command reads the key; an absent key
+# keeps the field's default. rule: a _Rule, choices (an enum, or kinds with
+# the default first) or a subsection's table. kinds: the section kinds (for
+# the root, the commands) that require the key.
 
-_SCHEMA = {
-    "": {"seed", "out_dir", "model", "data", "ood_data", "train",
-         "metrics", "attack", "sample", "hist"},
-    "model": {"kind", "input_dim", "hidden", "classes", "input_shape",
-              "channels", "kernel", "dim"},
-    "data": {"kind", "n_per_class", "centers", "std", "seed", "label_noise",
-             "train_files", "test_files", "path", "classes"},
-    "ood_data": None,   # same keys as data
-    "train": {"mode", "epochs", "batch_size", "lr", "milestones", "decay_factor",
-              "beta", "gamma", "checkpoint_interval",
-              "divergence_policy", "sampler"},
-    "sampler": {"n_steps", "step_size", "decay_exponent", "init", "noise",
-                "divergence_bound", "convergence_eta"},
-    "metrics": {"ece_bins"},
-    "attack": {"norm", "epsilons", "n_steps", "step_size", "random_start"},
-    "sample": {"n", "sampler"},
-    "hist": {"bins"},
+class _Rule(NamedTuple):
+    text: str                          # what a valid value is, for the error
+    test: Callable[[object], bool]
+
+
+def _list(value, test, length=None) -> bool:
+    return isinstance(value, list) and length in (None, len(value)) and all(map(test, value))
+
+
+_NUMBER = _Rule("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool))
+_INT0 = _Rule("an integer >= 0", lambda v: _NUMBER.test(v) and isinstance(v, int) and v >= 0)
+_INT1 = _Rule("an integer >= 1", lambda v: _INT0.test(v) and v >= 1)
+_NUMBER0 = _Rule("a number >= 0", lambda v: _NUMBER.test(v) and v >= 0)
+_POSITIVE = _Rule("a number > 0", lambda v: _NUMBER.test(v) and v > 0)
+_STEP = _Rule("null or a number > 0", lambda v: v is None or _POSITIVE.test(v))
+_BOOL = _Rule("true or false", lambda v: isinstance(v, bool))
+_STR = _Rule("a string", lambda v: isinstance(v, str))
+_STRS = _Rule("a list of strings", lambda v: _list(v, _STR.test))
+_WIDTHS = _Rule("a list of integers >= 1", lambda v: _list(v, _INT1.test))
+_SHAPE = _Rule("3 integers >= 1", lambda v: _list(v, _INT1.test, 3))
+_CENTERS = _Rule("a list of distinct [x, y] number pairs", lambda v: _list(
+    v, lambda c: _list(c, _NUMBER.test, 2)) and len(v) == len({tuple(c) for c in v}) > 0)
+
+_TABLE = {
+    "": {"seed": ("seed", _INT0), "out_dir": (None, _STR), "model": (None, "model", ["train"]),
+         "ood_data": (None, "data"),
+         **{name: (None, name) for name in ("data", "train", "metrics", "attack", "sample", "hist")}},
+    "model": {
+        "kind": (None, ["mlp", "conv", "quadratic_bowl", "concave_bowl"]),
+        "input_dim": (None, _INT1, ["mlp"]), "hidden": (None, _WIDTHS),
+        "classes": (None, _INT1, ["mlp", "conv"]),
+        "input_shape": (None, _SHAPE, ["conv"]), "channels": (None, _WIDTHS),
+        "kernel": (None, _Rule("an odd integer >= 1", lambda v: _INT1.test(v) and v % 2 == 1)),
+        "dim": (None, _INT1)},
+    "data": {
+        "kind": (None, ["gaussian_mixture", "cifar10", "cifar100", "csv"]),
+        "n_per_class": (None, _INT1, ["gaussian_mixture"]),
+        "centers": (None, _CENTERS, ["gaussian_mixture"]),
+        "std": (None, _NUMBER0, ["gaussian_mixture"]), "seed": (None, _INT0),
+        "label_noise": (None, _Rule("a number in [0, 1]", lambda v: _NUMBER0.test(v) and v <= 1)),
+        "train_files": (None, _STRS), "test_files": (None, _STRS),
+        "path": (None, _STR, ["csv"]), "classes": (None, _INT1, ["csv"])},
+    "train": {
+        "mode": ("loss.mode", losses.Mode), "epochs": ("epochs", _INT0),
+        "batch_size": ("batch_size", _INT1), "lr": ("schedule.base_rate", _POSITIVE),
+        "milestones": ("schedule.milestones", _Rule(
+            "ascending integers >= 0", lambda v: _list(v, _INT0.test) and v == sorted(v))),
+        "decay_factor": ("schedule.factor", _Rule(
+            "a number in (0, 1]", lambda v: _POSITIVE.test(v) and v <= 1)),
+        "beta": ("loss.beta", _NUMBER0), "gamma": ("loss.gamma", _NUMBER0),
+        "checkpoint_interval": ("checkpoint_interval", _INT0),
+        "divergence_policy": ("divergence_policy", ["skip-batch", "abort"]),
+        "sampler": ("loss.sampler", "sampler")},
+    "sampler": {
+        "n_steps": ("n_steps", _INT0), "step_size": ("step_size", _POSITIVE),
+        "decay_exponent": ("decay_exponent", _NUMBER),
+        "init": ("init", _Rule("a pair [lo, hi] of numbers with lo < hi",   # init_lo, init_hi
+                               lambda v: _list(v, _NUMBER.test, 2) and v[0] < v[1])),
+        "noise": ("noise", _BOOL), "divergence_bound": ("divergence_bound", _STEP),
+        "convergence_eta": ("convergence_eta", _NUMBER0)},
+    "metrics": {"ece_bins": (None, _INT1)},
+    "attack": {
+        "norm": ("norm", attacks.Norm),
+        "epsilons": (None, _Rule("ascending numbers >= 0",
+                                 lambda v: _list(v, _NUMBER0.test) and v == sorted(v))),
+        "n_steps": ("n_steps", _INT1), "step_size": ("step_size", _STEP),
+        "random_start": ("random_start", _BOOL)},
+    "sample": {"n": (None, _INT1), "sampler": (None, "sampler")},
+    "hist": {"bins": (None, _INT1)},
 }
+_HIST_BINS = 30   # hist.bins when absent, for ood's and hist-egm's histograms
 
 
-def _check_keys(section: dict, name: str) -> None:
-    allowed = _SCHEMA["data"] if name == "ood_data" else _SCHEMA[name]
-    unknown = set(section) - allowed
+def _kind(section: dict, name: str) -> str:
+    """The kind of a model or data section; its table names the default first."""
+    return section.get("kind", _TABLE[name]["kind"][1][0])
+
+
+def check_config(config: dict, command: str, name: str = "", where: str = "") -> None:
+    """Reject a section that is no object, an unknown key, a key its kind requires that is
+    missing, or a value that breaks its rule, in ``config`` and each subsection it holds."""
+    if not isinstance(config, dict):
+        raise losses.ConfigError(f"section {where!r} must be a JSON object")
+    table = _TABLE[name]
+    unknown = set(config) - set(table)
     if unknown:
-        where = f"section {name!r}" if name else "config"
-        raise losses.ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
-    for key, value in section.items():
-        if key in _SCHEMA:
-            if not isinstance(value, dict):
-                raise losses.ConfigError(f"section {key!r} must be a JSON object")
-            _check_keys(value, key)
+        place = f"section {where!r}" if where else "config"
+        raise losses.ConfigError(f"unknown key(s) {sorted(unknown)} in {place}")
+    kind = _kind(config, name) if "kind" in table else command
+    for key, (_, rule, *required_by) in table.items():
+        at = f"{where}.{key}" if where else key
+        if key not in config:
+            if required_by and kind in required_by[0]:
+                raise losses.ConfigError(f"{at} is missing, and {kind} requires it")
+        elif isinstance(rule, str):
+            check_config(config[key], command, rule, at)
+        else:
+            if not isinstance(rule, _Rule):
+                choices = [getattr(c, "value", c) for c in rule]
+                rule = _Rule(f"one of {choices}", choices.__contains__)
+            if not rule.test(config[key]):
+                raise losses.ConfigError(f"{at} must be {rule.text}, got {config[key]!r}")
+
+
+def _fields(name: str, section: dict, target: str = "") -> dict:
+    """The keyword arguments that ``section`` gives the ``target`` object ("" for
+    the one the section itself builds), with enum choices as their members."""
+    kwargs = {}
+    for key, (field, rule, *_) in _TABLE[name].items():
+        owner, _, arg = (field or "").rpartition(".")
+        if field and key in section and owner == target:
+            kwargs[arg] = rule(section[key]) if isinstance(rule, enum.EnumMeta) else section[key]
+    return kwargs
 
 
 def load_config(path) -> dict:
     try:
         with open(path) as fh:
             config = json.load(fh)
-    except OSError as exc:
+    except (OSError, json.JSONDecodeError) as exc:
         raise losses.ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise losses.ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise losses.ConfigError("config root must be a JSON object")
-    _check_keys(config, "")
     return config
 
 
@@ -98,26 +184,20 @@ def load_config(path) -> dict:
 # builders
 
 def build_model(section: dict):
-    kind = section.get("kind", "mlp")
+    kind = _kind(section, "model")
     if kind == "mlp":
         return nn.ModelSpec.mlp(section["input_dim"], section.get("hidden", [32, 32]),
                                 section["classes"])
     if kind == "conv":
-        return nn.ModelSpec.small_conv(tuple(section["input_shape"]),
-                                       section.get("channels", [8, 8]),
-                                       section["classes"],
-                                       kernel=section.get("kernel", 3))
-    if kind == "quadratic_bowl":
-        return smp.QuadraticBowlEnergy()
-    if kind == "concave_bowl":
-        return smp.ConcaveBowlEnergy()
-    raise losses.ConfigError(f"unknown model kind {kind!r}")
+        return nn.ModelSpec.small_conv(section["input_shape"], section.get("channels", [8, 8]),
+                                       section["classes"], kernel=section.get("kernel", 3))
+    return smp.QuadraticBowlEnergy() if kind == "quadratic_bowl" else smp.ConcaveBowlEnergy()
 
 
 def build_dataset(section: dict, splits=("train", "test")) -> tuple:
     """The datasets of ``splits`` ("train" or "test") for the configured
     source, in that order; only those splits are generated or read."""
-    kind = section.get("kind", "gaussian_mixture")
+    kind = _kind(section, "data")
     if kind == "gaussian_mixture":
         seed = section.get("seed", 0)
 
@@ -140,26 +220,18 @@ def build_dataset(section: dict, splits=("train", "test")) -> tuple:
                                    classes=parts[0].classes, split=split,
                                    provenance=";".join(p.provenance for p in parts))
         return tuple(read_all(split) for split in splits)
-    if kind == "csv":
-        # one file serves as every split
-        ds = datamod.dataset_from_csv(section["path"], classes=section["classes"])
-        return (ds,) * len(splits)
-    raise losses.ConfigError(f"unknown data kind {kind!r}")
+    # csv: one file serves as every split
+    ds = datamod.dataset_from_csv(section["path"], classes=section["classes"])
+    return (ds,) * len(splits)
 
 
 # The (config section, split) pairs each command reads, in the order its
 # cmd_* function takes the datasets. The last pair from "data" is the set
 # the command scores, which the manifest records as eval_data; ood also
 # records its "ood_data" set.
-_READS = {
-    "train": (("data", "train"), ("data", "test")),
-    "eval": (("data", "test"),),
-    "calibrate": (("data", "test"),),
-    "ood": (("data", "test"), ("ood_data", "test")),
-    "attack": (("data", "test"),),
-    "hist-egm": (("data", "train"),),
-    "sample": (),
-}
+_READS = {"train": (("data", "train"), ("data", "test")), "eval": (("data", "test"),),
+          "calibrate": (("data", "test"),), "ood": (("data", "test"), ("ood_data", "test")),
+          "attack": (("data", "test"),), "hist-egm": (("data", "train"),), "sample": ()}
 
 
 def check_data_files(config: dict, command: str) -> None:
@@ -174,90 +246,29 @@ def check_data_files(config: dict, command: str) -> None:
                 f"{command} reads the {split} split: {name}.{split}_files is missing")
 
 
-def _given(section: dict, *keys: str, **renamed: str) -> dict:
-    """Keyword arguments for the ``keys`` (and ``renamed`` keyword=key
-    pairs) present in ``section``; every absent key keeps the default
-    of the dataclass it builds."""
-    kwargs = {key: section[key] for key in keys if key in section}
-    kwargs.update({kw: section[key] for kw, key in renamed.items() if key in section})
-    return kwargs
-
-
 def build_sampler(section: dict) -> smp.SgldConfig:
-    """The SgldConfig of a sampler section. An init that is not a pair, a
-    value of the wrong type (noise: a bool, n_steps: an int, the rest:
-    numbers), or one SgldConfig rejects is a config error."""
-    try:
-        if "init" in section:
-            init = section["init"]
-            if not isinstance(init, list) or len(init) != 2:
-                raise ValueError(f"init must be a pair [lo, hi], got {init!r}")
-            section = dict(section, init_lo=init[0], init_hi=init[1])
-        kwargs = _given(section, "n_steps", "step_size", "decay_exponent", "init_lo",
-                        "init_hi", "noise", "divergence_bound", "convergence_eta")
-        for key, value in kwargs.items():
-            kind = bool if key == "noise" else int if key == "n_steps" else (int, float)
-            if key == "divergence_bound" and value is None:
-                continue
-            if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
-                raise TypeError(f"{key} = {value!r} has the wrong type")
-        return smp.SgldConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise losses.ConfigError(f"sampler: {exc}") from None
-
-
-# the least value of each count outside the sampler section
-_COUNTS = {("train", "epochs"): 0, ("train", "batch_size"): 1,
-           ("train", "checkpoint_interval"): 0, ("attack", "n_steps"): 1,
-           ("metrics", "ece_bins"): 1, ("hist", "bins"): 1, ("sample", "n"): 1}
-
-
-def check_values(config: dict) -> None:
-    """Reject a count of _COUNTS that is not an int or is below its least
-    value, an unknown attack norm, an attack step_size that is neither null
-    nor a number > 0, and attack epsilons that are not ascending numbers
-    >= 0."""
-    def number(value, kind=(int, float)):
-        return isinstance(value, kind) and not isinstance(value, bool)
-
-    for (name, key), least in _COUNTS.items():
-        value = config.get(name, {}).get(key, least)
-        if not number(value, int) or value < least:
-            raise losses.ConfigError(f"{name}.{key} must be an integer >= {least}, "
-                                     f"got {value!r}")
-    attack = config.get("attack", {})
-    if "norm" in attack and attack["norm"] not in [n.value for n in attacks.Norm]:
-        raise losses.ConfigError(f"attack.norm must be l2 or linf, got {attack['norm']!r}")
-    step = attack.get("step_size")
-    if step is not None and not (number(step) and step > 0):
-        raise losses.ConfigError(f"attack.step_size must be null or a number > 0, got {step!r}")
-    eps = attack.get("epsilons", [])
-    if not (isinstance(eps, list) and all(number(e) and e >= 0 for e in eps)
-            and eps == sorted(eps)):
-        raise losses.ConfigError(f"attack.epsilons must be ascending numbers >= 0, got {eps!r}")
+    kwargs = _fields("sampler", section)
+    if "init" in kwargs:
+        kwargs["init_lo"], kwargs["init_hi"] = kwargs.pop("init")
+    return smp.SgldConfig(**kwargs)
 
 
 def build_train_config(config: dict) -> trainer.TrainConfig:
+    """The TrainConfig of a checked config; a value its dataclasses reject is a config error."""
     model = build_model(config["model"])
     if not isinstance(model, nn.ModelSpec):
         raise losses.ConfigError("this command requires a trainable model (mlp or conv)")
     section = config.get("train", {})
-    mode_name = section.get("mode", "ce")
+    loss = _fields("train", section, "loss")
+    if "sampler" in loss or loss.get("mode") is losses.Mode.JEM:
+        loss["sampler"] = build_sampler(loss.get("sampler", {}))
     try:
-        mode = losses.Mode(mode_name)
-    except ValueError:
-        raise losses.ConfigError(f"unknown training mode {mode_name!r}") from None
-    sampler_cfg = (build_sampler(section.get("sampler", {}))
-                   if "sampler" in section or mode is losses.Mode.JEM else None)
-    loss_cfg = losses.LossConfig(mode=mode, sampler=sampler_cfg,
-                                 **_given(section, "beta", "gamma"))
-    return trainer.TrainConfig(
-        model=model, loss=loss_cfg,
-        schedule=nn.LrSchedule(**_given(section, "milestones", base_rate="lr",
-                                        factor="decay_factor")),
-        **_given(config, "seed"),
-        **_given(section, "epochs", "batch_size", "checkpoint_interval",
-                 "divergence_policy"))
+        return trainer.TrainConfig(
+            model=model, loss=losses.LossConfig(**loss),
+            schedule=nn.LrSchedule(**_fields("train", section, "schedule")),
+            **_fields("", config), **_fields("train", section))
+    except ValueError as exc:
+        raise losses.ConfigError(f"train: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -317,10 +328,9 @@ def cmd_train(args, config: dict, out: Path, tc, train_ds, test_ds) -> Path:
     ckpt_path = out / "checkpoint_final.npz"
     trainer.checkpoint_save(ckpt, ckpt_path)
     trainer.runlog_to_csv(log, out / "runlog.csv")
-    last = log[-1] if log else None
-    if last:
-        print(f"trained {tc.epochs} epochs: eval accuracy {last.eval_accuracy:.4f}, "
-              f"mean EGM {last.mean_egm:.4g}")
+    if log:
+        print(f"trained {tc.epochs} epochs: eval accuracy {log[-1].eval_accuracy:.4f}, "
+              f"mean EGM {log[-1].mean_egm:.4g}")
     print(f"checkpoint: {ckpt_path}")
     return ckpt_path
 
@@ -348,19 +358,17 @@ def cmd_ood(args, config: dict, out: Path, ckpt, in_ds, out_ds) -> None:
     scores_out = metrics.score_dataset(ckpt.model, ckpt.params, out_ds, kind)
     roc = metrics.auroc(scores_in, scores_out)
 
-    with open(out / "ood_scores.csv", "w") as fh:
-        fh.write("split,score\n")
-        fh.writelines("in,%.12g\n" % s for s in scores_in.tolist())
-        fh.writelines("out,%.12g\n" % s for s in scores_out.tolist())
-    bins = config.get("hist", {}).get("bins", 30)
+    bins = config.get("hist", {}).get("bins", _HIST_BINS)
     value_range = (float(min(scores_in.min(), scores_out.min())),
                    float(max(scores_in.max(), scores_out.max())))
     if value_range[0] == value_range[1]:
         value_range = None
-    metrics.histogram_to_csv(metrics.histogram(scores_in, bins, value_range),
-                             out / "ood_hist_in.csv")
-    metrics.histogram_to_csv(metrics.histogram(scores_out, bins, value_range),
-                             out / "ood_hist_out.csv")
+    with open(out / "ood_scores.csv", "w") as fh:
+        fh.write("split,score\n")
+        for split, scores in (("in", scores_in), ("out", scores_out)):
+            fh.writelines(f"{split},%.12g\n" % s for s in scores.tolist())
+            metrics.histogram_to_csv(metrics.histogram(scores, bins, value_range),
+                                     out / f"ood_hist_{split}.csv")
     metrics.roc_to_csv(roc, out / "ood_roc.csv")
     with open(out / "ood_auroc.csv", "w") as fh:
         fh.write("score_kind,auroc,n_in,n_out\n")
@@ -370,25 +378,20 @@ def cmd_ood(args, config: dict, out: Path, ckpt, in_ds, out_ds) -> None:
 
 def cmd_attack(args, config: dict, out: Path, ckpt, test_ds) -> None:
     section = config.get("attack", {})
-    norm = attacks.Norm(section.get("norm", "linf"))
-    epsilons = section.get("epsilons", [0.0, 0.1, 0.2])
-    base = attacks.AttackConfig(norm=norm,
-                                n_steps=section.get("n_steps", 40),
-                                step_size=section.get("step_size"),
-                                random_start=section.get("random_start", True))
-    report = attacks.attack_sweep(ckpt.model, ckpt.params, test_ds, norm,
-                                  epsilons, config=base,
+    base = attacks.AttackConfig(**_fields("attack", section))
+    report = attacks.attack_sweep(ckpt.model, ckpt.params, test_ds, base.norm,
+                                  section.get("epsilons", [0.0, 0.1, 0.2]), config=base,
                                   seed=config.get("seed", 0))
     attacks.attack_report_to_csv(report, out / "attack.csv")
     for eps, acc in zip(report.epsilons, report.adversarial_accuracy):
-        print(f"{norm.value} eps={eps:g}: adversarial accuracy {acc:.4f} "
+        print(f"{base.norm.value} eps={eps:g}: adversarial accuracy {acc:.4f} "
               f"(clean {report.clean_accuracy:.4f})")
 
 
 def cmd_hist_egm(args, config: dict, out: Path, ckpt, train_ds) -> None:
     egm = -metrics.score_dataset(ckpt.model, ckpt.params, train_ds,
                                  en.ScoreKind.APPROXIMATE_MASS)
-    bins = config.get("hist", {}).get("bins", 30)
+    bins = config.get("hist", {}).get("bins", _HIST_BINS)
     metrics.histogram_to_csv(metrics.histogram(egm, bins), out / "egm_hist.csv")
     print(f"mean EGM {egm.mean():.6g} over {egm.size} examples -> {out / 'egm_hist.csv'}")
 
@@ -400,13 +403,11 @@ def cmd_sample(args, config: dict, out: Path, ckpt) -> None:
     if ckpt is not None:
         model, params, shape = ckpt.model, ckpt.params, ckpt.model.input_shape
     else:
-        model = build_model(config["model"])
-        if isinstance(model, nn.ModelSpec):
-            raise losses.ConfigError(
-                "sample without --checkpoint needs a test-energy model "
-                "(quadratic_bowl or concave_bowl)")
-        params = {}
-        shape = (config["model"].get("dim", 2),)
+        spec = config.get("model", {})
+        if _kind(spec, "model") not in ("quadratic_bowl", "concave_bowl"):
+            raise losses.ConfigError("sample without --checkpoint needs a test-energy "
+                                     "model.kind (quadratic_bowl or concave_bowl)")
+        model, params, shape = build_model(spec), {}, (spec.get("dim", 2),)
     rng = np.random.default_rng(config.get("seed", 0))
     x0 = rng.uniform(sampler_cfg.init_lo, sampler_cfg.init_hi, size=(n,) + tuple(shape))
     result = smp.sgld_chain(model, params, x0, sampler_cfg,
@@ -458,7 +459,7 @@ def _build_parser() -> _Parser:
     ood.add_argument("--score", default="approximate_mass",
                      choices=[k.value for k in en.ScoreKind])
     attack = command("attack", "PGD accuracy-vs-epsilon sweep")
-    attack.add_argument("--norm", choices=["l2", "linf"])
+    attack.add_argument("--norm", choices=[n.value for n in attacks.Norm])
     attack.add_argument("--epsilons", type=float, nargs="+")
     command("hist-egm", "energy-derivative histogram")
     sample = command("sample", "run sampler chains", checkpoint=False)
@@ -466,11 +467,8 @@ def _build_parser() -> _Parser:
     return parser
 
 
-_COMMANDS = {
-    "train": cmd_train, "eval": cmd_evaluate, "calibrate": cmd_evaluate,
-    "ood": cmd_ood, "attack": cmd_attack, "hist-egm": cmd_hist_egm,
-    "sample": cmd_sample,
-}
+_COMMANDS = {"train": cmd_train, "eval": cmd_evaluate, "calibrate": cmd_evaluate, "ood": cmd_ood,
+             "attack": cmd_attack, "hist-egm": cmd_hist_egm, "sample": cmd_sample}
 
 
 def main(argv=None) -> int:
@@ -484,10 +482,11 @@ def main(argv=None) -> int:
         if args.seed is not None:
             config["seed"] = args.seed
         for name, key in (("attack", "norm"), ("attack", "epsilons"), ("sample", "n")):
-            if getattr(args, key, None) is not None:   # checked as the key it replaces
-                config.setdefault(name, {})[key] = getattr(args, key)
+            value = getattr(args, key, None)   # checked as the key it replaces
+            if value is not None and isinstance(config.setdefault(name, {}), dict):
+                config[name][key] = value
+        check_config(config, args.command)
         check_data_files(config, args.command)
-        check_values(config)
         out = _out_dir(args, config)
         ckpt_path = getattr(args, "checkpoint", None)
         if args.command == "train":

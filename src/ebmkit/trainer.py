@@ -62,8 +62,6 @@ class TrainConfig:
                 f"unknown divergence policy {self.divergence_policy!r}")
         if self.loss.mode is losses.Mode.JEM and self.loss.sampler is None:
             raise losses.ConfigError("JEM training requires a sampler config")
-        if self.checkpoint_interval and not self.checkpoint_dir:
-            raise losses.ConfigError("checkpoint_interval set without checkpoint_dir")
 
 
 @dataclass
@@ -117,6 +115,9 @@ def train(config: TrainConfig, dataset_train: datamod.Dataset,
     written at epoch k up to epoch n reproduces an uninterrupted run to
     n bit-exactly in the deterministic modes.
     """
+    # checked here, not in TrainConfig: the CLI fills checkpoint_dir once --out is known
+    if config.checkpoint_interval and not config.checkpoint_dir:
+        raise losses.ConfigError("checkpoint_interval set without checkpoint_dir")
     mode = config.loss.mode
     if resume is not None:
         params = resume.params.copy()

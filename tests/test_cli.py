@@ -79,6 +79,13 @@ class TestTrain:
     def test_missing_config_flag_exits_one(self):
         assert cli.main(["train"]) == 1
 
+    def test_checkpoint_interval_writes_epoch_checkpoints(self, tmp_path):
+        config = toy_config(tmp_path / "run", epochs=2)
+        config["train"]["checkpoint_interval"] = 1
+        assert cli.main(["train", "--config", str(write_config(tmp_path, config))]) == 0
+        assert trainer.checkpoint_load(tmp_path / "run" / "checkpoint_epoch1.npz").epoch == 1
+        assert (tmp_path / "run" / "checkpoint_epoch2.npz").exists()
+
 
 class TestConfigDefaults:
     MODEL = {"kind": "mlp", "input_dim": 2, "hidden": [4], "classes": 2}
@@ -306,6 +313,66 @@ class TestSectionValueValidation:
         config[section] = 5
         assert cli.main(["train", "--config", str(write_config(tmp_path, config))]) == 1
         assert f"section {section!r}" in capsys.readouterr().err
+
+
+MISSING = object()
+
+
+def bad(key, value, command="train", flags=(), names=None):
+    """A config whose dotted ``key`` is set to ``value`` (or removed, for
+    MISSING); the error must name ``names``, by default the key."""
+    names = names or key
+    shown = ("missing" if value is MISSING else f"<bad {names}>" if isinstance(value, dict)
+             else repr(value))
+    return pytest.param(command, key, value, tuple(flags), names,
+                        id=f"{command}-{key}={shown}{'-' + ' '.join(flags) if flags else ''}")
+
+
+class TestConfigTable:
+    """Every value the config table rejects, a missing key a section's kind
+    requires, and a flag that breaks its key's rule exit 1, name the key and
+    read no data."""
+
+    @pytest.mark.parametrize("command,key,value,flags,names", [
+        bad("train.lr", "0.01"), bad("train.lr", -0.01), bad("train.beta", "0.5"),
+        bad("train.milestones", [5, 3]), bad("train.decay_factor", 2),
+        bad("train.sampler.divergence_bound", 0), bad("seed", "7"),
+        bad("seed", 7, flags=("--seed", "-1")),
+        bad("model.input_dim", "2"), bad("model.hidden", "32"), bad("model.hidden", [0]),
+        bad("model", {"kind": "conv", "input_shape": [2, 1, 1], "channels": [0], "classes": 2},
+            names="model.channels"),
+        bad("model", {"kind": "conv", "input_shape": [0, 1, 1], "classes": 2},
+            names="model.input_shape"),
+        bad("data.std", "0.3"), bad("data.n_per_class", 10.5),
+        bad("model.classes", MISSING), bad("data.std", MISSING), bad("model", MISSING),
+        bad("attack.random_start", "no", command="attack")])
+    def test_exits_one_naming_the_key_before_reading(self, trained, tmp_path, monkeypatch,
+                                                     capsys, command, key, value, flags, names):
+        out, config_path = trained
+        config = json.loads(config_path.read_text())
+        *parents, last = key.split(".")
+        section = config
+        for name in parents:
+            section = section.setdefault(name, {})
+        if value is MISSING:
+            del section[last]
+        else:
+            section[last] = value
+        path = write_config(tmp_path, config)
+        calls = []
+        monkeypatch.setattr(data, "gen_gaussian_mixture_2d", lambda *a, **k: calls.append(a))
+        if command != "train":
+            flags += ("--checkpoint", str(out / "checkpoint_final.npz"))
+        assert cli.main([command, "--config", str(path), "--out", str(tmp_path), *flags]) == 1
+        assert names in capsys.readouterr().err
+        assert calls == []
+
+    def test_readme_example_passes(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        schema = readme.split("### Config schema", 1)[1]
+        example = json.loads(schema.split("```json", 1)[1].split("```", 1)[0])
+        cli.check_config(example, "train")
+        assert cli.build_train_config(example).loss.mode is losses.Mode.NGEBM
 
 
 class TestFlagValidation:
