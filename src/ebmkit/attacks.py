@@ -10,7 +10,6 @@ size 2.5 * eps / steps, random start inside the ball.
 
 from __future__ import annotations
 
-import csv
 import enum
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
@@ -21,8 +20,7 @@ from . import autodiff as ad
 from . import energy as en
 from . import losses
 
-__all__ = ["Norm", "AttackConfig", "AttackReport", "project", "pgd",
-           "attack_sweep", "attack_report_to_csv"]
+__all__ = ["Norm", "AttackConfig", "AttackReport", "project", "pgd", "attack_sweep"]
 
 
 # every data source maps inputs into [-1, 1]; attacks keep them there
@@ -194,13 +192,3 @@ def attack_sweep(model, params, dataset, norm: Norm, epsilons: Sequence[float],
                         adversarial_accuracy=adv_accs, success=successes,
                         n_examples=int(x.shape[0]))
 
-
-def attack_report_to_csv(report: AttackReport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["norm", "epsilon", "clean_accuracy",
-                         "adversarial_accuracy", "n_examples"])
-        for eps, acc in zip(report.epsilons, report.adversarial_accuracy):
-            writer.writerow([report.norm.value, f"{eps:.12g}",
-                             f"{report.clean_accuracy:.12g}", f"{acc:.12g}",
-                             report.n_examples])

@@ -14,9 +14,11 @@ before the process starts; the manifest records their values.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import enum
 import hashlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -63,18 +65,20 @@ def _list(value, test, length=None) -> bool:
     return isinstance(value, list) and length in (None, len(value)) and all(map(test, value))
 
 
-_NUMBER = _Rule("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool))
+# json reads NaN and Infinity as floats; an int is always finite
+_NUMBER = _Rule("a finite number", lambda v: (isinstance(v, int) and not isinstance(v, bool))
+                or (isinstance(v, float) and math.isfinite(v)))
 _INT0 = _Rule("an integer >= 0", lambda v: _NUMBER.test(v) and isinstance(v, int) and v >= 0)
 _INT1 = _Rule("an integer >= 1", lambda v: _INT0.test(v) and v >= 1)
-_NUMBER0 = _Rule("a number >= 0", lambda v: _NUMBER.test(v) and v >= 0)
-_POSITIVE = _Rule("a number > 0", lambda v: _NUMBER.test(v) and v > 0)
-_STEP = _Rule("null or a number > 0", lambda v: v is None or _POSITIVE.test(v))
+_NUMBER0 = _Rule("a finite number >= 0", lambda v: _NUMBER.test(v) and v >= 0)
+_POSITIVE = _Rule("a finite number > 0", lambda v: _NUMBER.test(v) and v > 0)
+_STEP = _Rule("null or a finite number > 0", lambda v: v is None or _POSITIVE.test(v))
 _BOOL = _Rule("true or false", lambda v: isinstance(v, bool))
 _STR = _Rule("a string", lambda v: isinstance(v, str))
 _STRS = _Rule("a list of strings", lambda v: _list(v, _STR.test))
 _WIDTHS = _Rule("a list of integers >= 1", lambda v: _list(v, _INT1.test))
 _SHAPE = _Rule("3 integers >= 1", lambda v: _list(v, _INT1.test, 3))
-_CENTERS = _Rule("a list of distinct [x, y] number pairs", lambda v: _list(
+_CENTERS = _Rule("a list of distinct [x, y] pairs of finite numbers", lambda v: _list(
     v, lambda c: _list(c, _NUMBER.test, 2)) and len(v) == len({tuple(c) for c in v}) > 0)
 
 _TABLE = {
@@ -100,24 +104,25 @@ _TABLE = {
         "mode": ("loss.mode", losses.Mode), "epochs": ("epochs", _INT0),
         "batch_size": ("batch_size", _INT1), "lr": ("schedule.base_rate", _POSITIVE),
         "milestones": ("schedule.milestones", _Rule(
-            "ascending integers >= 0", lambda v: _list(v, _INT0.test) and v == sorted(v))),
+            "strictly ascending integers >= 0",
+            lambda v: _list(v, _INT0.test) and all(a < b for a, b in zip(v, v[1:])))),
         "decay_factor": ("schedule.factor", _Rule(
             "a number in (0, 1]", lambda v: _POSITIVE.test(v) and v <= 1)),
         "beta": ("loss.beta", _NUMBER0), "gamma": ("loss.gamma", _NUMBER0),
         "checkpoint_interval": ("checkpoint_interval", _INT0),
-        "divergence_policy": ("divergence_policy", ["skip-batch", "abort"]),
+        "divergence_policy": ("divergence_policy", trainer.DIVERGENCE_POLICIES),
         "sampler": ("loss.sampler", "sampler")},
     "sampler": {
         "n_steps": ("n_steps", _INT0), "step_size": ("step_size", _POSITIVE),
         "decay_exponent": ("decay_exponent", _NUMBER),
-        "init": ("init", _Rule("a pair [lo, hi] of numbers with lo < hi",   # init_lo, init_hi
+        "init": ("init", _Rule("a pair [lo, hi] of finite numbers, lo < hi",   # init_lo, init_hi
                                lambda v: _list(v, _NUMBER.test, 2) and v[0] < v[1])),
         "noise": ("noise", _BOOL), "divergence_bound": ("divergence_bound", _STEP),
         "convergence_eta": ("convergence_eta", _NUMBER0)},
     "metrics": {"ece_bins": (None, _INT1)},
     "attack": {
         "norm": ("norm", attacks.Norm),
-        "epsilons": (None, _Rule("ascending numbers >= 0",
+        "epsilons": (None, _Rule("ascending finite numbers >= 0",
                                  lambda v: _list(v, _NUMBER0.test) and v == sorted(v))),
         "n_steps": ("n_steps", _INT1), "step_size": ("step_size", _STEP),
         "random_start": ("random_start", _BOOL)},
@@ -246,6 +251,26 @@ def check_data_files(config: dict, command: str) -> None:
                 f"{command} reads the {split} split: {name}.{split}_files is missing")
 
 
+def check_model_fits_data(config: dict) -> None:
+    """Reject a train config whose data holds more classes than model.classes,
+    or inputs the model does not take, before any data is generated or read."""
+    model, section = config["model"], config["data"]
+    kind = _kind(section, "data")
+    if kind == "csv":   # a csv file's width is known only once it is read
+        source, classes, needs = "data.classes", section["classes"], None
+    elif kind == "gaussian_mixture":
+        source, classes, needs = "data.centers", len(section["centers"]), ("mlp", "input_dim", 2)
+    else:
+        source, classes = "data.kind", 10 if kind == "cifar10" else 100
+        needs = ("conv", "input_shape", [3, 32, 32])
+    if classes > model["classes"]:
+        raise losses.ConfigError(f"{source} gives {classes} classes, "
+                                 f"more than model.classes {model['classes']}")
+    if needs and (_kind(model, "model") != needs[0] or model[needs[1]] != needs[2]):
+        raise losses.ConfigError(f"data.kind {kind} needs model.kind {needs[0]} "
+                                 f"with model.{needs[1]} {needs[2]}")
+
+
 def build_sampler(section: dict) -> smp.SgldConfig:
     kwargs = _fields("sampler", section)
     if "init" in kwargs:
@@ -311,6 +336,22 @@ def _out_dir(args, config) -> Path:
     return path
 
 
+def _write_csv(path, header, row_format, rows) -> None:
+    """Write a command's table: the ``header`` names, then ``row_format % row``
+    for each row (a tuple), every line ending in \\r\\n."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        # one %-format per row: on the long tables (samples, OOD scores, ROC
+        # points) formatting each value apart costs as much as computing them
+        row_format += "\r\n"
+        fh.writelines(row_format % row for row in rows)
+
+
+def _write_hist(path, hist: metrics.Histogram) -> None:
+    _write_csv(path, ["bin_lower", "bin_upper", "density"], "%.12g,%.12g,%.12g",
+               zip(hist.edges[:-1].tolist(), hist.edges[1:].tolist(), hist.density.tolist()))
+
+
 # ---------------------------------------------------------------------------
 # commands
 #
@@ -327,7 +368,11 @@ def cmd_train(args, config: dict, out: Path, tc, train_ds, test_ds) -> Path:
     ckpt, log = trainer.train(tc, train_ds, test_ds)
     ckpt_path = out / "checkpoint_final.npz"
     trainer.checkpoint_save(ckpt, ckpt_path)
-    trainer.runlog_to_csv(log, out / "runlog.csv")
+    # one column per EpochRecord field: %d for int fields, %.12g for the rest
+    fields = dataclasses.fields(trainer.EpochRecord)
+    _write_csv(out / "runlog.csv", [f.name for f in fields],
+               ",".join("%d" if f.type in (int, "int") else "%.12g" for f in fields),
+               map(dataclasses.astuple, log))
     if log:
         print(f"trained {tc.epochs} epochs: eval accuracy {log[-1].eval_accuracy:.4f}, "
               f"mean EGM {log[-1].mean_egm:.4g}")
@@ -340,14 +385,14 @@ def cmd_evaluate(args, config: dict, out: Path, ckpt, test_ds) -> None:
     n_bins = config.get("metrics", {}).get("ece_bins", metrics.DEFAULT_ECE_BINS)
     result = trainer.evaluate(ckpt, test_ds, n_bins=n_bins)
     if args.command == "calibrate":
-        metrics.ece_to_csv(result.ece_report, out / "calibration_bins.csv")
+        _write_csv(out / "calibration_bins.csv",
+                   ["bin_lower", "bin_upper", "count", "mean_confidence", "accuracy"],
+                   "%.12g,%.12g,%d,%.12g,%.12g", map(dataclasses.astuple, result.ece_report.bins))
         print(f"ECE {result.ece_report.value:.4f} over {n_bins} bins "
               f"-> {out / 'calibration_bins.csv'}")
         return
-    with open(out / "eval.csv", "w") as fh:
-        fh.write("accuracy,mean_confidence,ece\n")
-        fh.write(f"{result.accuracy:.12g},{result.mean_confidence:.12g},"
-                 f"{result.ece_report.value:.12g}\n")
+    _write_csv(out / "eval.csv", ["accuracy", "mean_confidence", "ece"], "%.12g,%.12g,%.12g",
+               [(result.accuracy, result.mean_confidence, result.ece_report.value)])
     print(f"accuracy {result.accuracy:.4f}, confidence {result.mean_confidence:.4f}, "
           f"ECE {result.ece_report.value:.4f}")
 
@@ -363,16 +408,14 @@ def cmd_ood(args, config: dict, out: Path, ckpt, in_ds, out_ds) -> None:
                    float(max(scores_in.max(), scores_out.max())))
     if value_range[0] == value_range[1]:
         value_range = None
-    with open(out / "ood_scores.csv", "w") as fh:
-        fh.write("split,score\n")
-        for split, scores in (("in", scores_in), ("out", scores_out)):
-            fh.writelines(f"{split},%.12g\n" % s for s in scores.tolist())
-            metrics.histogram_to_csv(metrics.histogram(scores, bins, value_range),
-                                     out / f"ood_hist_{split}.csv")
-    metrics.roc_to_csv(roc, out / "ood_roc.csv")
-    with open(out / "ood_auroc.csv", "w") as fh:
-        fh.write("score_kind,auroc,n_in,n_out\n")
-        fh.write(f"{kind.value},{roc.auroc:.12g},{len(scores_in)},{len(scores_out)}\n")
+    sets = {"in": scores_in, "out": scores_out}
+    _write_csv(out / "ood_scores.csv", ["split", "score"], "%s,%.12g",
+               ((split, s) for split, scores in sets.items() for s in scores.tolist()))
+    for split, scores in sets.items():
+        _write_hist(out / f"ood_hist_{split}.csv", metrics.histogram(scores, bins, value_range))
+    _write_csv(out / "ood_roc.csv", ["fpr", "tpr"], "%.12g,%.12g", roc.curve)
+    _write_csv(out / "ood_auroc.csv", ["score_kind", "auroc", "n_in", "n_out"], "%s,%.12g,%d,%d",
+               [(kind.value, roc.auroc, len(scores_in), len(scores_out))])
     print(f"AUROC[{kind.value}] = {roc.auroc:.4f}")
 
 
@@ -382,17 +425,20 @@ def cmd_attack(args, config: dict, out: Path, ckpt, test_ds) -> None:
     report = attacks.attack_sweep(ckpt.model, ckpt.params, test_ds, base.norm,
                                   section.get("epsilons", [0.0, 0.1, 0.2]), config=base,
                                   seed=config.get("seed", 0))
-    attacks.attack_report_to_csv(report, out / "attack.csv")
-    for eps, acc in zip(report.epsilons, report.adversarial_accuracy):
-        print(f"{base.norm.value} eps={eps:g}: adversarial accuracy {acc:.4f} "
-              f"(clean {report.clean_accuracy:.4f})")
+    rows = [(report.norm.value, eps, report.clean_accuracy, acc, report.n_examples)
+            for eps, acc in zip(report.epsilons, report.adversarial_accuracy)]
+    _write_csv(out / "attack.csv",
+               ["norm", "epsilon", "clean_accuracy", "adversarial_accuracy", "n_examples"],
+               "%s,%.12g,%.12g,%.12g,%d", rows)
+    for norm, eps, clean, acc, _ in rows:
+        print(f"{norm} eps={eps:g}: adversarial accuracy {acc:.4f} (clean {clean:.4f})")
 
 
 def cmd_hist_egm(args, config: dict, out: Path, ckpt, train_ds) -> None:
     egm = -metrics.score_dataset(ckpt.model, ckpt.params, train_ds,
                                  en.ScoreKind.APPROXIMATE_MASS)
     bins = config.get("hist", {}).get("bins", _HIST_BINS)
-    metrics.histogram_to_csv(metrics.histogram(egm, bins), out / "egm_hist.csv")
+    _write_hist(out / "egm_hist.csv", metrics.histogram(egm, bins))
     print(f"mean EGM {egm.mean():.6g} over {egm.size} examples -> {out / 'egm_hist.csv'}")
 
 
@@ -415,11 +461,8 @@ def cmd_sample(args, config: dict, out: Path, ckpt) -> None:
     ok = ~result.report.diverged_mask
     flat_dim = int(np.prod(result.samples.shape[1:]))
     survivors = result.samples[ok].reshape(int(ok.sum()), flat_dim)
-    with open(out / "samples.csv", "w") as fh:
-        fh.write(",".join(f"x{i}" for i in range(survivors.shape[1])) + "\n")
-        # one %-format per row: per-value f-strings cost as much as the chains
-        row_format = ",".join(["%.12g"] * survivors.shape[1]) + "\n"
-        fh.writelines(row_format % tuple(row) for row in survivors.tolist())
+    _write_csv(out / "samples.csv", [f"x{i}" for i in range(flat_dim)],
+               ",".join(["%.12g"] * flat_dim), map(tuple, survivors.tolist()))
     stats = {
         "n_requested": int(n),
         "n_diverged": int((~ok).sum()),
@@ -492,6 +535,7 @@ def main(argv=None) -> int:
         if args.command == "train":
             # built before any data is read, so a bad model or train section exits first
             ckpt = build_train_config(config)
+            check_model_fits_data(config)
         else:
             ckpt = trainer.checkpoint_load(ckpt_path) if ckpt_path else None
         reads = _READS[args.command]

@@ -41,8 +41,9 @@ class Dataset:
         self.y = np.asarray(self.y, dtype=np.int64).reshape(-1)
         if self.x.shape[0] != self.y.shape[0]:
             raise ValueError(f"dataset: {self.x.shape[0]} inputs vs {self.y.shape[0]} labels")
-        if self.x.size and (self.x.min() < -1.0 or self.x.max() > 1.0):
-            raise ValueError("dataset: inputs must lie in [-1, 1]")
+        # NaN fails the comparisons: min and max are NaN when any input is
+        if self.x.size and not (-1.0 <= self.x.min() and self.x.max() <= 1.0):
+            raise ValueError("dataset: inputs must be finite and lie in [-1, 1]")
         if self.y.size and (self.y.min() < 0 or self.y.max() >= self.classes):
             raise ValueError(f"dataset: labels must lie in [0, {self.classes})")
 

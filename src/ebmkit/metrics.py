@@ -3,13 +3,12 @@
 ECE uses equal-width bins over [0, 1] with right-inclusive upper edges
 (bin count configurable, default 20; recorded in every report). AUROC
 is the Mann-Whitney statistic, ties counted half, computed exactly from
-the ROC curve's integer counts with no threshold grid. All emitters
-write plot-ready CSV.
+the ROC curve's integer counts with no threshold grid. The command line
+writes the reports as CSV.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -20,7 +19,6 @@ from . import energy as en
 __all__ = [
     "EceReport", "RocResult", "Histogram",
     "ece", "auroc", "histogram", "score_dataset",
-    "ece_to_csv", "roc_to_csv", "histogram_to_csv",
 ]
 
 DEFAULT_ECE_BINS = 20
@@ -135,30 +133,3 @@ def score_dataset(model, params, dataset, kind: en.ScoreKind) -> np.ndarray:
         return en.log_px_proxy(logits).value
     return en.max_softmax_score(logits)
 
-
-# ---------------------------------------------------------------------------
-# CSV emission (headers documented in the README and stable)
-
-def ece_to_csv(report: EceReport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_lower", "bin_upper", "count", "mean_confidence", "accuracy"])
-        for b in report.bins:
-            writer.writerow([f"{b.lower:.10g}", f"{b.upper:.10g}", b.count,
-                             f"{b.mean_confidence:.12g}", f"{b.accuracy:.12g}"])
-
-
-def roc_to_csv(result: RocResult, path) -> None:
-    # one %-format per point, in csv.writer's dialect: the curve has a point
-    # per distinct score
-    with open(path, "w", newline="") as fh:
-        fh.write("fpr,tpr\r\n")
-        fh.writelines("%.12g,%.12g\r\n" % point for point in result.curve)
-
-
-def histogram_to_csv(hist: Histogram, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_lower", "bin_upper", "density"])
-        for lo, hi, d in zip(hist.edges[:-1], hist.edges[1:], hist.density):
-            writer.writerow([f"{lo:.12g}", f"{hi:.12g}", f"{d:.12g}"])

@@ -10,7 +10,6 @@ sampler-driven runs reproduce given identical RNG streams.
 from __future__ import annotations
 
 import copy
-import csv
 import json
 import zipfile
 from dataclasses import dataclass, field
@@ -29,11 +28,14 @@ from . import sampler as smp
 __all__ = [
     "TrainConfig", "EpochRecord", "Checkpoint", "EvalResult",
     "CheckpointError", "TrainingDiverged",
-    "train", "evaluate", "checkpoint_save", "checkpoint_load", "runlog_to_csv",
+    "train", "evaluate", "checkpoint_save", "checkpoint_load",
 ]
 
 CHECKPOINT_FORMAT_VERSION = 1
 PROBE_SIZE = 512   # fixed subset for the per-epoch gradient-magnitude telemetry
+# what a batch with a non-finite loss or gradient does: skip the batch, or
+# raise TrainingDiverged
+DIVERGENCE_POLICIES = ("skip-batch", "abort")
 
 
 class CheckpointError(RuntimeError):
@@ -54,14 +56,12 @@ class TrainConfig:
     schedule: nn.LrSchedule = field(default_factory=nn.LrSchedule)
     checkpoint_interval: int = 0       # 0 -> no intermediate checkpoints
     checkpoint_dir: Optional[str] = None
-    divergence_policy: str = "skip-batch"   # or "abort"
+    divergence_policy: str = DIVERGENCE_POLICIES[0]
 
     def __post_init__(self):
-        if self.divergence_policy not in ("skip-batch", "abort"):
+        if self.divergence_policy not in DIVERGENCE_POLICIES:
             raise losses.ConfigError(
                 f"unknown divergence policy {self.divergence_policy!r}")
-        if self.loss.mode is losses.Mode.JEM and self.loss.sampler is None:
-            raise losses.ConfigError("JEM training requires a sampler config")
 
 
 @dataclass
@@ -277,15 +277,3 @@ def checkpoint_load(path) -> Checkpoint:
             zipfile.BadZipFile) as exc:
         raise CheckpointError(f"{path}: corrupt or unreadable checkpoint: {exc}") from exc
 
-
-def runlog_to_csv(log: list[EpochRecord], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "lr", "loss_total", "loss_ce", "loss_aux",
-                         "diverged_chains", "skipped_batches", "eval_accuracy",
-                         "mean_egm"])
-        for r in log:
-            writer.writerow([r.epoch, f"{r.lr:.12g}", f"{r.loss_total:.12g}",
-                             f"{r.loss_ce:.12g}", f"{r.loss_aux:.12g}",
-                             r.diverged_chains, r.skipped_batches,
-                             f"{r.eval_accuracy:.12g}", f"{r.mean_egm:.12g}"])

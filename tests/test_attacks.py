@@ -228,15 +228,3 @@ class TestAttackSweep:
         with pytest.raises(ValueError):
             attacks.attack_sweep(spec, params, (np.zeros((2, 2)), np.zeros(2, dtype=int)),
                                  Norm.L2, [0.3, 0.1])
-
-    def test_csv_emission(self, tmp_path):
-        spec, params = two_class_linear()
-        rng = np.random.default_rng(6)
-        x = rng.uniform(-1, 1, size=(20, 2))
-        y = (x[:, 0] > x[:, 1]).astype(np.int64)
-        report = attacks.attack_sweep(spec, params, (x, y), Norm.LINF, [0.0, 0.2])
-        path = tmp_path / "attack.csv"
-        attacks.attack_report_to_csv(report, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "norm,epsilon,clean_accuracy,adversarial_accuracy,n_examples"
-        assert len(lines) == 3

@@ -1,5 +1,8 @@
 import csv
+import dataclasses
 import json
+import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +13,8 @@ from ebmkit import data
 from ebmkit import losses, nn, trainer
 from ebmkit import sampler as smp
 from oracles import dataset_to_csv
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def toy_config(out_dir, mode="ce", epochs=3, n=50, extra=None):
@@ -335,7 +340,8 @@ class TestConfigTable:
 
     @pytest.mark.parametrize("command,key,value,flags,names", [
         bad("train.lr", "0.01"), bad("train.lr", -0.01), bad("train.beta", "0.5"),
-        bad("train.milestones", [5, 3]), bad("train.decay_factor", 2),
+        bad("train.milestones", [5, 3]), bad("train.milestones", [5, 5]),
+        bad("train.decay_factor", 2),
         bad("train.sampler.divergence_bound", 0), bad("seed", "7"),
         bad("seed", 7, flags=("--seed", "-1")),
         bad("model.input_dim", "2"), bad("model.hidden", "32"), bad("model.hidden", [0]),
@@ -345,7 +351,12 @@ class TestConfigTable:
             names="model.input_shape"),
         bad("data.std", "0.3"), bad("data.n_per_class", 10.5),
         bad("model.classes", MISSING), bad("data.std", MISSING), bad("model", MISSING),
-        bad("attack.random_start", "no", command="attack")])
+        bad("attack.random_start", "no", command="attack"),
+        # json reads NaN and Infinity; no number in a config may be either
+        bad("train.lr", math.inf), bad("data.std", math.inf),
+        bad("train.sampler.decay_exponent", math.nan),
+        bad("data.centers", [[-0.5, 0.0], [math.inf, 0.0]]),
+        bad("attack.epsilons", [0.0], command="attack", flags=("--epsilons", "0", "inf"))])
     def test_exits_one_naming_the_key_before_reading(self, trained, tmp_path, monkeypatch,
                                                      capsys, command, key, value, flags, names):
         out, config_path = trained
@@ -368,11 +379,53 @@ class TestConfigTable:
         assert calls == []
 
     def test_readme_example_passes(self):
-        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        readme = (ROOT / "README.md").read_text()
         schema = readme.split("### Config schema", 1)[1]
         example = json.loads(schema.split("```json", 1)[1].split("```", 1)[0])
         cli.check_config(example, "train")
         assert cli.build_train_config(example).loss.mode is losses.Mode.NGEBM
+
+
+class TestModelFitsData:
+    """A train config whose model cannot take its data exits 1, names the
+    data key and the model key, and generates or reads no data."""
+
+    CONV = {"kind": "conv", "input_shape": [3, 32, 32], "channels": [2], "classes": 10}
+    CIFAR = {"train_files": ["absent_train.bin"], "test_files": ["absent_test.bin"]}
+
+    @pytest.mark.parametrize("model,data_section,names", [
+        pytest.param({"classes": 2}, {"centers": [[-0.5, 0.0], [0.5, 0.0], [0.0, 0.5]]},
+                     ("data.centers", "model.classes"), id="three-centers-two-classes"),
+        pytest.param({"input_dim": 3}, {}, ("data.kind", "model.input_dim"), id="input_dim-3"),
+        pytest.param({"kind": "conv", "input_shape": [1, 2, 1], "classes": 2}, {},
+                     ("data.kind", "model.kind"), id="conv-on-points"),
+        pytest.param(dict(CONV, classes=2), dict(CIFAR, kind="cifar10"),
+                     ("data.kind", "model.classes"), id="cifar10-two-classes"),
+        pytest.param(CONV, dict(CIFAR, kind="cifar100"), ("data.kind", "model.classes"),
+                     id="cifar100-ten-classes"),
+        pytest.param({"kind": "mlp", "input_dim": 3072, "classes": 10},
+                     dict(CIFAR, kind="cifar10"), ("data.kind", "model.kind"), id="mlp-on-cifar"),
+        pytest.param(dict(CONV, input_shape=[3, 16, 16]), dict(CIFAR, kind="cifar10"),
+                     ("data.kind", "model.input_shape"), id="cifar-16x16-input"),
+        pytest.param({"classes": 2}, {"kind": "csv", "path": "absent.csv", "classes": 3},
+                     ("data.classes", "model.classes"), id="csv-three-classes")])
+    def test_exits_one_naming_both_keys_before_reading(self, tmp_path, monkeypatch, capsys,
+                                                       model, data_section, names):
+        config = toy_config(tmp_path / "run", epochs=1)
+        config["model"].update(model)
+        config["data"].update(data_section)
+        calls = []
+        for reader in ("gen_gaussian_mixture_2d", "read_cifar_binary", "dataset_from_csv"):
+            monkeypatch.setattr(data, reader, lambda *a, **k: calls.append(a))
+        assert cli.main(["train", "--config", str(write_config(tmp_path, config))]) == 1
+        err = capsys.readouterr().err
+        assert all(name in err for name in names), err
+        assert calls == []
+
+    def test_model_with_more_classes_than_the_data_trains(self, tmp_path):
+        config = toy_config(tmp_path / "run", epochs=1)
+        config["model"]["classes"] = 3
+        assert cli.main(["train", "--config", str(write_config(tmp_path, config))]) == 0
 
 
 class TestFlagValidation:
@@ -409,6 +462,74 @@ class TestFlagValidation:
         assert json.loads((tmp_path / "divergence.json").read_text())["n_requested"] == 3
         manifest = json.loads((tmp_path / "manifest_sample.json").read_text())
         assert manifest["config"]["sample"]["n"] == 3
+
+
+def readme_headers() -> dict:
+    """File name -> header row, from the README's "Output files" table."""
+    section = (ROOT / "README.md").read_text().split("### Output files", 1)[1]
+    rows = section.split("\n\n", 2)[1].splitlines()[2:]
+    return {name: re.search("`([^`]*)`", row.split("|")[3]).group(1)
+            for row in rows for name in re.findall(r"`([^`]+\.csv)`", row.split("|")[2])}
+
+
+class TestTables:
+    """The CSV tables of one toy run of every command."""
+
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("tables")
+        config = toy_config(out, epochs=2, extra={"metrics": {"ece_bins": 8},
+                                                  "hist": {"bins": 6}, "attack": {"n_steps": 2}})
+        config["ood_data"] = dict(config["data"], centers=[[0.0, 0.9], [0.5, 0.9]])
+        path = write_config(out, config)
+        ckpt = ("--checkpoint", str(out / "checkpoint_final.npz"))
+        for command, *flags in [("train",), ("eval", *ckpt), ("calibrate", *ckpt),
+                                ("ood", *ckpt), ("hist-egm", *ckpt), ("sample", *ckpt, "--n", "4"),
+                                ("attack", *ckpt, "--norm", "linf", "--epsilons", "0", "0.2")]:
+            assert cli.main([command, "--config", str(path), *flags]) == 0
+        return out
+
+    def rows(self, path):
+        with open(path, newline="") as fh:
+            return list(csv.DictReader(fh))
+
+    def test_every_table_has_its_readme_header_and_crlf_line_ends(self, run):
+        headers = readme_headers()
+        assert {p.name for p in run.glob("*.csv")} == set(headers)
+        for name, header in headers.items():
+            raw = (run / name).read_bytes()
+            # the toy inputs are 2-d, so samples.csv's x0,x1,... is x0,x1
+            assert raw.split(b"\r\n", 1)[0].decode() == header.removesuffix(",..."), name
+            assert raw.endswith(b"\r\n"), name
+            assert raw.count(b"\n") == raw.count(b"\r") == raw.count(b"\r\n"), name
+
+    def test_runlog_has_a_row_per_epoch(self, run):
+        lines = (run / "runlog.csv").read_text().strip().splitlines()
+        assert len(lines) == 3
+        assert lines[0].startswith("epoch,lr,loss_total")
+        assert lines[0] == ",".join(f.name for f in dataclasses.fields(trainer.EpochRecord))
+
+    def test_calibration_bins_follow_ece_bins(self, run):
+        rows = self.rows(run / "calibration_bins.csv")
+        assert len(rows) == 8
+        assert sum(int(r["count"]) for r in rows) == 100   # 2 classes x 50
+
+    def test_roc_runs_from_origin_to_one(self, run):
+        rows = self.rows(run / "ood_roc.csv")
+        assert rows[0]["fpr"] == "0" and rows[-1]["tpr"] == "1"
+
+    def test_histogram_densities_integrate_to_one(self, run):
+        for name in ("ood_hist_in.csv", "ood_hist_out.csv", "egm_hist.csv"):
+            rows = self.rows(run / name)
+            assert len(rows) == 6
+            total = sum(float(r["density"]) * (float(r["bin_upper"]) - float(r["bin_lower"]))
+                        for r in rows)
+            assert total == pytest.approx(1.0, abs=1e-9)
+
+    def test_attack_table_has_a_row_per_epsilon(self, run):
+        lines = (run / "attack.csv").read_text().strip().splitlines()
+        assert lines[0] == "norm,epsilon,clean_accuracy,adversarial_accuracy,n_examples"
+        assert len(lines) == 3
 
 
 class TestDataConfigValidation:
@@ -599,7 +720,7 @@ class TestSplitsRead:
         assert calls == []
 
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+CONFIGS = ROOT / "configs"
 
 
 def final_epoch(config_name, seed, out):

@@ -150,6 +150,17 @@ class TestValidation:
         with pytest.raises(ValueError, match=r"\[-1, 1\]"):
             data.Dataset(np.array([[2.0]]), np.array([0]), classes=2)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_inputs_rejected(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            data.Dataset(np.array([[0.5, value], [0.0, 0.0]]), np.array([0, 1]), classes=2)
+
+    def test_nan_cell_in_a_csv_file_rejected(self, tmp_path):
+        path = tmp_path / "ds.csv"
+        path.write_text("x0,x1,label\n0.5,nan,0\n0.0,0.0,1\n")
+        with pytest.raises(ValueError, match="finite"):
+            data.dataset_from_csv(path, classes=2)
+
     def test_bad_labels_rejected(self):
         with pytest.raises(ValueError):
             data.Dataset(np.array([[0.0]]), np.array([5]), classes=2)

@@ -1,4 +1,3 @@
-import csv
 
 import numpy as np
 import pytest
@@ -226,34 +225,3 @@ class TestScoreDataset:
     def test_invalid_kind(self):
         with pytest.raises(ValueError):
             metrics.score_dataset(None, {}, np.zeros((1, 2)), "not-a-kind")
-
-
-class TestCsvEmission:
-    def test_ece_csv_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(10)
-        conf = rng.uniform(0, 1, 40)
-        report = metrics.ece(conf, rng.uniform(0, 1, 40) < conf, 8)
-        path = tmp_path / "ece.csv"
-        metrics.ece_to_csv(report, path)
-        with open(path) as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 8
-        assert sum(int(r["count"]) for r in rows) == 40
-
-    def test_roc_csv(self, tmp_path):
-        result = metrics.auroc([1.0, 2.0], [0.0, 0.5])
-        path = tmp_path / "roc.csv"
-        metrics.roc_to_csv(result, path)
-        with open(path) as fh:
-            rows = list(csv.DictReader(fh))
-        assert rows[0]["fpr"] == "0" and rows[-1]["tpr"] == "1"
-
-    def test_histogram_csv(self, tmp_path):
-        hist = metrics.histogram(np.random.default_rng(11).normal(size=100), 6)
-        path = tmp_path / "hist.csv"
-        metrics.histogram_to_csv(hist, path)
-        with open(path) as fh:
-            rows = list(csv.DictReader(fh))
-        total = sum(float(r["density"]) * (float(r["bin_upper"]) - float(r["bin_lower"]))
-                    for r in rows)
-        assert total == pytest.approx(1.0, abs=1e-9)

@@ -279,12 +279,3 @@ class TestCheckpointIO:
         assert (tmp_path / "checkpoint_epoch4.npz").exists()
         mid = trainer.checkpoint_load(tmp_path / "checkpoint_epoch2.npz")
         assert mid.epoch == 2
-
-    def test_runlog_csv(self, tmp_path):
-        train_ds, test_ds = blob_task(n=20)
-        ckpt, log = trainer.train(ce_config(epochs=2), train_ds, test_ds)
-        path = tmp_path / "runlog.csv"
-        trainer.runlog_to_csv(log, path)
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == 3
-        assert lines[0].startswith("epoch,lr,loss_total")
