@@ -5,10 +5,14 @@ walks the tape in reverse topological order. With ``create_graph=True``
 the backward pass is itself built out of recorded primitives, so a
 second backward through a gradient (needed for input-gradient
 penalties) is an ordinary tape traversal. A tape node keeps its output,
-the pure numpy function of its input values that made it (so a
-``Program`` can replay a recording as plain numpy calls) and whatever
+the pure numpy function of its input values that made it and whatever
 its VJP reads; ``backward`` keeps only the gradients it has yet to
 propagate and those of the requested leaves.
+
+A ``Program`` replays a recording as plain numpy calls on new leaf
+values, for any number of outputs at once: a training step's loss terms
+and every parameter gradient from one recording, or the single input
+gradient of a chain or attack step (``input_grad``).
 
 A Tape is single-writer: never record onto one tape from two threads of
 control. Distinct tapes are independent and completed tensors are
@@ -362,21 +366,17 @@ def l2norm(a, axis=None, keepdims: bool = False) -> Tensor:
 # ---------------------------------------------------------------------------
 # indexed ops
 
-def gather(a, index) -> Tensor:
-    """Pick one entry per row: out[i] = a[i, index[i]]."""
-    a = _lift(a)
-    if a.ndim != 2:
-        raise ShapeError(f"gather: expected 2-d input, got shape {a.shape}")
-    idx = np.asarray(index, dtype=np.int64).reshape(-1)
-    n, k = a.shape
-    if idx.shape[0] != n:
-        raise ShapeError(f"gather: index length {idx.shape[0]} != batch {n}")
-    if idx.size and (idx.min() < 0 or idx.max() >= k):
-        raise ValueError(f"gather: index out of range [0, {k})")
-    rows = np.arange(n)
-    onehot = np.zeros((n, k))
-    onehot[rows, idx] = 1.0
-    return _register((a,), lambda v: v[rows, idx], lambda g, i: mul(reshape(g, (n, 1)), onehot))
+def gather(a, onehot) -> Tensor:
+    """Pick one entry per row: out[i] = a[i, j] where onehot[i, j] is 1. The
+    one-hot rows are an input the VJP does not differentiate (as in ``_mask``),
+    so a recorded gather replays on new labels."""
+    a, onehot = _lift(a), _lift(onehot)
+    if a.ndim != 2 or onehot.shape != a.shape:
+        raise ShapeError(f"gather: expected a 2-d input and one-hot rows of its shape, "
+                         f"got {a.shape} and {onehot.shape}")
+    n = a.shape[0]
+    return _register((a, onehot), lambda v, oh: v[np.arange(len(v)), oh.argmax(axis=1)],
+                     lambda g, i: mul(reshape(g, (n, 1)), onehot) if i == 0 else None)
 
 
 # ---------------------------------------------------------------------------
@@ -543,48 +543,67 @@ def backward(tape: Tape, output: Tensor, wrt: Iterable[Tensor],
 # replay
 
 class Program:
-    """The numpy calls ``output`` needs from ``leaves`` on ``tape``, rerun in order
+    """The numpy calls ``outputs`` need from ``leaves`` on ``tape``, rerun in order
     on new leaf values of the recorded shapes, bit-identical as every op is pure;
-    inputs off the tape are held by value, each array dropped after its last reader."""
+    inputs off the tape are held by value, each array dropped after its last
+    reader. A call returns the outputs' values, in order."""
 
-    def __init__(self, tape: Tape, leaves: Sequence[Tensor], output: Tensor):
+    def __init__(self, tape: Tape, leaves: Sequence[Tensor], outputs: Sequence[Tensor]):
         self._shapes = {leaf.node: leaf.shape for leaf in leaves}
-        self._output, self._value = output.node, output.value if output.node is None else None
-        need = {output.node} - {None}
+        # values every call starts from: other leaves under their node ids, and
+        # constant inputs and outputs under negative keys
+        self._consts = {}
+
+        def const(value) -> int:
+            key = -1 - len(self._consts)
+            self._consts[key] = value
+            return key
+
+        self._outputs = [const(t.value) if t.node is None else t.node for t in outputs]
+        need = {t.node for t in outputs} - {None}
         for nid in range(max(need, default=-1), -1, -1):
             if nid in need and nid not in self._shapes:
                 need.update(p for p in tape.nodes[nid].parents if p is not None)
-        nodes = [(nid, tape.nodes[nid]) for nid in sorted(need - set(self._shapes))]
-        last = {p: k for k, (_, node) in enumerate(nodes) for p in node.parents}
-        # (id, function, parent ids, constants, ids read last); other leaves are constants
-        self._steps = [(nid, node.fn or (lambda v=node.value: v), node.parents,
-                        node.consts or node.parents,
-                        {p for p in node.parents if p is not None and last[p] == k})
-                       for k, (nid, node) in enumerate(nodes)]
+        steps = []
+        for nid in sorted(need - set(self._shapes)):
+            node = tape.nodes[nid]
+            if node.fn is None:
+                self._consts[nid] = node.value
+            else:
+                steps.append((nid, node.fn, tuple(const(c) if p is None else p for p, c in
+                                                  zip(node.parents, node.consts or node.parents))))
+        last = {key: k for k, (_, _, keys) in enumerate(steps) for key in keys}
+        kept = set(self._outputs) | set(self._consts)
+        # (id, function, input keys, the values it reads last)
+        self._steps = [(nid, fn, keys, tuple({key for key in keys if last[key] == k} - kept))
+                       for k, (nid, fn, keys) in enumerate(steps)]
 
-    def __call__(self, *values) -> np.ndarray:
+    def __call__(self, *values) -> list:
         shapes = [np.shape(v) for v in values]
         if shapes != list(self._shapes.values()):
             raise ShapeError(f"program: recorded {list(self._shapes.values())}, given {shapes}")
-        env = dict(zip(self._shapes, map(_as_array, values)))
-        for nid, fn, parents, consts, dead in self._steps:
-            env[nid] = fn(*[c if p is None else env[p] for p, c in zip(parents, consts)])
-            for p in dead:
-                del env[p]
-        return self._value if self._output is None else env[self._output]
+        env = dict(self._consts)
+        env.update(zip(self._shapes, map(_as_array, values)))
+        get = env.__getitem__
+        for nid, fn, keys, dead in self._steps:
+            env[nid] = fn(*map(get, keys))
+            for key in dead:
+                del env[key]
+        return [env[key] for key in self._outputs]
 
 
 def input_grad(loss: Callable[[Tensor], Tensor], value, programs: Optional[dict] = None):
     """d loss(x)/dx at x = ``value`` for a scalar ``loss``. Given a dict
-    ``programs``, the first call of each shape records a ``Program`` there,
-    which later calls replay: ``loss`` must stay one function of x."""
+    ``programs``, the first call of each shape records a one-output
+    ``Program`` there, which later calls replay: ``loss`` must stay one
+    function of x."""
     if programs is not None and value.shape in programs:
-        return programs[value.shape](value)
+        return programs[value.shape](value)[0]
     tape = Tape()
     x = tape.leaf(value)
     total = loss(x)
     tape._replay_only = programs is not None
     g = backward(tape, total, [x], create_graph=tape._replay_only)[x]
     if programs is not None:
-        programs[value.shape] = Program(tape, [x], g)
+        programs[value.shape] = Program(tape, [x], [g])
     return g.value

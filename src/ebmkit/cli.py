@@ -251,24 +251,30 @@ def check_data_files(config: dict, command: str) -> None:
                 f"{command} reads the {split} split: {name}.{split}_files is missing")
 
 
-def check_model_fits_data(config: dict) -> None:
-    """Reject a train config whose data holds more classes than model.classes,
-    or inputs the model does not take, before any data is generated or read."""
-    model, section = config["model"], config["data"]
-    kind = _kind(section, "data")
-    if kind == "csv":   # a csv file's width is known only once it is read
-        source, classes, needs = "data.classes", section["classes"], None
-    elif kind == "gaussian_mixture":
-        source, classes, needs = "data.centers", len(section["centers"]), ("mlp", "input_dim", 2)
-    else:
-        source, classes = "data.kind", 10 if kind == "cifar10" else 100
-        needs = ("conv", "input_shape", [3, 32, 32])
-    if classes > model["classes"]:
-        raise losses.ConfigError(f"{source} gives {classes} classes, "
-                                 f"more than model.classes {model['classes']}")
-    if needs and (_kind(model, "model") != needs[0] or model[needs[1]] != needs[2]):
-        raise losses.ConfigError(f"data.kind {kind} needs model.kind {needs[0]} "
-                                 f"with model.{needs[1]} {needs[2]}")
+def check_model_fits_data(config: dict, command: str, model: nn.ModelSpec,
+                          owner: str = "") -> None:
+    """Reject data the command reads that holds more classes than ``model``, or
+    inputs ``model`` does not take, before any data is generated or read.
+    ``owner`` prefixes the model's keys: "" for train's model section, or the
+    checkpoint the other commands open. ood_data's labels are never read, so
+    only its inputs are checked."""
+    for name in dict.fromkeys(name for name, _ in _READS[command]):
+        section = config[name]
+        kind = _kind(section, "data")
+        if kind == "csv":   # a csv file's width is known only once it is read
+            source, classes, shape = f"{name}.classes", section["classes"], None
+        elif kind == "gaussian_mixture":
+            source, classes, shape = f"{name}.centers", len(section["centers"]), (2,)
+            needs = "model.kind mlp with model.input_dim 2"
+        else:
+            source, classes, shape = f"{name}.kind", 10 if kind == "cifar10" else 100, (3, 32, 32)
+            needs = "model.kind conv with model.input_shape [3, 32, 32]"
+        if name == "data" and classes > model.classes:
+            raise losses.ConfigError(f"{source} gives {classes} classes, "
+                                     f"more than {owner}model.classes {model.classes}")
+        if shape and model.input_shape != shape:
+            raise losses.ConfigError(f"{name}.kind {kind} needs {needs}, but {owner}"
+                                     f"model.input_shape is {list(model.input_shape)}")
 
 
 def build_sampler(section: dict) -> smp.SgldConfig:
@@ -535,9 +541,12 @@ def main(argv=None) -> int:
         if args.command == "train":
             # built before any data is read, so a bad model or train section exits first
             ckpt = build_train_config(config)
-            check_model_fits_data(config)
+            check_model_fits_data(config, args.command, ckpt.model)
+        elif ckpt_path:
+            ckpt = trainer.checkpoint_load(ckpt_path)
+            check_model_fits_data(config, args.command, ckpt.model, "the checkpoint's ")
         else:
-            ckpt = trainer.checkpoint_load(ckpt_path) if ckpt_path else None
+            ckpt = None
         reads = _READS[args.command]
         datasets = [build_dataset(config[name], (split,))[0] for name, split in reads]
         written = _COMMANDS[args.command](args, config, out, ckpt, *datasets)

@@ -72,8 +72,9 @@ class LossGraph:
     breakdown: LossBreakdown
     tape: ad.Tape
     bound: dict
-    gen_samples: Optional[np.ndarray] = None   # surviving chain endpoints
-    gen_indices: Optional[np.ndarray] = None   # their buffer slots
+    ce: ad.Tensor
+    aux: ad.Tensor              # a constant 0 where the mode has no auxiliary term
+    inputs: list                # the batch's leaves: x, the one-hot labels, and x_gen in jem
 
 
 def cross_entropy(logits: ad.Tensor, labels) -> ad.Tensor:
@@ -81,13 +82,22 @@ def cross_entropy(logits: ad.Tensor, labels) -> ad.Tensor:
     return ad.mean(_nll_rows(logits, labels))
 
 
-def _nll_rows(logits, labels) -> ad.Tensor:
-    """Per-row negative log-probability of the true labels."""
-    logits = logits if isinstance(logits, ad.Tensor) else ad.Tensor(logits)
+def _one_hot(labels, k: int) -> np.ndarray:
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)
-    k = logits.shape[-1]
     if labels.size and (labels.min() < 0 or labels.max() >= k):
         raise ValueError(f"cross_entropy: label out of range [0, {k})")
+    out = np.zeros((labels.size, k))
+    out[np.arange(labels.size), labels] = 1.0
+    return out
+
+
+def _nll_rows(logits, labels) -> ad.Tensor:
+    """Per-row negative log-probability of the true labels: ints, checked
+    against the class count, or their one-hot rows as a Tensor (a tape leaf
+    in a loss that is replayed on new labels)."""
+    logits = logits if isinstance(logits, ad.Tensor) else ad.Tensor(logits)
+    if not isinstance(labels, ad.Tensor):
+        labels = ad.Tensor(_one_hot(labels, logits.shape[-1]))
     return ad.sub(ad.logsumexp(logits, axis=1), ad.gather(logits, labels))
 
 
@@ -99,65 +109,57 @@ def _penalty_from_logits(tape: ad.Tape, logits: ad.Tensor, x_leaf: ad.Tensor) ->
     return ad.mean(rows)
 
 
+def _jem_samples(config: LossConfig, model, params: nn.Parameters, batch_shape: tuple,
+                 buffer: Optional[smp.ReplayBuffer], rng) -> tuple:
+    """JEM's generated batch: a buffer draw run through the configured chain.
+    Returns the surviving endpoints, their buffer slots and the diverged count."""
+    if buffer is None:
+        raise ConfigError("JEM mode requires a replay buffer")
+    x0, indices = smp.buffer_draw(buffer, batch_shape[0],
+                                  (config.sampler.init_lo, config.sampler.init_hi),
+                                  batch_shape[1:])
+    chain = smp.sgld_chain(model, params, x0, config.sampler, rng=rng)
+    ok = ~chain.report.diverged_mask
+    return chain.samples[ok], indices[ok], int((~ok).sum())
+
+
 def loss_graph(config: LossConfig, model, params: nn.Parameters, x_batch, labels,
                buffer: Optional[smp.ReplayBuffer] = None,
                rng: Union[np.random.Generator, int] = 0,
                x_gen=None) -> LossGraph:
     """Build the configured objective on a fresh tape.
 
-    Parameters are bound as differentiable leaves; the caller runs
-    ``backward(graph.tape, graph.total, graph.bound.values())`` and
-    steps the optimizer. ``x_gen`` overrides the sampler (testing and
-    ablation only). The penalty alone is NGEBM mode with beta=1, gamma=0;
+    Parameters, the batch, its one-hot labels and (jem) the generated
+    samples are bound as leaves, so no batch array is a constant of the
+    graph; the caller runs ``backward(graph.tape, graph.total,
+    graph.bound.values())`` and steps the optimizer. ``x_gen`` overrides
+    the sampler. The penalty alone is NGEBM mode with beta=1, gamma=0;
     the generative term alone is ``breakdown.auxiliary`` in JEM mode.
     """
     x_batch = np.asarray(x_batch, dtype=np.float64)
+    diverged = 0
+    if config.mode is Mode.JEM and x_gen is None:
+        x_gen, _, diverged = _jem_samples(config, model, params, x_batch.shape, buffer, rng)
     tape = ad.Tape()
     bound = params.bind(tape)
-
-    if config.mode is Mode.CROSS_ENTROPY:
-        logits = en.model_logits(model, bound, ad.Tensor(x_batch))
-        ce = cross_entropy(logits, labels)
-        bd = LossBreakdown(total=ce.item(), cross_entropy=ce.item())
-        return LossGraph(ce, bd, tape, bound)
+    x = tape.leaf(x_batch)
+    logits = en.model_logits(model, bound, x)
+    onehot = tape.leaf(_one_hot(labels, logits.shape[-1]))
+    inputs = [x, onehot]
+    ce = cross_entropy(logits, onehot)
+    total, aux = ce, ad.Tensor(0.0)
 
     if config.mode is Mode.NGEBM:
-        x_leaf = tape.leaf(x_batch)
-        logits = en.model_logits(model, bound, x_leaf)
-        ce = cross_entropy(logits, labels)
-        pen = _penalty_from_logits(tape, logits, x_leaf)
-        total = ad.add(ad.mul(ce, config.gamma), ad.mul(pen, config.beta))
-        bd = LossBreakdown(total=total.item(), cross_entropy=ce.item(),
-                           auxiliary=pen.item())
-        return LossGraph(total, bd, tape, bound)
-
-    # JEM: cross-entropy plus the generative term over sampler output
-    diverged = 0
-    gen_indices = None
-    if x_gen is None:
-        if buffer is None:
-            raise ConfigError("JEM mode requires a replay buffer")
-        x0, indices = smp.buffer_draw(buffer, x_batch.shape[0],
-                                      (config.sampler.init_lo, config.sampler.init_hi),
-                                      x_batch.shape[1:])
-        chain = smp.sgld_chain(model, params, x0, config.sampler, rng=rng)
-        ok = ~chain.report.diverged_mask
-        diverged = int((~ok).sum())
-        x_gen = chain.samples[ok]
-        gen_indices = indices[ok]
-
-    logits = en.model_logits(model, bound, ad.Tensor(x_batch))
-    ce = cross_entropy(logits, labels)
-    x_gen = np.asarray(x_gen, dtype=np.float64)
-    if x_gen.shape[0] == 0:
-        bd = LossBreakdown(total=ce.item(), cross_entropy=ce.item(),
-                           diverged_chains=diverged)
-        return LossGraph(ce, bd, tape, bound, x_gen, gen_indices)
-    e_gen = en.energy(en.model_logits(model, bound, ad.Tensor(x_gen)))
-    e_train = en.energy(logits)
-    aux = ad.sub(ad.mean(e_train), ad.mean(e_gen))     # max likelihood: data below samples
-    total = ad.add(ce, aux)
-    bd = LossBreakdown(total=total.item(), cross_entropy=ce.item(),
-                       auxiliary=aux.item(), diverged_chains=diverged)
-    return LossGraph(total, bd, tape, bound, x_gen, gen_indices)
-
+        aux = _penalty_from_logits(tape, logits, x)
+        total = ad.add(ad.mul(ce, config.gamma), ad.mul(aux, config.beta))
+    elif config.mode is Mode.JEM:     # cross-entropy plus the generative term
+        gen = tape.leaf(np.asarray(x_gen, dtype=np.float64))
+        inputs.append(gen)
+        if gen.shape[0]:
+            e_gen = en.energy(en.model_logits(model, bound, gen))
+            e_train = en.energy(logits)
+            aux = ad.sub(ad.mean(e_train), ad.mean(e_gen))     # max likelihood: data below samples
+            total = ad.add(ce, aux)
+    bd = LossBreakdown(total=total.item(), cross_entropy=ce.item(), auxiliary=aux.item(),
+                       diverged_chains=diverged)
+    return LossGraph(total, bd, tape, bound, ce, aux, inputs)

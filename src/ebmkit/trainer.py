@@ -143,6 +143,7 @@ def train(config: TrainConfig, dataset_train: datamod.Dataset,
                             np.full(resume.buffer_samples.shape[0], -1))
 
     log = []
+    programs: dict = {}     # the recorded step of each input shape
     for epoch in range(start_epoch, config.epochs):
         adam.lr = nn.lr_at(config.schedule, epoch)
         totals = np.zeros(3)
@@ -151,19 +152,22 @@ def train(config: TrainConfig, dataset_train: datamod.Dataset,
         skipped = 0
         for batch_index, (x, y) in enumerate(
                 datamod.batches(dataset_train, config.batch_size, config.seed, epoch)):
-            breakdown, grads, gen_samples, gen_indices = _batch_step(
-                config, params, x, y, buffer, sampler_rng)
-            diverged += breakdown.diverged_chains
-            if grads is None or any(not np.all(np.isfinite(g)) for g in grads.values()):
+            x_gen = None
+            if buffer is not None:      # drawn first: the survivor count picks the program
+                x_gen, gen_indices, n_diverged = losses._jem_samples(
+                    config.loss, config.model, params, x.shape, buffer, sampler_rng)
+                diverged += n_diverged
+            total, ce, aux, *grads = _batch_step(config, params, x, y, x_gen, programs)
+            if not np.isfinite(total) or any(not np.all(np.isfinite(g)) for g in grads):
                 if config.divergence_policy == "abort":
                     raise TrainingDiverged(
                         f"non-finite loss or gradient at epoch {epoch}, batch {batch_index}")
                 skipped += 1
                 continue
-            nn.adam_step(adam, params, grads)
-            if buffer is not None and gen_samples is not None and gen_samples.shape[0]:
-                smp.buffer_push(buffer, gen_samples, gen_indices)
-            totals += (breakdown.total, breakdown.cross_entropy, breakdown.auxiliary)
+            nn.adam_step(adam, params, dict(zip(params.names(), grads)))
+            if x_gen is not None and x_gen.shape[0]:
+                smp.buffer_push(buffer, x_gen, gen_indices)
+            totals += (total, ce, aux)
             n_batches += 1
 
         denom = max(n_batches, 1)
@@ -183,17 +187,25 @@ def train(config: TrainConfig, dataset_train: datamod.Dataset,
     return final, log
 
 
-def _batch_step(config, params, x, y, buffer, sampler_rng):
-    """One batch's loss and parameter gradients (None for a non-finite
-    loss). The tape dies on return, so no two batches' tapes, nor a tape
-    and the epoch's telemetry, are ever alive at once."""
-    graph = losses.loss_graph(config.loss, config.model, params, x, y,
-                              buffer=buffer, rng=sampler_rng)
-    grads = None
-    if np.isfinite(graph.breakdown.total):
-        gm = ad.backward(graph.tape, graph.total, list(graph.bound.values()))
-        grads = {name: gm[leaf].value for name, leaf in graph.bound.items()}
-    return graph.breakdown, grads, graph.gen_samples, graph.gen_indices
+def _batch_step(config, params, x, y, x_gen, programs: dict) -> list:
+    """One batch's loss terms (total, ce, aux) and parameter gradients, as
+    arrays. The first batch of each input shape builds its loss with
+    ``losses.loss_graph`` and records the terms and gradients in ``programs``
+    as an ``ad.Program``; later batches of that shape replay it on the new
+    parameters, inputs, labels and samples, with no tape. The recording's
+    tape dies on return, so no two batches' tapes, nor a tape and the
+    epoch's telemetry, are ever alive at once."""
+    batch = [x, losses._one_hot(y, config.model.classes)] + ([] if x_gen is None else [x_gen])
+    key = tuple(v.shape for v in batch)
+    if key in programs:
+        return programs[key](*params.arrays.values(), *batch)
+    graph = losses.loss_graph(config.loss, config.model, params, x, y, x_gen=x_gen)
+    graph.tape._replay_only = True
+    leaves = list(graph.bound.values())
+    grads = ad.backward(graph.tape, graph.total, leaves, create_graph=True)
+    outputs = [graph.total, graph.ce, graph.aux] + [grads[leaf] for leaf in leaves]
+    programs[key] = ad.Program(graph.tape, leaves + graph.inputs, outputs)
+    return [t.value for t in outputs]
 
 
 def _snapshot(config, params, adam, epoch, sampler_rng, buffer) -> Checkpoint:

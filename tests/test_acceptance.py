@@ -105,7 +105,7 @@ def test_criterion_01_gradient_oracle_suite():
                 op = lambda t: ad.matmul(t, other)
             elif kind == "gather":
                 idx = rng.integers(0, 5, size=4)
-                op = lambda t: ad.gather(t, idx)
+                op = lambda t: ad.gather(t, np.eye(5)[idx])
             else:
                 op = case["op"]
             tape, leaf, loss, proj = scalar_loss(op, x_val, rng=rng)

@@ -428,6 +428,74 @@ class TestModelFitsData:
         assert cli.main(["train", "--config", str(write_config(tmp_path, config))]) == 0
 
 
+class TestCheckpointFitsData:
+    """A command that opens a checkpoint exits 1 when the data it reads does
+    not fit the checkpoint's model, names the data key and the model key,
+    and generates or reads no data."""
+
+    THREE_CENTERS = {"centers": [[-0.5, 0.0], [0.5, 0.0], [0.0, 0.5]]}
+    CIFAR = {"kind": "cifar10", "train_files": ["absent_train.bin"],
+             "test_files": ["absent_test.bin"]}
+
+    def _exits_one(self, trained, tmp_path, monkeypatch, capsys, command, data_section,
+                   ood_section, names):
+        out, config_path = trained
+        config = json.loads(config_path.read_text())
+        config["data"] = dict(config["data"], **data_section)
+        config["ood_data"] = dict(config["data"], **ood_section)
+        calls = []
+        for reader in ("gen_gaussian_mixture_2d", "read_cifar_binary", "dataset_from_csv"):
+            monkeypatch.setattr(data, reader, lambda *a, **k: calls.append(a))
+        assert cli.main([command, "--config", str(write_config(tmp_path, config)),
+                         "--out", str(tmp_path / "out"),
+                         "--checkpoint", str(out / "checkpoint_final.npz")]) == 1
+        err = capsys.readouterr().err
+        assert all(name in err for name in names), err
+        assert calls == []
+
+    @pytest.mark.parametrize("command", ["eval", "calibrate", "ood", "attack", "hist-egm"])
+    def test_more_classes_than_the_checkpoint(self, trained, tmp_path, monkeypatch, capsys,
+                                              command):
+        self._exits_one(trained, tmp_path, monkeypatch, capsys, command, self.THREE_CENTERS,
+                        {}, ("data.centers", "checkpoint's model.classes"))
+
+    @pytest.fixture(scope="class")
+    def ten_classes(self, tmp_path_factory):
+        """A toy mlp with 10 classes: cifar10's class count, not its inputs."""
+        out = tmp_path_factory.mktemp("ten_classes")
+        config = toy_config(out, epochs=1)
+        config["model"]["classes"] = 10
+        path = write_config(out, config)
+        assert cli.main(["train", "--config", str(path)]) == 0
+        return out, path
+
+    @pytest.mark.parametrize("command", ["eval", "calibrate", "ood", "attack", "hist-egm"])
+    def test_inputs_the_checkpoint_does_not_take(self, ten_classes, tmp_path, monkeypatch,
+                                                 capsys, command):
+        self._exits_one(ten_classes, tmp_path, monkeypatch, capsys, command, self.CIFAR, {},
+                        ("data.kind", "checkpoint's model.input_shape"))
+
+    def test_csv_with_more_classes_than_the_checkpoint(self, trained, tmp_path, monkeypatch,
+                                                       capsys):
+        self._exits_one(trained, tmp_path, monkeypatch, capsys, "eval",
+                        {"kind": "csv", "path": "absent.csv", "classes": 3}, {},
+                        ("data.classes", "checkpoint's model.classes"))
+
+    def test_ood_data_inputs_the_checkpoint_does_not_take(self, trained, tmp_path, monkeypatch,
+                                                          capsys):
+        # ood_data's labels are not read, so only its inputs must fit
+        self._exits_one(trained, tmp_path, monkeypatch, capsys, "ood", {}, self.CIFAR,
+                        ("ood_data.kind", "checkpoint's model.input_shape"))
+
+    def test_ood_data_with_more_classes_is_scored(self, trained, tmp_path):
+        out, config_path = trained
+        config = json.loads(config_path.read_text())
+        config["ood_data"] = dict(config["data"], **self.THREE_CENTERS)
+        assert cli.main(["ood", "--config", str(write_config(tmp_path, config)),
+                         "--out", str(tmp_path / "out"),
+                         "--checkpoint", str(out / "checkpoint_final.npz")]) == 0
+
+
 class TestFlagValidation:
     """--epsilons and --n replace the config keys they name and are checked
     by the same rules, before any data is read or a checkpoint opened."""

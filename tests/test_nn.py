@@ -79,7 +79,7 @@ class TestForward:
         tape = ad.Tape()
         bound = params.bind(tape)
         logits = nn.forward(spec, bound, tape.leaf(x))
-        ce = ad.mean(ad.sub(ad.logsumexp(logits, axis=1), ad.gather(logits, labels)))
+        ce = ad.mean(ad.sub(ad.logsumexp(logits, axis=1), ad.gather(logits, np.eye(2)[labels])))
         gm = ad.backward(tape, ce, list(bound.values()))
 
         for name, leaf in bound.items():

@@ -117,33 +117,41 @@ class TestTrain:
         assert len(log) == 2
         assert all(np.isfinite(r.loss_total) for r in log)
 
-    def _poison_loss(self, monkeypatch, poison_at=2):
-        real = losses.loss_graph
-        calls = {"n": 0}
+    def _poison_batch(self, monkeypatch, epoch=0, batch=1):
+        """Give batch ``batch`` of ``epoch`` NaN inputs. It has the shape of
+        the batch before it, so its step replays the recorded program; the
+        returned list collects the shape of each batch ``loss_graph`` records."""
+        real_batches, real_graph = datamod.batches, losses.loss_graph
+        recorded = []
 
-        def poisoned(*args, **kw):
-            graph = real(*args, **kw)
-            calls["n"] += 1
-            if calls["n"] == poison_at:
-                graph.breakdown.total = float("nan")
-            return graph
+        def batches(dataset, batch_size, seed, e):
+            for i, (x, y) in enumerate(real_batches(dataset, batch_size, seed, e)):
+                yield (np.full_like(x, np.nan) if (e, i) == (epoch, batch) else x), y
 
-        monkeypatch.setattr(trainer.losses, "loss_graph", poisoned)
+        def loss_graph(*args, **kw):
+            recorded.append(np.shape(args[3]))
+            return real_graph(*args, **kw)
+
+        monkeypatch.setattr(trainer.datamod, "batches", batches)
+        monkeypatch.setattr(trainer.losses, "loss_graph", loss_graph)
+        return recorded
 
     def test_abort_policy_raises_with_location(self, monkeypatch):
         train_ds, test_ds = blob_task(n=64)
-        self._poison_loss(monkeypatch)
+        recorded = self._poison_batch(monkeypatch)
         config = ce_config(epochs=2, divergence_policy="abort")
         with pytest.raises(trainer.TrainingDiverged, match="epoch 0, batch 1"):
             trainer.train(config, train_ds, test_ds)
+        assert recorded == [(32, 2)]        # batch 0 recorded; batch 1 was a replay
 
     def test_skip_batch_policy_counts_and_continues(self, monkeypatch):
         train_ds, test_ds = blob_task(n=64)
-        self._poison_loss(monkeypatch)
+        recorded = self._poison_batch(monkeypatch)
         config = ce_config(epochs=2, divergence_policy="skip-batch")
         ckpt, log = trainer.train(config, train_ds, test_ds)
         assert sum(r.skipped_batches for r in log) == 1
         assert len(log) == 2
+        assert recorded == [(32, 2)]
 
     def test_peak_memory_is_one_step_not_two_tapes(self, monkeypatch):
         # two ngebm batches of a conv net: each batch's tape is freed before
@@ -169,6 +177,98 @@ class TestTrain:
         step = traced_peak_bytes(one_step)
         whole = traced_peak_bytes(trainer.train, config, train_ds, eval_ds)
         assert whole < 1.15 * step, whole / step
+
+
+_STEP_MODELS = {"mlp": nn.ModelSpec.mlp(2, [8, 8], 3),
+                "conv": nn.ModelSpec.small_conv((2, 6, 6), [3, 3], 3)}
+_STEP_LOSSES = {"ce": losses.LossConfig(mode=losses.Mode.CROSS_ENTROPY),
+                "ngebm": losses.LossConfig(mode=losses.Mode.NGEBM, beta=0.3, gamma=0.7),
+                "jem": losses.LossConfig(mode=losses.Mode.JEM, sampler=smp.SgldConfig())}
+
+
+def _eager_step(config, params, x, y, x_gen):
+    """A step as loss_graph + a plain backward: total, ce, aux, then every
+    parameter gradient."""
+    graph = losses.loss_graph(config.loss, config.model, params, x, y, x_gen=x_gen)
+    grads = ad.backward(graph.tape, graph.total, list(graph.bound.values()))
+    bd = graph.breakdown
+    return [bd.total, bd.cross_entropy, bd.auxiliary] + [grads[leaf].value
+                                                         for leaf in graph.bound.values()]
+
+
+class TestStepProgram:
+    """trainer._batch_step records one program per input shape and replays it;
+    every replay is bit-identical to an eager loss_graph + backward."""
+
+    @staticmethod
+    def _batch(rng, spec, rows, gen_rows):
+        shape = spec.input_shape
+        return (rng.uniform(-1, 1, size=(rows,) + shape), rng.integers(0, spec.classes, rows),
+                None if gen_rows is None else rng.uniform(-1, 1, size=(gen_rows,) + shape))
+
+    @pytest.mark.parametrize("model", sorted(_STEP_MODELS))
+    @pytest.mark.parametrize("mode", sorted(_STEP_LOSSES))
+    def test_replay_is_bit_identical_to_an_eager_step(self, model, mode):
+        spec = _STEP_MODELS[model]
+        config = trainer.TrainConfig(model=spec, loss=_STEP_LOSSES[mode], batch_size=8)
+        rng = np.random.default_rng(3)
+        jem = mode == "jem"
+        # full batches, then a ragged last batch; for jem also some chains
+        # diverged (fewer generated rows) and none survived
+        shapes = [(8, 8), (8, 8), (5, 5), (5, 5)]
+        if jem:
+            shapes += [(8, 6), (8, 6), (8, 0), (8, 0)]
+        programs = {}
+        for rows, gen_rows in shapes:
+            params = nn.init(spec, int(rng.integers(1 << 16)))      # new parameters each batch
+            x, y, x_gen = self._batch(rng, spec, rows, gen_rows if jem else None)
+            got = trainer._batch_step(config, params, x, y, x_gen, programs)
+            want = _eager_step(config, params, x, y, x_gen)
+            assert len(got) == len(want) == 3 + len(params.names())
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w), (model, mode, rows, gen_rows)
+        assert len(programs) == len(set(shapes))
+
+    @pytest.mark.parametrize("mode", sorted(_STEP_LOSSES))
+    def test_replay_reads_new_inputs_and_labels(self, mode):
+        # two same-shape batches on the same parameters: a program that froze
+        # the first batch's x, labels or samples would repeat its gradients
+        spec = _STEP_MODELS["mlp"]
+        config = trainer.TrainConfig(model=spec, loss=_STEP_LOSSES[mode], batch_size=6)
+        params = nn.init(spec, 4)
+        rng = np.random.default_rng(5)
+        gen_rows = 6 if mode == "jem" else None
+        first = self._batch(rng, spec, 6, gen_rows)
+        second = self._batch(rng, spec, 6, gen_rows)
+        assert not np.array_equal(first[1], second[1])
+        programs = {}
+        steps = [trainer._batch_step(config, params, *batch, programs) for batch in (first, second)]
+        assert len(programs) == 1
+        for step, batch in zip(steps, (first, second)):
+            for g, w in zip(step, _eager_step(config, params, *batch)):
+                assert np.array_equal(g, w), mode
+        for g_first, g_second in zip(steps[0][3:], steps[1][3:]):
+            assert not np.array_equal(g_first, g_second)
+
+    def test_labels_are_checked_on_a_replay(self):
+        spec = _STEP_MODELS["mlp"]
+        config = trainer.TrainConfig(model=spec, loss=_STEP_LOSSES["ce"], batch_size=4)
+        params = nn.init(spec, 0)
+        x = np.zeros((4, 2))
+        programs = {}
+        trainer._batch_step(config, params, x, np.array([0, 1, 2, 0]), None, programs)
+        with pytest.raises(ValueError, match="label out of range"):
+            trainer._batch_step(config, params, x, np.array([0, 1, 3, 0]), None, programs)
+
+    def test_peak_memory_of_a_replay_is_below_its_recording(self):
+        spec = nn.ModelSpec.small_conv((3, 16, 16), [4, 4], 3)
+        config = trainer.TrainConfig(model=spec, loss=_STEP_LOSSES["ngebm"], batch_size=16)
+        params = nn.init(spec, 0)
+        x, y, _ = self._batch(np.random.default_rng(6), spec, 16, None)
+        programs = {}
+        record = traced_peak_bytes(trainer._batch_step, config, params, x, y, None, programs)
+        replay = traced_peak_bytes(trainer._batch_step, config, params, x, y, None, programs)
+        assert replay < record, (replay, record)
 
 
 class TestEvaluate:
