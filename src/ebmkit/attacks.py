@@ -84,9 +84,9 @@ def _input_gradient(model, params, x: np.ndarray, y: np.ndarray, scale=None, pro
     mean over the whole set gives it. ``programs``: as in ``ad.input_grad``."""
     scale = 1.0 / max(x.shape[0], 1) if scale is None else scale
 
-    def block_gradient(xb, yb):
-        return ad.input_grad(lambda x_leaf: ad.mul(ad.sum_(losses._nll_rows(
-            en.model_logits(model, params, x_leaf), yb)), scale), xb, programs)
+    def block_gradient(xb, yb):     # a recording holds its block's labels by value
+        return ad.input_grad(lambda x_leaf, **bound: ad.mul(ad.sum_(losses._nll_rows(
+            en.model_logits(model, bound, x_leaf), yb)), scale), xb, programs, en._arrays(params))
 
     grad = en._in_blocks(block_gradient, model, x, y)
     if not np.all(np.isfinite(grad)):

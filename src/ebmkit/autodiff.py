@@ -12,7 +12,9 @@ propagate and those of the requested leaves.
 A ``Program`` replays a recording as plain numpy calls on new leaf
 values, for any number of outputs at once: a training step's loss terms
 and every parameter gradient from one recording, or the single input
-gradient of a chain or attack step (``input_grad``).
+gradient of a chain or attack step (``input_grad``), whose parameters
+are inputs like x: only what else its loss reads (an attack's labels) is
+held by value, so that alone must not change between replays.
 
 A Tape is single-writer: never record onto one tape from two threads of
 control. Distinct tapes are independent and completed tensors are
@@ -21,8 +23,9 @@ immutable, so read-only sharing is safe.
 
 from __future__ import annotations
 
+import functools
 import weakref
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -243,7 +246,7 @@ def linear(x, w, b) -> Tensor:
 def transpose(a, axes: Optional[Sequence[int]] = None) -> Tensor:
     a = _lift(a)
     axes = tuple(reversed(range(a.ndim))) if axes is None else tuple(int(ax) for ax in axes)
-    return _register((a,), lambda v: np.asarray(np.transpose(v, axes), order="C"),
+    return _register((a,), lambda v: v.transpose(axes).copy(),
                      lambda g, i: transpose(g, np.argsort(axes)))
 
 
@@ -280,7 +283,7 @@ def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _lift(a)
     axes = _norm_axes(axis, a.ndim)
     keep = _keep_shape(a.shape, axes)
-    return _register((a,), lambda v: np.sum(v, axis=axes, keepdims=keepdims),
+    return _register((a,), lambda v: np.add.reduce(v, axis=axes, keepdims=keepdims),
                      lambda g, i: broadcast(reshape(g, keep), a.shape))
 
 
@@ -289,7 +292,7 @@ def mean(a, axis=None, keepdims: bool = False) -> Tensor:
     axes = _norm_axes(axis, a.ndim)
     keep = _keep_shape(a.shape, axes)
     count = float(np.prod([a.shape[i] for i in axes])) if axes else 1.0
-    return _register((a,), lambda v: np.mean(v, axis=axes, keepdims=keepdims),
+    return _register((a,), lambda v: np.add.reduce(v, axis=axes, keepdims=keepdims) / count,
                      lambda g, i: broadcast(reshape(mul(g, 1.0 / count), keep), a.shape))
 
 
@@ -298,12 +301,12 @@ def logsumexp(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _lift(a)
     axes = _norm_axes(axis, a.ndim)
     keep = _keep_shape(a.shape, axes)
+    kept = keep if keepdims else tuple(d for i, d in enumerate(a.shape) if i not in axes)
 
     def fn(v):
-        m = np.max(v, axis=axes, keepdims=True)
+        m = np.maximum.reduce(v, axis=axes, keepdims=True)
         m = np.where(np.isfinite(m), m, 0.0)
-        value = np.log(np.sum(np.exp(v - m), axis=axes, keepdims=True)) + m
-        return value if keepdims else np.squeeze(value, axis=axes)
+        return (np.log(np.add.reduce(np.exp(v - m), axis=axes, keepdims=True)) + m).reshape(kept)
 
     def vjp(g, i):
         # sub and mul broadcast the reduced axes back themselves
@@ -358,8 +361,8 @@ def l2norm(a, axis=None, keepdims: bool = False) -> Tensor:
             live, y_safe = reshape(live, keep), reshape(y_safe, keep)
         return mul(div(live, y_safe), a)
 
-    out = _register((a,), lambda v: np.sqrt(np.sum(np.square(v), axis=axes, keepdims=keepdims)),
-                    vjp)
+    out = _register((a,), lambda v: np.sqrt(np.add.reduce(np.square(v), axis=axes,
+                                                           keepdims=keepdims)), vjp)
     return out
 
 
@@ -542,68 +545,76 @@ def backward(tape: Tape, output: Tensor, wrt: Iterable[Tensor],
 # ---------------------------------------------------------------------------
 # replay
 
+# compiling costs more than recording: chains that record on every call share code
+_compile = functools.lru_cache(maxsize=64)(compile)
+
+
 class Program:
     """The numpy calls ``outputs`` need from ``leaves`` on ``tape``, rerun in order
-    on new leaf values of the recorded shapes, bit-identical as every op is pure;
-    inputs off the tape are held by value, each array dropped after its last
-    reader. A call returns the outputs' values, in order."""
+    on new leaf values of the recorded shapes, bit-identical as every op is pure:
+    one generated straight-line function, a line ``vN = fK(vA, vB)`` per call,
+    that deletes each value after its last reader. Inputs off the tape are held
+    by value. A call returns the outputs' values, in order."""
 
     def __init__(self, tape: Tape, leaves: Sequence[Tensor], outputs: Sequence[Tensor]):
-        self._shapes = {leaf.node: leaf.shape for leaf in leaves}
-        # values every call starts from: other leaves under their node ids, and
-        # constant inputs and outputs under negative keys
-        self._consts = {}
+        self._shapes = [leaf.shape for leaf in leaves]
+        names = {leaf.node: f"v{leaf.node}" for leaf in leaves}    # node id -> its variable
+        lines = [f"def replay({', '.join(names.values())}):"]
+        space: dict = {}        # the function's globals: each step's function, every constant
 
-        def const(value) -> int:
-            key = -1 - len(self._consts)
-            self._consts[key] = value
-            return key
+        def held(prefix: str, value) -> str:
+            name = f"{prefix}{len(space)}"
+            space[name] = value
+            return name
 
-        self._outputs = [const(t.value) if t.node is None else t.node for t in outputs]
         need = {t.node for t in outputs} - {None}
         for nid in range(max(need, default=-1), -1, -1):
-            if nid in need and nid not in self._shapes:
+            if nid in need and nid not in names:
                 need.update(p for p in tape.nodes[nid].parents if p is not None)
         steps = []
-        for nid in sorted(need - set(self._shapes)):
+        for nid in sorted(need - set(names)):
             node = tape.nodes[nid]
-            if node.fn is None:
-                self._consts[nid] = node.value
-            else:
-                steps.append((nid, node.fn, tuple(const(c) if p is None else p for p, c in
-                                                  zip(node.parents, node.consts or node.parents))))
-        last = {key: k for k, (_, _, keys) in enumerate(steps) for key in keys}
-        kept = set(self._outputs) | set(self._consts)
-        # (id, function, input keys, the values it reads last)
-        self._steps = [(nid, fn, keys, tuple({key for key in keys if last[key] == k} - kept))
-                       for k, (nid, fn, keys) in enumerate(steps)]
+            if node.fn is None:             # a leaf the caller does not pass
+                names[nid] = held("c", node.value)
+                continue
+            args = [held("c", c) if p is None else names[p]
+                    for p, c in zip(node.parents, node.consts or node.parents)]
+            names[nid] = f"v{nid}"
+            steps.append((names[nid], held("f", node.fn), args))
+        results = [held("c", t.value) if t.node is None else names[t.node] for t in outputs]
+        last = {arg: k for k, (_, _, args) in enumerate(steps) for arg in args}
+        for k, (out, fn, args) in enumerate(steps):
+            lines.append(f"    {out} = {fn}({', '.join(args)})")
+            dead = sorted({a for a in args if a[0] == "v" and last[a] == k} - set(results))
+            if dead:
+                lines.append(f"    del {', '.join(dead)}")
+        lines.append(f"    return [{', '.join(results)}]")
+        exec(_compile("\n".join(lines), "<program>", "exec"), space)
+        self._replay = space.pop("replay")      # else space and function form a cycle
 
     def __call__(self, *values) -> list:
-        shapes = [np.shape(v) for v in values]
-        if shapes != list(self._shapes.values()):
-            raise ShapeError(f"program: recorded {list(self._shapes.values())}, given {shapes}")
-        env = dict(self._consts)
-        env.update(zip(self._shapes, map(_as_array, values)))
-        get = env.__getitem__
-        for nid, fn, keys, dead in self._steps:
-            env[nid] = fn(*map(get, keys))
-            for key in dead:
-                del env[key]
-        return [env[key] for key in self._outputs]
+        values = [_as_array(v) for v in values]
+        if [v.shape for v in values] != self._shapes:
+            raise ShapeError(f"program: recorded {self._shapes}, given {[v.shape for v in values]}")
+        return self._replay(*values)
 
 
-def input_grad(loss: Callable[[Tensor], Tensor], value, programs: Optional[dict] = None):
-    """d loss(x)/dx at x = ``value`` for a scalar ``loss``. Given a dict
-    ``programs``, the first call of each shape records a one-output
-    ``Program`` there, which later calls replay: ``loss`` must stay one
-    function of x."""
+def input_grad(loss: Callable[..., Tensor], value, programs: Optional[dict] = None,
+               params: Optional[Mapping[str, np.ndarray]] = None):
+    """d loss(x, **bound)/dx at x = ``value`` for a scalar ``loss``; ``bound``
+    holds each of ``params`` (name -> array) as a leaf. Given a dict ``programs``,
+    the first call of each shape of x records a one-output ``Program`` there with
+    x and the parameters as inputs, which later calls replay on any values of
+    both: only what else ``loss`` reads must stay the same."""
+    params = {} if params is None else params
     if programs is not None and value.shape in programs:
-        return programs[value.shape](value)[0]
+        return programs[value.shape](value, *params.values())[0]
     tape = Tape()
     x = tape.leaf(value)
-    total = loss(x)
+    bound = {name: tape.leaf(v) for name, v in params.items()}
+    total = loss(x, **bound)
     tape._replay_only = programs is not None
     g = backward(tape, total, [x], create_graph=tape._replay_only)[x]
     if programs is not None:
-        programs[value.shape] = Program(tape, [x], [g])
+        programs[value.shape] = Program(tape, [x, *bound.values()], [g])
     return g.value

@@ -87,8 +87,13 @@ def _logits_in_blocks(model, params, x) -> np.ndarray:
     return _in_blocks(lambda b: model_logits(model, params, ad.Tensor(b)).value, model, x)
 
 
+def _arrays(params) -> dict:     # a Parameters store's name -> array mapping
+    return params.arrays if isinstance(params, nn.Parameters) else params
+
+
 def _block_grad(model, params, block: np.ndarray, programs=None) -> np.ndarray:
-    return ad.input_grad(lambda x: ad.sum_(energy(model_logits(model, params, x))), block, programs)
+    return ad.input_grad(lambda x, **bound: ad.sum_(energy(model_logits(model, bound, x))),
+                         block, programs, _arrays(params))
 
 
 def energy_grad_input(model, params, x_batch, programs=None) -> np.ndarray:
@@ -96,7 +101,8 @@ def energy_grad_input(model, params, x_batch, programs=None) -> np.ndarray:
     in the model (no batch statistics), so one backward pass over a row
     block's summed energy separates into rows; each block (``_in_blocks``)
     is one tape, so peak memory follows a block, not the set. Calls that share
-    a dict ``programs`` record each block shape's gradient once (``ad.input_grad``)."""
+    a dict ``programs`` record each block shape's gradient once (``ad.input_grad``),
+    with the parameters as inputs, so the dict serves any parameter values."""
     return _in_blocks(lambda block: _block_grad(model, params, block, programs), model, x_batch)
 
 

@@ -110,15 +110,15 @@ def _penalty_from_logits(tape: ad.Tape, logits: ad.Tensor, x_leaf: ad.Tensor) ->
 
 
 def _jem_samples(config: LossConfig, model, params: nn.Parameters, batch_shape: tuple,
-                 buffer: Optional[smp.ReplayBuffer], rng) -> tuple:
-    """JEM's generated batch: a buffer draw run through the configured chain.
-    Returns the surviving endpoints, their buffer slots and the diverged count."""
+                 buffer: Optional[smp.ReplayBuffer], rng, programs: Optional[dict] = None) -> tuple:
+    """JEM's generated batch: a buffer draw run through the configured chain (its
+    ``programs`` kept by the caller); the survivors, their buffer slots and the diverged count."""
     if buffer is None:
         raise ConfigError("JEM mode requires a replay buffer")
     x0, indices = smp.buffer_draw(buffer, batch_shape[0],
                                   (config.sampler.init_lo, config.sampler.init_hi),
                                   batch_shape[1:])
-    chain = smp.sgld_chain(model, params, x0, config.sampler, rng=rng)
+    chain = smp.sgld_chain(model, params, x0, config.sampler, rng=rng, programs=programs)
     ok = ~chain.report.diverged_mask
     return chain.samples[ok], indices[ok], int((~ok).sum())
 

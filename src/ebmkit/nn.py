@@ -8,7 +8,7 @@ thread of control owns mutation, evaluation reads frozen snapshots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Optional, Union
 
 import numpy as np
@@ -17,7 +17,7 @@ from . import autodiff as ad
 
 __all__ = [
     "Dense", "Relu", "Flatten", "Conv", "ModelSpec", "Parameters",
-    "init", "forward", "AdamState", "adam_step", "LrSchedule", "lr_at",
+    "init", "forward", "AdamState", "NonFiniteGradient", "adam_step", "LrSchedule", "lr_at",
 ]
 
 # Passes over a set run in row blocks whose widest activation fills 2 MB: 32
@@ -163,17 +163,30 @@ def _infer(layer: Layer, shape: tuple, index: int) -> tuple:
     raise ValueError(f"unknown layer type {type(layer).__name__}")
 
 
+def _pack(arrays: Mapping[str, np.ndarray]) -> tuple[np.ndarray, dict]:
+    """One float64 vector holding a copy of every array, and each name's view of it."""
+    arrays = {k: np.asarray(v, dtype=np.float64) for k, v in arrays.items()}
+    flat = np.concatenate([a.ravel() for a in arrays.values()] or [np.zeros(0)])
+    ends = np.cumsum([a.size for a in arrays.values()], dtype=int)
+    return flat, {k: flat[end - a.size:end].reshape(a.shape)
+                  for (k, a), end in zip(arrays.items(), ends)}
+
+
 class Parameters:
-    """Ordered, named float64 parameter arrays matching a ModelSpec."""
+    """Ordered, named float64 parameter arrays matching a ModelSpec. They
+    share one vector, ``flat``; ``arrays`` maps each name to its view of it."""
 
     def __init__(self, arrays: Mapping[str, np.ndarray]):
-        self.arrays = {k: np.asarray(v, dtype=np.float64) for k, v in arrays.items()}
+        self.flat, self.arrays = _pack(arrays)
         for name, arr in self.arrays.items():
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"parameter {name!r} contains non-finite values")
 
     def copy(self) -> "Parameters":
-        return Parameters({k: v.copy() for k, v in self.arrays.items()})
+        return Parameters(self.arrays)
+
+    def __deepcopy__(self, memo) -> "Parameters":
+        return self.copy()      # a new vector with its own views
 
     def bind(self, tape: ad.Tape) -> dict[str, ad.Tensor]:
         """Register every array as a differentiable leaf on ``tape``."""
@@ -239,9 +252,14 @@ def forward(spec: ModelSpec, params, x) -> ad.Tensor:
 # ---------------------------------------------------------------------------
 # optimizer
 
+class NonFiniteGradient(ValueError):
+    """``adam_step`` was given a NaN or infinite gradient and changed nothing."""
+
+
 @dataclass
 class AdamState:
-    """First/second moment estimates plus step counter and hyperparameters."""
+    """First/second moment estimates plus step counter and hyperparameters;
+    ``m`` and ``v`` are views of one vector each, ``flat_m`` and ``flat_v``."""
 
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
@@ -251,28 +269,36 @@ class AdamState:
     beta2: float = 0.999
     eps: float = 1e-8
 
+    def __post_init__(self):
+        self.flat_m, self.m = _pack(self.m)
+        self.flat_v, self.v = _pack(self.v)
+
+    def __deepcopy__(self, memo) -> "AdamState":
+        return replace(self)    # packs copies of the moments into new vectors
+
     @staticmethod
     def for_params(params: Parameters, lr: float = 1e-4, beta1: float = 0.9,
                    beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
-        return AdamState(m={k: np.zeros_like(v) for k, v in params.arrays.items()},
-                         v={k: np.zeros_like(v) for k, v in params.arrays.items()},
-                         t=0, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+        zeros = {k: np.zeros_like(v) for k, v in params.arrays.items()}
+        return AdamState(m=zeros, v=zeros, t=0, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
 
 
 def adam_step(state: AdamState, params: Parameters,
               grads: Mapping[str, np.ndarray]) -> tuple[Parameters, AdamState]:
-    """One bias-corrected Adam update, in place; returns (params, state)."""
+    """One bias-corrected Adam update of all parameters at once, in place; returns
+    (params, state). A NaN or infinite gradient raises NonFiniteGradient, naming
+    its parameter, and changes nothing."""
+    g = np.concatenate([np.ravel(grads[name]) for name in params.arrays], dtype=np.float64)
+    if not np.isfinite(g).all():
+        name = next(k for k in params.arrays if not np.isfinite(grads[k]).all())
+        raise NonFiniteGradient(f"adam_step: non-finite gradient for parameter {name!r}")
     state.t += 1
     b1, b2 = state.beta1, state.beta2
-    for name in params.arrays:
-        g = np.asarray(grads[name], dtype=np.float64)
-        if not np.all(np.isfinite(g)):
-            raise ValueError(f"adam_step: non-finite gradient for parameter {name!r}")
-        state.m[name] = b1 * state.m[name] + (1 - b1) * g
-        state.v[name] = b2 * state.v[name] + (1 - b2) * np.square(g)
-        mhat = state.m[name] / (1 - b1 ** state.t)
-        vhat = state.v[name] / (1 - b2 ** state.t)
-        params.arrays[name] = params.arrays[name] - state.lr * mhat / (np.sqrt(vhat) + state.eps)
+    state.flat_m[:] = b1 * state.flat_m + (1 - b1) * g
+    state.flat_v[:] = b2 * state.flat_v + (1 - b2) * np.square(g)
+    mhat = state.flat_m / (1 - b1 ** state.t)
+    vhat = state.flat_v / (1 - b2 ** state.t)
+    params.flat -= state.lr * mhat / (np.sqrt(vhat) + state.eps)
     return params, state
 
 

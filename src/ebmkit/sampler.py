@@ -164,7 +164,8 @@ def _check_rows(x: np.ndarray, bound: float) -> tuple[np.ndarray, np.ndarray, Op
 
 
 def sgld_chain(model, params, x0: np.ndarray, config: SgldConfig,
-               rng: Union[np.random.Generator, int] = 0) -> ChainResult:
+               rng: Union[np.random.Generator, int] = 0,
+               programs: Optional[dict] = None) -> ChainResult:
     """Run a batch of chains for config.n_steps updates.
 
     Model parameters are read-only throughout. Chains that produce a
@@ -173,14 +174,15 @@ def sgld_chain(model, params, x0: np.ndarray, config: SgldConfig,
     keep running. Noise-free chains (``config.noise`` False) descend the
     energy and also record a per-step trace of the mean energy-gradient
     magnitude; they count as converged when its final value drops below
-    ``config.convergence_eta``.
+    ``config.convergence_eta``. Steps replay each row-block shape's input
+    gradient recorded in ``programs`` (by default a new dict).
     """
     rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     x = np.array(x0, dtype=np.float64, copy=True)
     report = DivergenceReport(diverged_mask=np.zeros(x.shape[0], dtype=bool))
     trace: list[float] = []
     alive = np.ones(x.shape[0], dtype=bool)
-    programs: dict = {}     # the first step records each block shape's gradient
+    programs = {} if programs is None else programs
     for i in range(config.n_steps):
         step = config.step_at(i)
         grads = en.energy_grad_input(model, params, x, programs)

@@ -144,6 +144,7 @@ def train(config: TrainConfig, dataset_train: datamod.Dataset,
 
     log = []
     programs: dict = {}     # the recorded step of each input shape
+    chains: dict = {}       # the recorded chain gradient of each row-block shape
     for epoch in range(start_epoch, config.epochs):
         adam.lr = nn.lr_at(config.schedule, epoch)
         totals = np.zeros(3)
@@ -155,16 +156,20 @@ def train(config: TrainConfig, dataset_train: datamod.Dataset,
             x_gen = None
             if buffer is not None:      # drawn first: the survivor count picks the program
                 x_gen, gen_indices, n_diverged = losses._jem_samples(
-                    config.loss, config.model, params, x.shape, buffer, sampler_rng)
+                    config.loss, config.model, params, x.shape, buffer, sampler_rng, chains)
                 diverged += n_diverged
             total, ce, aux, *grads = _batch_step(config, params, x, y, x_gen, programs)
-            if not np.isfinite(total) or any(not np.all(np.isfinite(g)) for g in grads):
+            try:
+                if np.isfinite(total):      # adam_step checks the gradients
+                    nn.adam_step(adam, params, dict(zip(params.arrays, grads)))
+            except nn.NonFiniteGradient:
+                total = np.nan
+            if not np.isfinite(total):
                 if config.divergence_policy == "abort":
                     raise TrainingDiverged(
                         f"non-finite loss or gradient at epoch {epoch}, batch {batch_index}")
                 skipped += 1
                 continue
-            nn.adam_step(adam, params, dict(zip(params.names(), grads)))
             if x_gen is not None and x_gen.shape[0]:
                 smp.buffer_push(buffer, x_gen, gen_indices)
             totals += (total, ce, aux)

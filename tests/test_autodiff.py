@@ -695,6 +695,43 @@ class TestProgram:
         with pytest.raises(ad.ShapeError, match="recorded"):
             program(np.ones((2, 3)), np.ones((2, 3)))
 
+    def test_each_value_is_dropped_after_its_last_reader(self):
+        # y1 .. y5 in a chain, then y5 + y1: while a step runs, the values alive
+        # are its input and y1, which the last step reads again
+        alive, seen = [], []
+
+        def step(v):
+            seen.append(sum(ref() is not None for ref in alive))
+            out = v + 1.0
+            alive.append(weakref.ref(out))
+            return out
+
+        tape = ad.Tape()
+        x = tape.leaf(np.zeros(3))
+        ys = [ad._register((x,), step, None)]
+        for _ in range(4):
+            ys.append(ad._register((ys[-1],), step, None))
+        program = ad.Program(tape, [x], [ad.add(ys[-1], ys[0])])
+        alive.clear()
+        seen.clear()
+        assert np.array_equal(program(np.ones(3))[0], np.full(3, 8.0))
+        assert seen == [0, 1, 2, 2, 2]
+
+    def test_a_dropped_program_frees_its_constants_at_once(self):
+        tape = ad.Tape()
+        x = tape.leaf(np.ones(3))
+        const = np.full(3, 2.0)
+        program = ad.Program(tape, [x], [ad.mul(x, const)])
+        held = weakref.ref(const)
+        del tape, x, const
+        gc.disable()        # freed by reference counts, not by the cycle collector
+        try:
+            assert np.array_equal(program(np.ones(3))[0], np.full(3, 2.0))
+            del program
+            assert held() is None
+        finally:
+            gc.enable()
+
     def test_input_grad_records_each_shape_once(self):
         spec = nn.ModelSpec.mlp(2, [5], 3)
         params = nn.init(spec, 1)

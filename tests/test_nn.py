@@ -152,6 +152,37 @@ class TestAdam:
         with pytest.raises(ValueError, match="'w'"):
             nn.adam_step(state, params, {"w": np.array([np.nan])})
 
+    def test_flat_update_equals_the_per_name_formula_bit_for_bit(self):
+        params = nn.init(nn.ModelSpec.mlp(3, [5, 4], 2), 0)
+        state = nn.AdamState.for_params(params, lr=0.01)
+        want = {k: v.copy() for k, v in params.arrays.items()}
+        m = {k: np.zeros_like(v) for k, v in want.items()}
+        v = {k: np.zeros_like(a) for k, a in want.items()}
+        rng = np.random.default_rng(1)
+        for t in range(1, 6):
+            grads = {k: rng.normal(size=a.shape) * 10.0 ** rng.integers(-4, 2)
+                     for k, a in want.items()}
+            nn.adam_step(state, params, grads)
+            for k, g in grads.items():      # the update as written per parameter
+                m[k] = 0.9 * m[k] + (1 - 0.9) * g
+                v[k] = 0.999 * v[k] + (1 - 0.999) * np.square(g)
+                mhat, vhat = m[k] / (1 - 0.9 ** t), v[k] / (1 - 0.999 ** t)
+                want[k] = want[k] - 0.01 * mhat / (np.sqrt(vhat) + 1e-8)
+                assert np.array_equal(params.arrays[k], want[k]), (t, k)
+                assert np.array_equal(state.m[k], m[k]) and np.array_equal(state.v[k], v[k])
+
+    def test_non_finite_gradient_names_its_parameter_and_changes_nothing(self):
+        params = nn.init(nn.ModelSpec.mlp(2, [4], 3), 0)
+        state = nn.AdamState.for_params(params, lr=0.1)
+        nn.adam_step(state, params, {k: np.ones_like(v) for k, v in params.arrays.items()})
+        before, moments = params.copy(), (state.flat_m.copy(), state.flat_v.copy())
+        grads = {k: np.ones_like(v) for k, v in params.arrays.items()}
+        grads["layer2.w"][1, 2] = np.inf
+        with pytest.raises(nn.NonFiniteGradient, match="'layer2.w'"):
+            nn.adam_step(state, params, grads)
+        assert params == before and state.t == 1
+        assert np.array_equal(state.flat_m, moments[0]) and np.array_equal(state.flat_v, moments[1])
+
 
 class TestSchedule:
     def test_before_first_milestone(self):

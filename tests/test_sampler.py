@@ -176,6 +176,29 @@ def assert_same_chain(a, b):
 class TestReplayedChain:
     """A chain records its input gradient on the first step and replays it."""
 
+    def test_one_dict_serves_two_parameter_sets(self):
+        # chains keep one dict across a run whose parameters change: each set
+        # must get its own gradient, not the one the recording saw
+        spec = nn.ModelSpec.mlp(2, [8], 3)
+        sets = [nn.init(spec, 1), nn.init(spec, 2)]
+        x = np.random.default_rng(2).uniform(-1, 1, size=(5, 2))
+        programs = {}
+        for params in sets + sets:
+            got = en.energy_grad_input(spec, params, x, programs)
+            assert np.array_equal(got, en.energy_grad_input(spec, params, x))
+        assert list(programs) == [(5, 2)]
+        assert not np.array_equal(en.energy_grad_input(spec, sets[0], x),
+                                  en.energy_grad_input(spec, sets[1], x))
+
+    def test_callable_energy_samples_through_a_kept_dict(self):
+        model, config = smp.QuadraticBowlEnergy(), quad_config(n_steps=4, noise=True)
+        x0 = np.random.default_rng(3).uniform(-1, 1, size=(6, 2))
+        programs = {}
+        for seed in (5, 6):
+            kept = smp.sgld_chain(model, {}, x0, config, rng=seed, programs=programs)
+            assert_same_chain(kept, smp.sgld_chain(model, {}, x0, config, rng=seed))
+        assert list(programs) == [(6, 2)]
+
     # model -> (spec, input shape, a divergence bound that some chains cross)
     MODELS = {"mlp": (nn.ModelSpec.mlp(2, [32, 32], 2), (2,), 3.0),
               "conv": (nn.ModelSpec.small_conv((2, 6, 6), [4, 4], 3), (2, 6, 6), 5.0)}

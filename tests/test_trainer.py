@@ -1,13 +1,18 @@
+import copy
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ebmkit import autodiff as ad
+from ebmkit import cli, losses, nn, trainer
 from ebmkit import data as datamod
-from ebmkit import losses, nn, trainer
 from ebmkit import sampler as smp
 from oracles import ece_from_bins, traced_peak_bytes
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def blob_task(seed=0, n=100, std=0.15):
@@ -260,6 +265,25 @@ class TestStepProgram:
         with pytest.raises(ValueError, match="label out of range"):
             trainer._batch_step(config, params, x, np.array([0, 1, 3, 0]), None, programs)
 
+    def test_toy_jem_records_its_chain_gradient_once_per_block_shape(self, monkeypatch, tmp_path):
+        config = json.loads((ROOT / "configs" / "toy_jem.json").read_text())
+        config["train"]["epochs"] = 3
+        path = tmp_path / "jem.json"
+        path.write_text(json.dumps(config))
+        recorded = []
+
+        class Counted(ad.Program):
+            def __init__(self, tape, leaves, outputs):
+                recorded.append([leaf.shape for leaf in leaves])
+                super().__init__(tape, leaves, outputs)
+
+        monkeypatch.setattr(ad, "Program", Counted)
+        assert cli.main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        # a chain gradient's inputs are a block and the six parameters; 400 rows
+        # in batches of 64 make two block shapes, for 21 chains
+        chains = [shapes[0] for shapes in recorded if len(shapes) == 7]
+        assert sorted(chains) == [(16, 2), (64, 2)]
+
     def test_peak_memory_of_a_replay_is_below_its_recording(self):
         spec = nn.ModelSpec.small_conv((3, 16, 16), [4, 4], 3)
         config = trainer.TrainConfig(model=spec, loss=_STEP_LOSSES["ngebm"], batch_size=16)
@@ -325,6 +349,24 @@ class TestCheckpointIO:
         path = tmp_path / "ckpt.npz"
         trainer.checkpoint_save(ckpt, path)
         return trainer.checkpoint_load(path)
+
+    def test_views_stay_on_the_flat_vectors(self, tmp_path):
+        # after a copy, a load or a deepcopy, each name's array is still a view
+        # of its store's one vector: an Adam step on the vector shows in it
+        train_ds, test_ds = blob_task(n=30)
+        ckpt, _ = trainer.train(ce_config(epochs=2, seed=9), train_ds, test_ds)
+        back = self.roundtrip(tmp_path, ckpt)
+        original = ckpt.params.flat.copy(), ckpt.adam.flat_m.copy()
+        for params, adam in [(ckpt.params.copy(), copy.deepcopy(ckpt.adam)),
+                             (back.params, back.adam), (copy.deepcopy(back.params), back.adam)]:
+            before = params.copy()
+            nn.adam_step(adam, params, {k: np.full_like(v, 0.5) for k, v in params.arrays.items()})
+            assert params != before
+            for flat, views in [(params.flat, params.arrays), (adam.flat_m, adam.m),
+                                (adam.flat_v, adam.v)]:
+                assert np.array_equal(np.concatenate([a.ravel() for a in views.values()]), flat)
+        assert np.array_equal(ckpt.params.flat, original[0])     # a copy steps alone
+        assert np.array_equal(ckpt.adam.flat_m, original[1])
 
     def test_roundtrip_bit_exact(self, tmp_path):
         train_ds, test_ds = blob_task(n=30)
