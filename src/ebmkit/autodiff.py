@@ -593,7 +593,7 @@ class Program:
         self._replay = space.pop("replay")      # else space and function form a cycle
 
     def __call__(self, *values) -> list:
-        values = [_as_array(v) for v in values]
+        values = [np.asarray(v, dtype=np.float64, order="C") for v in values]   # _as_array, inlined
         if [v.shape for v in values] != self._shapes:
             raise ShapeError(f"program: recorded {self._shapes}, given {[v.shape for v in values]}")
         return self._replay(*values)
@@ -607,8 +607,9 @@ def input_grad(loss: Callable[..., Tensor], value, programs: Optional[dict] = No
     x and the parameters as inputs, which later calls replay on any values of
     both: only what else ``loss`` reads must stay the same."""
     params = {} if params is None else params
-    if programs is not None and value.shape in programs:
-        return programs[value.shape](value, *params.values())[0]
+    program = None if programs is None else programs.get(value.shape)
+    if program is not None:
+        return program(value, *params.values())[0]
     tape = Tape()
     x = tape.leaf(value)
     bound = {name: tape.leaf(v) for name, v in params.items()}

@@ -78,8 +78,17 @@ _STR = _Rule("a string", lambda v: isinstance(v, str))
 _STRS = _Rule("a list of strings", lambda v: _list(v, _STR.test))
 _WIDTHS = _Rule("a list of integers >= 1", lambda v: _list(v, _INT1.test))
 _SHAPE = _Rule("3 integers >= 1", lambda v: _list(v, _INT1.test, 3))
-_CENTERS = _Rule("a list of distinct [x, y] pairs of finite numbers", lambda v: _list(
-    v, lambda c: _list(c, _NUMBER.test, 2)) and len(v) == len({tuple(c) for c in v}) > 0)
+# a gaussian_mixture point is center + z * std, and numpy's standard normal z
+# lies within 3.65 + 53 ln(2) / 3.65 < 14 of 0 (the farthest tail draw of its
+# ziggurat), so a point stays finite when |center| and 16 * std are at most
+# half the largest float
+_HALF_MAX = sys.float_info.max / 2
+_CENTERS = _Rule(f"a list of distinct [x, y] pairs of numbers in [-{_HALF_MAX:.4g}, "
+                 f"{_HALF_MAX:.4g}]", lambda v: _list(v, lambda c: _list(
+                     c, lambda u: _NUMBER.test(u) and abs(u) <= _HALF_MAX, 2))
+                 and len(v) == len({tuple(c) for c in v}) > 0)
+_STD = _Rule(f"a number in [0, {_HALF_MAX / 16:.4g}]",
+             lambda v: _NUMBER0.test(v) and 16 * v <= _HALF_MAX)
 
 _TABLE = {
     "": {"seed": ("seed", _INT0), "out_dir": (None, _STR), "model": (None, "model", ["train"]),
@@ -96,7 +105,7 @@ _TABLE = {
         "kind": (None, ["gaussian_mixture", "cifar10", "cifar100", "csv"]),
         "n_per_class": (None, _INT1, ["gaussian_mixture"]),
         "centers": (None, _CENTERS, ["gaussian_mixture"]),
-        "std": (None, _NUMBER0, ["gaussian_mixture"]), "seed": (None, _INT0),
+        "std": (None, _STD, ["gaussian_mixture"]), "seed": (None, _INT0),
         "label_noise": (None, _Rule("a number in [0, 1]", lambda v: _NUMBER0.test(v) and v <= 1)),
         "train_files": (None, _STRS), "test_files": (None, _STRS),
         "path": (None, _STR, ["csv"]), "classes": (None, _INT1, ["csv"])},

@@ -91,9 +91,15 @@ def _arrays(params) -> dict:     # a Parameters store's name -> array mapping
     return params.arrays if isinstance(params, nn.Parameters) else params
 
 
-def _block_grad(model, params, block: np.ndarray, programs=None) -> np.ndarray:
-    return ad.input_grad(lambda x, **bound: ad.sum_(energy(model_logits(model, bound, x))),
-                         block, programs, _arrays(params))
+def _block_grads(model, params, programs=None):
+    """dE/dx of one row block, as a function of the block. Given a dict
+    ``programs``, the first block of each shape records its gradient there
+    and later blocks of that shape replay it (``ad.input_grad``)."""
+    arrays = _arrays(params)
+
+    def summed_energy(x, **bound):
+        return ad.sum_(energy(model_logits(model, bound, x)))
+    return lambda block: ad.input_grad(summed_energy, block, programs, arrays)
 
 
 def energy_grad_input(model, params, x_batch, programs=None) -> np.ndarray:
@@ -103,10 +109,11 @@ def energy_grad_input(model, params, x_batch, programs=None) -> np.ndarray:
     is one tape, so peak memory follows a block, not the set. Calls that share
     a dict ``programs`` record each block shape's gradient once (``ad.input_grad``),
     with the parameters as inputs, so the dict serves any parameter values."""
-    return _in_blocks(lambda block: _block_grad(model, params, block, programs), model, x_batch)
+    return _in_blocks(_block_grads(model, params, programs), model, x_batch)
 
 
 def approximate_mass_score(model, params, x_batch) -> np.ndarray:
     """Score s(x) = -||dE/dx||_2, near zero in the typical set; one block at a time."""
-    return _in_blocks(lambda block: -np.linalg.norm(
-        _block_grad(model, params, block).reshape(len(block), -1), axis=1), model, x_batch)
+    grad = _block_grads(model, params)
+    return _in_blocks(lambda block: -np.linalg.norm(grad(block).reshape(len(block), -1), axis=1),
+                      model, x_batch)

@@ -8,11 +8,19 @@ exponent defaults to 0 (constant step).
 Chains are monitored for the documented failure mode of unbounded
 growth: any non-finite coordinate, or any coordinate beyond the
 divergence bound, freezes that chain and flags it. Diverged samples are
-reported, never cached.
+reported, never cached. A step checks its whole proposal with one
+reduction, ``|x|.max() <= bound``, which NaN, inf and out-of-bound values
+all fail; only then are its rows checked one by one.
+
+The replay buffer is a ring over one array, grown with its fill (never
+to its capacity up front): a draw gathers its cached rows with one index,
+and a push writes its rows with one scatter per kind.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -86,6 +94,10 @@ class ReplayBuffer:
     Draws reuse a cached sample with probability 1 - reinit_prob and
     reinitialize from the uniform init distribution otherwise. Samples
     that are non-finite or outside the sanity bound are never stored.
+    The samples live in one array, a ring: the i-th oldest is row
+    ``(_start + i) % len(_ring)``. The array grows with the fill, doubling
+    up to ``capacity``; until it is full nothing is evicted and ``_start``
+    stays 0.
     """
 
     def __init__(self, capacity: int = 10000, reinit_prob: float = 0.05,
@@ -99,13 +111,23 @@ class ReplayBuffer:
         self.reinit_prob = reinit_prob
         self.sanity_bound = sanity_bound
         self.rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-        self._store: list[np.ndarray] = []
+        self._ring = np.empty(0)
+        self._start = 0
+        self._len = 0
 
     def __len__(self):
-        return len(self._store)
+        return self._len
+
+    def _rows(self, index):
+        """Ring rows of FIFO positions ``index`` (an int or an int array)."""
+        return (self._start + index) % len(self._ring)
 
     def sample_at(self, index: int) -> np.ndarray:
-        return self._store[index]
+        return self._ring[self._rows(range(self._len)[index])].copy()
+
+    def samples(self) -> np.ndarray:
+        """Every stored sample, oldest first, as a new array."""
+        return np.concatenate((self._ring[self._start:self._len], self._ring[:self._start]))
 
 
 def buffer_draw(buffer: ReplayBuffer, batch_size: int,
@@ -114,42 +136,57 @@ def buffer_draw(buffer: ReplayBuffer, batch_size: int,
 
     Returns (x0, indices): indices[i] is the buffer slot the i-th sample
     was cached in, or -1 for a fresh uniform draw. An empty buffer
-    yields all-fresh samples.
+    yields all-fresh samples. The draws are, in order: every fresh sample,
+    then per row a uniform draw and, if it picks the cache, a slot.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     lo, hi = init_bounds
-    x0 = np.empty((batch_size,) + tuple(shape))
+    x0 = buffer.rng.uniform(lo, hi, size=(batch_size,) + tuple(shape))
     indices = np.full(batch_size, -1, dtype=np.int64)
-    fresh = buffer.rng.uniform(lo, hi, size=x0.shape)
-    for i in range(batch_size):
-        use_cache = len(buffer) > 0 and buffer.rng.uniform() >= buffer.reinit_prob
-        if use_cache:
-            j = int(buffer.rng.integers(0, len(buffer)))
-            x0[i] = buffer.sample_at(j)
-            indices[i] = j
-        else:
-            x0[i] = fresh[i]
+    n, reinit = len(buffer), buffer.reinit_prob
+    if n:
+        # random() draws what uniform() does, bit for bit, in a third of the time
+        random, integers = buffer.rng.random, buffer.rng.integers
+        drawn = [(i, integers(0, n)) for i in range(batch_size) if random() >= reinit]
+        if drawn:
+            rows, slots = np.array(drawn, dtype=np.int64).T
+            indices[rows] = slots
+            x0[rows] = buffer._ring[buffer._rows(slots)]
     return x0, indices
 
 
 def buffer_push(buffer: ReplayBuffer, samples: np.ndarray,
                 indices: np.ndarray) -> ReplayBuffer:
-    """Write chain endpoints back: cached slots are replaced in place,
-    fresh samples append with FIFO eviction. Rows failing the sanity
-    check (non-finite or out of bound) are dropped."""
+    """Write chain endpoints back: cached slots are replaced in place (the
+    last of two writes to one slot wins), then fresh samples append with
+    FIFO eviction. Rows failing the sanity check (non-finite or out of
+    bound) are dropped."""
     samples = np.asarray(samples, dtype=np.float64)
     indices = np.asarray(indices, dtype=np.int64)
     flat = samples.reshape(samples.shape[0], -1)
     keep = np.all(np.isfinite(flat), axis=1)
     if buffer.sanity_bound is not None:
         keep &= np.abs(flat).max(axis=1) <= buffer.sanity_bound
-    # cached slots are written before any eviction shifts the slots
-    cached = keep & (indices >= 0) & (indices < len(buffer._store))
-    for row, idx in zip(samples[cached], indices[cached]):
-        buffer._store[idx] = row
-    buffer._store.extend(samples[keep & ~cached])
-    del buffer._store[:max(0, len(buffer._store) - buffer.capacity)]
+    # cached slots are written before any eviction moves the ring's start
+    cached = keep & (indices >= 0) & (indices < len(buffer))
+    if cached.any():
+        slots, last = np.unique(indices[cached][::-1], return_index=True)
+        buffer._ring[buffer._rows(slots)] = samples[cached][::-1][last]
+    fresh = samples[keep & ~cached][-buffer.capacity:]
+    if not len(fresh):
+        return buffer
+    end = len(buffer) + len(fresh)
+    if len(buffer._ring) < min(end, buffer.capacity):   # grow with the fill
+        ring = np.empty((min(buffer.capacity, max(end, 2 * len(buffer._ring))),)
+                        + fresh.shape[1:])
+        if len(buffer):
+            ring[:len(buffer)] = buffer._ring[:len(buffer)]
+        buffer._ring = ring
+    buffer._ring[buffer._rows(np.arange(len(buffer), end))] = fresh
+    evicted = max(0, end - buffer.capacity)     # the oldest rows, just overwritten
+    buffer._start = buffer._rows(evicted)
+    buffer._len = end - evicted
     return buffer
 
 
@@ -175,38 +212,47 @@ def sgld_chain(model, params, x0: np.ndarray, config: SgldConfig,
     energy and also record a per-step trace of the mean energy-gradient
     magnitude; they count as converged when its final value drops below
     ``config.convergence_eta``. Steps replay each row-block shape's input
-    gradient recorded in ``programs`` (by default a new dict).
+    gradient recorded in ``programs`` (by default a new dict); the chain
+    binds its gradient function once, so a step reaches its block's
+    program with one dict lookup.
     """
     rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     x = np.array(x0, dtype=np.float64, copy=True)
     report = DivergenceReport(diverged_mask=np.zeros(x.shape[0], dtype=bool))
     trace: list[float] = []
     alive = np.ones(x.shape[0], dtype=bool)
-    programs = {} if programs is None else programs
+    rows = (-1,) + (1,) * (x.ndim - 1)
+    # NaN fails the test and inf exceeds the largest float, so a proposal
+    # passes it exactly when no row is bad
+    limit = min(config.bound, sys.float_info.max)
+    grad = en._block_grads(model, params, {} if programs is None else programs)
     for i in range(config.n_steps):
         step = config.step_at(i)
-        grads = en.energy_grad_input(model, params, x, programs)
+        grads = en._in_blocks(grad, model, x)
         if not config.noise:
             trace.append(float(np.linalg.norm(
                 grads.reshape(grads.shape[0], -1), axis=1).mean()))
         update = -(step / 2.0) * grads
         if config.noise:
-            update = update + rng.normal(0.0, np.sqrt(step), size=x.shape)
-        proposal = np.where(alive.reshape((-1,) + (1,) * (x.ndim - 1)), x + update, x)
-        bad, magnitude, reason = _check_rows(proposal, config.bound)
-        newly_bad = bad & alive
-        if newly_bad.any():
-            if not report.diverged:
-                report.diverged = True
-                report.step = i
-                report.reason = reason
-                worst = magnitude[newly_bad]
-                report.magnitude = float(worst[np.isfinite(worst)].max()) \
-                    if np.isfinite(worst).any() else float("inf")
-            report.diverged_mask |= newly_bad
-            alive &= ~newly_bad
-            # frozen chains keep their last finite state
-            proposal = np.where(newly_bad.reshape((-1,) + (1,) * (x.ndim - 1)), x, proposal)
+            update += rng.normal(0.0, math.sqrt(step), size=x.shape)
+        proposal = x + update
+        if report.diverged:     # frozen chains keep their state
+            proposal = np.where(alive.reshape(rows), proposal, x)
+        if not np.abs(proposal).max() <= limit:
+            bad, magnitude, reason = _check_rows(proposal, config.bound)
+            newly_bad = bad & alive
+            if newly_bad.any():
+                if not report.diverged:
+                    report.diverged = True
+                    report.step = i
+                    report.reason = reason
+                    worst = magnitude[newly_bad]
+                    report.magnitude = float(worst[np.isfinite(worst)].max()) \
+                        if np.isfinite(worst).any() else float("inf")
+                report.diverged_mask |= newly_bad
+                alive &= ~newly_bad
+                # frozen chains keep their last finite state
+                proposal = np.where(newly_bad.reshape(rows), x, proposal)
         x = proposal
     result = ChainResult(samples=x, report=report)
     if not config.noise:

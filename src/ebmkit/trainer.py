@@ -10,6 +10,7 @@ sampler-driven runs reproduce given identical RNG streams.
 from __future__ import annotations
 
 import copy
+import functools
 import json
 import zipfile
 from dataclasses import dataclass, field
@@ -86,6 +87,14 @@ class Checkpoint:
     sampler_rng_state: Optional[dict] = None
     buffer_rng_state: Optional[dict] = None
     buffer_samples: Optional[np.ndarray] = None
+
+    def __getattr__(self, name):
+        # checkpoint_load leaves adam unset, with the function that packs its
+        # moments: only a resumed train reads them
+        if name != "adam" or "_pack_adam" not in self.__dict__:
+            raise AttributeError(name)
+        self.adam = self.__dict__.pop("_pack_adam")()
+        return self.adam
 
 
 @dataclass
@@ -220,8 +229,7 @@ def _snapshot(config, params, adam, epoch, sampler_rng, buffer) -> Checkpoint:
         epoch=epoch,
         sampler_rng_state=sampler_rng.bit_generator.state,
         buffer_rng_state=buffer.rng.bit_generator.state if buffer is not None else None,
-        buffer_samples=np.stack([buffer.sample_at(i) for i in range(len(buffer))])
-        if buffer is not None and len(buffer) else None)
+        buffer_samples=buffer.samples() if buffer is not None and len(buffer) else None)
 
 
 def evaluate(checkpoint: Checkpoint, dataset: datamod.Dataset,
@@ -276,18 +284,18 @@ def checkpoint_load(path) -> Checkpoint:
             model = nn.ModelSpec.from_dict(meta["model"])
             params = nn.Parameters(
                 {name: archive[f"param::{name}"] for name in meta["param_names"]})
-            adam = nn.AdamState(
-                m={name: archive[f"adam_m::{name}"] for name in meta["param_names"]},
-                v={name: archive[f"adam_v::{name}"] for name in meta["param_names"]},
-                t=meta["adam"]["t"], lr=meta["adam"]["lr"],
-                beta1=meta["adam"]["beta1"], beta2=meta["adam"]["beta2"],
-                eps=meta["adam"]["eps"])
+            moments = {key: {name: archive[f"adam_{key}::{name}"] for name in meta["param_names"]}
+                       for key in ("m", "v")}
             buffer_samples = archive["buffer::samples"] if meta["has_buffer"] else None
-            return Checkpoint(model=model, params=params, adam=adam,
-                              epoch=meta["epoch"],
-                              sampler_rng_state=meta["sampler_rng_state"],
-                              buffer_rng_state=meta["buffer_rng_state"],
-                              buffer_samples=buffer_samples)
+            checkpoint = Checkpoint(model=model, params=params, adam=None,
+                                    epoch=meta["epoch"],
+                                    sampler_rng_state=meta["sampler_rng_state"],
+                                    buffer_rng_state=meta["buffer_rng_state"],
+                                    buffer_samples=buffer_samples)
+            del checkpoint.adam
+            checkpoint._pack_adam = functools.partial(nn.AdamState, **moments, **{
+                key: meta["adam"][key] for key in ("t", "lr", "beta1", "beta2", "eps")})
+            return checkpoint
     except CheckpointError:
         raise
     except (OSError, KeyError, ValueError, json.JSONDecodeError,

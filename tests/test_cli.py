@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -142,6 +143,16 @@ class TestEvalAndCalibrate:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 20
         assert sum(int(r["count"]) for r in rows) == 100  # 2 classes x 50
+
+    def test_calibrate_packs_no_adam_moments(self, trained, tmp_path, monkeypatch):
+        # only a resumed train reads them
+        out, config_path = trained
+        built = []
+        monkeypatch.setattr(nn.AdamState, "__post_init__", lambda state: built.append(state))
+        assert cli.main(["calibrate", "--config", str(config_path),
+                         "--checkpoint", str(out / "checkpoint_final.npz"),
+                         "--out", str(tmp_path / "cal")]) == 0
+        assert built == []
 
     def test_missing_checkpoint_exits_one(self, trained, tmp_path):
         _, config_path = trained
@@ -356,6 +367,9 @@ class TestConfigTable:
         bad("train.lr", math.inf), bad("data.std", math.inf),
         bad("train.sampler.decay_exponent", math.nan),
         bad("data.centers", [[-0.5, 0.0], [math.inf, 0.0]]),
+        # finite, but center + z * std would overflow
+        bad("data.std", 1e308), bad("data.std", 2 ** -4 * sys.float_info.max),
+        bad("data.centers", [[-0.5, 0.0], [1e308, 0.0]]),
         bad("attack.epsilons", [0.0], command="attack", flags=("--epsilons", "0", "inf"))])
     def test_exits_one_naming_the_key_before_reading(self, trained, tmp_path, monkeypatch,
                                                      capsys, command, key, value, flags, names):
@@ -377,6 +391,14 @@ class TestConfigTable:
         assert cli.main([command, "--config", str(path), "--out", str(tmp_path), *flags]) == 1
         assert names in capsys.readouterr().err
         assert calls == []
+
+    def test_the_largest_std_and_centers_allowed_generate_data(self):
+        half = sys.float_info.max / 2
+        section = {"kind": "gaussian_mixture", "n_per_class": 5000, "std": half / 16,
+                   "centers": [[half, -half], [-half, half]], "seed": 0}
+        cli.check_config(section, "train", "data", "data")
+        train, = cli.build_dataset(section, ("train",))
+        assert len(train) == 10000
 
     def test_readme_example_passes(self):
         readme = (ROOT / "README.md").read_text()

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ import pytest
 from ebmkit import energy as en
 from ebmkit import nn
 from ebmkit import sampler as smp
-from oracles import traced_peak_bytes
+from oracles import (ListReplayBuffer, list_buffer_draw, list_buffer_push, per_row_sgld_chain,
+                     traced_peak_bytes)
 
 
 def quad_config(**kw):
@@ -160,9 +162,9 @@ class TestSgldChain:
 def eager_steps(monkeypatch):
     """Make every chain step record a fresh tape, as the gradient ran before
     chains replayed it."""
-    real = en.energy_grad_input
-    monkeypatch.setattr(en, "energy_grad_input",
-                        lambda model, params, x, programs=None: real(model, params, x))
+    real = en._block_grads
+    monkeypatch.setattr(en, "_block_grads",
+                        lambda model, params, programs=None: real(model, params))
 
 
 def assert_same_chain(a, b):
@@ -235,6 +237,178 @@ class TestReplayedChain:
         one_eager = traced_peak_bytes(smp.sgld_chain, spec, params, x0,
                                       dataclasses.replace(config, n_steps=1))
         assert replayed <= 1.4 * one_eager, replayed / one_eager
+
+
+class PoisonedNoise(np.random.Generator):
+    """A generator whose ``normal`` draw number k sets ``rows`` to ``value``,
+    for each ``(k, rows, value)`` in ``faults``: a chain's noise is drawn once
+    a step, so its proposal goes bad in those rows at step k."""
+
+    @classmethod
+    def seeded(cls, seed, faults):
+        rng = cls(np.random.PCG64(seed))
+        rng.faults, rng.draws = faults, 0
+        return rng
+
+    def normal(self, *args, **kwargs):
+        out = super().normal(*args, **kwargs)
+        for k, rows, value in self.faults:
+            if k == self.draws:
+                out[rows] = value
+        self.draws += 1
+        return out
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")     # numpy warns as chains go non-finite
+class TestChainAgainstPerRowLoop:
+    """sgld_chain against the loop that checked every row at every step
+    (oracles.per_row_sgld_chain): the same samples, mask, step, reason,
+    magnitude and trace, bit for bit."""
+
+    MODELS = {"mlp": (nn.ModelSpec.mlp(2, [16, 16], 2), (2,)),
+              "conv": (nn.ModelSpec.small_conv((2, 6, 6), [4], 3), (2, 6, 6)),
+              "concave_bowl": (smp.ConcaveBowlEnergy(), (3,))}
+    N_STEPS = 8
+    WHEN = {"first": 0, "middle": N_STEPS // 2, "last": N_STEPS - 1}
+    VALUE = {"nan": np.nan, "inf": np.inf, "bound": 50.0}    # default bound: 10
+    REASON = {"nan": "non-finite", "inf": "non-finite", "bound": "bound-exceeded"}
+
+    def start(self, model, rows, scale=1.0):
+        # row i drawn from [-s, s] with s growing to ``scale``, so rows cross a bound in turn
+        spec, shape = self.MODELS[model]
+        params = nn.init(spec, 0) if isinstance(spec, nn.ModelSpec) else {}
+        scales = np.linspace(scale / 10, scale, rows).reshape((-1,) + (1,) * len(shape))
+        x0 = np.random.default_rng(rows).uniform(-1.0, 1.0, size=(rows,) + shape) * scales
+        return spec, params, x0
+
+    @staticmethod
+    def both(spec, params, x0, config, rng=lambda: 5):
+        """Both chains from the same start and noise; NaN compared by its bits."""
+        want = per_row_sgld_chain(spec, params, x0, config, rng=rng())
+        got = smp.sgld_chain(spec, params, x0, config, rng=rng())
+        assert got.samples.tobytes() == want.samples.tobytes()
+        assert np.array_equal(got.report.diverged_mask, want.report.diverged_mask)
+        assert (got.report.diverged, got.report.step, got.report.magnitude, got.report.reason) \
+            == (want.report.diverged, want.report.step, want.report.magnitude, want.report.reason)
+        assert np.array(got.egm_trace).tobytes() == np.array(want.egm_trace).tobytes()
+        assert got.converged == want.converged
+        return want
+
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    @pytest.mark.parametrize("fault", sorted(VALUE))
+    @pytest.mark.parametrize("when", sorted(WHEN))
+    def test_noisy_chains_fault_at_a_chosen_step(self, model, fault, when):
+        # row 1 goes bad at the chosen step, row 3 two steps later in another
+        # way, while rows 0, 2 and 4 run on beside the frozen ones
+        spec, params, x0 = self.start(model, 5)
+        k = self.WHEN[when]
+        later = "bound" if fault != "bound" else "nan"
+        faults = [(k, [1], self.VALUE[fault]), (k + 2, [3], self.VALUE[later])]
+        config = smp.SgldConfig(n_steps=self.N_STEPS, step_size=0.05)
+        want = self.both(spec, params, x0, config, lambda: PoisonedNoise.seeded(7, faults))
+        assert (want.report.step, want.report.reason) == (k, self.REASON[fault])
+        assert want.report.diverged_mask.tolist() == [False, True, False, k + 2 < self.N_STEPS,
+                                                      False]
+
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    @pytest.mark.parametrize("noise", [True, False])
+    def test_healthy_chains(self, model, noise):
+        spec, params, x0 = self.start(model, 6)
+        config = smp.SgldConfig(n_steps=self.N_STEPS, step_size=0.05, noise=noise)
+        assert not self.both(spec, params, x0, config).report.diverged
+
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    @pytest.mark.parametrize("fault", sorted(VALUE))
+    def test_noise_free_chains_starting_bad(self, model, fault):
+        spec, params, x0 = self.start(model, 4)
+        x0[2] = self.VALUE[fault]
+        config = smp.SgldConfig(n_steps=self.N_STEPS, step_size=0.05, noise=False)
+        want = self.both(spec, params, x0, config)
+        assert want.report.step == 0 and want.report.diverged_mask.tolist() == [0, 0, 1, 0]
+
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    @pytest.mark.parametrize("when", ["middle", "last"])
+    def test_noise_free_chains_cross_the_bound(self, model, when):
+        # the bound is the largest |x| of the unbounded chain's first k + 1
+        # states, so the first crossing is the proposal of step k
+        spec, params, x0 = self.start(model, 5, scale=3.0)
+        k = self.WHEN[when]
+        free = smp.SgldConfig(n_steps=self.N_STEPS, step_size=2.0, noise=False,
+                              divergence_bound=np.inf)
+        states = [np.abs(per_row_sgld_chain(spec, params, x0, dataclasses.replace(
+            free, n_steps=j)).samples).max() for j in range(k + 2)]
+        config = dataclasses.replace(free, divergence_bound=max(states[:-1]))
+        want = self.both(spec, params, x0, config)
+        assert want.report.step == k and want.report.reason == "bound-exceeded"
+        at_k = self.both(spec, params, x0, dataclasses.replace(config, n_steps=k + 1))
+        assert 0 < at_k.report.diverged_mask.sum() < len(x0)
+
+    @pytest.mark.parametrize("noise", [True, False])
+    def test_an_infinite_bound_still_freezes_a_non_finite_chain(self, noise):
+        # noisy: row 0's proposal is inf at step 4. Noise-free: row 0 starts
+        # at 1e153 and grows 1.5x a step, so its logit 0.5 * ||x||^2 overflows
+        # at step 6, and the gradient, so the proposal, is NaN
+        spec, params, x0 = self.start("concave_bowl", 3)
+        x0[0] = 0.0 if noise else 1e153
+        config = smp.SgldConfig(n_steps=self.N_STEPS, step_size=0.05 if noise else 1.0,
+                                noise=noise, divergence_bound=np.inf)
+        want = self.both(spec, params, x0, config,
+                         lambda: PoisonedNoise.seeded(7, [(4, [0], np.inf)]))
+        assert (want.report.step, want.report.reason) == (4 if noise else 6, "non-finite")
+        assert want.report.diverged_mask.tolist() == [True, False, False]
+
+
+class TestRingAgainstListStore:
+    """The array ring against the list store it replaced
+    (oracles.ListReplayBuffer): the same draws, slots, FIFO order,
+    snapshot and RNG state after every operation."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_pushes_and_draws(self, seed):
+        rng = np.random.default_rng([seed, 11])
+        capacity = int(rng.integers(1, 9))
+        kwargs = dict(capacity=capacity, reinit_prob=float(rng.uniform(0.0, 0.6)),
+                      rng=seed, sanity_bound=2.0)
+        ring, ref = smp.ReplayBuffer(**kwargs), ListReplayBuffer(**kwargs)
+        shape = (2, 3)
+        drawn = np.zeros(0, dtype=np.int64)
+        for _ in range(60):
+            if rng.random() < 0.4:
+                n = int(rng.integers(1, 8))
+                got = smp.buffer_draw(ring, n, (-1.0, 1.0), shape)
+                want = list_buffer_draw(ref, n, (-1.0, 1.0), shape)
+                assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+                drawn = want[1]
+            else:
+                # a push larger than the capacity, rows rejected for NaN or
+                # bound, and slots that repeat, are stale or come from the last draw
+                n = int(rng.integers(1, 2 * capacity + 3))
+                x = rng.uniform(-1.0, 1.0, size=(n,) + shape)
+                x[rng.random(n) < 0.15] *= 5.0
+                x[rng.random(n) < 0.1, 0, 0] = np.nan
+                slots = rng.integers(-2, len(ref) + 2, size=n)
+                slots[:min(n, len(drawn))] = drawn[:n]
+                smp.buffer_push(ring, x, slots)
+                list_buffer_push(ref, x, slots)
+            assert len(ring) == len(ref)
+            want_rows = [ref.sample_at(i) for i in range(len(ref))]
+            assert all(np.array_equal(ring.sample_at(i), row) for i, row in enumerate(want_rows))
+            if want_rows:
+                assert np.array_equal(ring.samples(), np.stack(want_rows))
+            assert ring.rng.bit_generator.state == ref.rng.bit_generator.state
+
+    def test_a_default_buffer_holds_its_fill_not_its_capacity(self):
+        # 10000 slots of 3x32x32 would be 246 MB; 64 samples are 1.6 MB
+        rows = np.random.default_rng(0).uniform(-1, 1, size=(64, 3, 32, 32))
+        tracemalloc.start()
+        try:
+            buffer = smp.ReplayBuffer(rng=0)
+            smp.buffer_push(buffer, rows, np.full(64, -1))
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(buffer) == 64 and buffer.capacity == 10000
+        assert held < 1.5 * rows.nbytes, held / rows.nbytes
 
 
 def check_rows_two_passes(x, bound):
