@@ -78,20 +78,22 @@ def project(delta: np.ndarray, norm: Norm, epsilon: float) -> np.ndarray:
     return (flat * scale).reshape(delta.shape)
 
 
-def _input_gradient(model, params, x: np.ndarray, y: np.ndarray, scale=None, programs=None):
-    """d(scale * summed cross-entropy)/dx, one tape per row block; ``scale``
-    defaults to 1/N, so each row gets the upstream gradient 1/N that the
-    mean over the whole set gives it. ``programs``: as in ``ad.input_grad``."""
-    scale = 1.0 / max(x.shape[0], 1) if scale is None else scale
+def _block_gradient(model, params, y: np.ndarray, scale: float):
+    """d(scale * summed cross-entropy)/dx of the row block labelled ``y``, as a
+    function of the block, recorded on its first call and then replayed; the
+    recording holds ``y`` by value. With scale 1/N each row gets the upstream
+    gradient 1/N that a mean over N rows gives it."""
+    arrays, programs = en._arrays(params), {}
 
-    def block_gradient(xb, yb):     # a recording holds its block's labels by value
-        return ad.input_grad(lambda x_leaf, **bound: ad.mul(ad.sum_(losses._nll_rows(
-            en.model_logits(model, bound, x_leaf), yb)), scale), xb, programs, en._arrays(params))
+    def loss(x_leaf, **bound):
+        return ad.mul(ad.sum_(losses._nll_rows(en.model_logits(model, bound, x_leaf), y)), scale)
 
-    grad = en._in_blocks(block_gradient, model, x, y)
-    if not np.all(np.isfinite(grad)):
-        raise ValueError("pgd: non-finite input gradient")
-    return grad
+    def gradient(x):
+        grad = ad.input_grad(loss, x, programs, arrays)
+        if not np.all(np.isfinite(grad)):
+            raise ValueError("pgd: non-finite input gradient")
+        return grad
+    return gradient
 
 
 def _random_start(rng: np.random.Generator, shape: tuple, norm: Norm,
@@ -124,9 +126,9 @@ def pgd(model, params, x: np.ndarray, y: np.ndarray, config: AttackConfig,
         delta = np.clip(x + delta, *_INPUT_RANGE) - x
 
     def attack(xb, yb, db):     # rows move independently, so a block takes all its steps
-        programs: dict = {}     # and replays the gradient its first step records
+        gradient = _block_gradient(model, params, yb, 1.0 / max(len(x), 1))
         for _ in range(config.n_steps):
-            grad = _input_gradient(model, params, xb + db, yb, 1.0 / max(len(x), 1), programs)
+            grad = gradient(xb + db)
             if config.norm is Norm.LINF:
                 step = config.step * np.sign(grad)
             else:

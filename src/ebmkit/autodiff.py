@@ -599,23 +599,22 @@ class Program:
         return self._replay(*values)
 
 
-def input_grad(loss: Callable[..., Tensor], value, programs: Optional[dict] = None,
+def input_grad(loss: Callable[..., Tensor], value, programs: dict,
                params: Optional[Mapping[str, np.ndarray]] = None):
     """d loss(x, **bound)/dx at x = ``value`` for a scalar ``loss``; ``bound``
-    holds each of ``params`` (name -> array) as a leaf. Given a dict ``programs``,
-    the first call of each shape of x records a one-output ``Program`` there with
-    x and the parameters as inputs, which later calls replay on any values of
-    both: only what else ``loss`` reads must stay the same."""
+    holds each of ``params`` (name -> array) as a leaf. The first call of each
+    shape of x records a one-output ``Program`` in ``programs`` with x and the
+    parameters as inputs, which later calls replay on any values of both: only
+    what else ``loss`` reads must stay the same."""
     params = {} if params is None else params
-    program = None if programs is None else programs.get(value.shape)
+    program = programs.get(value.shape)
     if program is not None:
         return program(value, *params.values())[0]
     tape = Tape()
     x = tape.leaf(value)
     bound = {name: tape.leaf(v) for name, v in params.items()}
     total = loss(x, **bound)
-    tape._replay_only = programs is not None
-    g = backward(tape, total, [x], create_graph=tape._replay_only)[x]
-    if programs is not None:
-        programs[value.shape] = Program(tape, [x, *bound.values()], [g])
+    tape._replay_only = True
+    g = backward(tape, total, [x], create_graph=True)[x]
+    programs[value.shape] = Program(tape, [x, *bound.values()], [g])
     return g.value

@@ -143,13 +143,23 @@ def with_label_noise(dataset: Dataset, fraction: float, seed: int) -> Dataset:
 
 
 def dataset_from_csv(path, classes: int, split: str = "train") -> Dataset:
-    with open(path) as fh:
+    """A header row, then per example its x values and its label. A malformed
+    file raises a ValueError that names the file and the line."""
+    xs, ys = [], []
+    with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        dim = len(header) - 1
-        xs, ys = [], []
+        dim = len(next(reader, [])) - 1
         for row in reader:
-            xs.append([float(v) for v in row[:dim]])
-            ys.append(int(row[dim]))
+            if len(row) != dim + 1:
+                raise ValueError(f"{path}: line {reader.line_num}: {len(row)} cells, "
+                                 f"the header has {dim + 1}")
+            try:
+                xs.append([float(v) for v in row[:dim]])
+                ys.append(int(row[dim]))
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    if not xs:
+        raise ValueError(f"{path}: line {reader.line_num + 1}: "
+                         "expected a header row, then data rows")
     return Dataset(np.asarray(xs), np.asarray(ys), classes=classes, split=split,
                    provenance=f"csv:{path}")

@@ -5,6 +5,9 @@ input is the negative logsumexp of its logits, so lower energy means
 higher unnormalized density. The normalizing constant is intractable
 and never computed; everything downstream uses scores only through
 their ordering (AUROC, histograms).
+
+Every input gradient dE/dx takes one path: each row-block shape records
+its gradient once as an ``ad.Program`` and later blocks replay it.
 """
 
 from __future__ import annotations
@@ -92,10 +95,10 @@ def _arrays(params) -> dict:     # a Parameters store's name -> array mapping
 
 
 def _block_grads(model, params, programs=None):
-    """dE/dx of one row block, as a function of the block. Given a dict
-    ``programs``, the first block of each shape records its gradient there
-    and later blocks of that shape replay it (``ad.input_grad``)."""
-    arrays = _arrays(params)
+    """dE/dx of one row block, as a function of the block. The first block of
+    each shape records its gradient in ``programs`` (by default a new dict) and
+    later blocks of that shape replay it (``ad.input_grad``)."""
+    arrays, programs = _arrays(params), {} if programs is None else programs
 
     def summed_energy(x, **bound):
         return ad.sum_(energy(model_logits(model, bound, x)))
@@ -105,15 +108,16 @@ def _block_grads(model, params, programs=None):
 def energy_grad_input(model, params, x_batch, programs=None) -> np.ndarray:
     """Per-example dE/dx, same shape as the input. Examples do not interact
     in the model (no batch statistics), so one backward pass over a row
-    block's summed energy separates into rows; each block (``_in_blocks``)
-    is one tape, so peak memory follows a block, not the set. Calls that share
-    a dict ``programs`` record each block shape's gradient once (``ad.input_grad``),
-    with the parameters as inputs, so the dict serves any parameter values."""
+    block's summed energy separates into rows; a block (``_in_blocks``) is one
+    recording or replay, so peak memory follows a block, not the set. The
+    recordings in ``programs`` take the parameters as inputs, so a dict that
+    calls share serves any parameter values."""
     return _in_blocks(_block_grads(model, params, programs), model, x_batch)
 
 
-def approximate_mass_score(model, params, x_batch) -> np.ndarray:
-    """Score s(x) = -||dE/dx||_2, near zero in the typical set; one block at a time."""
-    grad = _block_grads(model, params)
+def approximate_mass_score(model, params, x_batch, programs=None) -> np.ndarray:
+    """Score s(x) = -||dE/dx||_2, near zero in the typical set; one block at a
+    time, replaying ``programs`` as ``energy_grad_input`` does."""
+    grad = _block_grads(model, params, programs)
     return _in_blocks(lambda block: -np.linalg.norm(grad(block).reshape(len(block), -1), axis=1),
                       model, x_batch)

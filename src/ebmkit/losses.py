@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from . import nn
 from . import sampler as smp
 
 __all__ = [
-    "Mode", "LossConfig", "LossBreakdown", "LossGraph", "ConfigError",
+    "Mode", "LossConfig", "LossGraph", "ConfigError",
     "cross_entropy", "loss_graph",
 ]
 
@@ -55,21 +55,10 @@ class LossConfig:
 
 
 @dataclass
-class LossBreakdown:
-    """Per-batch telemetry; total recomputes from the terms."""
-
-    total: float
-    cross_entropy: float
-    auxiliary: float = 0.0      # penalty (ngebm) or generative term (jem)
-    diverged_chains: int = 0
-
-
-@dataclass
 class LossGraph:
     """A built loss with handles for the optimization step."""
 
     total: ad.Tensor
-    breakdown: LossBreakdown
     tape: ad.Tape
     bound: dict
     ce: ad.Tensor
@@ -110,11 +99,9 @@ def _penalty_from_logits(tape: ad.Tape, logits: ad.Tensor, x_leaf: ad.Tensor) ->
 
 
 def _jem_samples(config: LossConfig, model, params: nn.Parameters, batch_shape: tuple,
-                 buffer: Optional[smp.ReplayBuffer], rng, programs: Optional[dict] = None) -> tuple:
+                 buffer: smp.ReplayBuffer, rng, programs: dict) -> tuple:
     """JEM's generated batch: a buffer draw run through the configured chain (its
     ``programs`` kept by the caller); the survivors, their buffer slots and the diverged count."""
-    if buffer is None:
-        raise ConfigError("JEM mode requires a replay buffer")
     x0, indices = smp.buffer_draw(buffer, batch_shape[0],
                                   (config.sampler.init_lo, config.sampler.init_hi),
                                   batch_shape[1:])
@@ -124,25 +111,22 @@ def _jem_samples(config: LossConfig, model, params: nn.Parameters, batch_shape: 
 
 
 def loss_graph(config: LossConfig, model, params: nn.Parameters, x_batch, labels,
-               buffer: Optional[smp.ReplayBuffer] = None,
-               rng: Union[np.random.Generator, int] = 0,
                x_gen=None) -> LossGraph:
     """Build the configured objective on a fresh tape.
 
     Parameters, the batch, its one-hot labels and (jem) the generated
     samples are bound as leaves, so no batch array is a constant of the
     graph; the caller runs ``backward(graph.tape, graph.total,
-    graph.bound.values())`` and steps the optimizer. ``x_gen`` overrides
-    the sampler. The penalty alone is NGEBM mode with beta=1, gamma=0;
-    the generative term alone is ``breakdown.auxiliary`` in JEM mode.
+    graph.bound.values())`` and steps the optimizer. JEM mode needs
+    ``x_gen``, the generated batch (``_jem_samples`` draws it); the other
+    modes ignore it. The penalty alone is NGEBM mode with beta=1, gamma=0;
+    the generative term alone is ``graph.aux`` in JEM mode.
     """
-    x_batch = np.asarray(x_batch, dtype=np.float64)
-    diverged = 0
     if config.mode is Mode.JEM and x_gen is None:
-        x_gen, _, diverged = _jem_samples(config, model, params, x_batch.shape, buffer, rng)
+        raise ConfigError("JEM mode needs a generated batch x_gen")
     tape = ad.Tape()
     bound = params.bind(tape)
-    x = tape.leaf(x_batch)
+    x = tape.leaf(np.asarray(x_batch, dtype=np.float64))
     logits = en.model_logits(model, bound, x)
     onehot = tape.leaf(_one_hot(labels, logits.shape[-1]))
     inputs = [x, onehot]
@@ -160,6 +144,4 @@ def loss_graph(config: LossConfig, model, params: nn.Parameters, x_batch, labels
             e_train = en.energy(logits)
             aux = ad.sub(ad.mean(e_train), ad.mean(e_gen))     # max likelihood: data below samples
             total = ad.add(ce, aux)
-    bd = LossBreakdown(total=total.item(), cross_entropy=ce.item(), auxiliary=aux.item(),
-                       diverged_chains=diverged)
-    return LossGraph(total, bd, tape, bound, ce, aux, inputs)
+    return LossGraph(total, tape, bound, ce, aux, inputs)

@@ -225,7 +225,7 @@ def sgld_chain(model, params, x0: np.ndarray, config: SgldConfig,
     # NaN fails the test and inf exceeds the largest float, so a proposal
     # passes it exactly when no row is bad
     limit = min(config.bound, sys.float_info.max)
-    grad = en._block_grads(model, params, {} if programs is None else programs)
+    grad = en._block_grads(model, params, programs)
     for i in range(config.n_steps):
         step = config.step_at(i)
         grads = en._in_blocks(grad, model, x)

@@ -104,9 +104,9 @@ class EvalResult:
     ece_report: metrics.EceReport
 
 
-def _mean_egm(model, params, dataset, probe_size: int) -> float:
+def _mean_egm(model, params, dataset, probe_size: int, programs: dict) -> float:
     probe = dataset.x[:min(probe_size, len(dataset))]
-    egm = -metrics.score_dataset(model, params, probe, en.ScoreKind.APPROXIMATE_MASS)
+    egm = -en.approximate_mass_score(model, params, probe, programs)
     return float(egm.mean())
 
 
@@ -154,6 +154,7 @@ def train(config: TrainConfig, dataset_train: datamod.Dataset,
     log = []
     programs: dict = {}     # the recorded step of each input shape
     chains: dict = {}       # the recorded chain gradient of each row-block shape
+    probe: dict = {}        # the EGM probe's recorded gradient of each row-block shape
     for epoch in range(start_epoch, config.epochs):
         adam.lr = nn.lr_at(config.schedule, epoch)
         totals = np.zeros(3)
@@ -191,7 +192,7 @@ def train(config: TrainConfig, dataset_train: datamod.Dataset,
             loss_aux=totals[2] / denom, diverged_chains=diverged,
             skipped_batches=skipped,
             eval_accuracy=_accuracy(config.model, params, dataset_eval),
-            mean_egm=_mean_egm(config.model, params, dataset_train, PROBE_SIZE)))
+            mean_egm=_mean_egm(config.model, params, dataset_train, PROBE_SIZE, probe)))
 
         if config.checkpoint_interval and (epoch + 1) % config.checkpoint_interval == 0:
             ckpt = _snapshot(config, params, adam, epoch + 1, sampler_rng, buffer)

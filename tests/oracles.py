@@ -10,6 +10,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from ebmkit import autodiff as ad
 from ebmkit import energy as en
 from ebmkit import sampler as smp
 
@@ -363,3 +364,21 @@ def per_row_sgld_chain(model, params, x0: np.ndarray, config: smp.SgldConfig,
         result.egm_trace = trace
         result.converged = bool(trace and trace[-1] < config.convergence_eta)
     return result
+
+
+# ---------------------------------------------------------------------------
+# the input gradient on a fresh tape and a plain backward, as ad.input_grad
+# took it when given no dict of programs, renamed: every recorded or replayed
+# input gradient must match it bit for bit. It takes and ignores
+# ``programs``, so it can stand in for ad.input_grad.
+
+def eager_input_grad(loss, value, programs=None, params=None):
+    """d loss(x, **bound)/dx at x = ``value`` for a scalar ``loss``; ``bound``
+    holds each of ``params`` (name -> array) as a leaf."""
+    params = {} if params is None else params
+    tape = ad.Tape()
+    x = tape.leaf(value)
+    bound = {name: tape.leaf(v) for name, v in params.items()}
+    total = loss(x, **bound)
+    g = ad.backward(tape, total, [x], create_graph=False)[x]
+    return g.value

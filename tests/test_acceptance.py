@@ -150,7 +150,7 @@ def test_criterion_02_double_backprop_suite():
                 arrays = {k: a.copy() for k, a in params.arrays.items()}
                 arrays[name] = v
                 return losses.loss_graph(_PENALTY_ONLY, spec, nn.Parameters(arrays), x,
-                                         np.zeros(3, dtype=np.int64)).breakdown.auxiliary
+                                         np.zeros(3, dtype=np.int64)).aux.item()
 
             fd = central_diff(first_order, params.arrays[name], h=1e-4)
             err = float(np.max(np.abs(gm[leaf].value - fd)

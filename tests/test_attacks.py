@@ -5,9 +5,17 @@ import pytest
 
 from ebmkit import attacks
 from ebmkit import autodiff as ad
+from ebmkit import energy as en
 from ebmkit import losses, nn
 from ebmkit.attacks import AttackConfig, Norm
-from oracles import close_rel, traced_peak_bytes
+from oracles import close_rel, eager_input_grad, traced_peak_bytes
+
+
+def set_gradient(model, params, x, y):
+    """d(mean cross-entropy)/dx over the whole set, one block gradient per
+    row block, as pgd composes them."""
+    return en._in_blocks(lambda xb, yb: attacks._block_gradient(
+        model, params, yb, 1.0 / len(x))(xb), model, x, y)
 
 
 def two_class_linear():
@@ -117,11 +125,11 @@ class TestPgd:
         x_leaf = tape.leaf(x)
         loss = losses.cross_entropy(nn.forward(spec, params, x_leaf), y)
         whole = ad.backward(tape, loss, [x_leaf])[x_leaf].value
-        assert np.array_equal(attacks._input_gradient(spec, params, x, y), whole)
+        assert np.array_equal(set_gradient(spec, params, x, y), whole)
         monkeypatch.setattr(nn, "_ROW_BLOCK_BYTES", 12 * 16 * 8)
         spec = nn.ModelSpec.mlp(2, [16], 3)             # 12-row blocks, the last ragged
         assert spec.block_rows == 12
-        assert close_rel(attacks._input_gradient(spec, params, x, y), whole, 1e-12)
+        assert close_rel(set_gradient(spec, params, x, y), whole, 1e-12)
 
     def test_peak_memory_follows_the_block_not_the_set(self):
         spec = nn.ModelSpec.small_conv((1, 8, 8), [8], 3)
@@ -131,17 +139,14 @@ class TestPgd:
         def peak(n):
             x = rng.uniform(-1, 1, size=(n, 1, 8, 8))
             y = rng.integers(0, 3, size=n)
-            return traced_peak_bytes(attacks._input_gradient, spec, params, x, y)
+            return traced_peak_bytes(set_gradient, spec, params, x, y)
         assert peak(4 * spec.block_rows) < 1.5 * peak(spec.block_rows)
 
 
 def eager_steps(monkeypatch):
-    """Make every attack step record a fresh tape, as the gradient ran
-    before attacks replayed it."""
-    real = attacks._input_gradient
-    monkeypatch.setattr(attacks, "_input_gradient",
-                        lambda model, params, x, y, scale=None, programs=None:
-                        real(model, params, x, y, scale))
+    """Make every attack step take its gradient on a fresh tape with a plain
+    backward, as the gradient ran before attacks replayed it."""
+    monkeypatch.setattr(ad, "input_grad", eager_input_grad)
 
 
 def stepwise_pgd(model, params, x, y, config, seed):
@@ -151,7 +156,7 @@ def stepwise_pgd(model, params, x, y, config, seed):
     delta = attacks._random_start(rng, x.shape, config.norm, config.epsilon)
     delta = np.clip(x + delta, -1.0, 1.0) - x
     for _ in range(config.n_steps):
-        grad = attacks._input_gradient(model, params, x + delta, y)
+        grad = set_gradient(model, params, x + delta, y)
         flat = grad.reshape(grad.shape[0], -1)
         norms = np.maximum(np.linalg.norm(flat, axis=1, keepdims=True), 1e-12)
         step = (config.step * flat / norms).reshape(grad.shape)

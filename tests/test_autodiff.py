@@ -8,8 +8,9 @@ import pytest
 
 from ebmkit import autodiff as ad
 from ebmkit import energy, losses, nn
-from oracles import (central_diff, close_rel, naive_conv2d, naive_matmul, traced_peak_bytes,
-                     whole_batch_corr, whole_batch_corr_input_grad, whole_batch_corr_weight_grad)
+from oracles import (central_diff, close_rel, eager_input_grad, naive_conv2d, naive_matmul,
+                     traced_peak_bytes, whole_batch_corr, whole_batch_corr_input_grad,
+                     whole_batch_corr_weight_grad)
 
 
 def scalar_loss(op, x_val, extra=None, rng=None):
@@ -743,5 +744,5 @@ class TestProgram:
         programs = {}
         for rows in (4, 4, 3, 4, 3):
             x_val = rng.normal(size=(rows, 2))
-            assert np.array_equal(ad.input_grad(loss, x_val, programs), ad.input_grad(loss, x_val))
+            assert np.array_equal(ad.input_grad(loss, x_val, programs), eager_input_grad(loss, x_val))
         assert set(programs) == {(4, 2), (3, 2)}

@@ -9,11 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ebmkit import autodiff as ad
 from ebmkit import cli
 from ebmkit import data
-from ebmkit import losses, nn, trainer
+from ebmkit import energy as en
+from ebmkit import losses, metrics, nn, trainer
 from ebmkit import sampler as smp
-from oracles import dataset_to_csv
+from oracles import dataset_to_csv, eager_input_grad
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -229,6 +231,56 @@ class TestHistEgm:
         total = sum(float(r["density"]) * (float(r["bin_upper"]) - float(r["bin_lower"]))
                     for r in rows)
         assert total == pytest.approx(1.0, abs=1e-9)
+
+
+class TestConvApproximateMass:
+    """ood and hist-egm over a conv set of 2.5 row blocks: each scored set
+    records one program per block shape, and its scores are bit-identical
+    to a plain tape per block."""
+
+    def test_ood_and_hist_egm_record_two_programs_per_set(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(nn, "_ROW_BLOCK_BYTES", 4 * 3 * 32 * 32 * 8)  # 4-image blocks
+        spec = nn.ModelSpec.small_conv((3, 32, 32), [2], 10)
+        assert spec.block_rows == 4
+        params = nn.init(spec, 0)
+        trainer.checkpoint_save(trainer.Checkpoint(
+            model=spec, params=params, adam=nn.AdamState.for_params(params), epoch=0),
+            tmp_path / "ckpt.npz")
+        rng = np.random.default_rng(0)
+        files = {}
+        for name in ("in", "out"):
+            files[name] = tmp_path / f"{name}.bin"
+            np.concatenate([rng.integers(0, 10, size=(10, 1), dtype=np.uint8),
+                            rng.integers(0, 256, size=(10, 3072), dtype=np.uint8)],
+                           axis=1).tofile(files[name])
+        config = toy_config(tmp_path / "run")
+        config["data"] = {"kind": "cifar10", "train_files": [str(files["in"])],
+                          "test_files": [str(files["in"])]}
+        config["ood_data"] = {"kind": "cifar10", "test_files": [str(files["out"])]}
+        path = write_config(tmp_path, config)
+
+        recorded, scored, real = [], [], metrics.score_dataset
+
+        class Counted(ad.Program):
+            def __init__(self, tape, leaves, outputs):
+                recorded.append(leaves[0].shape)
+                super().__init__(tape, leaves, outputs)
+
+        def scoring(model, params, dataset, kind):
+            recorded.append("set")
+            scores = real(model, params, dataset, kind)
+            scored.append((dataset.x, scores))
+            return scores
+        monkeypatch.setattr(ad, "Program", Counted)
+        monkeypatch.setattr(metrics, "score_dataset", scoring)
+        for command in ("ood", "hist-egm"):
+            assert cli.main([command, "--config", str(path), "--checkpoint",
+                             str(tmp_path / "ckpt.npz"), "--out", str(tmp_path / command)]) == 0
+        assert recorded == ["set", (4, 3, 32, 32), (2, 3, 32, 32)] * 3
+
+        monkeypatch.setattr(ad, "input_grad", eager_input_grad)
+        for x, scores in scored:
+            assert np.array_equal(scores, en.approximate_mass_score(spec, params, x))
 
 
 class TestSample:
@@ -620,6 +672,25 @@ class TestTables:
         lines = (run / "attack.csv").read_text().strip().splitlines()
         assert lines[0] == "norm,epsilon,clean_accuracy,adversarial_accuracy,n_examples"
         assert len(lines) == 3
+
+
+class TestMalformedCsv:
+    """A malformed csv data file is a runtime failure (exit 2) that names the
+    file and the line, raised before training starts."""
+
+    @pytest.mark.parametrize("text,line", [
+        pytest.param("", 1, id="empty"),
+        pytest.param("x0,x1,label\n", 2, id="header-only"),
+        pytest.param("x0,x1,label\n0.5,0.1,0\n0.0,1\n", 3, id="row-one-cell-short")])
+    def test_train_exits_two_naming_the_file_and_line(self, tmp_path, capsys, monkeypatch,
+                                                      text, line):
+        path = tmp_path / "ds.csv"
+        path.write_text(text)
+        config = toy_config(tmp_path / "run", epochs=1)
+        config["data"] = {"kind": "csv", "path": str(path), "classes": 2}
+        monkeypatch.setattr(trainer, "train", lambda *a, **k: pytest.fail("training started"))
+        assert cli.main(["train", "--config", str(write_config(tmp_path, config))]) == 2
+        assert f"{path}: line {line}: " in capsys.readouterr().err
 
 
 class TestDataConfigValidation:

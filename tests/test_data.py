@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -159,6 +161,17 @@ class TestValidation:
         path = tmp_path / "ds.csv"
         path.write_text("x0,x1,label\n0.5,nan,0\n0.0,0.0,1\n")
         with pytest.raises(ValueError, match="finite"):
+            data.dataset_from_csv(path, classes=2)
+
+    @pytest.mark.parametrize("text,line", [
+        pytest.param("", 1, id="empty"),
+        pytest.param("x0,x1,label\n", 2, id="header-only"),
+        pytest.param("x0,x1,label\n0.5,0.1,0\n0.0,1\n", 3, id="row-one-cell-short"),
+        pytest.param("x0,x1,label\n0.5,0.1,0\n0.0,0.0,one\n", 3, id="label-not-an-integer")])
+    def test_malformed_csv_file_names_itself_and_the_line(self, tmp_path, text, line):
+        path = tmp_path / "ds.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line {line}: ")):
             data.dataset_from_csv(path, classes=2)
 
     def test_bad_labels_rejected(self):

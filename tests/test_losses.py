@@ -29,13 +29,13 @@ def zero_labels(x):
 
 
 def penalty(spec, params, x):
-    return losses.loss_graph(PENALTY, spec, params, x, zero_labels(x)).breakdown.auxiliary
+    return losses.loss_graph(PENALTY, spec, params, x, zero_labels(x)).aux.item()
 
 
 def generative_term(spec, params, xt, xg):
     """JEM's generative term alone, over fixed generated samples."""
     graph = losses.loss_graph(JEM, spec, params, xt, zero_labels(xt), x_gen=xg)
-    return graph.breakdown.auxiliary
+    return graph.aux.item()
 
 
 class TestCrossEntropy:
@@ -127,7 +127,7 @@ class TestEbmLoss:
 
         before = gap(params)
         graph = losses.loss_graph(JEM, spec, params, xt, zero_labels(xt), x_gen=xg)
-        assert graph.breakdown.cross_entropy == 0.0
+        assert graph.ce.item() == 0.0
         grads = ad.backward(graph.tape, graph.total, list(graph.bound.values()))
         adam = nn.AdamState.for_params(params, lr=1e-2)
         params, _ = nn.adam_step(adam, params, {name: grads[leaf].value
@@ -216,42 +216,42 @@ class TestCombinedLoss:
 
     def test_beta_zero_reduces_to_cross_entropy(self):
         cfg = losses.LossConfig(mode=losses.Mode.NGEBM, beta=0.0, gamma=1.0)
-        bd = losses.loss_graph(cfg, self.spec, self.params, self.x, self.y).breakdown
+        graph = losses.loss_graph(cfg, self.spec, self.params, self.x, self.y)
         ce = losses.cross_entropy(nn.forward(self.spec, self.params, self.x), self.y).item()
-        assert bd.total == pytest.approx(ce, abs=1e-12)
+        assert graph.total.item() == pytest.approx(ce, abs=1e-12)
 
     def test_equal_weights_arithmetic(self):
         cfg = losses.LossConfig(mode=losses.Mode.NGEBM, beta=0.5, gamma=0.5)
-        bd = losses.loss_graph(cfg, self.spec, self.params, self.x, self.y).breakdown
+        graph = losses.loss_graph(cfg, self.spec, self.params, self.x, self.y)
         ce = losses.cross_entropy(nn.forward(self.spec, self.params, self.x), self.y).item()
         pen = penalty(self.spec, self.params, self.x)
-        assert bd.total == pytest.approx(0.5 * ce + 0.5 * pen, abs=1e-12)
-        assert bd.cross_entropy == pytest.approx(ce, abs=1e-12)
-        assert bd.auxiliary == pytest.approx(pen, abs=1e-12)
+        assert graph.total.item() == pytest.approx(0.5 * ce + 0.5 * pen, abs=1e-12)
+        assert graph.ce.item() == pytest.approx(ce, abs=1e-12)
+        assert graph.aux.item() == pytest.approx(pen, abs=1e-12)
 
     def test_breakdown_recomputes_total(self):
         cfg = losses.LossConfig(mode=losses.Mode.NGEBM, beta=0.3, gamma=0.7)
-        bd = losses.loss_graph(cfg, self.spec, self.params, self.x, self.y).breakdown
-        assert bd.total == pytest.approx(0.7 * bd.cross_entropy + 0.3 * bd.auxiliary,
-                                         abs=1e-12)
+        graph = losses.loss_graph(cfg, self.spec, self.params, self.x, self.y)
+        assert graph.total.item() == pytest.approx(0.7 * graph.ce.item() + 0.3 * graph.aux.item(),
+                                                   abs=1e-12)
 
     def test_jem_with_generated_equal_to_train_is_ce(self):
         cfg = losses.LossConfig(mode=losses.Mode.JEM, sampler=smp.SgldConfig())
-        bd = losses.loss_graph(cfg, self.spec, self.params, self.x, self.y,
-                               x_gen=self.x).breakdown
+        graph = losses.loss_graph(cfg, self.spec, self.params, self.x, self.y, x_gen=self.x)
         ce = losses.cross_entropy(nn.forward(self.spec, self.params, self.x), self.y).item()
-        assert bd.total == pytest.approx(ce, abs=1e-12)
+        assert graph.total.item() == pytest.approx(ce, abs=1e-12)
 
-    def test_jem_without_buffer_errors(self):
+    def test_jem_without_generated_batch_errors(self):
         cfg = losses.LossConfig(mode=losses.Mode.JEM, sampler=smp.SgldConfig())
-        with pytest.raises(losses.ConfigError, match="buffer"):
+        with pytest.raises(losses.ConfigError, match="x_gen"):
             losses.loss_graph(cfg, self.spec, self.params, self.x, self.y)
 
     def test_jem_end_to_end_with_buffer(self):
         cfg = losses.LossConfig(mode=losses.Mode.JEM,
                                 sampler=smp.SgldConfig(n_steps=3, step_size=0.1))
         buffer = smp.ReplayBuffer(capacity=50, rng=3)
-        bd = losses.loss_graph(cfg, self.spec, self.params, self.x, self.y,
-                               buffer=buffer, rng=11).breakdown
-        assert np.isfinite(bd.total)
-        assert bd.total == pytest.approx(bd.cross_entropy + bd.auxiliary, abs=1e-12)
+        x_gen, _, _ = losses._jem_samples(cfg, self.spec, self.params, self.x.shape, buffer,
+                                          np.random.default_rng(11), {})
+        graph = losses.loss_graph(cfg, self.spec, self.params, self.x, self.y, x_gen=x_gen)
+        assert np.isfinite(graph.total.item())
+        assert graph.total.item() == pytest.approx(graph.ce.item() + graph.aux.item(), abs=1e-12)

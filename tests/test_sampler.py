@@ -4,11 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from ebmkit import autodiff as ad
 from ebmkit import energy as en
 from ebmkit import nn
 from ebmkit import sampler as smp
-from oracles import (ListReplayBuffer, list_buffer_draw, list_buffer_push, per_row_sgld_chain,
-                     traced_peak_bytes)
+from oracles import (ListReplayBuffer, eager_input_grad, list_buffer_draw, list_buffer_push,
+                     per_row_sgld_chain, traced_peak_bytes)
 
 
 def quad_config(**kw):
@@ -160,11 +161,16 @@ class TestSgldChain:
 
 
 def eager_steps(monkeypatch):
-    """Make every chain step record a fresh tape, as the gradient ran before
-    chains replayed it."""
-    real = en._block_grads
-    monkeypatch.setattr(en, "_block_grads",
-                        lambda model, params, programs=None: real(model, params))
+    """Make every chain step take its gradient on a fresh tape with a plain
+    backward, as the gradient ran before chains replayed it."""
+    monkeypatch.setattr(ad, "input_grad", eager_input_grad)
+
+
+def eager_energy_grad(spec, params, x):
+    """dE/dx of the summed energy, on one eager tape with the parameters as leaves."""
+    def summed_energy(x_leaf, **bound):
+        return ad.sum_(en.energy(nn.forward(spec, bound, x_leaf)))
+    return eager_input_grad(summed_energy, x, None, params.arrays)
 
 
 def assert_same_chain(a, b):
@@ -187,7 +193,7 @@ class TestReplayedChain:
         programs = {}
         for params in sets + sets:
             got = en.energy_grad_input(spec, params, x, programs)
-            assert np.array_equal(got, en.energy_grad_input(spec, params, x))
+            assert np.array_equal(got, eager_energy_grad(spec, params, x))
         assert list(programs) == [(5, 2)]
         assert not np.array_equal(en.energy_grad_input(spec, sets[0], x),
                                   en.energy_grad_input(spec, sets[1], x))

@@ -196,9 +196,8 @@ def _eager_step(config, params, x, y, x_gen):
     parameter gradient."""
     graph = losses.loss_graph(config.loss, config.model, params, x, y, x_gen=x_gen)
     grads = ad.backward(graph.tape, graph.total, list(graph.bound.values()))
-    bd = graph.breakdown
-    return [bd.total, bd.cross_entropy, bd.auxiliary] + [grads[leaf].value
-                                                         for leaf in graph.bound.values()]
+    return [graph.total.item(), graph.ce.item(), graph.aux.item()] + [
+        grads[leaf].value for leaf in graph.bound.values()]
 
 
 class TestStepProgram:
@@ -265,10 +264,13 @@ class TestStepProgram:
         with pytest.raises(ValueError, match="label out of range"):
             trainer._batch_step(config, params, x, np.array([0, 1, 3, 0]), None, programs)
 
-    def test_toy_jem_records_its_chain_gradient_once_per_block_shape(self, monkeypatch, tmp_path):
-        config = json.loads((ROOT / "configs" / "toy_jem.json").read_text())
+    @staticmethod
+    def input_gradient_recordings(monkeypatch, tmp_path, mode):
+        """The block shape of every input-gradient program a 3-epoch toy run
+        records: its inputs are a block and the six parameters."""
+        config = json.loads((ROOT / "configs" / f"toy_{mode}.json").read_text())
         config["train"]["epochs"] = 3
-        path = tmp_path / "jem.json"
+        path = tmp_path / f"{mode}.json"
         path.write_text(json.dumps(config))
         recorded = []
 
@@ -279,10 +281,17 @@ class TestStepProgram:
 
         monkeypatch.setattr(ad, "Program", Counted)
         assert cli.main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
-        # a chain gradient's inputs are a block and the six parameters; 400 rows
-        # in batches of 64 make two block shapes, for 21 chains
-        chains = [shapes[0] for shapes in recorded if len(shapes) == 7]
-        assert sorted(chains) == [(16, 2), (64, 2)]
+        return sorted(shapes[0] for shapes in recorded if len(shapes) == 7)
+
+    def test_toy_jem_records_its_chain_gradient_once_per_block_shape(self, monkeypatch, tmp_path):
+        # 400 rows in batches of 64 make two chain block shapes, for 21 chains;
+        # the per-epoch probe over all 400 rows records once for the run
+        assert self.input_gradient_recordings(monkeypatch, tmp_path, "jem") == \
+            [(16, 2), (64, 2), (400, 2)]
+
+    @pytest.mark.parametrize("mode", ["ce", "ngebm"])
+    def test_toy_run_records_its_probe_gradient_once(self, monkeypatch, tmp_path, mode):
+        assert self.input_gradient_recordings(monkeypatch, tmp_path, mode) == [(400, 2)]
 
     def test_peak_memory_of_a_replay_is_below_its_recording(self):
         spec = nn.ModelSpec.small_conv((3, 16, 16), [4, 4], 3)
