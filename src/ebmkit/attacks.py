@@ -61,7 +61,6 @@ class AttackReport:
     epsilons: list
     clean_accuracy: float
     adversarial_accuracy: list           # one entry per epsilon
-    success: list                        # per-epsilon boolean arrays
     n_examples: int
 
 
@@ -78,18 +77,20 @@ def project(delta: np.ndarray, norm: Norm, epsilon: float) -> np.ndarray:
     return (flat * scale).reshape(delta.shape)
 
 
-def _block_gradient(model, params, y: np.ndarray, scale: float):
-    """d(scale * summed cross-entropy)/dx of the row block labelled ``y``, as a
-    function of the block, recorded on its first call and then replayed; the
-    recording holds ``y`` by value. With scale 1/N each row gets the upstream
-    gradient 1/N that a mean over N rows gives it."""
-    arrays, programs = en._arrays(params), {}
+def _block_gradient(model, params, scale: float):
+    """d(scale * summed cross-entropy)/dx of a row block, as a function of the
+    block and its labels' one-hot rows. Both are leaves, so the first block of
+    each shape records the gradient and every later step of any block of that
+    shape replays it. With scale 1/N each row gets the upstream gradient 1/N
+    that a mean over N rows gives it."""
+    values, programs = list(params.values()), {}
 
-    def loss(x_leaf, **bound):
-        return ad.mul(ad.sum_(losses._nll_rows(en.model_logits(model, bound, x_leaf), y)), scale)
+    def loss(x, onehot, *leaves):
+        logits = en.model_logits(model, dict(zip(params, leaves)), x)
+        return ad.mul(ad.sum_(losses._nll_rows(logits, onehot)), scale)
 
-    def gradient(x):
-        grad = ad.input_grad(loss, x, programs, arrays)
+    def gradient(x, onehot):
+        grad = ad.record(loss, [x, onehot, *values], 1, programs)[0]
         if not np.all(np.isfinite(grad)):
             raise ValueError("pgd: non-finite input gradient")
         return grad
@@ -125,10 +126,11 @@ def pgd(model, params, x: np.ndarray, y: np.ndarray, config: AttackConfig,
         delta = _random_start(rng, x.shape, config.norm, config.epsilon)
         delta = np.clip(x + delta, *_INPUT_RANGE) - x
 
-    def attack(xb, yb, db):     # rows move independently, so a block takes all its steps
-        gradient = _block_gradient(model, params, yb, 1.0 / max(len(x), 1))
+    gradient = _block_gradient(model, params, 1.0 / max(len(x), 1))
+
+    def attack(xb, onehot, db):     # rows move independently, so a block takes all its steps
         for _ in range(config.n_steps):
-            grad = gradient(xb + db)
+            grad = gradient(xb + db, onehot)
             if config.norm is Norm.LINF:
                 step = config.step * np.sign(grad)
             else:
@@ -139,7 +141,7 @@ def pgd(model, params, x: np.ndarray, y: np.ndarray, config: AttackConfig,
             db = np.clip(xb + db, *_INPUT_RANGE) - xb
         return db
 
-    x_hat = x + en._in_blocks(attack, model, x, y, delta)
+    x_hat = x + en._in_blocks(attack, model, x, losses._one_hot(y, model.classes), delta)
     if config.norm is Norm.LINF:
         # the add/subtract roundtrip can overshoot the budget by an ulp;
         # nudge offending coordinates toward x until ||x_hat - x||_inf <= eps
@@ -164,9 +166,8 @@ def _verify_budget(delta: np.ndarray, norm: Norm, epsilon: float) -> None:
         raise AssertionError(f"attack budget violated: {worst} > {epsilon} ({norm.value})")
 
 
-def _accuracy(model, params, x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
-    correct = en._logits_in_blocks(model, params, x).argmax(axis=1) == y
-    return float(correct.mean()), correct
+def _accuracy(model, params, x: np.ndarray, y: np.ndarray) -> float:
+    return float((en._logits_in_blocks(model, params, x).argmax(axis=1) == y).mean())
 
 
 def attack_sweep(model, params, dataset, norm: Norm, epsilons: Sequence[float],
@@ -180,17 +181,13 @@ def attack_sweep(model, params, dataset, norm: Norm, epsilons: Sequence[float],
     y = dataset.y if hasattr(dataset, "y") else np.asarray(dataset[1])
     base = config or AttackConfig(norm=norm)
 
-    clean_acc, clean_correct = _accuracy(model, params, x, y)
     adv_accs = []
-    successes = []
     for i, eps in enumerate(eps_list):
         cfg = replace(base, norm=norm, epsilon=eps)
         x_adv = pgd(model, params, x, y, cfg, rng=np.random.default_rng([seed, i]))
         _verify_budget(x_adv - x, norm, eps)
-        acc, correct = _accuracy(model, params, x_adv, y)
-        adv_accs.append(acc)
-        successes.append(clean_correct & ~correct)
-    return AttackReport(norm=norm, epsilons=eps_list, clean_accuracy=clean_acc,
-                        adversarial_accuracy=adv_accs, success=successes,
-                        n_examples=int(x.shape[0]))
+        adv_accs.append(_accuracy(model, params, x_adv, y))
+    return AttackReport(norm=norm, epsilons=eps_list,
+                        clean_accuracy=_accuracy(model, params, x, y),
+                        adversarial_accuracy=adv_accs, n_examples=int(x.shape[0]))
 

@@ -10,11 +10,13 @@ its VJP reads; ``backward`` keeps only the gradients it has yet to
 propagate and those of the requested leaves.
 
 A ``Program`` replays a recording as plain numpy calls on new leaf
-values, for any number of outputs at once: a training step's loss terms
-and every parameter gradient from one recording, or the single input
-gradient of a chain or attack step (``input_grad``), whose parameters
-are inputs like x: only what else its loss reads (an attack's labels) is
-held by value, so that alone must not change between replays.
+values, for any number of outputs at once. ``record`` is the one way to
+make one: it binds every value a loss reads (parameters, inputs, labels)
+as a leaf, records the loss and its gradient in the leaves asked for, and
+replays the recording for later values of the same shapes. A training
+step's loss terms and parameter gradients and the input gradient of a
+chain, attack or score block all take this path; only the loss's own
+constants are held by value.
 
 A Tape is single-writer: never record onto one tape from two threads of
 control. Distinct tapes are independent and completed tensors are
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import functools
 import weakref
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -34,7 +36,7 @@ __all__ = [
     "ShapeError",
     "Tensor",
     "Tape",
-    "backward", "Program", "input_grad",
+    "backward", "Program", "record",
     # primitive ops
     "add", "sub", "mul", "div", "neg", "matmul", "linear", "transpose", "reshape",
     "broadcast", "sum_", "mean", "relu", "exp", "logsumexp",
@@ -599,22 +601,25 @@ class Program:
         return self._replay(*values)
 
 
-def input_grad(loss: Callable[..., Tensor], value, programs: dict,
-               params: Optional[Mapping[str, np.ndarray]] = None):
-    """d loss(x, **bound)/dx at x = ``value`` for a scalar ``loss``; ``bound``
-    holds each of ``params`` (name -> array) as a leaf. The first call of each
-    shape of x records a one-output ``Program`` in ``programs`` with x and the
-    parameters as inputs, which later calls replay on any values of both: only
-    what else ``loss`` reads must stay the same."""
-    params = {} if params is None else params
-    program = programs.get(value.shape)
+def record(loss: Callable[..., Tensor | tuple], values: Sequence, n_wrt: int,
+           programs: dict) -> list:
+    """``loss`` called on leaves holding ``values`` returns a scalar Tensor, or a
+    tuple of Tensors whose first is the scalar. The result is, as arrays, the
+    tuple's entries (none for a lone scalar), then the scalar's gradient in each
+    of the first ``n_wrt`` leaves. The first call for each tuple of value shapes
+    records these outputs as a ``Program`` in ``programs``; later calls replay it
+    on the new values."""
+    values = [np.asarray(v, dtype=np.float64, order="C") for v in values]   # _as_array, inlined
+    key = tuple([v.shape for v in values])
+    program = programs.get(key)
     if program is not None:
-        return program(value, *params.values())[0]
+        return program._replay(*values)
     tape = Tape()
-    x = tape.leaf(value)
-    bound = {name: tape.leaf(v) for name, v in params.items()}
-    total = loss(x, **bound)
+    leaves = [tape.leaf(v) for v in values]
+    out = loss(*leaves)
+    outputs = list(out) if isinstance(out, tuple) else []
     tape._replay_only = True
-    g = backward(tape, total, [x], create_graph=True)[x]
-    programs[value.shape] = Program(tape, [x, *bound.values()], [g])
-    return g.value
+    outputs += backward(tape, outputs[0] if outputs else out, leaves[:n_wrt],
+                        create_graph=True).values()
+    programs[key] = Program(tape, leaves, outputs)
+    return [t.value for t in outputs]

@@ -6,8 +6,9 @@ higher unnormalized density. The normalizing constant is intractable
 and never computed; everything downstream uses scores only through
 their ordering (AUROC, histograms).
 
-Every input gradient dE/dx takes one path: each row-block shape records
-its gradient once as an ``ad.Program`` and later blocks replay it.
+Every input gradient dE/dx takes one path, ``ad.record``: each row-block
+shape records its gradient once, with the block and the parameters as
+leaves, and later blocks replay it for any values of both.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ from . import nn
 
 __all__ = [
     "ScoreKind", "energy", "log_px_proxy", "softmax_probs",
-    "max_softmax_score", "model_logits", "energy_grad_input",
-    "approximate_mass_score",
+    "max_softmax_score", "model_logits", "approximate_mass_score",
 ]
 
 
@@ -90,34 +90,24 @@ def _logits_in_blocks(model, params, x) -> np.ndarray:
     return _in_blocks(lambda b: model_logits(model, params, ad.Tensor(b)).value, model, x)
 
 
-def _arrays(params) -> dict:     # a Parameters store's name -> array mapping
-    return params.arrays if isinstance(params, nn.Parameters) else params
-
-
 def _block_grads(model, params, programs=None):
-    """dE/dx of one row block, as a function of the block. The first block of
-    each shape records its gradient in ``programs`` (by default a new dict) and
-    later blocks of that shape replay it (``ad.input_grad``)."""
-    arrays, programs = _arrays(params), {} if programs is None else programs
+    """Per-example dE/dx of one row block, as a function of the block.
+    Examples do not interact in the model (no batch statistics), so the
+    gradient of the block's summed energy separates into rows. The first
+    block of each shape records it in ``programs`` (by default a new dict)
+    and later blocks of that shape replay it; the parameters are leaves, so
+    a dict that calls share serves any parameter values."""
+    values, programs = list(params.values()), {} if programs is None else programs
 
-    def summed_energy(x, **bound):
-        return ad.sum_(energy(model_logits(model, bound, x)))
-    return lambda block: ad.input_grad(summed_energy, block, programs, arrays)
-
-
-def energy_grad_input(model, params, x_batch, programs=None) -> np.ndarray:
-    """Per-example dE/dx, same shape as the input. Examples do not interact
-    in the model (no batch statistics), so one backward pass over a row
-    block's summed energy separates into rows; a block (``_in_blocks``) is one
-    recording or replay, so peak memory follows a block, not the set. The
-    recordings in ``programs`` take the parameters as inputs, so a dict that
-    calls share serves any parameter values."""
-    return _in_blocks(_block_grads(model, params, programs), model, x_batch)
+    def summed_energy(x, *leaves):
+        return ad.sum_(energy(model_logits(model, dict(zip(params, leaves)), x)))
+    return lambda block: ad.record(summed_energy, [block, *values], 1, programs)[0]
 
 
 def approximate_mass_score(model, params, x_batch, programs=None) -> np.ndarray:
-    """Score s(x) = -||dE/dx||_2, near zero in the typical set; one block at a
-    time, replaying ``programs`` as ``energy_grad_input`` does."""
+    """Score s(x) = -||dE/dx||_2, near zero in the typical set; one row block
+    (``_in_blocks``) at a time, so peak memory follows a block, not the set,
+    replaying ``programs`` as ``_block_grads`` does."""
     grad = _block_grads(model, params, programs)
     return _in_blocks(lambda block: -np.linalg.norm(grad(block).reshape(len(block), -1), axis=1),
                       model, x_batch)

@@ -3,7 +3,9 @@ loss, and the non-generative input-gradient penalty.
 
 The penalty is the batch mean of ||dE/dx||_2 and is minimized as a
 positive quantity. The mean reduction keeps the beta/gamma mixing
-weights batch-size invariant.
+weights batch-size invariant. ``loss_graph`` builds the objective on
+leaves its caller binds (``ad.record`` in training), so no parameter,
+input, label or sample is a constant of the graph.
 """
 
 from __future__ import annotations
@@ -56,14 +58,12 @@ class LossConfig:
 
 @dataclass
 class LossGraph:
-    """A built loss with handles for the optimization step."""
+    """A built loss: the minimized total and its two terms."""
 
     total: ad.Tensor
-    tape: ad.Tape
-    bound: dict
     ce: ad.Tensor
     aux: ad.Tensor              # a constant 0 where the mode has no auxiliary term
-    inputs: list                # the batch's leaves: x, the one-hot labels, and x_gen in jem
+    tape: ad.Tape
 
 
 def cross_entropy(logits: ad.Tensor, labels) -> ad.Tensor:
@@ -80,20 +80,19 @@ def _one_hot(labels, k: int) -> np.ndarray:
     return out
 
 
-def _nll_rows(logits, labels) -> ad.Tensor:
+def _nll_rows(logits: ad.Tensor, labels) -> ad.Tensor:
     """Per-row negative log-probability of the true labels: ints, checked
     against the class count, or their one-hot rows as a Tensor (a tape leaf
     in a loss that is replayed on new labels)."""
-    logits = logits if isinstance(logits, ad.Tensor) else ad.Tensor(logits)
     if not isinstance(labels, ad.Tensor):
         labels = ad.Tensor(_one_hot(labels, logits.shape[-1]))
     return ad.sub(ad.logsumexp(logits, axis=1), ad.gather(logits, labels))
 
 
-def _penalty_from_logits(tape: ad.Tape, logits: ad.Tensor, x_leaf: ad.Tensor) -> ad.Tensor:
+def _penalty_from_logits(logits: ad.Tensor, x_leaf: ad.Tensor) -> ad.Tensor:
     batch = x_leaf.shape[0]
     total_e = ad.sum_(en.energy(logits))
-    g = ad.backward(tape, total_e, [x_leaf], create_graph=True)[x_leaf]
+    g = ad.backward(x_leaf.tape, total_e, [x_leaf], create_graph=True)[x_leaf]
     rows = ad.l2norm(ad.reshape(g, (batch, int(np.prod(x_leaf.shape[1:])))), axis=1)
     return ad.mean(rows)
 
@@ -110,38 +109,26 @@ def _jem_samples(config: LossConfig, model, params: nn.Parameters, batch_shape: 
     return chain.samples[ok], indices[ok], int((~ok).sum())
 
 
-def loss_graph(config: LossConfig, model, params: nn.Parameters, x_batch, labels,
-               x_gen=None) -> LossGraph:
-    """Build the configured objective on a fresh tape.
-
-    Parameters, the batch, its one-hot labels and (jem) the generated
-    samples are bound as leaves, so no batch array is a constant of the
-    graph; the caller runs ``backward(graph.tape, graph.total,
-    graph.bound.values())`` and steps the optimizer. JEM mode needs
-    ``x_gen``, the generated batch (``_jem_samples`` draws it); the other
-    modes ignore it. The penalty alone is NGEBM mode with beta=1, gamma=0;
-    the generative term alone is ``graph.aux`` in JEM mode.
+def loss_graph(config: LossConfig, model, params: dict, x: ad.Tensor, onehot: ad.Tensor,
+               x_gen: Optional[ad.Tensor] = None) -> LossGraph:
+    """The configured objective on leaves of one tape: ``params`` maps each
+    parameter name to its leaf, ``onehot`` holds the batch's labels as one-hot
+    rows and ``x_gen`` (jem) the generated batch, which ``_jem_samples`` draws;
+    the other modes ignore it. The penalty alone is NGEBM mode with beta=1,
+    gamma=0; the generative term alone is ``graph.aux`` in JEM mode.
     """
     if config.mode is Mode.JEM and x_gen is None:
         raise ConfigError("JEM mode needs a generated batch x_gen")
-    tape = ad.Tape()
-    bound = params.bind(tape)
-    x = tape.leaf(np.asarray(x_batch, dtype=np.float64))
-    logits = en.model_logits(model, bound, x)
-    onehot = tape.leaf(_one_hot(labels, logits.shape[-1]))
-    inputs = [x, onehot]
+    logits = en.model_logits(model, params, x)
     ce = cross_entropy(logits, onehot)
     total, aux = ce, ad.Tensor(0.0)
 
     if config.mode is Mode.NGEBM:
-        aux = _penalty_from_logits(tape, logits, x)
+        aux = _penalty_from_logits(logits, x)
         total = ad.add(ad.mul(ce, config.gamma), ad.mul(aux, config.beta))
-    elif config.mode is Mode.JEM:     # cross-entropy plus the generative term
-        gen = tape.leaf(np.asarray(x_gen, dtype=np.float64))
-        inputs.append(gen)
-        if gen.shape[0]:
-            e_gen = en.energy(en.model_logits(model, bound, gen))
-            e_train = en.energy(logits)
-            aux = ad.sub(ad.mean(e_train), ad.mean(e_gen))     # max likelihood: data below samples
-            total = ad.add(ce, aux)
-    return LossGraph(total, tape, bound, ce, aux, inputs)
+    elif config.mode is Mode.JEM and x_gen.shape[0]:     # cross-entropy plus the generative term
+        e_gen = en.energy(en.model_logits(model, params, x_gen))
+        e_train = en.energy(logits)
+        aux = ad.sub(ad.mean(e_train), ad.mean(e_gen))     # max likelihood: data below samples
+        total = ad.add(ce, aux)
+    return LossGraph(total, ce, aux, x.tape)

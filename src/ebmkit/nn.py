@@ -8,8 +8,9 @@ thread of control owns mutation, evaluation reads frozen snapshots.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
@@ -172,9 +173,10 @@ def _pack(arrays: Mapping[str, np.ndarray]) -> tuple[np.ndarray, dict]:
                   for (k, a), end in zip(arrays.items(), ends)}
 
 
-class Parameters:
-    """Ordered, named float64 parameter arrays matching a ModelSpec. They
-    share one vector, ``flat``; ``arrays`` maps each name to its view of it."""
+class Parameters(Mapping):
+    """Ordered, named float64 parameter arrays matching a ModelSpec, read as a
+    name -> array mapping. They share one vector, ``flat``; ``arrays`` maps
+    each name to its view of it."""
 
     def __init__(self, arrays: Mapping[str, np.ndarray]):
         self.flat, self.arrays = _pack(arrays)
@@ -188,17 +190,19 @@ class Parameters:
     def __deepcopy__(self, memo) -> "Parameters":
         return self.copy()      # a new vector with its own views
 
-    def bind(self, tape: ad.Tape) -> dict[str, ad.Tensor]:
-        """Register every array as a differentiable leaf on ``tape``."""
-        return {name: tape.leaf(arr) for name, arr in self.arrays.items()}
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self.arrays[name]
 
-    def names(self):
-        return list(self.arrays)
+    def __iter__(self):
+        return iter(self.arrays)
+
+    def __len__(self):
+        return len(self.arrays)
 
     def __eq__(self, other):
         if not isinstance(other, Parameters):
             return NotImplemented
-        return (self.names() == other.names()
+        return (list(self) == list(other)
                 and all(np.array_equal(self.arrays[k], other.arrays[k]) for k in self.arrays))
 
 
@@ -227,11 +231,10 @@ def init(spec: ModelSpec, seed: int) -> Parameters:
     return Parameters(arrays)
 
 
-def forward(spec: ModelSpec, params, x) -> ad.Tensor:
-    """Logits for a batch. ``params`` is a Parameters store (evaluation)
-    or a bound name->Tensor mapping (training); ``x`` an array or Tensor."""
-    if isinstance(params, Parameters):
-        params = {k: ad.Tensor(v) for k, v in params.arrays.items()}
+def forward(spec: ModelSpec, params: Mapping, x) -> ad.Tensor:
+    """Logits for a batch. ``params`` maps each parameter name to an array or
+    a Tensor (a Parameters store, or leaves a recording binds); ``x`` is an
+    array or Tensor."""
     h = x if isinstance(x, ad.Tensor) else ad.Tensor(x)
     if h.ndim < 2 or h.shape[1:] != spec.input_shape:
         raise ad.ShapeError(

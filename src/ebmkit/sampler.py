@@ -122,9 +122,6 @@ class ReplayBuffer:
         """Ring rows of FIFO positions ``index`` (an int or an int array)."""
         return (self._start + index) % len(self._ring)
 
-    def sample_at(self, index: int) -> np.ndarray:
-        return self._ring[self._rows(range(self._len)[index])].copy()
-
     def samples(self) -> np.ndarray:
         """Every stored sample, oldest first, as a new array."""
         return np.concatenate((self._ring[self._start:self._len], self._ring[:self._start]))

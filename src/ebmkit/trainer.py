@@ -153,8 +153,7 @@ def train(config: TrainConfig, dataset_train: datamod.Dataset,
 
     log = []
     programs: dict = {}     # the recorded step of each input shape
-    chains: dict = {}       # the recorded chain gradient of each row-block shape
-    probe: dict = {}        # the EGM probe's recorded gradient of each row-block shape
+    gradients: dict = {}    # the recorded dE/dx of each row-block shape: chains and EGM probe
     for epoch in range(start_epoch, config.epochs):
         adam.lr = nn.lr_at(config.schedule, epoch)
         totals = np.zeros(3)
@@ -166,7 +165,7 @@ def train(config: TrainConfig, dataset_train: datamod.Dataset,
             x_gen = None
             if buffer is not None:      # drawn first: the survivor count picks the program
                 x_gen, gen_indices, n_diverged = losses._jem_samples(
-                    config.loss, config.model, params, x.shape, buffer, sampler_rng, chains)
+                    config.loss, config.model, params, x.shape, buffer, sampler_rng, gradients)
                 diverged += n_diverged
             total, ce, aux, *grads = _batch_step(config, params, x, y, x_gen, programs)
             try:
@@ -192,7 +191,7 @@ def train(config: TrainConfig, dataset_train: datamod.Dataset,
             loss_aux=totals[2] / denom, diverged_chains=diverged,
             skipped_batches=skipped,
             eval_accuracy=_accuracy(config.model, params, dataset_eval),
-            mean_egm=_mean_egm(config.model, params, dataset_train, PROBE_SIZE, probe)))
+            mean_egm=_mean_egm(config.model, params, dataset_train, PROBE_SIZE, gradients)))
 
         if config.checkpoint_interval and (epoch + 1) % config.checkpoint_interval == 0:
             ckpt = _snapshot(config, params, adam, epoch + 1, sampler_rng, buffer)
@@ -204,23 +203,17 @@ def train(config: TrainConfig, dataset_train: datamod.Dataset,
 
 def _batch_step(config, params, x, y, x_gen, programs: dict) -> list:
     """One batch's loss terms (total, ce, aux) and parameter gradients, as
-    arrays. The first batch of each input shape builds its loss with
-    ``losses.loss_graph`` and records the terms and gradients in ``programs``
-    as an ``ad.Program``; later batches of that shape replay it on the new
-    parameters, inputs, labels and samples, with no tape. The recording's
-    tape dies on return, so no two batches' tapes, nor a tape and the
-    epoch's telemetry, are ever alive at once."""
+    arrays: ``losses.loss_graph`` on the parameters, inputs, one-hot labels
+    and samples, recorded once per input shape in ``programs`` and replayed
+    for later batches of that shape (``ad.record``). The recording's tape
+    dies on return, so no two batches' tapes, nor a tape and the epoch's
+    telemetry, are ever alive at once."""
+    def loss(*leaves):
+        graph = losses.loss_graph(config.loss, config.model, dict(zip(params, leaves)),
+                                  *leaves[len(params):])
+        return graph.total, graph.ce, graph.aux
     batch = [x, losses._one_hot(y, config.model.classes)] + ([] if x_gen is None else [x_gen])
-    key = tuple(v.shape for v in batch)
-    if key in programs:
-        return programs[key](*params.arrays.values(), *batch)
-    graph = losses.loss_graph(config.loss, config.model, params, x, y, x_gen=x_gen)
-    graph.tape._replay_only = True
-    leaves = list(graph.bound.values())
-    grads = ad.backward(graph.tape, graph.total, leaves, create_graph=True)
-    outputs = [graph.total, graph.ce, graph.aux] + [grads[leaf] for leaf in leaves]
-    programs[key] = ad.Program(graph.tape, leaves + graph.inputs, outputs)
-    return [t.value for t in outputs]
+    return ad.record(loss, [*params.arrays.values(), *batch], len(params), programs)
 
 
 def _snapshot(config, params, adam, epoch, sampler_rng, buffer) -> Checkpoint:
@@ -259,7 +252,7 @@ def checkpoint_save(checkpoint: Checkpoint, path) -> None:
         "adam": {"t": checkpoint.adam.t, "lr": checkpoint.adam.lr,
                  "beta1": checkpoint.adam.beta1, "beta2": checkpoint.adam.beta2,
                  "eps": checkpoint.adam.eps},
-        "param_names": checkpoint.params.names(),
+        "param_names": list(checkpoint.params),
         "sampler_rng_state": checkpoint.sampler_rng_state,
         "buffer_rng_state": checkpoint.buffer_rng_state,
         "has_buffer": checkpoint.buffer_samples is not None,

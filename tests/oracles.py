@@ -1,7 +1,9 @@
 """Independent oracles used across the test suite.
 
 Everything here is deliberately naive (loops, finite differences,
-pair counting) and shares no code with the library paths it checks.
+pair counting) and shares no code with the library paths it checks,
+except the last section: two library paths bound for the tests that
+read them.
 """
 
 import csv
@@ -12,6 +14,7 @@ import numpy as np
 
 from ebmkit import autodiff as ad
 from ebmkit import energy as en
+from ebmkit import losses
 from ebmkit import sampler as smp
 
 
@@ -229,7 +232,7 @@ def dataset_to_csv(dataset, path):
 # the replay buffer as a list of rows and the chain loop that checks every
 # row at every step, as sampler.py had them before the array ring and the
 # one-reduction check, renamed; the ring and the chain must match them bit
-# for bit. The oracle chain takes its gradient from energy_grad_input.
+# for bit. The oracle chain takes its gradient from energy_grads.
 
 class ListReplayBuffer:
     """FIFO store of past chain endpoints.
@@ -336,7 +339,7 @@ def per_row_sgld_chain(model, params, x0: np.ndarray, config: smp.SgldConfig,
     programs = {} if programs is None else programs
     for i in range(config.n_steps):
         step = config.step_at(i)
-        grads = en.energy_grad_input(model, params, x, programs)
+        grads = energy_grads(model, params, x, programs)
         if not config.noise:
             trace.append(float(np.linalg.norm(
                 grads.reshape(grads.shape[0], -1), axis=1).mean()))
@@ -367,18 +370,37 @@ def per_row_sgld_chain(model, params, x0: np.ndarray, config: smp.SgldConfig,
 
 
 # ---------------------------------------------------------------------------
-# the input gradient on a fresh tape and a plain backward, as ad.input_grad
-# took it when given no dict of programs, renamed: every recorded or replayed
-# input gradient must match it bit for bit. It takes and ignores
-# ``programs``, so it can stand in for ad.input_grad.
+# the outputs of ad.record on a fresh tape with a plain backward, as the
+# input gradient ran before it was replayed: every recorded or replayed
+# output must match it bit for bit. It takes and ignores ``programs``, so it
+# can stand in for ad.record.
 
-def eager_input_grad(loss, value, programs=None, params=None):
-    """d loss(x, **bound)/dx at x = ``value`` for a scalar ``loss``; ``bound``
-    holds each of ``params`` (name -> array) as a leaf."""
-    params = {} if params is None else params
+def eager_record(loss, values, n_wrt, programs=None):
+    """``loss`` on leaves holding ``values``: the entries of a returned tuple
+    (none for a lone scalar), then the gradient of the scalar (the tuple's
+    first entry) in each of the first ``n_wrt`` leaves, as arrays."""
     tape = ad.Tape()
-    x = tape.leaf(value)
+    leaves = [tape.leaf(v) for v in values]
+    out = loss(*leaves)
+    outputs = list(out) if isinstance(out, tuple) else []
+    grads = ad.backward(tape, outputs[0] if outputs else out, leaves[:n_wrt])
+    return [t.value for t in outputs] + [grads[leaf].value for leaf in leaves[:n_wrt]]
+
+
+# ---------------------------------------------------------------------------
+# the library's own paths, bound for tests that read what they compute
+
+def energy_grads(model, params, x, programs=None):
+    """Per-example dE/dx of every row of ``x``, a row block at a time, as
+    sgld_chain and approximate_mass_score take it."""
+    return en._in_blocks(en._block_grads(model, params, programs), model, x)
+
+
+def bound_loss_graph(config, model, params, x, y, x_gen=None):
+    """``losses.loss_graph`` on a fresh tape whose leaves hold the parameters,
+    the batch, its labels' one-hot rows and (jem) the generated batch; the
+    graph, and the parameters' leaves by name."""
+    tape = ad.Tape()
     bound = {name: tape.leaf(v) for name, v in params.items()}
-    total = loss(x, **bound)
-    g = ad.backward(tape, total, [x], create_graph=False)[x]
-    return g.value
+    batch = [x, losses._one_hot(y, model.classes)] + ([] if x_gen is None else [x_gen])
+    return losses.loss_graph(config, model, bound, *map(tape.leaf, batch)), bound

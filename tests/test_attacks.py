@@ -8,14 +8,14 @@ from ebmkit import autodiff as ad
 from ebmkit import energy as en
 from ebmkit import losses, nn
 from ebmkit.attacks import AttackConfig, Norm
-from oracles import close_rel, eager_input_grad, traced_peak_bytes
+from oracles import close_rel, eager_record, traced_peak_bytes
 
 
 def set_gradient(model, params, x, y):
     """d(mean cross-entropy)/dx over the whole set, one block gradient per
     row block, as pgd composes them."""
-    return en._in_blocks(lambda xb, yb: attacks._block_gradient(
-        model, params, yb, 1.0 / len(x))(xb), model, x, y)
+    gradient = attacks._block_gradient(model, params, 1.0 / len(x))
+    return en._in_blocks(gradient, model, x, losses._one_hot(y, model.classes))
 
 
 def two_class_linear():
@@ -146,7 +146,7 @@ class TestPgd:
 def eager_steps(monkeypatch):
     """Make every attack step take its gradient on a fresh tape with a plain
     backward, as the gradient ran before attacks replayed it."""
-    monkeypatch.setattr(ad, "input_grad", eager_input_grad)
+    monkeypatch.setattr(ad, "record", eager_record)
 
 
 def stepwise_pgd(model, params, x, y, config, seed):
@@ -184,6 +184,44 @@ class TestReplayedAttack:
         replayed = attacks.pgd(spec, params, x, y, cfg, rng=6)
         eager_steps(monkeypatch)
         assert np.array_equal(replayed, attacks.pgd(spec, params, x, y, cfg, rng=6))
+
+    def test_one_program_per_block_shape_serves_every_block(self, monkeypatch):
+        # the labels are leaves, so blocks of 12, 12 and 5 rows record twice
+        monkeypatch.setattr(nn, "_ROW_BLOCK_BYTES", 12 * 32 * 8)
+        spec = nn.ModelSpec.mlp(2, [32, 32], 2)
+        assert spec.block_rows == 12
+        params = nn.init(spec, 6)
+        rng = np.random.default_rng(6)
+        x, y = rng.uniform(-1, 1, size=(29, 2)), rng.integers(0, 2, size=29)
+        recorded = []
+
+        class Counted(ad.Program):
+            def __init__(self, tape, leaves, outputs):
+                recorded.append(leaves[0].shape)
+                super().__init__(tape, leaves, outputs)
+
+        monkeypatch.setattr(ad, "Program", Counted)
+        cfg = AttackConfig(norm=Norm.LINF, epsilon=0.2, n_steps=4)
+        replayed = attacks.pgd(spec, params, x, y, cfg, rng=2)
+        assert recorded == [(12, 2), (5, 2)]
+        eager_steps(monkeypatch)
+        assert np.array_equal(replayed, attacks.pgd(spec, params, x, y, cfg, rng=2))
+
+    def test_a_step_replays_no_more_numpy_calls(self, monkeypatch):
+        # a toy MLP's PGD step: 19 calls with the labels held by value, and one
+        # more, the upstream gradient times the one-hot leaf, with them as a leaf
+        sources, compile_ = [], ad._compile
+
+        def counted(source, *args):
+            sources.append(source)
+            return compile_(source, *args)
+
+        monkeypatch.setattr(ad, "_compile", counted)
+        spec = nn.ModelSpec.mlp(2, [32, 32], 2)
+        x = np.random.default_rng(7).uniform(-1, 1, size=(8, 2))
+        attacks.pgd(spec, nn.init(spec, 7), x, np.arange(8) % 2,
+                    AttackConfig(epsilon=0.1, n_steps=2))
+        assert [source.count(" = f") for source in sources] == [20]
 
     def test_blocks_taking_their_steps_in_turn_match_the_whole_set_stepping_together(
             self, monkeypatch):

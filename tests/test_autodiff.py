@@ -8,9 +8,9 @@ import pytest
 
 from ebmkit import autodiff as ad
 from ebmkit import energy, losses, nn
-from oracles import (central_diff, close_rel, eager_input_grad, naive_conv2d, naive_matmul,
-                     traced_peak_bytes, whole_batch_corr, whole_batch_corr_input_grad,
-                     whole_batch_corr_weight_grad)
+from oracles import (bound_loss_graph, central_diff, close_rel, eager_record, energy_grads,
+                     naive_conv2d, naive_matmul, traced_peak_bytes, whole_batch_corr,
+                     whole_batch_corr_input_grad, whole_batch_corr_weight_grad)
 
 
 def scalar_loss(op, x_val, extra=None, rng=None):
@@ -156,7 +156,7 @@ class TestPruning:
         spec = nn.ModelSpec.mlp(3, [5], 2)
         params = nn.init(spec, seed=2)
         tape = ad.Tape()
-        weights = params.bind(tape) if bind else params
+        weights = {name: tape.leaf(v) for name, v in params.items()} if bind else params
         x = tape.leaf(np.random.default_rng(1).normal(size=(4, 3)))
         logits = nn.forward(spec, weights, x)
         return tape, x, weights, logits
@@ -213,14 +213,14 @@ class TestPruning:
                     depth[0] -= 1
             monkeypatch.setattr(ad, name, counted)
 
-        graph = losses.loss_graph(losses.LossConfig(mode=losses.Mode.NGEBM), spec, params, x,
-                                  np.array([0, 1, 2, 0]))
-        ad.backward(graph.tape, graph.total, list(graph.bound.values()))
+        graph, bound = bound_loss_graph(losses.LossConfig(mode=losses.Mode.NGEBM), spec, params,
+                                        x, np.array([0, 1, 2, 0]))
+        ad.backward(graph.tape, graph.total, list(bound.values()))
         # forward 2; dE/dx pass 2 (no weight gradients); parameter pass 7 (no
         # input gradient for the data batch)
         assert len(entries) == 11, entries
         entries.clear()
-        energy.energy_grad_input(spec, params, x)
+        energy_grads(spec, params, x)
         assert entries.count("_corr_weight_grad") == 0 and len(entries) == 4
 
 
@@ -579,11 +579,11 @@ class TestTapeIsolation:
         cfg = losses.LossConfig(mode=losses.Mode.NGEBM)
         gc.disable()
         try:
-            graph = losses.loss_graph(cfg, spec, nn.init(spec, seed=0), x,
-                                      np.zeros(4, dtype=np.int64))
-            ad.backward(graph.tape, graph.total, list(graph.bound.values()))
+            graph, bound = bound_loss_graph(cfg, spec, nn.init(spec, seed=0), x,
+                                            np.zeros(4, dtype=np.int64))
+            ad.backward(graph.tape, graph.total, list(bound.values()))
             tape = weakref.ref(graph.tape)
-            del graph
+            del graph, bound
             assert tape() is None
         finally:
             gc.enable()
@@ -733,16 +733,67 @@ class TestProgram:
         finally:
             gc.enable()
 
-    def test_input_grad_records_each_shape_once(self):
-        spec = nn.ModelSpec.mlp(2, [5], 3)
-        params = nn.init(spec, 1)
 
-        def loss(x):
-            return ad.sum_(energy.energy(nn.forward(spec, params, x)))
 
-        rng = np.random.default_rng(10)
+class TestRecord:
+    """ad.record binds values as leaves, records the loss's outputs and its
+    gradient in the first n_wrt leaves once per shape tuple, and replays them."""
+
+    @staticmethod
+    def loss(x, onehot, w):
+        # a tuple: the scalar first, then a second output that reads every leaf
+        logits = ad.matmul(x, w)
+        nll = ad.sub(ad.logsumexp(logits, axis=1), ad.gather(logits, onehot))
+        return ad.mean(nll), ad.sum_(ad.square(logits), axis=1)
+
+    @staticmethod
+    def values(rng, rows):
+        return [rng.normal(size=(rows, 3)), np.eye(4)[rng.integers(0, 4, size=rows)],
+                rng.normal(size=(3, 4))]
+
+    @pytest.mark.parametrize("n_wrt", [0, 1, 3])
+    def test_outputs_then_gradients_in_the_first_leaves(self, n_wrt):
+        rng = np.random.default_rng(11)
+        values = self.values(rng, 5)
+        got = ad.record(self.loss, values, n_wrt, {})
+        want = eager_record(self.loss, values, n_wrt)
+        assert len(got) == len(want) == 2 + n_wrt
+        assert [g.shape for g in got[2:]] == [v.shape for v in values[:n_wrt]]
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+    def test_a_lone_scalar_outputs_its_gradients_alone(self):
+        x = np.random.default_rng(12).normal(size=(4, 3))
+        got = ad.record(lambda leaf: ad.sum_(ad.square(leaf)), [x], 1, {})
+        assert len(got) == 1 and np.array_equal(got[0], 2.0 * x)
+
+    def test_replay_on_new_inputs_and_labels_equals_a_fresh_recording(self):
+        rng = np.random.default_rng(13)
+        programs = {}
+        first, second = self.values(rng, 6), self.values(rng, 6)
+        assert not np.array_equal(first[1], second[1])
+        ad.record(self.loss, first, 3, programs)
+        replayed = ad.record(self.loss, second, 3, programs)
+        fresh = ad.record(self.loss, second, 3, {})
+        assert len(programs) == 1
+        for g, w in zip(replayed, fresh):
+            assert np.array_equal(g, w)
+
+    def test_one_recording_per_shape_tuple(self, monkeypatch):
+        recorded = []
+
+        class Counted(ad.Program):
+            def __init__(self, tape, leaves, outputs):
+                recorded.append(tuple(leaf.shape for leaf in leaves))
+                super().__init__(tape, leaves, outputs)
+
+        monkeypatch.setattr(ad, "Program", Counted)
+        rng = np.random.default_rng(14)
         programs = {}
         for rows in (4, 4, 3, 4, 3):
-            x_val = rng.normal(size=(rows, 2))
-            assert np.array_equal(ad.input_grad(loss, x_val, programs), eager_input_grad(loss, x_val))
-        assert set(programs) == {(4, 2), (3, 2)}
+            values = self.values(rng, rows)
+            for g, w in zip(ad.record(self.loss, values, 1, programs),
+                            eager_record(self.loss, values, 1)):
+                assert np.array_equal(g, w)
+        assert recorded == [((4, 3), (4, 4), (3, 4)), ((3, 3), (3, 4), (3, 4))]
+        assert list(programs) == recorded

@@ -15,7 +15,7 @@ from ebmkit import data
 from ebmkit import energy as en
 from ebmkit import losses, metrics, nn, trainer
 from ebmkit import sampler as smp
-from oracles import dataset_to_csv, eager_input_grad
+from oracles import dataset_to_csv, eager_record
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -278,7 +278,7 @@ class TestConvApproximateMass:
                              str(tmp_path / "ckpt.npz"), "--out", str(tmp_path / command)]) == 0
         assert recorded == ["set", (4, 3, 32, 32), (2, 3, 32, 32)] * 3
 
-        monkeypatch.setattr(ad, "input_grad", eager_input_grad)
+        monkeypatch.setattr(ad, "record", eager_record)
         for x, scores in scored:
             assert np.array_equal(scores, en.approximate_mass_score(spec, params, x))
 

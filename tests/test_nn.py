@@ -77,7 +77,7 @@ class TestForward:
             return float(np.mean(lse - logits[np.arange(3), labels]))
 
         tape = ad.Tape()
-        bound = params.bind(tape)
+        bound = {name: tape.leaf(v) for name, v in params.items()}
         logits = nn.forward(spec, bound, tape.leaf(x))
         ce = ad.mean(ad.sub(ad.logsumexp(logits, axis=1), ad.gather(logits, np.eye(2)[labels])))
         gm = ad.backward(tape, ce, list(bound.values()))

@@ -8,8 +8,8 @@ from ebmkit import autodiff as ad
 from ebmkit import energy as en
 from ebmkit import nn
 from ebmkit import sampler as smp
-from oracles import (ListReplayBuffer, eager_input_grad, list_buffer_draw, list_buffer_push,
-                     per_row_sgld_chain, traced_peak_bytes)
+from oracles import (ListReplayBuffer, eager_record, energy_grads, list_buffer_draw,
+                     list_buffer_push, per_row_sgld_chain, traced_peak_bytes)
 
 
 def quad_config(**kw):
@@ -63,28 +63,27 @@ class TestBufferPush:
         buf = smp.ReplayBuffer(capacity=3, rng=0)
         smp.buffer_push(buf, np.array([[0.0], [1.0], [2.0], [3.0]]), np.full(4, -1))
         assert len(buf) == 3
-        stored = [buf.sample_at(i)[0] for i in range(3)]
-        assert stored == [1.0, 2.0, 3.0]
+        assert buf.samples()[:, 0].tolist() == [1.0, 2.0, 3.0]
 
     def test_replaces_drawn_entries_in_place(self):
         buf = smp.ReplayBuffer(capacity=5, rng=0)
         smp.buffer_push(buf, np.array([[1.0], [2.0]]), np.full(2, -1))
         smp.buffer_push(buf, np.array([[9.0]]), np.array([0]))
-        assert buf.sample_at(0)[0] == 9.0
+        assert buf.samples()[0, 0] == 9.0
         assert len(buf) == 2
 
     def test_cached_rows_keep_their_slots_when_a_fresh_row_evicts(self):
         buf = smp.ReplayBuffer(capacity=3, rng=0)
         smp.buffer_push(buf, np.array([[0.0], [1.0], [2.0]]), np.full(3, -1))
         smp.buffer_push(buf, np.array([[10.0], [22.0]]), np.array([-1, 2]))
-        assert [buf.sample_at(i)[0] for i in range(len(buf))] == [1.0, 22.0, 10.0]
+        assert buf.samples()[:, 0].tolist() == [1.0, 22.0, 10.0]
 
     def test_non_finite_rows_dropped(self):
         buf = smp.ReplayBuffer(capacity=5, rng=0)
         bad = np.array([[np.nan], [np.inf], [1.0]])
         smp.buffer_push(buf, bad, np.full(3, -1))
         assert len(buf) == 1
-        assert buf.sample_at(0)[0] == 1.0
+        assert buf.samples()[0, 0] == 1.0
 
     def test_sanity_bound_filters(self):
         buf = smp.ReplayBuffer(capacity=5, rng=0, sanity_bound=2.0)
@@ -163,14 +162,14 @@ class TestSgldChain:
 def eager_steps(monkeypatch):
     """Make every chain step take its gradient on a fresh tape with a plain
     backward, as the gradient ran before chains replayed it."""
-    monkeypatch.setattr(ad, "input_grad", eager_input_grad)
+    monkeypatch.setattr(ad, "record", eager_record)
 
 
 def eager_energy_grad(spec, params, x):
     """dE/dx of the summed energy, on one eager tape with the parameters as leaves."""
-    def summed_energy(x_leaf, **bound):
-        return ad.sum_(en.energy(nn.forward(spec, bound, x_leaf)))
-    return eager_input_grad(summed_energy, x, None, params.arrays)
+    def summed_energy(x_leaf, *leaves):
+        return ad.sum_(en.energy(nn.forward(spec, dict(zip(params, leaves)), x_leaf)))
+    return eager_record(summed_energy, [x, *params.values()], 1)[0]
 
 
 def assert_same_chain(a, b):
@@ -192,11 +191,10 @@ class TestReplayedChain:
         x = np.random.default_rng(2).uniform(-1, 1, size=(5, 2))
         programs = {}
         for params in sets + sets:
-            got = en.energy_grad_input(spec, params, x, programs)
+            got = energy_grads(spec, params, x, programs)
             assert np.array_equal(got, eager_energy_grad(spec, params, x))
-        assert list(programs) == [(5, 2)]
-        assert not np.array_equal(en.energy_grad_input(spec, sets[0], x),
-                                  en.energy_grad_input(spec, sets[1], x))
+        assert list(programs) == [((5, 2), (2, 8), (8,), (8, 3), (3,))]
+        assert not np.array_equal(energy_grads(spec, sets[0], x), energy_grads(spec, sets[1], x))
 
     def test_callable_energy_samples_through_a_kept_dict(self):
         model, config = smp.QuadraticBowlEnergy(), quad_config(n_steps=4, noise=True)
@@ -205,7 +203,21 @@ class TestReplayedChain:
         for seed in (5, 6):
             kept = smp.sgld_chain(model, {}, x0, config, rng=seed, programs=programs)
             assert_same_chain(kept, smp.sgld_chain(model, {}, x0, config, rng=seed))
-        assert list(programs) == [(6, 2)]
+        assert list(programs) == [((6, 2),)]
+
+    def test_a_step_replays_no_more_numpy_calls(self, monkeypatch):
+        # a toy MLP's chain step replays 18 numpy calls: its gradient alone
+        sources, compile_ = [], ad._compile
+
+        def counted(source, *args):
+            sources.append(source)
+            return compile_(source, *args)
+
+        monkeypatch.setattr(ad, "_compile", counted)
+        spec = nn.ModelSpec.mlp(2, [32, 32], 2)
+        x0 = np.random.default_rng(8).uniform(-1, 1, size=(8, 2))
+        smp.sgld_chain(spec, nn.init(spec, 8), x0, smp.SgldConfig(n_steps=2))
+        assert [source.count(" = f") for source in sources] == [18]
 
     # model -> (spec, input shape, a divergence bound that some chains cross)
     MODELS = {"mlp": (nn.ModelSpec.mlp(2, [32, 32], 2), (2,), 3.0),
@@ -398,9 +410,8 @@ class TestRingAgainstListStore:
                 list_buffer_push(ref, x, slots)
             assert len(ring) == len(ref)
             want_rows = [ref.sample_at(i) for i in range(len(ref))]
-            assert all(np.array_equal(ring.sample_at(i), row) for i, row in enumerate(want_rows))
-            if want_rows:
-                assert np.array_equal(ring.samples(), np.stack(want_rows))
+            assert len(ring.samples()) == len(want_rows)
+            assert all(np.array_equal(got, want) for got, want in zip(ring.samples(), want_rows))
             assert ring.rng.bit_generator.state == ref.rng.bit_generator.state
 
     def test_a_default_buffer_holds_its_fill_not_its_capacity(self):

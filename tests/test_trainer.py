@@ -10,7 +10,7 @@ from ebmkit import autodiff as ad
 from ebmkit import cli, losses, nn, trainer
 from ebmkit import data as datamod
 from ebmkit import sampler as smp
-from oracles import ece_from_bins, traced_peak_bytes
+from oracles import bound_loss_graph, ece_from_bins, traced_peak_bytes
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -134,7 +134,7 @@ class TestTrain:
                 yield (np.full_like(x, np.nan) if (e, i) == (epoch, batch) else x), y
 
         def loss_graph(*args, **kw):
-            recorded.append(np.shape(args[3]))
+            recorded.append(args[3].shape)
             return real_graph(*args, **kw)
 
         monkeypatch.setattr(trainer.datamod, "batches", batches)
@@ -175,9 +175,9 @@ class TestTrain:
         params = nn.init(spec, 0)
 
         def one_step():
-            graph = losses.loss_graph(config.loss, spec, params, train_ds.x[:16],
-                                      train_ds.y[:16])
-            ad.backward(graph.tape, graph.total, list(graph.bound.values()))
+            graph, bound = bound_loss_graph(config.loss, spec, params, train_ds.x[:16],
+                                            train_ds.y[:16])
+            ad.backward(graph.tape, graph.total, list(bound.values()))
 
         step = traced_peak_bytes(one_step)
         whole = traced_peak_bytes(trainer.train, config, train_ds, eval_ds)
@@ -194,10 +194,10 @@ _STEP_LOSSES = {"ce": losses.LossConfig(mode=losses.Mode.CROSS_ENTROPY),
 def _eager_step(config, params, x, y, x_gen):
     """A step as loss_graph + a plain backward: total, ce, aux, then every
     parameter gradient."""
-    graph = losses.loss_graph(config.loss, config.model, params, x, y, x_gen=x_gen)
-    grads = ad.backward(graph.tape, graph.total, list(graph.bound.values()))
+    graph, bound = bound_loss_graph(config.loss, config.model, params, x, y, x_gen=x_gen)
+    grads = ad.backward(graph.tape, graph.total, list(bound.values()))
     return [graph.total.item(), graph.ce.item(), graph.aux.item()] + [
-        grads[leaf].value for leaf in graph.bound.values()]
+        grads[leaf].value for leaf in bound.values()]
 
 
 class TestStepProgram:
@@ -228,7 +228,7 @@ class TestStepProgram:
             x, y, x_gen = self._batch(rng, spec, rows, gen_rows if jem else None)
             got = trainer._batch_step(config, params, x, y, x_gen, programs)
             want = _eager_step(config, params, x, y, x_gen)
-            assert len(got) == len(want) == 3 + len(params.names())
+            assert len(got) == len(want) == 3 + len(params)
             for g, w in zip(got, want):
                 assert np.array_equal(g, w), (model, mode, rows, gen_rows)
         assert len(programs) == len(set(shapes))
@@ -265,11 +265,11 @@ class TestStepProgram:
             trainer._batch_step(config, params, x, np.array([0, 1, 3, 0]), None, programs)
 
     @staticmethod
-    def input_gradient_recordings(monkeypatch, tmp_path, mode):
-        """The block shape of every input-gradient program a 3-epoch toy run
-        records: its inputs are a block and the six parameters."""
+    def recordings(monkeypatch, tmp_path, mode, epochs=None):
+        """The leaf shapes of every program a toy run records, over ``epochs``
+        epochs (by default the config's)."""
         config = json.loads((ROOT / "configs" / f"toy_{mode}.json").read_text())
-        config["train"]["epochs"] = 3
+        config["train"]["epochs"] = epochs or config["train"]["epochs"]
         path = tmp_path / f"{mode}.json"
         path.write_text(json.dumps(config))
         recorded = []
@@ -281,6 +281,12 @@ class TestStepProgram:
 
         monkeypatch.setattr(ad, "Program", Counted)
         assert cli.main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        return recorded
+
+    def input_gradient_recordings(self, monkeypatch, tmp_path, mode):
+        """The block shape of every input-gradient program a 3-epoch toy run
+        records: its inputs are a block and the six parameters."""
+        recorded = self.recordings(monkeypatch, tmp_path, mode, epochs=3)
         return sorted(shapes[0] for shapes in recorded if len(shapes) == 7)
 
     def test_toy_jem_records_its_chain_gradient_once_per_block_shape(self, monkeypatch, tmp_path):
@@ -288,6 +294,13 @@ class TestStepProgram:
         # the per-epoch probe over all 400 rows records once for the run
         assert self.input_gradient_recordings(monkeypatch, tmp_path, "jem") == \
             [(16, 2), (64, 2), (400, 2)]
+
+    def test_toy_jem_run_makes_eleven_recordings(self, monkeypatch, tmp_path):
+        # the chains and the EGM probe share one dict: three dE/dx programs,
+        # next to eight training steps (one per batch shape and survivor count)
+        recorded = self.recordings(monkeypatch, tmp_path, "jem")
+        assert sum(len(shapes) == 7 for shapes in recorded) == 3
+        assert len(recorded) == 11
 
     @pytest.mark.parametrize("mode", ["ce", "ngebm"])
     def test_toy_run_records_its_probe_gradient_once(self, monkeypatch, tmp_path, mode):
