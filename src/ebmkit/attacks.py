@@ -72,7 +72,7 @@ def project(delta: np.ndarray, norm: Norm, epsilon: float) -> np.ndarray:
     if norm is Norm.LINF:
         return np.clip(delta, -epsilon, epsilon)
     flat = delta.reshape(delta.shape[0], -1) if delta.ndim > 1 else delta.reshape(1, -1)
-    norms = np.linalg.norm(flat, axis=1, keepdims=True)
+    norms = en._row_norms(flat, keepdims=True)
     scale = np.where(norms > epsilon, np.where(norms > 0, epsilon / np.maximum(norms, 1e-300), 1.0), 1.0)
     return (flat * scale).reshape(delta.shape)
 
@@ -103,7 +103,7 @@ def _random_start(rng: np.random.Generator, shape: tuple, norm: Norm,
         return rng.uniform(-epsilon, epsilon, size=shape)
     flat_dim = int(np.prod(shape[1:]))
     direction = rng.normal(size=(shape[0], flat_dim))
-    direction /= np.maximum(np.linalg.norm(direction, axis=1, keepdims=True), 1e-12)
+    direction /= np.maximum(en._row_norms(direction, keepdims=True), 1e-12)
     radius = epsilon * rng.uniform(0, 1, size=(shape[0], 1)) ** (1.0 / flat_dim)
     return (direction * radius).reshape(shape)
 
@@ -135,7 +135,7 @@ def pgd(model, params, x: np.ndarray, y: np.ndarray, config: AttackConfig,
                 step = config.step * np.sign(grad)
             else:
                 flat = grad.reshape(grad.shape[0], -1)
-                norms = np.maximum(np.linalg.norm(flat, axis=1, keepdims=True), 1e-12)
+                norms = np.maximum(en._row_norms(flat, keepdims=True), 1e-12)
                 step = (config.step * flat / norms).reshape(grad.shape)
             db = project(db + step, config.norm, config.epsilon)
             db = np.clip(xb + db, *_INPUT_RANGE) - xb
@@ -160,7 +160,7 @@ def _verify_budget(delta: np.ndarray, norm: Norm, epsilon: float) -> None:
         worst = float(np.abs(flat).max(initial=0.0))
         ok = worst <= epsilon
     else:
-        worst = float(np.linalg.norm(flat, axis=1).max(initial=0.0))
+        worst = float(en._row_norms(flat).max(initial=0.0))
         ok = worst <= epsilon + 1e-9
     if not ok:
         raise AssertionError(f"attack budget violated: {worst} > {epsilon} ({norm.value})")
@@ -181,13 +181,16 @@ def attack_sweep(model, params, dataset, norm: Norm, epsilons: Sequence[float],
     y = dataset.y if hasattr(dataset, "y") else np.asarray(dataset[1])
     base = config or AttackConfig(norm=norm)
 
+    clean = _accuracy(model, params, x, y)
     adv_accs = []
     for i, eps in enumerate(eps_list):
+        if eps == 0.0:      # pgd returns x itself
+            adv_accs.append(clean)
+            continue
         cfg = replace(base, norm=norm, epsilon=eps)
         x_adv = pgd(model, params, x, y, cfg, rng=np.random.default_rng([seed, i]))
         _verify_budget(x_adv - x, norm, eps)
         adv_accs.append(_accuracy(model, params, x_adv, y))
-    return AttackReport(norm=norm, epsilons=eps_list,
-                        clean_accuracy=_accuracy(model, params, x, y),
+    return AttackReport(norm=norm, epsilons=eps_list, clean_accuracy=clean,
                         adversarial_accuracy=adv_accs, n_examples=int(x.shape[0]))
 

@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import enum
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -351,20 +352,25 @@ def _out_dir(args, config) -> Path:
     return path
 
 
-def _write_csv(path, header, row_format, rows) -> None:
-    """Write a command's table: the ``header`` names, then ``row_format % row``
-    for each row (a tuple), every line ending in \\r\\n."""
+def _write_csv(path, header, *parts) -> None:
+    """Write a command's table: the ``header`` names, then for each
+    ``(row_format, values)`` part one ``row_format`` line per row, where
+    ``values`` holds the rows' fields one after another; every line ends in
+    \\r\\n. Each part is one %-format of one string: on the long tables
+    (samples, OOD scores, ROC corners) any Python work per row costs more
+    than computing the rows."""
+    text = ",".join(header) + "\r\n"
+    for row_format, values in parts:
+        rows = len(values) // row_format.count("%")
+        text += ((row_format + "\r\n") * rows) % tuple(values)
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        # one %-format per row: on the long tables (samples, OOD scores, ROC
-        # points) formatting each value apart costs as much as computing them
-        row_format += "\r\n"
-        fh.writelines(row_format % row for row in rows)
+        fh.write(text)
 
 
 def _write_hist(path, hist: metrics.Histogram) -> None:
-    _write_csv(path, ["bin_lower", "bin_upper", "density"], "%.12g,%.12g,%.12g",
-               zip(hist.edges[:-1].tolist(), hist.edges[1:].tolist(), hist.density.tolist()))
+    rows = np.column_stack([hist.edges[:-1], hist.edges[1:], hist.density])
+    _write_csv(path, ["bin_lower", "bin_upper", "density"],
+               ("%.12g,%.12g,%.12g", rows.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +392,8 @@ def cmd_train(args, config: dict, out: Path, tc, train_ds, test_ds) -> Path:
     # one column per EpochRecord field: %d for int fields, %.12g for the rest
     fields = dataclasses.fields(trainer.EpochRecord)
     _write_csv(out / "runlog.csv", [f.name for f in fields],
-               ",".join("%d" if f.type in (int, "int") else "%.12g" for f in fields),
-               map(dataclasses.astuple, log))
+               (",".join("%d" if f.type in (int, "int") else "%.12g" for f in fields),
+                [v for record in log for v in dataclasses.astuple(record)]))
     if log:
         print(f"trained {tc.epochs} epochs: eval accuracy {log[-1].eval_accuracy:.4f}, "
               f"mean EGM {log[-1].mean_egm:.4g}")
@@ -402,20 +408,23 @@ def cmd_evaluate(args, config: dict, out: Path, ckpt, test_ds) -> None:
     if args.command == "calibrate":
         _write_csv(out / "calibration_bins.csv",
                    ["bin_lower", "bin_upper", "count", "mean_confidence", "accuracy"],
-                   "%.12g,%.12g,%d,%.12g,%.12g", map(dataclasses.astuple, result.ece_report.bins))
+                   ("%.12g,%.12g,%d,%.12g,%.12g",
+                    [v for b in result.ece_report.bins for v in dataclasses.astuple(b)]))
         print(f"ECE {result.ece_report.value:.4f} over {n_bins} bins "
               f"-> {out / 'calibration_bins.csv'}")
         return
-    _write_csv(out / "eval.csv", ["accuracy", "mean_confidence", "ece"], "%.12g,%.12g,%.12g",
-               [(result.accuracy, result.mean_confidence, result.ece_report.value)])
+    _write_csv(out / "eval.csv", ["accuracy", "mean_confidence", "ece"],
+               ("%.12g,%.12g,%.12g", [result.accuracy, result.mean_confidence,
+                                      result.ece_report.value]))
     print(f"accuracy {result.accuracy:.4f}, confidence {result.mean_confidence:.4f}, "
           f"ECE {result.ece_report.value:.4f}")
 
 
 def cmd_ood(args, config: dict, out: Path, ckpt, in_ds, out_ds) -> None:
     kind = en.ScoreKind(args.score)
-    scores_in = metrics.score_dataset(ckpt.model, ckpt.params, in_ds, kind)
-    scores_out = metrics.score_dataset(ckpt.model, ckpt.params, out_ds, kind)
+    programs: dict = {}     # the two sets share each block shape's recording
+    scores_in = metrics.score_dataset(ckpt.model, ckpt.params, in_ds, kind, programs)
+    scores_out = metrics.score_dataset(ckpt.model, ckpt.params, out_ds, kind, programs)
     roc = metrics.auroc(scores_in, scores_out)
 
     bins = config.get("hist", {}).get("bins", _HIST_BINS)
@@ -424,13 +433,14 @@ def cmd_ood(args, config: dict, out: Path, ckpt, in_ds, out_ds) -> None:
     if value_range[0] == value_range[1]:
         value_range = None
     sets = {"in": scores_in, "out": scores_out}
-    _write_csv(out / "ood_scores.csv", ["split", "score"], "%s,%.12g",
-               ((split, s) for split, scores in sets.items() for s in scores.tolist()))
+    _write_csv(out / "ood_scores.csv", ["split", "score"],
+               *((f"{split},%.12g", scores.tolist()) for split, scores in sets.items()))
     for split, scores in sets.items():
         _write_hist(out / f"ood_hist_{split}.csv", metrics.histogram(scores, bins, value_range))
-    _write_csv(out / "ood_roc.csv", ["fpr", "tpr"], "%.12g,%.12g", roc.curve)
-    _write_csv(out / "ood_auroc.csv", ["score_kind", "auroc", "n_in", "n_out"], "%s,%.12g,%d,%d",
-               [(kind.value, roc.auroc, len(scores_in), len(scores_out))])
+    _write_csv(out / "ood_roc.csv", ["fpr", "tpr"],
+               ("%.12g,%.12g", list(itertools.chain.from_iterable(roc.curve))))
+    _write_csv(out / "ood_auroc.csv", ["score_kind", "auroc", "n_in", "n_out"],
+               ("%s,%.12g,%d,%d", [kind.value, roc.auroc, len(scores_in), len(scores_out)]))
     print(f"AUROC[{kind.value}] = {roc.auroc:.4f}")
 
 
@@ -444,7 +454,7 @@ def cmd_attack(args, config: dict, out: Path, ckpt, test_ds) -> None:
             for eps, acc in zip(report.epsilons, report.adversarial_accuracy)]
     _write_csv(out / "attack.csv",
                ["norm", "epsilon", "clean_accuracy", "adversarial_accuracy", "n_examples"],
-               "%s,%.12g,%.12g,%.12g,%d", rows)
+               ("%s,%.12g,%.12g,%.12g,%d", [v for row in rows for v in row]))
     for norm, eps, clean, acc, _ in rows:
         print(f"{norm} eps={eps:g}: adversarial accuracy {acc:.4f} (clean {clean:.4f})")
 
@@ -477,7 +487,7 @@ def cmd_sample(args, config: dict, out: Path, ckpt) -> None:
     flat_dim = int(np.prod(result.samples.shape[1:]))
     survivors = result.samples[ok].reshape(int(ok.sum()), flat_dim)
     _write_csv(out / "samples.csv", [f"x{i}" for i in range(flat_dim)],
-               ",".join(["%.12g"] * flat_dim), map(tuple, survivors.tolist()))
+               (",".join(["%.12g"] * flat_dim), survivors.ravel().tolist()))
     stats = {
         "n_requested": int(n),
         "n_diverged": int((~ok).sum()),

@@ -55,14 +55,15 @@ def log_px_proxy(logits) -> ad.Tensor:
 def softmax_probs(logits) -> np.ndarray:
     """Shift-invariant softmax rows; plain arrays, evaluation only."""
     arr = np.asarray(_lift(logits).value, dtype=np.float64)
-    shifted = arr - arr.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    last = (arr.ndim - 1,)
+    e = np.exp(arr - ad._reduce(np.maximum, arr, last, True))
+    return e / ad._reduce(np.add, e, last, True)
 
 
 def max_softmax_score(logits) -> np.ndarray:
     """Predictive-confidence score: max_y p(y | x) per example."""
-    return softmax_probs(logits).max(axis=-1)
+    probs = softmax_probs(logits)
+    return ad._reduce(np.maximum, probs, (probs.ndim - 1,))
 
 
 def model_logits(model, params, x: ad.Tensor) -> ad.Tensor:
@@ -109,5 +110,11 @@ def approximate_mass_score(model, params, x_batch, programs=None) -> np.ndarray:
     (``_in_blocks``) at a time, so peak memory follows a block, not the set,
     replaying ``programs`` as ``_block_grads`` does."""
     grad = _block_grads(model, params, programs)
-    return _in_blocks(lambda block: -np.linalg.norm(grad(block).reshape(len(block), -1), axis=1),
-                      model, x_batch)
+    return _in_blocks(lambda block: -_row_norms(grad(block)), model, x_batch)
+
+
+def _row_norms(x: np.ndarray, keepdims: bool = False) -> np.ndarray:
+    """The L2 norm of each row of ``x`` (over all its other axes), bit for bit
+    ``np.linalg.norm`` of the flattened rows."""
+    flat = x.reshape(len(x), -1)
+    return np.sqrt(ad._reduce(np.add, flat * flat, (1,), keepdims))

@@ -42,8 +42,11 @@ class EceReport:
 
 @dataclass(frozen=True)
 class RocResult:
+    """The AUROC, from every threshold's counts, and the ROC curve's corners:
+    ``curve`` holds (fpr, tpr) points from (0, 0) to (1, 1), each one where
+    the curve turns; a point on the line between its neighbours is left out."""
     auroc: float
-    curve: tuple    # ordered (fpr, tpr) points from (0,0) to (1,1)
+    curve: tuple
 
 
 @dataclass(frozen=True)
@@ -95,16 +98,17 @@ def auroc(scores_in: Sequence[float], scores_out: Sequence[float]) -> RocResult:
         raise ValueError("auroc: NaN scores")
 
     # threshold sweep, predicting "in" when score >= t: counts of each set
-    # at or above every distinct score, ending at (n_in, n_out)
+    # at or above every distinct score, from (0, 0) to (n_out, n_in)
     thresholds = np.unique(np.concatenate([s_in, s_out]))[::-1]
-    tp = s_in.size - np.searchsorted(np.sort(s_in), thresholds)
-    fp = s_out.size - np.searchsorted(np.sort(s_out), thresholds)
+    tp = np.concatenate([[0], s_in.size - np.searchsorted(np.sort(s_in), thresholds)])
+    fp = np.concatenate([[0], s_out.size - np.searchsorted(np.sort(s_out), thresholds)])
+    dfp, dtp = np.diff(fp), np.diff(tp)
     # trapezoids over the integer counts: a tie block adds half its pairs
-    tp_prev = np.concatenate([[0], tp[:-1]])
-    two_u = int((np.diff(fp, prepend=0) * (tp_prev + tp)).sum())
-    value = two_u / (2 * s_in.size * s_out.size)
-
-    curve = [(0.0, 0.0)] + list(zip((fp / s_out.size).tolist(), (tp / s_in.size).tolist()))
+    value = int((dfp * (tp[:-1] + tp[1:])).sum()) / (2 * s_in.size * s_out.size)
+    # the curve keeps its end points and each point where it turns: the
+    # steps to and from it, in integer counts, have a nonzero cross product
+    corner = np.concatenate([[True], dfp[:-1] * dtp[1:] != dtp[:-1] * dfp[1:], [True]])
+    curve = zip((fp[corner] / s_out.size).tolist(), (tp[corner] / s_in.size).tolist())
     return RocResult(auroc=value, curve=tuple(curve))
 
 
@@ -119,15 +123,18 @@ def histogram(values, n_bins: int, value_range: Optional[tuple] = None) -> Histo
     return Histogram(edges=edges, density=density)
 
 
-def score_dataset(model, params, dataset, kind: en.ScoreKind) -> np.ndarray:
+def score_dataset(model, params, dataset, kind: en.ScoreKind,
+                  programs: Optional[dict] = None) -> np.ndarray:
     """Chosen OOD score for every example, in dataset order. Logits and
     input gradients are computed one row block (``ModelSpec.block_rows``)
-    at a time, so peak memory follows a block, not the set."""
+    at a time, so peak memory follows a block, not the set; the input
+    gradients replay ``programs`` as ``energy.approximate_mass_score`` does,
+    so calls that share the dict record each block shape once."""
     if not isinstance(kind, en.ScoreKind):
         raise ValueError(f"score_dataset: invalid score kind {kind!r}")
     x = dataset.x if hasattr(dataset, "x") else np.asarray(dataset, dtype=np.float64)
     if kind is en.ScoreKind.APPROXIMATE_MASS:
-        return en.approximate_mass_score(model, params, x)
+        return en.approximate_mass_score(model, params, x, programs)
     logits = en._logits_in_blocks(model, params, x)
     if kind is en.ScoreKind.LOG_DENSITY_PROXY:
         return en.log_px_proxy(logits).value

@@ -161,10 +161,8 @@ def buffer_push(buffer: ReplayBuffer, samples: np.ndarray,
     bound) are dropped."""
     samples = np.asarray(samples, dtype=np.float64)
     indices = np.asarray(indices, dtype=np.int64)
-    flat = samples.reshape(samples.shape[0], -1)
-    keep = np.all(np.isfinite(flat), axis=1)
-    if buffer.sanity_bound is not None:
-        keep &= np.abs(flat).max(axis=1) <= buffer.sanity_bound
+    keep = ~_check_rows(samples, math.inf if buffer.sanity_bound is None
+                        else buffer.sanity_bound)[0]
     # cached slots are written before any eviction moves the ring's start
     cached = keep & (indices >= 0) & (indices < len(buffer))
     if cached.any():
@@ -189,7 +187,7 @@ def buffer_push(buffer: ReplayBuffer, samples: np.ndarray,
 
 def _check_rows(x: np.ndarray, bound: float) -> tuple[np.ndarray, np.ndarray, Optional[str]]:
     # one pass: a row's max |x| is NaN or inf exactly when the row is not finite
-    magnitude = np.abs(x.reshape(x.shape[0], -1)).max(axis=1)
+    magnitude = ad._reduce(np.maximum, np.abs(x.reshape(x.shape[0], -1)), (1,))
     finite = np.isfinite(magnitude)
     magnitude[~finite] = np.inf
     bad = ~finite | (magnitude > bound)
@@ -227,8 +225,7 @@ def sgld_chain(model, params, x0: np.ndarray, config: SgldConfig,
         step = config.step_at(i)
         grads = en._in_blocks(grad, model, x)
         if not config.noise:
-            trace.append(float(np.linalg.norm(
-                grads.reshape(grads.shape[0], -1), axis=1).mean()))
+            trace.append(float(en._row_norms(grads).mean()))
         update = -(step / 2.0) * grads
         if config.noise:
             update += rng.normal(0.0, math.sqrt(step), size=x.shape)

@@ -9,6 +9,7 @@ sampler-driven runs reproduce given identical RNG streams.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import functools
 import json
@@ -89,11 +90,12 @@ class Checkpoint:
     buffer_samples: Optional[np.ndarray] = None
 
     def __getattr__(self, name):
-        # checkpoint_load leaves adam unset, with the function that packs its
-        # moments: only a resumed train reads them
-        if name != "adam" or "_pack_adam" not in self.__dict__:
+        # checkpoint_load leaves adam unset, with the function that reads its
+        # moments from the file: only a resumed train reads them
+        if name != "adam" or "_load_adam" not in self.__dict__:
             raise AttributeError(name)
-        self.adam = self.__dict__.pop("_pack_adam")()
+        self.adam = self._load_adam()
+        del self._load_adam
         return self.adam
 
 
@@ -231,7 +233,7 @@ def evaluate(checkpoint: Checkpoint, dataset: datamod.Dataset,
     """Accuracy, mean confidence, and the calibration report."""
     logits = en._logits_in_blocks(checkpoint.model, checkpoint.params, dataset.x)
     probs = en.softmax_probs(logits)
-    confidence = probs.max(axis=1)
+    confidence = ad._reduce(np.maximum, probs, (1,))
     correct = probs.argmax(axis=1) == dataset.y
     return EvalResult(accuracy=float(correct.mean()),
                       mean_confidence=float(confidence.mean()),
@@ -267,32 +269,42 @@ def checkpoint_save(checkpoint: Checkpoint, path) -> None:
     np.savez(str(path), **arrays)
 
 
-def checkpoint_load(path) -> Checkpoint:
+@contextlib.contextmanager
+def _archive(path):
+    """The checkpoint at ``path``, open for reading its members; an unreadable
+    file, a missing member or a corrupt one raises CheckpointError."""
     try:
         with np.load(str(path), allow_pickle=False) as archive:
-            meta = json.loads(bytes(archive["__meta__"]).decode())
-            if meta.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-                raise CheckpointError(
-                    f"{path}: format version {meta.get('format_version')} "
-                    f"!= expected {CHECKPOINT_FORMAT_VERSION}")
-            model = nn.ModelSpec.from_dict(meta["model"])
-            params = nn.Parameters(
-                {name: archive[f"param::{name}"] for name in meta["param_names"]})
-            moments = {key: {name: archive[f"adam_{key}::{name}"] for name in meta["param_names"]}
-                       for key in ("m", "v")}
-            buffer_samples = archive["buffer::samples"] if meta["has_buffer"] else None
-            checkpoint = Checkpoint(model=model, params=params, adam=None,
-                                    epoch=meta["epoch"],
-                                    sampler_rng_state=meta["sampler_rng_state"],
-                                    buffer_rng_state=meta["buffer_rng_state"],
-                                    buffer_samples=buffer_samples)
-            del checkpoint.adam
-            checkpoint._pack_adam = functools.partial(nn.AdamState, **moments, **{
-                key: meta["adam"][key] for key in ("t", "lr", "beta1", "beta2", "eps")})
-            return checkpoint
-    except CheckpointError:
-        raise
+            yield archive
     except (OSError, KeyError, ValueError, json.JSONDecodeError,
             zipfile.BadZipFile) as exc:
         raise CheckpointError(f"{path}: corrupt or unreadable checkpoint: {exc}") from exc
+
+
+def checkpoint_load(path) -> Checkpoint:
+    """The checkpoint at ``path``, but for Adam's moments, which are read from
+    the file when ``adam`` is first read (only a resumed train reads it)."""
+    with _archive(path) as archive:
+        meta = json.loads(bytes(archive["__meta__"]).decode())
+        if meta.get("format_version") != CHECKPOINT_FORMAT_VERSION:
+            raise CheckpointError(
+                f"{path}: format version {meta.get('format_version')} "
+                f"!= expected {CHECKPOINT_FORMAT_VERSION}")
+        checkpoint = Checkpoint(
+            model=nn.ModelSpec.from_dict(meta["model"]),
+            params=nn.Parameters({name: archive[f"param::{name}"] for name in meta["param_names"]}),
+            adam=None, epoch=meta["epoch"],
+            sampler_rng_state=meta["sampler_rng_state"],
+            buffer_rng_state=meta["buffer_rng_state"],
+            buffer_samples=archive["buffer::samples"] if meta["has_buffer"] else None)
+        scalars = {key: meta["adam"][key] for key in ("t", "lr", "beta1", "beta2", "eps")}
+    del checkpoint.adam
+    checkpoint._load_adam = functools.partial(_load_adam, path, meta["param_names"], scalars)
+    return checkpoint
+
+
+def _load_adam(path, names, scalars: dict) -> nn.AdamState:
+    with _archive(path) as archive:
+        return nn.AdamState(**{key: {name: archive[f"adam_{key}::{name}"] for name in names}
+                               for key in ("m", "v")}, **scalars)
 

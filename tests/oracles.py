@@ -200,15 +200,22 @@ def pair_count_auroc(scores_in, scores_out):
 
 def threshold_sweep_roc(scores_in, scores_out):
     """ROC curve by a loop over every distinct score, highest first:
-    predict "in" when score >= t. Points run from (0, 0) to (1, 1)."""
+    predict "in" when score >= t. Points run from (0, 0) to (1, 1), and a
+    point collinear with both its neighbours (in integer counts) is dropped,
+    so the curve holds its corners only."""
     s_in = np.asarray(scores_in, dtype=np.float64)
     s_out = np.asarray(scores_out, dtype=np.float64)
-    curve = [(0.0, 0.0)]
+    counts = [(0, 0)]
     for t in np.unique(np.concatenate([s_in, s_out]))[::-1]:
-        curve.append((float(np.mean(s_out >= t)), float(np.mean(s_in >= t))))
-    if curve[-1] != (1.0, 1.0):
-        curve.append((1.0, 1.0))
-    return tuple(curve)
+        counts.append((int(np.sum(s_out >= t)), int(np.sum(s_in >= t))))
+    if counts[-1] != (len(s_out), len(s_in)):
+        counts.append((len(s_out), len(s_in)))
+    corners = [counts[0]]
+    for (fa, ta), (fb, tb), (fc, tc) in zip(counts, counts[1:], counts[2:]):
+        if (fb - fa) * (tc - tb) != (tb - ta) * (fc - fb):
+            corners.append((fb, tb))
+    corners.append(counts[-1])
+    return tuple((fp / len(s_out), tp / len(s_in)) for fp, tp in corners)
 
 
 def float_to_byte(values):

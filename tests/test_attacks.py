@@ -245,6 +245,28 @@ class TestAttackSweep:
         report = attacks.attack_sweep(spec, params, (x, y), Norm.LINF, [0.0])
         assert report.adversarial_accuracy[0] == report.clean_accuracy
 
+    def test_epsilon_zero_takes_no_pass_of_its_own(self, monkeypatch):
+        # pgd returns x itself at epsilon 0, so the clean pass serves it
+        spec, params = two_class_linear()
+        rng = np.random.default_rng(3)
+        x = rng.uniform(-1, 1, size=(30, 2))
+        y = (x[:, 0] > x[:, 1]).astype(np.int64)
+        passes, real = [], en._logits_in_blocks
+
+        def counted(model, params, x):
+            passes.append(x)
+            return real(model, params, x)
+        monkeypatch.setattr(en, "_logits_in_blocks", counted)
+        config = AttackConfig(n_steps=3)
+        report = attacks.attack_sweep(spec, params, (x, y), Norm.LINF, [0.0, 0.2],
+                                      config=config, seed=4)
+        assert len(passes) == 2 and passes[0] is x
+        x_adv = attacks.pgd(spec, params, x, y, AttackConfig(epsilon=0.2, n_steps=3),
+                            rng=np.random.default_rng([4, 1]))
+        clean = float((real(spec, params, x).argmax(axis=1) == y).mean())
+        adv = float((real(spec, params, x_adv).argmax(axis=1) == y).mean())
+        assert report.adversarial_accuracy == [clean, adv] and report.clean_accuracy == clean
+
     def test_untrained_model_near_chance(self):
         rng = np.random.default_rng(4)
         spec = nn.ModelSpec.mlp(2, [8], 2)

@@ -83,6 +83,61 @@ class TestForward:
         assert out.item() == pytest.approx(1000.0 + math.log(2.0), abs=1e-12)
 
 
+def _special_values(rng, shape):
+    """Normal draws over many magnitudes, with NaN, +-inf, 0.0 and -0.0
+    entries, and in 2-d and up a first row of -0.0 alone."""
+    x = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+    x = np.where(rng.random(shape) < 0.3, rng.choice([np.nan, np.inf, -np.inf, 0.0, -0.0],
+                                                      size=shape), x)
+    if x.ndim > 1:
+        x[(0,) * (x.ndim - 1)] = -0.0
+    return x
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestReduce:
+    """``ad._reduce`` folds short last axes over their columns; every result
+    equals numpy's reduce bit for bit, NaN, infinities and the sign of zero
+    included."""
+
+    @pytest.mark.parametrize("keepdims", [False, True])
+    @pytest.mark.parametrize("shape", [(k,) for k in range(1, 10)]
+                             + [(5, k) for k in range(1, 10)]
+                             + [(3, 4, k) for k in range(1, 10)])
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")   # inf - inf
+    def test_equals_numpy_bit_for_bit(self, shape, keepdims):
+        rng = np.random.default_rng(sum(shape))
+        for _ in range(20):
+            x = _special_values(rng, shape)
+            axis_sets = {(x.ndim - 1,), tuple(range(x.ndim)), (0,)}
+            for axes in axis_sets:
+                for ufunc in (np.add, np.maximum):
+                    assert _same_bits(ad._reduce(ufunc, x, axes, keepdims),
+                                      ufunc.reduce(x, axis=axes, keepdims=keepdims)), \
+                        (ufunc, axes, x)
+            last = (x.ndim - 1,)
+            assert _same_bits(np.sqrt(ad._reduce(np.add, x * x, last, keepdims)),
+                              np.linalg.norm(x, axis=-1, keepdims=keepdims)), x
+            if x.ndim > 1:
+                rows = x.reshape(len(x), -1)
+                assert _same_bits(energy._row_norms(x, keepdims),
+                                  np.linalg.norm(rows, axis=1, keepdims=keepdims)), x
+
+    @pytest.mark.parametrize("op", [ad.sum_, ad.mean, ad.logsumexp, ad.l2norm])
+    def test_reductions_over_a_short_last_axis_keep_their_values(self, op):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(64, 3))
+        want = {ad.sum_: np.add.reduce(x, axis=1), ad.mean: np.add.reduce(x, axis=1) / 3,
+                ad.l2norm: np.linalg.norm(x, axis=1),
+                ad.logsumexp: np.log(np.add.reduce(np.exp(x - x.max(axis=1, keepdims=True)),
+                                                   axis=1)) + x.max(axis=1)}[op]
+        assert _same_bits(op(ad.Tensor(x), axis=1).value, want)
+
+
 class TestBackward:
     def test_square_derivative(self):
         tape = ad.Tape()
@@ -559,6 +614,28 @@ class TestGradNormOfGrad:
         assert norm.item() == 0.0
         g = ad.backward(tape, norm, [w])[w]
         assert np.all(np.isfinite(g.value))
+
+
+@pytest.mark.parametrize("upstream", ["constant", "recorded"])
+def test_gather_gradient_is_the_upstream_gradient_on_the_one_hot_rows(upstream):
+    # a constant upstream gradient is spread over the rows when recorded, so the
+    # recorded product takes two (n, k) arrays; a recorded one is broadcast
+    rng = np.random.default_rng(11)
+    n, k = 5, 3
+    onehot_val = np.eye(k)[[0, 2, 1, 2, 0]]
+    w = rng.normal(size=n)
+    tape = ad.Tape()
+    a, onehot, scale = tape.leaf(rng.normal(size=(n, k))), tape.leaf(onehot_val), tape.leaf(w)
+    picked = ad.gather(a, onehot)
+    loss = ad.sum_(ad.mul(picked, w if upstream == "constant" else scale))
+    g = ad.backward(tape, loss, [a], create_graph=True)[a]
+    assert np.array_equal(g.value, w.reshape(n, 1) * onehot_val)
+    node = tape.nodes[g.node]
+    assert node.fn is np.multiply
+    if upstream == "constant":
+        assert node.consts[0].shape == (n, k) and node.consts[0].flags.c_contiguous
+    else:
+        assert node.consts == ()
 
 
 class TestTapeIsolation:

@@ -156,6 +156,26 @@ class TestEvalAndCalibrate:
                          "--out", str(tmp_path / "cal")]) == 0
         assert built == []
 
+    @pytest.mark.parametrize("command", ["calibrate", "ood", "hist-egm", "attack", "sample"])
+    def test_reads_no_adam_member(self, trained, tmp_path, monkeypatch, command):
+        # the moments are read from the file only when a resumed train reads them
+        out, config_path = trained
+        config = json.loads(config_path.read_text())
+        config["ood_data"] = dict(config["data"], centers=[[2.0, 2.0], [3.0, 2.0]])
+        config["attack"] = {"epsilons": [0.0, 0.1], "n_steps": 2}
+        config["sample"] = {"n": 4, "sampler": {"n_steps": 2}}
+        read, real = [], np.lib.npyio.NpzFile.__getitem__
+
+        def reading(archive, key):
+            read.append(key)
+            return real(archive, key)
+        monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__", reading)
+        assert cli.main([command, "--config", str(write_config(tmp_path, config)),
+                         "--checkpoint", str(out / "checkpoint_final.npz"),
+                         "--out", str(tmp_path / "out")]) == 0
+        assert "__meta__" in read and any(key.startswith("param::") for key in read)
+        assert not [key for key in read if key.startswith("adam_")]
+
     def test_missing_checkpoint_exits_one(self, trained, tmp_path):
         _, config_path = trained
         assert cli.main(["eval", "--config", str(config_path),
@@ -234,11 +254,11 @@ class TestHistEgm:
 
 
 class TestConvApproximateMass:
-    """ood and hist-egm over a conv set of 2.5 row blocks: each scored set
-    records one program per block shape, and its scores are bit-identical
-    to a plain tape per block."""
+    """ood and hist-egm over conv sets of 2.5 row blocks: each command records
+    one program per block shape, which ood's two sets share, and its scores
+    are bit-identical to a plain tape per block."""
 
-    def test_ood_and_hist_egm_record_two_programs_per_set(self, tmp_path, monkeypatch):
+    def test_ood_and_hist_egm_record_each_block_shape_once(self, tmp_path, monkeypatch):
         monkeypatch.setattr(nn, "_ROW_BLOCK_BYTES", 4 * 3 * 32 * 32 * 8)  # 4-image blocks
         spec = nn.ModelSpec.small_conv((3, 32, 32), [2], 10)
         assert spec.block_rows == 4
@@ -266,9 +286,9 @@ class TestConvApproximateMass:
                 recorded.append(leaves[0].shape)
                 super().__init__(tape, leaves, outputs)
 
-        def scoring(model, params, dataset, kind):
+        def scoring(model, params, dataset, kind, programs=None):
             recorded.append("set")
-            scores = real(model, params, dataset, kind)
+            scores = real(model, params, dataset, kind, programs)
             scored.append((dataset.x, scores))
             return scores
         monkeypatch.setattr(ad, "Program", Counted)
@@ -276,7 +296,8 @@ class TestConvApproximateMass:
         for command in ("ood", "hist-egm"):
             assert cli.main([command, "--config", str(path), "--checkpoint",
                              str(tmp_path / "ckpt.npz"), "--out", str(tmp_path / command)]) == 0
-        assert recorded == ["set", (4, 3, 32, 32), (2, 3, 32, 32)] * 3
+        blocks = [(4, 3, 32, 32), (2, 3, 32, 32)]
+        assert recorded == ["set", *blocks, "set"] + ["set", *blocks]
 
         monkeypatch.setattr(ad, "record", eager_record)
         for x, scores in scored:

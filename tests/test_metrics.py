@@ -117,6 +117,22 @@ class TestAuroc:
             assert result.curve == threshold_sweep_roc(s_in, s_out)
             assert result.auroc == pair_count_auroc(list(s_in), list(s_out))
 
+    def test_curve_keeps_its_corners_only(self):
+        # in-scores all above the one out-score: up the tpr axis, then across
+        assert metrics.auroc([3.0, 2.0, 1.0], [0.0]).curve == ((0.0, 0.0), (0.0, 1.0), (1.0, 1.0))
+        # a tie block whose step runs on the line of the steps around it
+        assert metrics.auroc([2.0, 1.0], [2.0, 1.0]).curve == ((0.0, 0.0), (1.0, 1.0))
+
+    def test_area_under_the_corners_is_the_auroc(self):
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            s_in = rng.integers(0, 30, size=int(rng.integers(1, 200))) / 3.0
+            s_out = rng.integers(0, 30, size=int(rng.integers(1, 200))) / 3.0
+            result = metrics.auroc(s_in, s_out)
+            fpr, tpr = np.array(result.curve).T
+            area = float(np.sum(np.diff(fpr) * (tpr[1:] + tpr[:-1]) / 2))
+            assert area == pytest.approx(result.auroc, abs=1e-12)
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             metrics.auroc([], [1.0])

@@ -1,6 +1,7 @@
 import copy
 import json
 import tracemalloc
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -413,6 +414,28 @@ class TestCheckpointIO:
         assert ckpt.buffer_samples is not None
         back = self.roundtrip(tmp_path, ckpt)
         assert np.array_equal(back.buffer_samples, ckpt.buffer_samples)
+
+    @pytest.mark.parametrize("damage", ["missing", "garbage"])
+    def test_bad_moment_member_raises_when_adam_is_read(self, tmp_path, damage):
+        # the load reads no moment; the first read of adam does, and a resume with it
+        train_ds, test_ds = blob_task(n=20)
+        ckpt, _ = trainer.train(ce_config(epochs=1), train_ds, test_ds)
+        path, damaged = tmp_path / "ckpt.npz", tmp_path / "damaged.npz"
+        trainer.checkpoint_save(ckpt, path)
+        victim = f"adam_v::{list(ckpt.params)[-1]}.npy"
+        with zipfile.ZipFile(path) as src, zipfile.ZipFile(damaged, "w") as dst:
+            for name in src.namelist():
+                if name != victim:
+                    dst.writestr(name, src.read(name))
+                elif damage == "garbage":
+                    dst.writestr(name, b"garbage")
+        for _ in range(2):      # a failed read leaves nothing half-loaded behind
+            back = trainer.checkpoint_load(damaged)
+            assert back.params == ckpt.params
+            with pytest.raises(trainer.CheckpointError, match="corrupt"):
+                back.adam
+            with pytest.raises(trainer.CheckpointError, match="corrupt"):
+                trainer.train(ce_config(epochs=2), train_ds, test_ds, resume=back)
 
     def test_truncated_file_rejected(self, tmp_path):
         train_ds, test_ds = blob_task(n=20)
