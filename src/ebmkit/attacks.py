@@ -73,7 +73,7 @@ def project(delta: np.ndarray, norm: Norm, epsilon: float) -> np.ndarray:
         return np.clip(delta, -epsilon, epsilon)
     flat = delta.reshape(delta.shape[0], -1) if delta.ndim > 1 else delta.reshape(1, -1)
     norms = en._row_norms(flat, keepdims=True)
-    scale = np.where(norms > epsilon, np.where(norms > 0, epsilon / np.maximum(norms, 1e-300), 1.0), 1.0)
+    scale = np.where(norms > epsilon, epsilon / np.maximum(norms, 1e-300), 1.0)
     return (flat * scale).reshape(delta.shape)
 
 
@@ -86,7 +86,7 @@ def _block_gradient(model, params, scale: float):
     values, programs = list(params.values()), {}
 
     def loss(x, onehot, *leaves):
-        logits = en.model_logits(model, dict(zip(params, leaves)), x)
+        logits = model(dict(zip(params, leaves)), x)
         return ad.mul(ad.sum_(losses._nll_rows(logits, onehot)), scale)
 
     def gradient(x, onehot):

@@ -48,11 +48,6 @@ class ShapeError(ValueError):
     """An operation received tensors whose shapes do not compose."""
 
 
-def _as_array(value) -> np.ndarray:
-    # order="C" (not ascontiguousarray) so 0-d scalars keep their shape
-    return np.asarray(value, dtype=np.float64, order="C")
-
-
 class Tensor:
     """N-dimensional float64 value, optionally attached to a tape node.
 
@@ -63,7 +58,8 @@ class Tensor:
     __slots__ = ("value", "_tape", "node")
 
     def __init__(self, value, tape: Optional["Tape"] = None, node: Optional[int] = None):
-        self.value = np.asarray(value, dtype=np.float64, order="C")   # _as_array, inlined
+        # order="C" (not ascontiguousarray) so 0-d scalars keep their shape
+        self.value = np.asarray(value, dtype=np.float64, order="C")
         # weak: node closures hold tensors, so a strong link back would make
         # every tape a reference cycle, freed only by the cyclic collector
         self._tape = None if tape is None else weakref.ref(tape)
@@ -85,11 +81,6 @@ class Tensor:
     @property
     def size(self) -> int:
         return self.value.size
-
-    def item(self) -> float:
-        if self.value.size != 1:
-            raise ShapeError(f"item: tensor of shape {self.shape} is not a scalar")
-        return float(self.value.reshape(()))
 
     def __repr__(self):
         tag = f", node={self.node}" if self.node is not None else ""
@@ -114,9 +105,6 @@ class Tape:
         self.nodes: list[_Node] = []
         self._recording = True
         self._replay_only = False   # record for a Program alone: no values or VJPs
-
-    def __len__(self):
-        return len(self.nodes)
 
     def leaf(self, value) -> Tensor:
         """Register an input as a differentiable leaf."""
@@ -626,7 +614,7 @@ class Program:
         self._replay = space.pop("replay")      # else space and function form a cycle
 
     def __call__(self, *values) -> list:
-        values = [np.asarray(v, dtype=np.float64, order="C") for v in values]   # _as_array, inlined
+        values = [np.asarray(v, dtype=np.float64, order="C") for v in values]
         if [v.shape for v in values] != self._shapes:
             raise ShapeError(f"program: recorded {self._shapes}, given {[v.shape for v in values]}")
         return self._replay(*values)
@@ -640,7 +628,7 @@ def record(loss: Callable[..., Tensor | tuple], values: Sequence, n_wrt: int,
     of the first ``n_wrt`` leaves. The first call for each tuple of value shapes
     records these outputs as a ``Program`` in ``programs``; later calls replay it
     on the new values."""
-    values = [np.asarray(v, dtype=np.float64, order="C") for v in values]   # _as_array, inlined
+    values = [np.asarray(v, dtype=np.float64, order="C") for v in values]
     key = tuple([v.shape for v in values])
     program = programs.get(key)
     if program is not None:

@@ -22,7 +22,7 @@ from . import nn
 
 __all__ = [
     "ScoreKind", "energy", "log_px_proxy", "softmax_probs",
-    "max_softmax_score", "model_logits", "approximate_mass_score",
+    "max_softmax_score", "approximate_mass_score",
 ]
 
 
@@ -66,13 +66,6 @@ def max_softmax_score(logits) -> np.ndarray:
     return ad._reduce(np.maximum, probs, (probs.ndim - 1,))
 
 
-def model_logits(model, params, x: ad.Tensor) -> ad.Tensor:
-    """Models are ModelSpecs or any callable (params, x) -> logits Tensor."""
-    if isinstance(model, nn.ModelSpec):
-        return nn.forward(model, params, x)
-    return model(params, x)
-
-
 def _in_blocks(fn, model, x, *aligned) -> np.ndarray:
     """``fn`` over float64 ``x`` in blocks of ModelSpec.block_rows rows (a
     plain callable's by input width), concatenated; one call when x fits one.
@@ -88,7 +81,7 @@ def _in_blocks(fn, model, x, *aligned) -> np.ndarray:
 
 def _logits_in_blocks(model, params, x) -> np.ndarray:
     """Logits of every row of ``x``, one tape-free forward pass per block."""
-    return _in_blocks(lambda b: model_logits(model, params, ad.Tensor(b)).value, model, x)
+    return _in_blocks(lambda b: model(params, ad.Tensor(b)).value, model, x)
 
 
 def _block_grads(model, params, programs=None):
@@ -101,7 +94,7 @@ def _block_grads(model, params, programs=None):
     values, programs = list(params.values()), {} if programs is None else programs
 
     def summed_energy(x, *leaves):
-        return ad.sum_(energy(model_logits(model, dict(zip(params, leaves)), x)))
+        return ad.sum_(energy(model(dict(zip(params, leaves)), x)))
     return lambda block: ad.record(summed_energy, [block, *values], 1, programs)[0]
 
 

@@ -119,7 +119,7 @@ def loss_graph(config: LossConfig, model, params: dict, x: ad.Tensor, onehot: ad
     """
     if config.mode is Mode.JEM and x_gen is None:
         raise ConfigError("JEM mode needs a generated batch x_gen")
-    logits = en.model_logits(model, params, x)
+    logits = model(params, x)
     ce = cross_entropy(logits, onehot)
     total, aux = ce, ad.Tensor(0.0)
 
@@ -127,7 +127,7 @@ def loss_graph(config: LossConfig, model, params: dict, x: ad.Tensor, onehot: ad
         aux = _penalty_from_logits(logits, x)
         total = ad.add(ad.mul(ce, config.gamma), ad.mul(aux, config.beta))
     elif config.mode is Mode.JEM and x_gen.shape[0]:     # cross-entropy plus the generative term
-        e_gen = en.energy(en.model_logits(model, params, x_gen))
+        e_gen = en.energy(model(params, x_gen))
         e_train = en.energy(logits)
         aux = ad.sub(ad.mean(e_train), ad.mean(e_gen))     # max likelihood: data below samples
         total = ad.add(ce, aux)

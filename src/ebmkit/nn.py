@@ -9,8 +9,8 @@ thread of control owns mutation, evaluation reads frozen snapshots.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional, Union
+from dataclasses import MISSING, astuple, dataclass, field, fields, replace
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -27,35 +27,85 @@ __all__ = [
 _ROW_BLOCK_BYTES = 2 << 20
 
 
+class _Layer:
+    """A layer kind: its checkpoint entry (``kind``; ``keys`` names its fields in
+    order), its shape rule, its ``parameters`` (weight shape, bias shape, He
+    fan-in; none if it has none) and its ``op``, reading them under ``prefix``."""
+
+    keys, parameters = (), ()
+
+    def out_shape(self, shape: tuple) -> tuple:
+        return shape
+
+
 @dataclass(frozen=True)
-class Dense:
+class Dense(_Layer):
     in_dim: int
     out_dim: int
+    kind, keys = "dense", ("in", "out")
+
+    def out_shape(self, shape: tuple) -> tuple:
+        if shape != (self.in_dim,):
+            raise ValueError(f"{self} expects ({self.in_dim},), got {shape}")
+        return (self.out_dim,)
+
+    @property
+    def parameters(self) -> tuple:
+        return (self.in_dim, self.out_dim), (self.out_dim,), self.in_dim
+
+    def op(self, h: ad.Tensor, params: Mapping, prefix: str) -> ad.Tensor:
+        return ad.linear(h, params[prefix + "w"], params[prefix + "b"])
 
 
 @dataclass(frozen=True)
-class Relu:
-    pass
+class Relu(_Layer):
+    kind = "relu"
+
+    def op(self, h: ad.Tensor, params: Mapping, prefix: str) -> ad.Tensor:
+        return ad.relu(h)
 
 
 @dataclass(frozen=True)
-class Flatten:
-    pass
+class Flatten(_Layer):
+    kind = "flatten"
+
+    def out_shape(self, shape: tuple) -> tuple:
+        return (int(np.prod(shape)),)
+
+    def op(self, h: ad.Tensor, params: Mapping, prefix: str) -> ad.Tensor:
+        return ad.reshape(h, (h.shape[0], int(np.prod(h.shape[1:]))))
 
 
 @dataclass(frozen=True)
-class Conv:
+class Conv(_Layer):
     in_channels: int
     out_channels: int
     kernel: int
     padding: Optional[int] = None  # None -> kernel // 2 ("same" for stride 1)
+    kind, keys = "conv", ("in", "out", "kernel", "padding")
 
     @property
     def pad(self) -> int:
         return self.kernel // 2 if self.padding is None else self.padding
 
+    def out_shape(self, shape: tuple) -> tuple:
+        if len(shape) != 3 or shape[0] != self.in_channels:
+            raise ValueError(f"{self} expects {self.in_channels} channels, got {shape}")
+        _, h, w = shape
+        hp = h + 2 * self.pad - self.kernel + 1
+        wp = w + 2 * self.pad - self.kernel + 1
+        if hp <= 0 or wp <= 0:
+            raise ValueError(f"{self}: kernel {self.kernel} too large for {shape}")
+        return (self.out_channels, hp, wp)
 
-Layer = Union[Dense, Relu, Flatten, Conv]
+    @property
+    def parameters(self) -> tuple:
+        k = self.kernel
+        return ((self.out_channels, self.in_channels, k, k), (self.out_channels,),
+                self.in_channels * k ** 2)
+
+    def op(self, h: ad.Tensor, params: Mapping, prefix: str) -> ad.Tensor:
+        return ad.conv2d(h, params[prefix + "w"], params[prefix + "b"], padding=self.pad)
 
 
 @dataclass(frozen=True)
@@ -77,17 +127,21 @@ class ModelSpec:
         object.__setattr__(self, "input_shape", tuple(int(d) for d in self.input_shape))
         shape = self.input_shape
         widest = int(np.prod(shape))
-        for i, layer in enumerate(self.layers):
-            shape = _infer(layer, shape, i)
+        for layer in self.layers:
+            shape = layer.out_shape(shape)
             widest = max(widest, int(np.prod(shape)))
         if shape != (self.classes,):
             raise ValueError(
                 f"model ends with shape {shape}, expected ({self.classes},) logits")
         object.__setattr__(self, "block_rows", max(1, _ROW_BLOCK_BYTES // (8 * widest)))
 
+    def __call__(self, params: Mapping, x) -> ad.Tensor:
+        """Logits of a batch: ``forward``, looked up per call so a wrapper put in its place runs."""
+        return forward(self, params, x)
+
     @staticmethod
     def mlp(input_dim: int, hidden: Iterable[int], classes: int) -> "ModelSpec":
-        layers: list[Layer] = []
+        layers: list[_Layer] = []
         prev = input_dim
         for width in hidden:
             layers += [Dense(prev, width), Relu()]
@@ -98,70 +152,31 @@ class ModelSpec:
     @staticmethod
     def small_conv(input_shape: tuple, channels: Iterable[int], classes: int,
                    kernel: int = 3) -> "ModelSpec":
-        c, h, w = input_shape
-        layers: list[Layer] = []
-        prev = c
+        prev, h, w = input_shape
+        layers: list[_Layer] = []
         for ch in channels:
             layers += [Conv(prev, ch, kernel), Relu()]
             prev = ch
-        layers.append(Flatten())
-        layers.append(Dense(prev * h * w, classes))
+        layers += [Flatten(), Dense(prev * h * w, classes)]
         return ModelSpec(tuple(layers), tuple(input_shape), classes)
 
     def to_dict(self) -> dict:
-        out = []
-        for layer in self.layers:
-            if isinstance(layer, Dense):
-                out.append({"kind": "dense", "in": layer.in_dim, "out": layer.out_dim})
-            elif isinstance(layer, Relu):
-                out.append({"kind": "relu"})
-            elif isinstance(layer, Flatten):
-                out.append({"kind": "flatten"})
-            else:
-                out.append({"kind": "conv", "in": layer.in_channels,
-                            "out": layer.out_channels, "kernel": layer.kernel,
-                            "padding": layer.padding})
-        return {"layers": out, "input_shape": list(self.input_shape),
+        layers = [{"kind": layer.kind, **dict(zip(layer.keys, astuple(layer)))}
+                  for layer in self.layers]
+        return {"layers": layers, "input_shape": list(self.input_shape),
                 "classes": self.classes}
 
     @staticmethod
     def from_dict(d: dict) -> "ModelSpec":
-        layers: list[Layer] = []
+        layers: list[_Layer] = []
         for entry in d["layers"]:
-            kind = entry["kind"]
-            if kind == "dense":
-                layers.append(Dense(entry["in"], entry["out"]))
-            elif kind == "relu":
-                layers.append(Relu())
-            elif kind == "flatten":
-                layers.append(Flatten())
-            elif kind == "conv":
-                layers.append(Conv(entry["in"], entry["out"], entry["kernel"],
-                                   entry.get("padding")))
-            else:
-                raise ValueError(f"unknown layer kind {kind!r}")
+            kind = next((k for k in (Dense, Relu, Flatten, Conv) if k.kind == entry["kind"]), None)
+            if kind is None:
+                raise ValueError(f"unknown layer kind {entry['kind']!r}")
+            # a key whose field has a default (a conv's padding) may be left out
+            layers.append(kind(*[entry[key] if f.default is MISSING else entry.get(key, f.default)
+                                 for key, f in zip(kind.keys, fields(kind))]))
         return ModelSpec(tuple(layers), tuple(d["input_shape"]), d["classes"])
-
-
-def _infer(layer: Layer, shape: tuple, index: int) -> tuple:
-    if isinstance(layer, Dense):
-        if shape != (layer.in_dim,):
-            raise ValueError(f"layer {index}: dense expects ({layer.in_dim},), got {shape}")
-        return (layer.out_dim,)
-    if isinstance(layer, Relu):
-        return shape
-    if isinstance(layer, Flatten):
-        return (int(np.prod(shape)),)
-    if isinstance(layer, Conv):
-        if len(shape) != 3 or shape[0] != layer.in_channels:
-            raise ValueError(f"layer {index}: conv expects {layer.in_channels} channels, got {shape}")
-        c, h, w = shape
-        hp = h + 2 * layer.pad - layer.kernel + 1
-        wp = w + 2 * layer.pad - layer.kernel + 1
-        if hp <= 0 or wp <= 0:
-            raise ValueError(f"layer {index}: kernel {layer.kernel} too large for {shape}")
-        return (layer.out_channels, hp, wp)
-    raise ValueError(f"unknown layer type {type(layer).__name__}")
 
 
 def _pack(arrays: Mapping[str, np.ndarray]) -> tuple[np.ndarray, dict]:
@@ -206,28 +221,15 @@ class Parameters(Mapping):
                 and all(np.array_equal(self.arrays[k], other.arrays[k]) for k in self.arrays))
 
 
-def _param_names(spec: ModelSpec):
-    for i, layer in enumerate(spec.layers):
-        if isinstance(layer, (Dense, Conv)):
-            yield layer, f"layer{i}.w", f"layer{i}.b"
-
-
 def init(spec: ModelSpec, seed: int) -> Parameters:
     """He-scaled normal weights, zero biases, reproducible from seed."""
     rng = np.random.default_rng(seed)
     arrays: dict[str, np.ndarray] = {}
-    for layer, wname, bname in _param_names(spec):
-        if isinstance(layer, Dense):
-            fan_in = layer.in_dim
-            arrays[wname] = rng.normal(0.0, np.sqrt(2.0 / fan_in),
-                                       size=(layer.in_dim, layer.out_dim))
-            arrays[bname] = np.zeros(layer.out_dim)
-        else:
-            fan_in = layer.in_channels * layer.kernel ** 2
-            arrays[wname] = rng.normal(0.0, np.sqrt(2.0 / fan_in),
-                                       size=(layer.out_channels, layer.in_channels,
-                                             layer.kernel, layer.kernel))
-            arrays[bname] = np.zeros(layer.out_channels)
+    for i, layer in enumerate(spec.layers):
+        if layer.parameters:
+            weight, bias, fan_in = layer.parameters
+            arrays[f"layer{i}.w"] = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=weight)
+            arrays[f"layer{i}.b"] = np.zeros(bias)
     return Parameters(arrays)
 
 
@@ -240,15 +242,7 @@ def forward(spec: ModelSpec, params: Mapping, x) -> ad.Tensor:
         raise ad.ShapeError(
             f"forward: input shape {h.shape} does not match (batch,) + {spec.input_shape}")
     for i, layer in enumerate(spec.layers):
-        if isinstance(layer, Dense):
-            h = ad.linear(h, params[f"layer{i}.w"], params[f"layer{i}.b"])
-        elif isinstance(layer, Relu):
-            h = ad.relu(h)
-        elif isinstance(layer, Flatten):
-            h = ad.reshape(h, (h.shape[0], int(np.prod(h.shape[1:]))))
-        else:
-            h = ad.conv2d(h, params[f"layer{i}.w"], params[f"layer{i}.b"],
-                          padding=layer.pad)
+        h = layer.op(h, params, f"layer{i}.")
     return h
 
 

@@ -215,7 +215,6 @@ def sgld_chain(model, params, x0: np.ndarray, config: SgldConfig,
     x = np.array(x0, dtype=np.float64, copy=True)
     report = DivergenceReport(diverged_mask=np.zeros(x.shape[0], dtype=bool))
     trace: list[float] = []
-    alive = np.ones(x.shape[0], dtype=bool)
     rows = (-1,) + (1,) * (x.ndim - 1)
     # NaN fails the test and inf exceeds the largest float, so a proposal
     # passes it exactly when no row is bad
@@ -231,10 +230,10 @@ def sgld_chain(model, params, x0: np.ndarray, config: SgldConfig,
             update += rng.normal(0.0, math.sqrt(step), size=x.shape)
         proposal = x + update
         if report.diverged:     # frozen chains keep their state
-            proposal = np.where(alive.reshape(rows), proposal, x)
+            proposal = np.where(report.diverged_mask.reshape(rows), x, proposal)
         if not np.abs(proposal).max() <= limit:
             bad, magnitude, reason = _check_rows(proposal, config.bound)
-            newly_bad = bad & alive
+            newly_bad = bad & ~report.diverged_mask
             if newly_bad.any():
                 if not report.diverged:
                     report.diverged = True
@@ -244,7 +243,6 @@ def sgld_chain(model, params, x0: np.ndarray, config: SgldConfig,
                     report.magnitude = float(worst[np.isfinite(worst)].max()) \
                         if np.isfinite(worst).any() else float("inf")
                 report.diverged_mask |= newly_bad
-                alive &= ~newly_bad
                 # frozen chains keep their last finite state
                 proposal = np.where(newly_bad.reshape(rows), x, proposal)
         x = proposal

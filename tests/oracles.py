@@ -14,7 +14,7 @@ import numpy as np
 
 from ebmkit import autodiff as ad
 from ebmkit import energy as en
-from ebmkit import losses
+from ebmkit import losses, nn
 from ebmkit import sampler as smp
 
 
@@ -139,6 +139,26 @@ def naive_mlp_forward(x, weights, biases):
             h = nxt
         out[r] = h
     return out
+
+
+def he_normal_init(spec, seed):
+    """He-normal weights and zero biases, drawn from one generator seeded with
+    ``seed`` in layer order: a dense layer's weight is (in, out) with fan-in
+    ``in``, a conv layer's (out, in, k, k) with fan-in ``in * k * k``."""
+    rng = np.random.default_rng(seed)
+    arrays = {}
+    for i, layer in enumerate(spec.layers):
+        if isinstance(layer, nn.Dense):
+            shape, fan_in, width = (layer.in_dim, layer.out_dim), layer.in_dim, layer.out_dim
+        elif isinstance(layer, nn.Conv):
+            k = layer.kernel
+            shape = (layer.out_channels, layer.in_channels, k, k)
+            fan_in, width = layer.in_channels * k * k, layer.out_channels
+        else:
+            continue
+        arrays[f"layer{i}.w"] = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
+        arrays[f"layer{i}.b"] = np.zeros(width)
+    return arrays
 
 
 def scalar_adam(theta, grads, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8):

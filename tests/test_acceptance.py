@@ -149,8 +149,9 @@ def test_criterion_02_double_backprop_suite():
             def first_order(v, name=name):
                 arrays = {k: a.copy() for k, a in params.arrays.items()}
                 arrays[name] = v
-                return bound_loss_graph(_PENALTY_ONLY, spec, nn.Parameters(arrays), x,
-                                        np.zeros(3, dtype=np.int64))[0].aux.item()
+                graph = bound_loss_graph(_PENALTY_ONLY, spec, nn.Parameters(arrays), x,
+                                         np.zeros(3, dtype=np.int64))[0]
+                return float(graph.aux.value)
 
             fd = central_diff(first_order, params.arrays[name], h=1e-4)
             err = float(np.max(np.abs(gm[leaf].value - fd)
@@ -163,7 +164,7 @@ def test_criterion_02_double_backprop_suite():
 
 
 def test_criterion_03_energy_identities():
-    e = en.energy([0.0, 0.0]).item()
+    e = float(en.energy([0.0, 0.0]).value)
     exact = abs(e + math.log(2.0)) <= np.spacing(1.0)
     rng = np.random.default_rng(30)
     worst = 0.0

@@ -12,14 +12,14 @@ from oracles import central_diff, close_rel, energy_grads
 
 class TestEnergy:
     def test_uniform_two_logits(self):
-        assert en.energy([0.0, 0.0]).item() == -math.log(2.0)
+        assert float(en.energy([0.0, 0.0]).value) == -math.log(2.0)
 
     def test_single_class_is_negated_logit(self):
         for t in (-3.0, 0.0, 7.25):
-            assert en.energy([t]).item() == -t
+            assert float(en.energy([t]).value) == -t
 
     def test_large_logits_no_overflow(self):
-        e = en.energy([1000.0, 1000.0]).item()
+        e = float(en.energy([1000.0, 1000.0]).value)
         assert e == pytest.approx(-(1000.0 + math.log(2.0)), abs=1e-12)
 
     def test_shift_identity(self):
@@ -38,7 +38,7 @@ class TestEnergy:
 
 class TestLogPxProxy:
     def test_uniform(self):
-        assert en.log_px_proxy([0.0, 0.0]).item() == math.log(2.0)
+        assert float(en.log_px_proxy([0.0, 0.0]).value) == math.log(2.0)
 
     def test_constant_shift_adds_exactly(self):
         rng = np.random.default_rng(1)
@@ -144,12 +144,14 @@ class TestBlocks:
 
     @staticmethod
     def count_forwards(monkeypatch):
-        real, rows = en.model_logits, []
+        """The rows of each forward pass a ModelSpec makes (``spec(params, x)``
+        calls ``nn.forward``)."""
+        real, rows = nn.forward, []
 
-        def counting(model, params, x):
+        def counting(spec, params, x):
             rows.append(x.shape[0])
-            return real(model, params, x)
-        monkeypatch.setattr(en, "model_logits", counting)
+            return real(spec, params, x)
+        monkeypatch.setattr(nn, "forward", counting)
         return rows
 
     def test_block_rows_follow_the_widest_activation(self):
@@ -180,8 +182,12 @@ class TestBlocks:
     def test_plain_callable_blocks_by_input_width(self, monkeypatch):
         monkeypatch.setattr(nn, "_ROW_BLOCK_BYTES", 3 * 2 * 8)   # 3 rows of 2 values
         x = np.random.default_rng(4).normal(size=(7, 2))
-        rows = self.count_forwards(monkeypatch)
-        grads = energy_grads(smp.QuadraticBowlEnergy(), {}, x)
+        bowl, rows = smp.QuadraticBowlEnergy(), []
+
+        def counting(params, block):
+            rows.append(block.shape[0])
+            return bowl(params, block)
+        grads = energy_grads(counting, {}, x)
         assert rows == [3, 1]
         assert np.allclose(grads, x, atol=1e-12)    # E = ||x||^2 / 2
 

@@ -29,24 +29,25 @@ def zero_labels(x):
 
 
 def penalty(spec, params, x):
-    return bound_loss_graph(PENALTY, spec, params, x, zero_labels(x))[0].aux.item()
+    return float(bound_loss_graph(PENALTY, spec, params, x, zero_labels(x))[0].aux.value)
 
 
 def generative_term(spec, params, xt, xg):
     """JEM's generative term alone, over fixed generated samples."""
     graph, _ = bound_loss_graph(JEM, spec, params, xt, zero_labels(xt), x_gen=xg)
-    return graph.aux.item()
+    return float(graph.aux.value)
 
 
 class TestCrossEntropy:
     def test_uniform_two_classes(self):
         logits = ad.Tensor(np.zeros((4, 2)))
-        assert losses.cross_entropy(logits, [0, 1, 0, 1]).item() == pytest.approx(math.log(2.0))
+        ce = float(losses.cross_entropy(logits, [0, 1, 0, 1]).value)
+        assert ce == pytest.approx(math.log(2.0))
 
     def test_analytic_two_logit_gap(self):
         a, b = 1.3, -0.4
         want = -math.log(math.exp(a) / (math.exp(a) + math.exp(b)))
-        got = losses.cross_entropy(ad.Tensor([[a, b]]), [0]).item()
+        got = float(losses.cross_entropy(ad.Tensor([[a, b]]), [0]).value)
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_batch_permutation_invariant(self):
@@ -54,8 +55,8 @@ class TestCrossEntropy:
         logits = rng.normal(size=(6, 3))
         labels = np.array([0, 2, 1, 1, 0, 2])
         perm = rng.permutation(6)
-        a = losses.cross_entropy(ad.Tensor(logits), labels).item()
-        b = losses.cross_entropy(ad.Tensor(logits[perm]), labels[perm]).item()
+        a = float(losses.cross_entropy(ad.Tensor(logits), labels).value)
+        b = float(losses.cross_entropy(ad.Tensor(logits[perm]), labels[perm]).value)
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_label_out_of_range(self):
@@ -126,7 +127,7 @@ class TestEbmLoss:
 
         before = gap(params)
         graph, bound = bound_loss_graph(JEM, spec, params, xt, zero_labels(xt), x_gen=xg)
-        assert graph.ce.item() == 0.0
+        assert float(graph.ce.value) == 0.0
         grads = ad.backward(graph.tape, graph.total, list(bound.values()))
         adam = nn.AdamState.for_params(params, lr=1e-2)
         params, _ = nn.adam_step(adam, params, {name: grads[leaf].value
@@ -216,29 +217,29 @@ class TestCombinedLoss:
     def test_beta_zero_reduces_to_cross_entropy(self):
         cfg = losses.LossConfig(mode=losses.Mode.NGEBM, beta=0.0, gamma=1.0)
         graph, _ = bound_loss_graph(cfg, self.spec, self.params, self.x, self.y)
-        ce = losses.cross_entropy(nn.forward(self.spec, self.params, self.x), self.y).item()
-        assert graph.total.item() == pytest.approx(ce, abs=1e-12)
+        ce = float(losses.cross_entropy(nn.forward(self.spec, self.params, self.x), self.y).value)
+        assert float(graph.total.value) == pytest.approx(ce, abs=1e-12)
 
     def test_equal_weights_arithmetic(self):
         cfg = losses.LossConfig(mode=losses.Mode.NGEBM, beta=0.5, gamma=0.5)
         graph, _ = bound_loss_graph(cfg, self.spec, self.params, self.x, self.y)
-        ce = losses.cross_entropy(nn.forward(self.spec, self.params, self.x), self.y).item()
+        ce = float(losses.cross_entropy(nn.forward(self.spec, self.params, self.x), self.y).value)
         pen = penalty(self.spec, self.params, self.x)
-        assert graph.total.item() == pytest.approx(0.5 * ce + 0.5 * pen, abs=1e-12)
-        assert graph.ce.item() == pytest.approx(ce, abs=1e-12)
-        assert graph.aux.item() == pytest.approx(pen, abs=1e-12)
+        assert float(graph.total.value) == pytest.approx(0.5 * ce + 0.5 * pen, abs=1e-12)
+        assert float(graph.ce.value) == pytest.approx(ce, abs=1e-12)
+        assert float(graph.aux.value) == pytest.approx(pen, abs=1e-12)
 
     def test_breakdown_recomputes_total(self):
         cfg = losses.LossConfig(mode=losses.Mode.NGEBM, beta=0.3, gamma=0.7)
         graph, _ = bound_loss_graph(cfg, self.spec, self.params, self.x, self.y)
-        assert graph.total.item() == pytest.approx(0.7 * graph.ce.item() + 0.3 * graph.aux.item(),
-                                                   abs=1e-12)
+        total, ce, aux = (float(t.value) for t in (graph.total, graph.ce, graph.aux))
+        assert total == pytest.approx(0.7 * ce + 0.3 * aux, abs=1e-12)
 
     def test_jem_with_generated_equal_to_train_is_ce(self):
         cfg = losses.LossConfig(mode=losses.Mode.JEM, sampler=smp.SgldConfig())
         graph, _ = bound_loss_graph(cfg, self.spec, self.params, self.x, self.y, x_gen=self.x)
-        ce = losses.cross_entropy(nn.forward(self.spec, self.params, self.x), self.y).item()
-        assert graph.total.item() == pytest.approx(ce, abs=1e-12)
+        ce = float(losses.cross_entropy(nn.forward(self.spec, self.params, self.x), self.y).value)
+        assert float(graph.total.value) == pytest.approx(ce, abs=1e-12)
 
     def test_jem_without_generated_batch_errors(self):
         cfg = losses.LossConfig(mode=losses.Mode.JEM, sampler=smp.SgldConfig())
@@ -252,5 +253,6 @@ class TestCombinedLoss:
         x_gen, _, _ = losses._jem_samples(cfg, self.spec, self.params, self.x.shape, buffer,
                                           np.random.default_rng(11), {})
         graph, _ = bound_loss_graph(cfg, self.spec, self.params, self.x, self.y, x_gen=x_gen)
-        assert np.isfinite(graph.total.item())
-        assert graph.total.item() == pytest.approx(graph.ce.item() + graph.aux.item(), abs=1e-12)
+        total, ce, aux = (float(t.value) for t in (graph.total, graph.ce, graph.aux))
+        assert np.isfinite(total)
+        assert total == pytest.approx(ce + aux, abs=1e-12)

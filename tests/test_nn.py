@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from ebmkit import autodiff as ad
 from ebmkit import nn
-from oracles import central_diff, close_rel, naive_mlp_forward, scalar_adam
+from oracles import central_diff, close_rel, he_normal_init, naive_mlp_forward, scalar_adam
 
 
 def mlp_params_as_lists(params, spec):
@@ -110,6 +112,17 @@ class TestInit:
         spec = nn.ModelSpec.mlp(4, [8], 3)
         params = nn.init(spec, 0)
         assert np.array_equal(params.arrays["layer0.b"], np.zeros(8))
+
+    @pytest.mark.parametrize("spec", [
+        nn.ModelSpec.mlp(3, [5, 4], 2),
+        nn.ModelSpec.small_conv((2, 6, 6), [3, 4], 5),
+        nn.ModelSpec((nn.Conv(2, 3, 5, 0), nn.Relu(), nn.Flatten(), nn.Dense(12, 4)), (2, 6, 6), 4),
+    ], ids=["mlp", "small_conv", "conv_pad0"])
+    def test_draws_equal_a_he_normal_oracle_bit_for_bit(self, spec):
+        got, want = nn.init(spec, 11), he_normal_init(spec, 11)
+        assert list(got) == list(want)
+        for name, arr in want.items():
+            assert got[name].shape == arr.shape and got[name].tobytes() == arr.tobytes()
 
 
 class TestAdam:
@@ -224,3 +237,29 @@ class TestModelSpec:
     def test_roundtrip_dict(self):
         spec = nn.ModelSpec.small_conv((3, 8, 8), [4], 10)
         assert nn.ModelSpec.from_dict(spec.to_dict()) == spec
+
+    # the model entry of a checkpoint (format v1), as its JSON text
+    @pytest.mark.parametrize("spec, text", [
+        (nn.ModelSpec.mlp(2, [32, 32], 2),
+         '{"layers": [{"kind": "dense", "in": 2, "out": 32}, {"kind": "relu"}, '
+         '{"kind": "dense", "in": 32, "out": 32}, {"kind": "relu"}, '
+         '{"kind": "dense", "in": 32, "out": 2}], "input_shape": [2], "classes": 2}'),
+        (nn.ModelSpec.small_conv((3, 32, 32), [8, 8], 10),
+         '{"layers": [{"kind": "conv", "in": 3, "out": 8, "kernel": 3, "padding": null}, '
+         '{"kind": "relu"}, {"kind": "conv", "in": 8, "out": 8, "kernel": 3, "padding": null}, '
+         '{"kind": "relu"}, {"kind": "flatten"}, {"kind": "dense", "in": 8192, "out": 10}], '
+         '"input_shape": [3, 32, 32], "classes": 10}'),
+        (nn.ModelSpec((nn.Conv(3, 4, 3, 0), nn.Relu(), nn.Flatten(), nn.Dense(144, 5)),
+                      (3, 8, 8), 5),
+         '{"layers": [{"kind": "conv", "in": 3, "out": 4, "kernel": 3, "padding": 0}, '
+         '{"kind": "relu"}, {"kind": "flatten"}, {"kind": "dense", "in": 144, "out": 5}], '
+         '"input_shape": [3, 8, 8], "classes": 5}'),
+    ], ids=["mlp", "small_conv", "conv_pad0"])
+    def test_dict_json_is_unchanged(self, spec, text):
+        assert json.dumps(spec.to_dict()) == text
+        assert nn.ModelSpec.from_dict(json.loads(text)) == spec
+
+    def test_a_spec_is_called_as_a_model(self):
+        spec = nn.ModelSpec.mlp(3, [4], 2)
+        params, x = nn.init(spec, 1), np.random.default_rng(1).normal(size=(5, 3))
+        assert np.array_equal(spec(params, x).value, nn.forward(spec, params, x).value)

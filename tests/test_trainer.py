@@ -197,7 +197,7 @@ def _eager_step(config, params, x, y, x_gen):
     parameter gradient."""
     graph, bound = bound_loss_graph(config.loss, config.model, params, x, y, x_gen=x_gen)
     grads = ad.backward(graph.tape, graph.total, list(bound.values()))
-    return [graph.total.item(), graph.ce.item(), graph.aux.item()] + [
+    return [float(graph.total.value), float(graph.ce.value), float(graph.aux.value)] + [
         grads[leaf].value for leaf in bound.values()]
 
 
@@ -456,6 +456,38 @@ class TestCheckpointIO:
         monkeypatch.undo()
         with pytest.raises(trainer.CheckpointError, match="version"):
             trainer.checkpoint_load(path)
+
+    @staticmethod
+    def save_with_model_entry(tmp_path, spec, edit):
+        """A checkpoint of ``spec`` whose saved model entry ``edit`` has changed."""
+        params = nn.init(spec, 0)
+        path = tmp_path / "edited.npz"
+        trainer.checkpoint_save(trainer.Checkpoint(
+            model=spec, params=params, adam=nn.AdamState.for_params(params), epoch=0), path)
+        with np.load(path) as archive:
+            arrays = dict(archive)
+        meta = json.loads(bytes(arrays["__meta__"]).decode())
+        edit(meta["model"]["layers"])
+        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        np.savez(path, **arrays)
+        return path
+
+    @pytest.mark.parametrize("edit", [
+        lambda layers: layers[1].update(kind="tanh"),
+        lambda layers: layers[0].pop("in"),
+    ], ids=["unknown_kind", "dense_without_in"])
+    def test_bad_model_entry_rejected(self, tmp_path, edit):
+        path = self.save_with_model_entry(tmp_path, nn.ModelSpec.mlp(2, [4], 2), edit)
+        with pytest.raises(trainer.CheckpointError, match="corrupt"):
+            trainer.checkpoint_load(path)
+
+    def test_conv_entry_without_padding_loads_with_padding_none(self, tmp_path):
+        # padding 1 is a 3-kernel's default, so the stack still composes without it
+        spec = nn.ModelSpec((nn.Conv(1, 2, 3, 1), nn.Relu(), nn.Flatten(), nn.Dense(32, 2)),
+                            (1, 4, 4), 2)
+        path = self.save_with_model_entry(tmp_path, spec, lambda layers: layers[0].pop("padding"))
+        conv = trainer.checkpoint_load(path).model.layers[0]
+        assert conv == nn.Conv(1, 2, 3) and conv.padding is None and conv.pad == 1
 
     def test_interval_checkpoints_written(self, tmp_path):
         train_ds, test_ds = blob_task(n=20)
