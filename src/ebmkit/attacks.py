@@ -77,26 +77,6 @@ def project(delta: np.ndarray, norm: Norm, epsilon: float) -> np.ndarray:
     return (flat * scale).reshape(delta.shape)
 
 
-def _block_gradient(model, params, scale: float):
-    """d(scale * summed cross-entropy)/dx of a row block, as a function of the
-    block and its labels' one-hot rows. Both are leaves, so the first block of
-    each shape records the gradient and every later step of any block of that
-    shape replays it. With scale 1/N each row gets the upstream gradient 1/N
-    that a mean over N rows gives it."""
-    values, programs = list(params.values()), {}
-
-    def loss(x, onehot, *leaves):
-        logits = model(dict(zip(params, leaves)), x)
-        return ad.mul(ad.sum_(losses._nll_rows(logits, onehot)), scale)
-
-    def gradient(x, onehot):
-        grad = ad.record(loss, [x, onehot, *values], 1, programs)[0]
-        if not np.all(np.isfinite(grad)):
-            raise ValueError("pgd: non-finite input gradient")
-        return grad
-    return gradient
-
-
 def _random_start(rng: np.random.Generator, shape: tuple, norm: Norm,
                   epsilon: float) -> np.ndarray:
     if norm is Norm.LINF:
@@ -126,11 +106,16 @@ def pgd(model, params, x: np.ndarray, y: np.ndarray, config: AttackConfig,
         delta = _random_start(rng, x.shape, config.norm, config.epsilon)
         delta = np.clip(x + delta, *_INPUT_RANGE) - x
 
-    gradient = _block_gradient(model, params, 1.0 / max(len(x), 1))
+    # with scale 1/N each row gets the upstream gradient 1/N that a mean over N rows gives it
+    scale = 1.0 / max(len(x), 1)
+    gradient = en._block_grads(model, params, lambda logits, onehot: ad.mul(
+        ad.sum_(losses._nll_rows(logits, onehot)), scale))
 
     def attack(xb, onehot, db):     # rows move independently, so a block takes all its steps
         for _ in range(config.n_steps):
             grad = gradient(xb + db, onehot)
+            if not np.all(np.isfinite(grad)):
+                raise ValueError("pgd: non-finite input gradient")
             if config.norm is Norm.LINF:
                 step = config.step * np.sign(grad)
             else:

@@ -124,9 +124,7 @@ def _register(inputs: Sequence[Tensor], fn: Callable[..., np.ndarray],
     ``inputs[i]``, None if not differentiated. A VJP that needs the output
     closes over the tensor this returns."""
     try:
-        n = len(inputs)     # unpacked by hand: a list per call costs more than the op
-        value = (fn(inputs[0].value) if n == 1 else fn(inputs[0].value, inputs[1].value) if n == 2
-                 else fn(*[t.value for t in inputs]))
+        value = fn(*[t.value for t in inputs])
     except ValueError as exc:       # numpy's shape error, named after the op
         op = getattr(fn, "__qualname__", "op").split(".")[0]
         raise ShapeError(f"{op}: {exc}; input shapes {[t.shape for t in inputs]}") from exc

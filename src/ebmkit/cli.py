@@ -91,12 +91,14 @@ _CENTERS = _Rule(f"a list of distinct [x, y] pairs of numbers in [-{_HALF_MAX:.4
 _STD = _Rule(f"a number in [0, {_HALF_MAX / 16:.4g}]",
              lambda v: _NUMBER0.test(v) and 16 * v <= _HALF_MAX)
 
+_BOWLS = {"quadratic_bowl": 1.0, "concave_bowl": -1.0}   # the test energies' curvatures
+
 _TABLE = {
     "": {"seed": ("seed", _INT0), "out_dir": (None, _STR), "model": (None, "model", ["train"]),
          "ood_data": (None, "data"),
          **{name: (None, name) for name in ("data", "train", "metrics", "attack", "sample", "hist")}},
     "model": {
-        "kind": (None, ["mlp", "conv", "quadratic_bowl", "concave_bowl"]),
+        "kind": (None, ["mlp", "conv", *_BOWLS]),
         "input_dim": (None, _INT1, ["mlp"]), "hidden": (None, _WIDTHS),
         "classes": (None, _INT1, ["mlp", "conv"]),
         "input_shape": (None, _SHAPE, ["conv"]), "channels": (None, _WIDTHS),
@@ -206,7 +208,8 @@ def build_model(section: dict):
     if kind == "conv":
         return nn.ModelSpec.small_conv(section["input_shape"], section.get("channels", [8, 8]),
                                        section["classes"], kernel=section.get("kernel", 3))
-    return smp.QuadraticBowlEnergy() if kind == "quadratic_bowl" else smp.ConcaveBowlEnergy()
+    dim = section.get("dim", 2)
+    return nn.ModelSpec((nn.Bowl(dim, _BOWLS[kind]),), (dim,), 1)
 
 
 def build_dataset(section: dict, splits=("train", "test")) -> tuple:
@@ -296,9 +299,9 @@ def build_sampler(section: dict) -> smp.SgldConfig:
 
 def build_train_config(config: dict) -> trainer.TrainConfig:
     """The TrainConfig of a checked config; a value its dataclasses reject is a config error."""
-    model = build_model(config["model"])
-    if not isinstance(model, nn.ModelSpec):
+    if _kind(config["model"], "model") in _BOWLS:
         raise losses.ConfigError("this command requires a trainable model (mlp or conv)")
+    model = build_model(config["model"])
     section = config.get("train", {})
     loss = _fields("train", section, "loss")
     if "sampler" in loss or loss.get("mode") is losses.Mode.JEM:
@@ -472,15 +475,15 @@ def cmd_sample(args, config: dict, out: Path, ckpt) -> None:
     n = section.get("n", 64)
     sampler_cfg = build_sampler(section.get("sampler", {}))
     if ckpt is not None:
-        model, params, shape = ckpt.model, ckpt.params, ckpt.model.input_shape
+        model, params = ckpt.model, ckpt.params
     else:
         spec = config.get("model", {})
-        if _kind(spec, "model") not in ("quadratic_bowl", "concave_bowl"):
+        if _kind(spec, "model") not in _BOWLS:
             raise losses.ConfigError("sample without --checkpoint needs a test-energy "
                                      "model.kind (quadratic_bowl or concave_bowl)")
-        model, params, shape = build_model(spec), {}, (spec.get("dim", 2),)
+        model, params = build_model(spec), {}
     rng = np.random.default_rng(config.get("seed", 0))
-    x0 = rng.uniform(sampler_cfg.init_lo, sampler_cfg.init_hi, size=(n,) + tuple(shape))
+    x0 = rng.uniform(sampler_cfg.init_lo, sampler_cfg.init_hi, size=(n,) + model.input_shape)
     result = smp.sgld_chain(model, params, x0, sampler_cfg,
                             rng=np.random.default_rng([config.get("seed", 0), 1]))
     ok = ~result.report.diverged_mask

@@ -6,9 +6,10 @@ higher unnormalized density. The normalizing constant is intractable
 and never computed; everything downstream uses scores only through
 their ordering (AUROC, histograms).
 
-Every input gradient dE/dx takes one path, ``ad.record``: each row-block
-shape records its gradient once, with the block and the parameters as
-leaves, and later blocks replay it for any values of both.
+Every input gradient, dE/dx and PGD's alike, takes one path,
+``_block_grads``: each row-block shape records its gradient once with
+``ad.record``, with the block, the parameters and any labels as leaves, and
+later blocks replay it for any values of them.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import enum
 import numpy as np
 
 from . import autodiff as ad
-from . import nn
 
 __all__ = [
     "ScoreKind", "energy", "log_px_proxy", "softmax_probs",
@@ -67,12 +67,11 @@ def max_softmax_score(logits) -> np.ndarray:
 
 
 def _in_blocks(fn, model, x, *aligned) -> np.ndarray:
-    """``fn`` over float64 ``x`` in blocks of ModelSpec.block_rows rows (a
-    plain callable's by input width), concatenated; one call when x fits one.
-    Each ``aligned`` array is cut into the same row blocks and passed after x."""
+    """``fn`` over float64 ``x`` in blocks of the model's ``block_rows`` rows,
+    concatenated; one call when x fits one. Each ``aligned`` array is cut into
+    the same row blocks and passed after x."""
     x = np.asarray(x, dtype=np.float64)
-    rows = model.block_rows if isinstance(model, nn.ModelSpec) else \
-        max(1, nn._ROW_BLOCK_BYTES // (8 * int(np.prod(x.shape[1:]))))
+    rows = model.block_rows
     if x.shape[0] <= rows:
         return fn(x, *aligned)
     return np.concatenate([fn(x[i:i + rows], *(a[i:i + rows] for a in aligned))
@@ -84,25 +83,30 @@ def _logits_in_blocks(model, params, x) -> np.ndarray:
     return _in_blocks(lambda b: model(params, ad.Tensor(b)).value, model, x)
 
 
-def _block_grads(model, params, programs=None):
-    """Per-example dE/dx of one row block, as a function of the block.
-    Examples do not interact in the model (no batch statistics), so the
-    gradient of the block's summed energy separates into rows. The first
-    block of each shape records it in ``programs`` (by default a new dict)
-    and later blocks of that shape replay it; the parameters are leaves, so
-    a dict that calls share serves any parameter values."""
+def _block_grads(model, params, loss, programs=None):
+    """d(loss of a row block's logits and labels)/dx, as a function of the block
+    and its label arrays; of a loss summed over rows it separates into rows, as
+    rows do not interact (no batch statistics). The first block of each shape
+    records it in ``programs`` (by default a new dict), later ones replay it; the
+    parameters and labels are leaves, so one dict serves any values of them."""
     values, programs = list(params.values()), {} if programs is None else programs
 
-    def summed_energy(x, *leaves):
-        return ad.sum_(energy(model(dict(zip(params, leaves)), x)))
-    return lambda block: ad.record(summed_energy, [block, *values], 1, programs)[0]
+    def block_loss(x, *leaves):
+        return loss(model(dict(zip(params, leaves)), x), *leaves[len(values):])
+    return lambda block, *labels: ad.record(block_loss, [block, *values, *labels], 1,
+                                            programs)[0]
+
+
+def _summed_energy(logits) -> ad.Tensor:
+    """A block's summed energy: its gradient in the block is each row's dE/dx."""
+    return ad.sum_(energy(logits))
 
 
 def approximate_mass_score(model, params, x_batch, programs=None) -> np.ndarray:
     """Score s(x) = -||dE/dx||_2, near zero in the typical set; one row block
     (``_in_blocks``) at a time, so peak memory follows a block, not the set,
     replaying ``programs`` as ``_block_grads`` does."""
-    grad = _block_grads(model, params, programs)
+    grad = _block_grads(model, params, _summed_energy, programs)
     return _in_blocks(lambda block: -_row_norms(grad(block)), model, x_batch)
 
 

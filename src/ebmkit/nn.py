@@ -1,9 +1,10 @@
 """Parametric classifiers and their optimizer.
 
-Models are plain layer stacks (dense / relu / flatten / conv) with no
-batch normalization, so logits are a deterministic function of the
-input. Parameters live in a named, ordered store; the trainer's single
-thread of control owns mutation, evaluation reads frozen snapshots.
+Models are plain layer stacks (dense / relu / flatten / conv, or the
+bowl of the analytic test energies) with no batch normalization, so
+logits are a deterministic function of the input. Parameters live in a
+named, ordered store; the trainer's single thread of control owns
+mutation, evaluation reads frozen snapshots.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 
 __all__ = [
-    "Dense", "Relu", "Flatten", "Conv", "ModelSpec", "Parameters",
+    "Dense", "Relu", "Flatten", "Conv", "Bowl", "ModelSpec", "Parameters",
     "init", "forward", "AdamState", "NonFiniteGradient", "adam_step", "LrSchedule", "lr_at",
 ]
 
@@ -106,6 +107,26 @@ class Conv(_Layer):
 
     def op(self, h: ad.Tensor, params: Mapping, prefix: str) -> ad.Tensor:
         return ad.conv2d(h, params[prefix + "w"], params[prefix + "b"], padding=self.pad)
+
+
+@dataclass(frozen=True)
+class Bowl(_Layer):
+    """The logit -0.5 * curvature * ||x||^2, so E(x) = 0.5 * curvature * ||x||^2. With
+    curvature 1 noise-free chains contract to 0 for 0 < step < 4; with -1 they grow
+    by (1 + step/2) a step, the unbounded-growth failure."""
+
+    dim: int
+    curvature: float
+    kind, keys = "bowl", ("dim", "curvature")
+
+    def out_shape(self, shape: tuple) -> tuple:
+        if shape != (self.dim,):
+            raise ValueError(f"{self} expects ({self.dim},), got {shape}")
+        return (1,)
+
+    def op(self, h: ad.Tensor, params: Mapping, prefix: str) -> ad.Tensor:
+        sq = ad.sum_(ad.square(h), axis=1)
+        return ad.reshape(ad.mul(sq, -0.5 * self.curvature), (h.shape[0], 1))
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,6 @@ from . import energy as en
 __all__ = [
     "SgldConfig", "ReplayBuffer", "DivergenceReport", "ChainResult",
     "buffer_draw", "buffer_push", "sgld_chain",
-    "QuadraticBowlEnergy", "ConcaveBowlEnergy",
 ]
 
 
@@ -58,6 +57,8 @@ class SgldConfig:
             raise ValueError("step_size must be > 0")
         if not self.init_lo < self.init_hi:
             raise ValueError("init bounds must satisfy lo < hi")
+        if self.divergence_bound is not None and not self.divergence_bound > 0:
+            raise ValueError("divergence_bound must be > 0")    # NaN included
 
     @property
     def bound(self) -> float:
@@ -219,7 +220,7 @@ def sgld_chain(model, params, x0: np.ndarray, config: SgldConfig,
     # NaN fails the test and inf exceeds the largest float, so a proposal
     # passes it exactly when no row is bad
     limit = min(config.bound, sys.float_info.max)
-    grad = en._block_grads(model, params, programs)
+    grad = en._block_grads(model, params, en._summed_energy, programs)
     for i in range(config.n_steps):
         step = config.step_at(i)
         grads = en._in_blocks(grad, model, x)
@@ -232,48 +233,21 @@ def sgld_chain(model, params, x0: np.ndarray, config: SgldConfig,
         if report.diverged:     # frozen chains keep their state
             proposal = np.where(report.diverged_mask.reshape(rows), x, proposal)
         if not np.abs(proposal).max() <= limit:
+            # some row is bad; a frozen row holds its state, so re-freezing it changes nothing
             bad, magnitude, reason = _check_rows(proposal, config.bound)
-            newly_bad = bad & ~report.diverged_mask
-            if newly_bad.any():
-                if not report.diverged:
-                    report.diverged = True
-                    report.step = i
-                    report.reason = reason
-                    worst = magnitude[newly_bad]
-                    report.magnitude = float(worst[np.isfinite(worst)].max()) \
-                        if np.isfinite(worst).any() else float("inf")
-                report.diverged_mask |= newly_bad
-                # frozen chains keep their last finite state
-                proposal = np.where(newly_bad.reshape(rows), x, proposal)
+            if not report.diverged:
+                report.diverged = True
+                report.step = i
+                report.reason = reason
+                worst = magnitude[bad]
+                report.magnitude = float(worst[np.isfinite(worst)].max()) \
+                    if np.isfinite(worst).any() else float("inf")
+            report.diverged_mask |= bad
+            # frozen chains keep their last finite state
+            proposal = np.where(bad.reshape(rows), x, proposal)
         x = proposal
     result = ChainResult(samples=x, report=report)
     if not config.noise:
         result.egm_trace = trace
         result.converged = bool(trace and trace[-1] < config.convergence_eta)
     return result
-
-
-# ---------------------------------------------------------------------------
-# analytic test energies (K = 1 logit models usable anywhere a ModelSpec is)
-
-class QuadraticBowlEnergy:
-    """Single-logit model f(x) = -0.5 * ||x||^2, so E(x) = 0.5 * ||x||^2.
-
-    A noise-free chain contracts toward the origin for 0 < step < 4.
-    """
-
-    def __call__(self, params, x: ad.Tensor) -> ad.Tensor:
-        sq = ad.mul(ad.sum_(ad.square(x), axis=tuple(range(1, x.ndim)), keepdims=False), 0.5)
-        return ad.reshape(ad.neg(sq), (x.shape[0], 1))
-
-
-class ConcaveBowlEnergy:
-    """Single-logit model f(x) = +0.5 * ||x||^2, so E(x) = -0.5 * ||x||^2.
-
-    Noise-free chains grow by (1 + step/2) per update: the documented
-    unbounded-growth failure, used to exercise divergence reporting.
-    """
-
-    def __call__(self, params, x: ad.Tensor) -> ad.Tensor:
-        sq = ad.mul(ad.sum_(ad.square(x), axis=tuple(range(1, x.ndim)), keepdims=False), 0.5)
-        return ad.reshape(sq, (x.shape[0], 1))

@@ -417,10 +417,17 @@ def eager_record(loss, values, n_wrt, programs=None):
 # ---------------------------------------------------------------------------
 # the library's own paths, bound for tests that read what they compute
 
+def bowl(dim, curvature):
+    """The analytic test energy E(x) = 0.5 * curvature * ||x||^2 of (dim,) inputs,
+    a one-layer spec as cli.build_model builds quadratic_bowl (curvature 1) and
+    concave_bowl (-1)."""
+    return nn.ModelSpec((nn.Bowl(dim, curvature),), (dim,), 1)
+
+
 def energy_grads(model, params, x, programs=None):
     """Per-example dE/dx of every row of ``x``, a row block at a time, as
     sgld_chain and approximate_mass_score take it."""
-    return en._in_blocks(en._block_grads(model, params, programs), model, x)
+    return en._in_blocks(en._block_grads(model, params, en._summed_energy, programs), model, x)
 
 
 def bound_loss_graph(config, model, params, x, y, x_gen=None):

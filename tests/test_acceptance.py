@@ -23,7 +23,8 @@ from ebmkit import data as datamod
 from ebmkit import energy as en
 from ebmkit import losses, metrics, nn, trainer
 from ebmkit import sampler as smp
-from oracles import bound_loss_graph, brute_force_ece, central_diff, float_to_byte, pair_count_auroc
+from oracles import (bound_loss_graph, bowl, brute_force_ece, central_diff, float_to_byte,
+                     pair_count_auroc)
 from test_autodiff import _FD_CASES, _fd_input, scalar_loss
 
 CENTERS = [(-0.5, 0.0), (0.5, 0.0)]
@@ -214,7 +215,7 @@ def test_criterion_05_auroc_oracle():
 
 
 def test_criterion_06_sgld_analytic():
-    model = smp.QuadraticBowlEnergy()
+    model = bowl(2, 1)
     x0 = np.array([[0.8, -0.6], [0.25, 0.5]])
     one = smp.sgld_chain(model, {}, x0, smp.SgldConfig(n_steps=1, step_size=1.0,
                                                        noise=False))
@@ -223,7 +224,7 @@ def test_criterion_06_sgld_analytic():
                                                           noise=False))
     geometric_exact = np.array_equal(twenty.samples, x0 * 0.5 ** 20)
 
-    concave = smp.ConcaveBowlEnergy()
+    concave = bowl(1, -1)
     start = np.array([[1.0]])
     out = smp.sgld_chain(concave, {}, start,
                          smp.SgldConfig(n_steps=60, step_size=1.0, noise=False,

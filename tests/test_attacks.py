@@ -14,7 +14,9 @@ from oracles import close_rel, eager_record, traced_peak_bytes
 def set_gradient(model, params, x, y):
     """d(mean cross-entropy)/dx over the whole set, one block gradient per
     row block, as pgd composes them."""
-    gradient = attacks._block_gradient(model, params, 1.0 / len(x))
+    def loss(logits, onehot):
+        return ad.mul(ad.sum_(losses._nll_rows(logits, onehot)), 1.0 / len(x))
+    gradient = en._block_grads(model, params, loss)
     return en._in_blocks(gradient, model, x, losses._one_hot(y, model.classes))
 
 

@@ -341,6 +341,15 @@ class TestSample:
         assert len(lines) - 1 == 16 - stats["n_diverged"]
 
 
+class TestBuildModel:
+    @pytest.mark.parametrize("kind, curvature", [("quadratic_bowl", 1.0), ("concave_bowl", -1.0)])
+    def test_a_bowl_is_a_one_layer_spec_of_dim_inputs(self, kind, curvature):
+        for section, dim in (({"kind": kind, "dim": 5}, 5), ({"kind": kind}, 2)):
+            model = cli.build_model(section)
+            assert model.input_shape == (dim,) and model.classes == 1
+            assert model.layers == (nn.Bowl(dim, curvature),)
+
+
 class TestSamplerConfigValidation:
     """A bad sampler section is a config error (exit 1); train reports it
     before any data is read."""

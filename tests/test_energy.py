@@ -6,8 +6,7 @@ import pytest
 from ebmkit import autodiff as ad
 from ebmkit import energy as en
 from ebmkit import nn
-from ebmkit import sampler as smp
-from oracles import central_diff, close_rel, energy_grads
+from oracles import bowl, central_diff, close_rel, energy_grads
 
 
 class TestEnergy:
@@ -179,16 +178,13 @@ class TestBlocks:
         energy_grads(spec, nn.init(spec, 0), np.zeros((spec.block_rows, 2)))
         assert rows == [spec.block_rows]
 
-    def test_plain_callable_blocks_by_input_width(self, monkeypatch):
+    def test_bowl_blocks_by_input_width(self, monkeypatch):
         monkeypatch.setattr(nn, "_ROW_BLOCK_BYTES", 3 * 2 * 8)   # 3 rows of 2 values
         x = np.random.default_rng(4).normal(size=(7, 2))
-        bowl, rows = smp.QuadraticBowlEnergy(), []
-
-        def counting(params, block):
-            rows.append(block.shape[0])
-            return bowl(params, block)
-        grads = energy_grads(counting, {}, x)
-        assert rows == [3, 1]
+        spec = bowl(2, 1)                   # built under the patch: 3-row blocks
+        rows = self.count_forwards(monkeypatch)
+        grads = energy_grads(spec, {}, x)
+        assert rows == [3, 1]               # one recording per block shape; the second 3 replays
         assert np.allclose(grads, x, atol=1e-12)    # E = ||x||^2 / 2
 
 

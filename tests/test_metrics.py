@@ -173,6 +173,8 @@ class TestHistogram:
 class FixedLogitModel:
     """Returns constant logits regardless of input."""
 
+    block_rows = 1 << 10    # rows per pass over a set, as a ModelSpec gives them
+
     def __init__(self, logits_row):
         self.row = np.asarray(logits_row, dtype=np.float64)
 

@@ -5,7 +5,8 @@ import pytest
 
 from ebmkit import autodiff as ad
 from ebmkit import nn
-from oracles import central_diff, close_rel, he_normal_init, naive_mlp_forward, scalar_adam
+from oracles import (central_diff, close_rel, energy_grads, he_normal_init, naive_mlp_forward,
+                     scalar_adam)
 
 
 def mlp_params_as_lists(params, spec):
@@ -263,3 +264,31 @@ class TestModelSpec:
         spec = nn.ModelSpec.mlp(3, [4], 2)
         params, x = nn.init(spec, 1), np.random.default_rng(1).normal(size=(5, 3))
         assert np.array_equal(spec(params, x).value, nn.forward(spec, params, x).value)
+
+
+class TestBowl:
+    """The parameter-free test energy E(x) = 0.5 * curvature * ||x||^2."""
+
+    # dims on both sides of ad._reduce's fold of a 2- to 7-wide last axis
+    @pytest.mark.parametrize("dim", [1, 2, 5, 8, 9])
+    def test_forward_equals_the_two_bowl_formulas_bit_for_bit(self, dim):
+        x = ad.Tensor(np.random.default_rng(dim).normal(size=(6, dim)))
+        sq = ad.mul(ad.sum_(ad.square(x), axis=1), 0.5)
+        for curvature, logit in ((1.0, ad.neg(sq)), (-1.0, sq)):
+            spec = nn.ModelSpec((nn.Bowl(dim, curvature),), (dim,), 1)
+            assert np.array_equal(spec({}, x).value, logit.value.reshape(6, 1))
+
+    @pytest.mark.parametrize("curvature", [1.0, -1.0, 3.0])
+    def test_energy_gradient_is_curvature_times_x_exactly(self, curvature):
+        spec = nn.ModelSpec((nn.Bowl(4, curvature),), (4,), 1)
+        x = np.random.default_rng(2).normal(size=(7, 4))
+        assert np.array_equal(energy_grads(spec, {}, x), curvature * x)
+
+    def test_spec_has_one_logit_blocks_by_input_width_and_checks_it(self):
+        spec = nn.ModelSpec((nn.Bowl(3, 1.0),), (3,), 1)
+        assert spec.classes == 1 and spec.block_rows == (2 << 20) // (8 * 3)
+        assert nn.init(spec, 0) == nn.Parameters({})
+        with pytest.raises(ad.ShapeError):
+            spec({}, np.zeros((2, 4)))
+        with pytest.raises(ValueError):
+            nn.ModelSpec((nn.Bowl(3, 1.0),), (4,), 1)

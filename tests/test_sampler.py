@@ -8,7 +8,7 @@ from ebmkit import autodiff as ad
 from ebmkit import energy as en
 from ebmkit import nn
 from ebmkit import sampler as smp
-from oracles import (ListReplayBuffer, eager_record, energy_grads, list_buffer_draw,
+from oracles import (ListReplayBuffer, bowl, eager_record, energy_grads, list_buffer_draw,
                      list_buffer_push, per_row_sgld_chain, traced_peak_bytes)
 
 
@@ -93,20 +93,20 @@ class TestBufferPush:
 
 class TestSgldChain:
     def test_quadratic_one_step_halves(self):
-        model = smp.QuadraticBowlEnergy()
+        model = bowl(2, 1)
         x0 = np.array([[0.8, -0.6]])
         out = smp.sgld_chain(model, {}, x0, quad_config(n_steps=1))
         assert np.allclose(out.samples, x0 / 2.0, atol=1e-12)
         assert not out.report.diverged
 
     def test_quadratic_twenty_steps_geometric(self):
-        model = smp.QuadraticBowlEnergy()
+        model = bowl(2, 1)
         x0 = np.array([[1.0, 0.0]])
         out = smp.sgld_chain(model, {}, x0, quad_config(n_steps=20))
         assert np.linalg.norm(out.samples) == pytest.approx(2.0 ** -20, rel=1e-9)
 
     def test_concave_divergence_at_predicted_step(self):
-        model = smp.ConcaveBowlEnergy()
+        model = bowl(1, -1)
         x0 = np.array([[1.0]])
         config = quad_config(n_steps=60, divergence_bound=10.0)
         out = smp.sgld_chain(model, {}, x0, config)
@@ -118,7 +118,7 @@ class TestSgldChain:
         assert out.report.magnitude > 10.0
 
     def test_diverged_chain_frozen_others_run(self):
-        model = smp.ConcaveBowlEnergy()
+        model = bowl(1, -1)
         x0 = np.array([[1.0], [1e-6]])
         config = quad_config(n_steps=10, divergence_bound=10.0)
         out = smp.sgld_chain(model, {}, x0, config)
@@ -126,7 +126,7 @@ class TestSgldChain:
         assert np.all(np.isfinite(out.samples))
 
     def test_noise_seed_determinism(self):
-        model = smp.QuadraticBowlEnergy()
+        model = bowl(2, 1)
         x0 = np.random.default_rng(0).uniform(-1, 1, size=(4, 2))
         config = smp.SgldConfig(n_steps=5, step_size=0.1, noise=True)
         a = smp.sgld_chain(model, {}, x0, config, rng=123)
@@ -197,7 +197,7 @@ class TestReplayedChain:
         assert not np.array_equal(energy_grads(spec, sets[0], x), energy_grads(spec, sets[1], x))
 
     def test_callable_energy_samples_through_a_kept_dict(self):
-        model, config = smp.QuadraticBowlEnergy(), quad_config(n_steps=4, noise=True)
+        model, config = bowl(2, 1), quad_config(n_steps=4, noise=True)
         x0 = np.random.default_rng(3).uniform(-1, 1, size=(6, 2))
         programs = {}
         for seed in (5, 6):
@@ -285,7 +285,7 @@ class TestChainAgainstPerRowLoop:
 
     MODELS = {"mlp": (nn.ModelSpec.mlp(2, [16, 16], 2), (2,)),
               "conv": (nn.ModelSpec.small_conv((2, 6, 6), [4], 3), (2, 6, 6)),
-              "concave_bowl": (smp.ConcaveBowlEnergy(), (3,))}
+              "concave_bowl": (bowl(3, -1), (3,))}
     N_STEPS = 8
     WHEN = {"first": 0, "middle": N_STEPS // 2, "last": N_STEPS - 1}
     VALUE = {"nan": np.nan, "inf": np.inf, "bound": 50.0}    # default bound: 10
@@ -294,7 +294,7 @@ class TestChainAgainstPerRowLoop:
     def start(self, model, rows, scale=1.0):
         # row i drawn from [-s, s] with s growing to ``scale``, so rows cross a bound in turn
         spec, shape = self.MODELS[model]
-        params = nn.init(spec, 0) if isinstance(spec, nn.ModelSpec) else {}
+        params = nn.init(spec, 0)
         scales = np.linspace(scale / 10, scale, rows).reshape((-1,) + (1,) * len(shape))
         x0 = np.random.default_rng(rows).uniform(-1.0, 1.0, size=(rows,) + shape) * scales
         return spec, params, x0
@@ -464,7 +464,7 @@ def noise_free_chain(model, x0, config):
 
 class TestDeterministicChain:
     def test_egm_trace_strictly_decreasing_on_bowl(self):
-        model = smp.QuadraticBowlEnergy()
+        model = bowl(2, 1)
         x0 = np.array([[1.0, 1.0]])
         out = noise_free_chain(model, x0, quad_config(n_steps=10, step_size=0.5))
         trace = out.egm_trace
@@ -472,7 +472,7 @@ class TestDeterministicChain:
         assert all(b < a for a, b in zip(trace, trace[1:]))
 
     def test_convergence_flag(self):
-        model = smp.QuadraticBowlEnergy()
+        model = bowl(2, 1)
         x0 = np.array([[1.0, 1.0]])
         out = noise_free_chain(model, x0, quad_config(n_steps=30))
         assert out.converged is True
@@ -480,12 +480,12 @@ class TestDeterministicChain:
         assert short.converged is False
 
     def test_noisy_chain_records_no_trace(self):
-        model = smp.QuadraticBowlEnergy()
+        model = bowl(1, 1)
         out = smp.sgld_chain(model, {}, np.array([[0.5]]), quad_config(noise=True))
         assert out.egm_trace is None and out.converged is None
 
     def test_trace_length_equals_steps(self):
-        model = smp.QuadraticBowlEnergy()
+        model = bowl(1, 1)
         x0 = np.array([[0.5]])
         out = noise_free_chain(model, x0, quad_config(n_steps=7))
         assert len(out.egm_trace) == 7
@@ -503,6 +503,11 @@ class TestConfigValidation:
     def test_bad_bounds(self):
         with pytest.raises(ValueError):
             smp.SgldConfig(init_lo=1.0, init_hi=-1.0)
+
+    @pytest.mark.parametrize("bound", [0.0, -1.0, float("nan")])
+    def test_bad_divergence_bound(self, bound):
+        with pytest.raises(ValueError, match="divergence_bound"):
+            smp.SgldConfig(divergence_bound=bound)
 
     def test_default_divergence_bound(self):
         assert smp.SgldConfig().bound == 10.0
