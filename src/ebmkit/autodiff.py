@@ -30,7 +30,6 @@ import weakref
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "ShapeError",
@@ -405,38 +404,51 @@ def gather(a, onehot) -> Tensor:
 # convolution: three recorded numpy kernels whose VJPs are written in the same
 # three kernels, so conv is differentiable to any order
 
-# Columns are unfolded one block of images at a time, so the GEMM reads them
-# back from cache; a whole-batch column buffer is bound by memory bandwidth.
+# Images are unfolded one block at a time, so the GEMMs read them back from
+# cache; a whole-batch unfold is bound by memory bandwidth.
 _BLOCK_BYTES = 1 << 20
 
 
-def _im2col_blocks(x: np.ndarray, k: int, pad: int):
-    """Patches of ``x`` padded by ``pad`` on each side (cropped when
-    ``pad`` < 0), as (images, columns) pairs over consecutive blocks of
-    images: columns is block x (C*k*k) x (Ho*Wo), output width innermost,
-    and at most _BLOCK_BYTES unless one image alone is larger."""
-    if pad > 0:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    elif pad < 0:
-        x = x[:, :, -pad:pad, -pad:pad]
-    # N C k k Ho Wo, a view: no patch is copied until its block is reshaped
-    windows = sliding_window_view(x, (k, k), axis=(2, 3)).transpose(0, 1, 4, 5, 2, 3)
-    n, c, _, _, ho, wo = windows.shape
-    step = max(1, _BLOCK_BYTES // (c * k * k * ho * wo * windows.itemsize))
+def _tap_blocks(x: np.ndarray, k: int, pad: int):
+    """The k horizontal taps of ``x`` padded by ``pad`` on each side (cropped
+    when ``pad`` < 0), as (images, taps) pairs over consecutive blocks of
+    images. taps is block x (C*k) x (Hp*Wp): row (c, dj) is padded channel c,
+    flattened and shifted left by dj, so kernel row di of every output reads
+    the column window [di*Wp, (di+Ho)*Wp), whose Wp - Wo last columns of each
+    output row wrap around. A block is at most _BLOCK_BYTES unless one image
+    alone is larger. Both buffers are reused, so the next block overwrites
+    these taps."""
+    if pad < 0:
+        x, pad = x[:, :, -pad:pad, -pad:pad], 0
+    n, c, h, w = x.shape
+    hp, wp = h + 2 * pad, w + 2 * pad
+    step = min(n, max(1, _BLOCK_BYTES // (c * k * hp * wp * 8)))
+    padded = np.zeros((step, c, hp + 1, wp))    # a zero row past the end for the shifts
+    flat = padded.reshape(step, c, -1)
+    taps = np.empty((step, c, k, hp * wp))
     for start in range(0, n, step):
         images = slice(start, min(start + step, n))
-        yield images, windows[images].reshape(-1, c * k * k, ho * wo)
+        b = images.stop - start
+        padded[:b, :, pad:pad + h, pad:pad + w] = x[images]
+        for dj in range(k):
+            taps[:b, :, dj] = flat[:b, :, dj:dj + hp * wp]
+        yield images, taps[:b].reshape(b, c * k, hp * wp)
 
 
 def _corr(x: np.ndarray, w: np.ndarray, pad: int) -> np.ndarray:
-    """Forward correlation: x N x C x H x W, w F x C x k x k."""
-    f, _, k, _ = w.shape
-    ho, wo = x.shape[2] + 2 * pad - k + 1, x.shape[3] + 2 * pad - k + 1
-    out = np.empty((x.shape[0], f, ho * wo))
-    w_rows = w.reshape(f, -1)
-    for images, cols in _im2col_blocks(x, k, pad):
-        np.matmul(w_rows, cols, out=out[images])
-    return out.reshape(x.shape[0], f, ho, wo)
+    """Forward correlation: x N x C x H x W, w F x C x k x k; one GEMM per
+    kernel row, on a column window of the taps."""
+    f, c, k, _ = w.shape
+    wp = x.shape[3] + 2 * pad
+    ho, wo = x.shape[2] + 2 * pad - k + 1, wp - k + 1
+    out = np.empty((x.shape[0], f, ho, wo))
+    w_rows = w.transpose(2, 0, 1, 3).reshape(k, f, c * k)
+    for images, taps in _tap_blocks(x, k, pad):
+        acc = np.matmul(w_rows[0], taps[:, :, :ho * wp])
+        for di in range(1, k):
+            acc += np.matmul(w_rows[di], taps[:, :, di * wp:(di + ho) * wp])
+        out[images] = acc.reshape(-1, f, ho, wp)[..., :wo]
+    return out
 
 
 def _corr_input_grad(g: np.ndarray, w: np.ndarray, pad: int) -> np.ndarray:
@@ -447,14 +459,22 @@ def _corr_input_grad(g: np.ndarray, w: np.ndarray, pad: int) -> np.ndarray:
 
 
 def _corr_weight_grad(x: np.ndarray, g: np.ndarray, pad: int) -> np.ndarray:
-    """Adjoint of ``_corr`` in w: patches of x against the output gradient g."""
+    """Adjoint of ``_corr`` in w: the taps' column windows against the output
+    gradient g, laid out at the padded width with zeros in its wrap columns."""
     n, f, ho, wo = g.shape
-    k = x.shape[2] + 2 * pad - ho + 1
-    g_rows = g.reshape(n, f, ho * wo)
-    per_image = np.empty((n, f, x.shape[1] * k * k))
-    for images, cols in _im2col_blocks(x, k, pad):
-        np.matmul(g_rows[images], cols.transpose(0, 2, 1), out=per_image[images])
-    return per_image.sum(axis=0).reshape(f, x.shape[1], k, k)
+    c, k = x.shape[1], x.shape[2] + 2 * pad - ho + 1
+    wp = wo + k - 1
+    per_image, g_wide = np.empty((n, k, f, c * k)), None
+    for images, taps in _tap_blocks(x, k, pad):
+        b = len(taps)
+        if g_wide is None:          # the first block is the largest; wrap columns stay 0
+            g_wide = np.zeros((b, f, ho, wp))
+        g_wide[:b, ..., :wo] = g[images]
+        g_rows = g_wide[:b].reshape(b, f, ho * wp)
+        for di in range(k):
+            np.matmul(g_rows, taps[:, :, di * wp:(di + ho) * wp].transpose(0, 2, 1),
+                      out=per_image[images, di])
+    return per_image.sum(axis=0).reshape(k, f, c, k).transpose(1, 2, 0, 3).copy()
 
 
 def _conv_op(kernel: Callable, a: Tensor, b: Tensor, pad: int,

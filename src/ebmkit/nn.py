@@ -191,7 +191,7 @@ class ModelSpec:
     def from_dict(d: dict) -> "ModelSpec":
         layers: list[_Layer] = []
         for entry in d["layers"]:
-            kind = next((k for k in (Dense, Relu, Flatten, Conv) if k.kind == entry["kind"]), None)
+            kind = next((k for k in _Layer.__subclasses__() if k.kind == entry["kind"]), None)
             if kind is None:
                 raise ValueError(f"unknown layer kind {entry['kind']!r}")
             # a key whose field has a default (a conv's padding) may be left out

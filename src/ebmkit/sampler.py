@@ -246,6 +246,7 @@ def sgld_chain(model, params, x0: np.ndarray, config: SgldConfig,
             # frozen chains keep their last finite state
             proposal = np.where(bad.reshape(rows), x, proposal)
         x = proposal
+        del grads, update       # so the next step's gradient pass runs without them
     result = ChainResult(samples=x, report=report)
     if not config.noise:
         result.egm_trace = trace

@@ -87,25 +87,32 @@ def naive_conv2d(x, w, b, padding):
     return out
 
 
-def whole_batch_im2col(x, k, pad):
-    """N x (C*k*k) x (Ho*Wo) patches of x padded by pad (cropped when
-    pad < 0), unfolded for the whole batch in one copy."""
+def whole_batch_taps(x, k, pad):
+    """N x (C*k) x (Hp*Wp) horizontal taps of x padded by pad (cropped when
+    pad < 0), for the whole batch in one copy: row (c, dj) is padded channel
+    c, flattened and shifted left by dj, with zeros shifted in at the end.
+    Also returns Ho and Wp; kernel row di reads columns [di*Wp, (di+Ho)*Wp)."""
     if pad > 0:
         x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     elif pad < 0:
         x = x[:, :, -pad:pad, -pad:pad]
-    windows = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
-    n, c, ho, wo = windows.shape[:4]
-    return windows.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * k * k, ho * wo), ho, wo
+    n, c, hp, wp = x.shape
+    flat = np.concatenate([x.reshape(n, c, hp * wp), np.zeros((n, c, k - 1))], axis=2)
+    taps = np.stack([flat[:, :, dj:dj + hp * wp] for dj in range(k)], axis=2)
+    return taps.reshape(n, c * k, hp * wp), hp - k + 1, wp
 
 
 def whole_batch_corr(x, w, pad):
-    """The conv kernels as one batched matmul over whole-batch columns: the
-    per-image GEMMs and the sum over images that a blocked kernel must
-    reproduce bit for bit."""
-    f, _, k, _ = w.shape
-    cols, ho, wo = whole_batch_im2col(x, k, pad)
-    return np.matmul(w.reshape(f, -1), cols).reshape(x.shape[0], f, ho, wo)
+    """The conv kernels as one batched matmul per kernel row over the whole
+    batch's taps, summed over kernel rows in order, then cropped to the output
+    width: the per-image GEMMs that a blocked kernel must reproduce bit for
+    bit."""
+    f, c, k, _ = w.shape
+    taps, ho, wp = whole_batch_taps(x, k, pad)
+    out = np.matmul(w[:, :, 0].reshape(f, c * k), taps[:, :, :ho * wp])
+    for di in range(1, k):
+        out += np.matmul(w[:, :, di].reshape(f, c * k), taps[:, :, di * wp:(di + ho) * wp])
+    return out.reshape(x.shape[0], f, ho, wp)[..., :wp - k + 1]
 
 
 def whole_batch_corr_input_grad(g, w, pad):
@@ -114,11 +121,17 @@ def whole_batch_corr_input_grad(g, w, pad):
 
 
 def whole_batch_corr_weight_grad(x, g, pad):
+    """Per-image products of each kernel row's taps with g at the padded width
+    (zeros in its wrap columns), summed over images once."""
     n, f, ho, wo = g.shape
     k = x.shape[2] + 2 * pad - ho + 1
-    cols, _, _ = whole_batch_im2col(x, k, pad)
-    dw = np.matmul(g.reshape(n, f, ho * wo), cols.transpose(0, 2, 1)).sum(axis=0)
-    return dw.reshape(f, x.shape[1], k, k)
+    taps, _, wp = whole_batch_taps(x, k, pad)
+    g_wide = np.zeros((n, f, ho, wp))
+    g_wide[..., :wo] = g
+    g_rows = g_wide.reshape(n, f, ho * wp)
+    per_image = np.stack([np.matmul(g_rows, taps[:, :, di * wp:(di + ho) * wp].transpose(0, 2, 1))
+                          for di in range(k)], axis=1)
+    return per_image.sum(axis=0).reshape(k, f, x.shape[1], k).transpose(1, 2, 0, 3)
 
 
 def naive_mlp_forward(x, weights, biases):

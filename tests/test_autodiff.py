@@ -462,18 +462,23 @@ _BLOCK_CASES = [((7, 2, 6, 5), (3, 2, 3, 3), pad) for pad in (0, 1, 4, -1)] + [
     ((7, 3, 5, 5), (2, 3, 1, 1), 2), ((7, 2, 5, 6), (2, 2, 2, 2), 0)]
 
 
-@pytest.mark.parametrize("per_block", [1, 3, 7])
+# a budget under one image's taps gives each image a block of its own
+@pytest.mark.parametrize("per_block", [0.5, 1, 3, 7])
 @pytest.mark.parametrize("x_shape,w_shape,pad", _BLOCK_CASES)
 def test_blocked_conv_kernels_match_whole_batch_bit_for_bit(monkeypatch, per_block,
                                                             x_shape, w_shape, pad):
     # 7 images in blocks of one, of 3 (the last one ragged) and all in one
     n, c, h, width = x_shape
     f, _, k, _ = w_shape
-    ho, wo = h + 2 * pad - k + 1, width + 2 * pad - k + 1
-    monkeypatch.setattr(ad, "_BLOCK_BYTES", per_block * c * k * k * ho * wo * 8)
-    rng = np.random.default_rng(10 * per_block + pad + 1)
+    hp, wp = h + 2 * pad, width + 2 * pad
+    ho, wo = hp - k + 1, wp - k + 1
+    monkeypatch.setattr(ad, "_BLOCK_BYTES", int(per_block * c * k * hp * wp * 8))
+    rng = np.random.default_rng(int(10 * per_block) + pad + 1)
     x, w, g = rng.normal(size=x_shape), rng.normal(size=w_shape), rng.normal(size=(n, f, ho, wo))
-    assert len(list(ad._im2col_blocks(x, k, pad))) == -(-n // per_block)
+    step = max(1, per_block)
+    # each image holds C*k rows of its padded image, not C*k*k
+    assert [taps.shape for _, taps in ad._tap_blocks(x, k, pad)] == [
+        (min(step, n - start), c * k, hp * wp) for start in range(0, n, step)]
     assert np.array_equal(ad._corr(x, w, pad), whole_batch_corr(x, w, pad))
     assert np.array_equal(ad._corr_input_grad(g, w, pad), whole_batch_corr_input_grad(g, w, pad))
     assert np.array_equal(ad._corr_weight_grad(x, g, pad),
@@ -490,7 +495,33 @@ def test_corr_peaks_below_half_the_whole_batch_column_buffer():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < columns / 2, peak
+    # the 4.2 MB output, a block's taps (at most the budget) and its padded
+    # images and output rows (less again): under a sixth of the columns
+    assert peak < x.nbytes + 2 * ad._BLOCK_BYTES < columns / 2, peak
+
+
+def test_a_conv_ngebm_step_neither_pads_nor_views_windows(monkeypatch):
+    spec = nn.ModelSpec.small_conv((2, 6, 6), [3, 3], 3)
+    params = nn.init(spec, seed=0)
+    onehot = losses._one_hot(np.array([0, 1, 2, 0]), 3)
+    xs = np.random.default_rng(0).normal(size=(2, 4, 2, 6, 6))
+
+    def loss(*leaves):
+        graph = losses.loss_graph(losses.LossConfig(mode=losses.Mode.NGEBM), spec,
+                                  dict(zip(params, leaves)), *leaves[len(params):])
+        return graph.total, graph.aux
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a conv kernel padded the whole batch or viewed its windows")
+    monkeypatch.setattr(np, "pad", refuse)
+    monkeypatch.setattr(np.lib.stride_tricks, "sliding_window_view", refuse)
+    programs: dict = {}
+    ad.record(loss, [*params.values(), xs[0], onehot], len(params), programs)    # records
+    replayed = ad.record(loss, [*params.values(), xs[1], onehot], len(params), programs)
+    recorded = ad.record(loss, [*params.values(), xs[1], onehot], len(params), {})
+    assert len(programs) == 1 and len(replayed) == 2 + len(params)
+    for got, want in zip(replayed, recorded):
+        assert np.array_equal(got, want)
 
 
 def grad_l2norm_of_grad(tape, energy, x):

@@ -239,6 +239,17 @@ class TestModelSpec:
         spec = nn.ModelSpec.small_conv((3, 8, 8), [4], 10)
         assert nn.ModelSpec.from_dict(spec.to_dict()) == spec
 
+    def test_every_layer_kind_survives_its_dict(self):
+        spec = nn.ModelSpec((nn.Bowl(3, -1.0),), (3,), 1)
+        assert spec.to_dict()["layers"] == [{"kind": "bowl", "dim": 3, "curvature": -1.0}]
+        assert nn.ModelSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
+
+    def test_an_unknown_layer_kind_is_rejected(self):
+        d = nn.ModelSpec.mlp(2, [3], 2).to_dict()
+        d["layers"][1] = {"kind": "tanh"}
+        with pytest.raises(ValueError, match="unknown layer kind 'tanh'"):
+            nn.ModelSpec.from_dict(d)
+
     # the model entry of a checkpoint (format v1), as its JSON text
     @pytest.mark.parametrize("spec, text", [
         (nn.ModelSpec.mlp(2, [32, 32], 2),
