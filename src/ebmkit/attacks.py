@@ -155,16 +155,14 @@ def _accuracy(model, params, x: np.ndarray, y: np.ndarray) -> float:
     return float((en._logits_in_blocks(model, params, x).argmax(axis=1) == y).mean())
 
 
-def attack_sweep(model, params, dataset, norm: Norm, epsilons: Sequence[float],
-                 config: Optional[AttackConfig] = None, seed: int = 0) -> AttackReport:
-    """Adversarial accuracy at each epsilon; a fixed seed per epsilon
-    keeps runs comparable across models."""
+def attack_sweep(model, params, dataset, epsilons: Sequence[float], config: AttackConfig,
+                 seed: int = 0) -> AttackReport:
+    """Adversarial accuracy on ``dataset`` at each epsilon, with ``config``'s
+    other settings; a fixed seed per epsilon keeps runs comparable across models."""
     eps_list = [float(e) for e in epsilons]
     if any(b < a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("attack_sweep: epsilons must be sorted ascending")
-    x = dataset.x if hasattr(dataset, "x") else np.asarray(dataset[0])
-    y = dataset.y if hasattr(dataset, "y") else np.asarray(dataset[1])
-    base = config or AttackConfig(norm=norm)
+    x, y, norm = dataset.x, dataset.y, config.norm
 
     clean = _accuracy(model, params, x, y)
     adv_accs = []
@@ -172,7 +170,7 @@ def attack_sweep(model, params, dataset, norm: Norm, epsilons: Sequence[float],
         if eps == 0.0:      # pgd returns x itself
             adv_accs.append(clean)
             continue
-        cfg = replace(base, norm=norm, epsilon=eps)
+        cfg = replace(config, epsilon=eps)
         x_adv = pgd(model, params, x, y, cfg, rng=np.random.default_rng([seed, i]))
         _verify_budget(x_adv - x, norm, eps)
         adv_accs.append(_accuracy(model, params, x_adv, y))

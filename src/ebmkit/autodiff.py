@@ -230,11 +230,9 @@ def linear(x, w, b) -> Tensor:
     return _register((x, w, b), lambda xv, wv, bv: np.add(xv @ wv, bv), vjp)
 
 
-def transpose(a, axes: Optional[Sequence[int]] = None) -> Tensor:
+def transpose(a) -> Tensor:
     a = _lift(a)
-    axes = tuple(reversed(range(a.ndim))) if axes is None else tuple(int(ax) for ax in axes)
-    return _register((a,), lambda v: v.transpose(axes).copy(),
-                     lambda g, i: transpose(g, np.argsort(axes)))
+    return _register((a,), lambda v: v.transpose().copy(), lambda g, i: transpose(g))
 
 
 def reshape(a, shape) -> Tensor:
@@ -289,29 +287,28 @@ def _reduce(ufunc, v: np.ndarray, axes: tuple, keepdims: bool = False) -> np.nda
     return out[..., None] if keepdims else out
 
 
-def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
+def sum_(a, axis=None) -> Tensor:
     a = _lift(a)
     axes = _norm_axes(axis, a.ndim)
     keep = _keep_shape(a.shape, axes)
-    return _register((a,), lambda v: _reduce(np.add, v, axes, keepdims),
+    return _register((a,), lambda v: _reduce(np.add, v, axes),
                      lambda g, i: broadcast(reshape(g, keep), a.shape))
 
 
-def mean(a, axis=None, keepdims: bool = False) -> Tensor:
+def mean(a) -> Tensor:
+    """The mean of every entry of ``a``."""
     a = _lift(a)
-    axes = _norm_axes(axis, a.ndim)
-    keep = _keep_shape(a.shape, axes)
-    count = float(np.prod([a.shape[i] for i in axes])) if axes else 1.0
-    return _register((a,), lambda v: _reduce(np.add, v, axes, keepdims) / count,
-                     lambda g, i: broadcast(reshape(mul(g, 1.0 / count), keep), a.shape))
+    axes, count = tuple(range(a.ndim)), float(a.size)
+    return _register((a,), lambda v: _reduce(np.add, v, axes) / count,
+                     lambda g, i: broadcast(reshape(mul(g, 1.0 / count), (1,) * a.ndim), a.shape))
 
 
-def logsumexp(a, axis=None, keepdims: bool = False) -> Tensor:
+def logsumexp(a, axis=None) -> Tensor:
     """log(sum(exp(a))) with max-subtraction for overflow safety."""
     a = _lift(a)
     axes = _norm_axes(axis, a.ndim)
     keep = _keep_shape(a.shape, axes)
-    kept = keep if keepdims else tuple(d for i, d in enumerate(a.shape) if i not in axes)
+    kept = tuple(d for i, d in enumerate(a.shape) if i not in axes)
 
     def fn(v):
         m = _reduce(np.maximum, v, axes, True)
@@ -320,8 +317,8 @@ def logsumexp(a, axis=None, keepdims: bool = False) -> Tensor:
 
     def vjp(g, i):
         # sub and mul broadcast the reduced axes back themselves
-        soft = exp(sub(a, out if keepdims else reshape(out, keep)))
-        return mul(g if keepdims else reshape(g, keep), soft)
+        soft = exp(sub(a, reshape(out, keep)))
+        return mul(reshape(g, keep), soft)
 
     out = _register((a,), fn, vjp)
     return out
@@ -353,7 +350,7 @@ def square(a) -> Tensor:
     return _register((a,), np.square, lambda g, i: mul(g, mul(a, 2.0)))
 
 
-def l2norm(a, axis=None, keepdims: bool = False) -> Tensor:
+def l2norm(a, axis=None) -> Tensor:
     """Euclidean norm over ``axis`` (all axes when None).
 
     At an exactly-zero vector the norm is non-differentiable; the
@@ -367,11 +364,9 @@ def l2norm(a, axis=None, keepdims: bool = False) -> Tensor:
     def vjp(g, i):
         live = _mask(g, out, np.not_equal)
         y_safe = _register((out,), lambda y: np.where(y != 0.0, y, 1.0), lambda gy, j: gy)
-        if not keepdims:
-            live, y_safe = reshape(live, keep), reshape(y_safe, keep)
-        return mul(div(live, y_safe), a)
+        return mul(div(reshape(live, keep), reshape(y_safe, keep)), a)
 
-    out = _register((a,), lambda v: np.sqrt(_reduce(np.add, np.square(v), axes, keepdims)), vjp)
+    out = _register((a,), lambda v: np.sqrt(_reduce(np.add, np.square(v), axes)), vjp)
     return out
 
 
@@ -591,12 +586,12 @@ _compile = functools.lru_cache(maxsize=64)(compile)
 class Program:
     """The numpy calls ``outputs`` need from ``leaves`` on ``tape``, rerun in order
     on new leaf values of the recorded shapes, bit-identical as every op is pure:
-    one generated straight-line function, a line ``vN = fK(vA, vB)`` per call,
-    that deletes each value after its last reader. Inputs off the tape are held
-    by value. A call returns the outputs' values, in order."""
+    ``replay`` is one generated straight-line function, a line ``vN = fK(vA, vB)``
+    per call, that deletes each value after its last reader. It takes a value for
+    every leaf the outputs read, as C-contiguous float64 arrays, and returns the
+    outputs' values, in order. Inputs off the tape are held by value."""
 
     def __init__(self, tape: Tape, leaves: Sequence[Tensor], outputs: Sequence[Tensor]):
-        self._shapes = [leaf.shape for leaf in leaves]
         names = {leaf.node: f"v{leaf.node}" for leaf in leaves}    # node id -> its variable
         lines = [f"def replay({', '.join(names.values())}):"]
         space: dict = {}        # the function's globals: each step's function, every constant
@@ -613,9 +608,6 @@ class Program:
         steps = []
         for nid in sorted(need - set(names)):
             node = tape.nodes[nid]
-            if node.fn is None:             # a leaf the caller does not pass
-                names[nid] = held("c", node.value)
-                continue
             args = [held("c", c) if p is None else names[p]
                     for p, c in zip(node.parents, node.consts or node.parents)]
             names[nid] = f"v{nid}"
@@ -629,13 +621,7 @@ class Program:
                 lines.append(f"    del {', '.join(dead)}")
         lines.append(f"    return [{', '.join(results)}]")
         exec(_compile("\n".join(lines), "<program>", "exec"), space)
-        self._replay = space.pop("replay")      # else space and function form a cycle
-
-    def __call__(self, *values) -> list:
-        values = [np.asarray(v, dtype=np.float64, order="C") for v in values]
-        if [v.shape for v in values] != self._shapes:
-            raise ShapeError(f"program: recorded {self._shapes}, given {[v.shape for v in values]}")
-        return self._replay(*values)
+        self.replay = space.pop("replay")       # else space and function form a cycle
 
 
 def record(loss: Callable[..., Tensor | tuple], values: Sequence, n_wrt: int,
@@ -650,7 +636,7 @@ def record(loss: Callable[..., Tensor | tuple], values: Sequence, n_wrt: int,
     key = tuple([v.shape for v in values])
     program = programs.get(key)
     if program is not None:
-        return program._replay(*values)
+        return program.replay(*values)
     tape = Tape()
     leaves = [tape.leaf(v) for v in values]
     out = loss(*leaves)

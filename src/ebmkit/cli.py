@@ -264,17 +264,18 @@ def check_data_files(config: dict, command: str) -> None:
                 f"{command} reads the {split} split: {name}.{split}_files is missing")
 
 
-def check_model_fits_data(config: dict, command: str, model: nn.ModelSpec,
-                          owner: str = "") -> None:
-    """Reject data the command reads that holds more classes than ``model``, or
-    inputs ``model`` does not take, before any data is generated or read.
-    ``owner`` prefixes the model's keys: "" for train's model section, or the
+def read_data(config: dict, command: str, model: nn.ModelSpec) -> list:
+    """The datasets of _READS for ``command``, in order. Data that holds more
+    classes than ``model``, or inputs ``model`` does not take, is a config error,
+    found before any data is generated or read but for a csv file's width, known
+    only once the file is read. The errors name train's model section or the
     checkpoint the other commands open. ood_data's labels are never read, so
     only its inputs are checked."""
+    owner = "" if command == "train" else "the checkpoint's "
     for name in dict.fromkeys(name for name, _ in _READS[command]):
         section = config[name]
         kind = _kind(section, "data")
-        if kind == "csv":   # a csv file's width is known only once it is read
+        if kind == "csv":
             source, classes, shape = f"{name}.classes", section["classes"], None
         elif kind == "gaussian_mixture":
             source, classes, shape = f"{name}.centers", len(section["centers"]), (2,)
@@ -288,6 +289,13 @@ def check_model_fits_data(config: dict, command: str, model: nn.ModelSpec,
         if shape and model.input_shape != shape:
             raise losses.ConfigError(f"{name}.kind {kind} needs {needs}, but {owner}"
                                      f"model.input_shape is {list(model.input_shape)}")
+    datasets = [build_dataset(config[name], (split,))[0] for name, split in _READS[command]]
+    for (name, _), ds in zip(_READS[command], datasets):
+        if ds.x.shape[1:] != model.input_shape:     # a csv: the other kinds passed above
+            raise losses.ConfigError(f"{name}.path {config[name]['path']} has {ds.x.shape[1]} "
+                                     f"input columns, but {owner}model.input_shape is "
+                                     f"{list(model.input_shape)}")
+    return datasets
 
 
 def build_sampler(section: dict) -> smp.SgldConfig:
@@ -449,9 +457,9 @@ def cmd_ood(args, config: dict, out: Path, ckpt, in_ds, out_ds) -> None:
 
 def cmd_attack(args, config: dict, out: Path, ckpt, test_ds) -> None:
     section = config.get("attack", {})
-    base = attacks.AttackConfig(**_fields("attack", section))
-    report = attacks.attack_sweep(ckpt.model, ckpt.params, test_ds, base.norm,
-                                  section.get("epsilons", [0.0, 0.1, 0.2]), config=base,
+    report = attacks.attack_sweep(ckpt.model, ckpt.params, test_ds,
+                                  section.get("epsilons", [0.0, 0.1, 0.2]),
+                                  attacks.AttackConfig(**_fields("attack", section)),
                                   seed=config.get("seed", 0))
     rows = [(report.norm.value, eps, report.clean_accuracy, acc, report.n_examples)
             for eps, acc in zip(report.epsilons, report.adversarial_accuracy)]
@@ -563,16 +571,12 @@ def main(argv=None) -> int:
         if args.command == "train":
             # built before any data is read, so a bad model or train section exits first
             ckpt = build_train_config(config)
-            check_model_fits_data(config, args.command, ckpt.model)
-        elif ckpt_path:
-            ckpt = trainer.checkpoint_load(ckpt_path)
-            check_model_fits_data(config, args.command, ckpt.model, "the checkpoint's ")
         else:
-            ckpt = None
-        reads = _READS[args.command]
-        datasets = [build_dataset(config[name], (split,))[0] for name, split in reads]
+            ckpt = trainer.checkpoint_load(ckpt_path) if ckpt_path else None
+        # only sample runs without a model, and it reads no data
+        datasets = read_data(config, args.command, ckpt and ckpt.model)
         written = _COMMANDS[args.command](args, config, out, ckpt, *datasets)
-        last_read = {name: ds for (name, _), ds in zip(reads, datasets)}
+        last_read = {name: ds for (name, _), ds in zip(_READS[args.command], datasets)}
         write_manifest(out, args.command, config, written or ckpt_path,
                        last_read.get("data"), last_read.get("ood_data"))
         return 0

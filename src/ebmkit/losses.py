@@ -66,9 +66,9 @@ class LossGraph:
     tape: ad.Tape
 
 
-def cross_entropy(logits: ad.Tensor, labels) -> ad.Tensor:
-    """Mean negative log-probability of the true labels."""
-    return ad.mean(_nll_rows(logits, labels))
+def cross_entropy(logits: ad.Tensor, onehot) -> ad.Tensor:
+    """Mean negative log-probability of the true labels, given as one-hot rows."""
+    return ad.mean(_nll_rows(logits, onehot))
 
 
 def _one_hot(labels, k: int) -> np.ndarray:
@@ -80,13 +80,10 @@ def _one_hot(labels, k: int) -> np.ndarray:
     return out
 
 
-def _nll_rows(logits: ad.Tensor, labels) -> ad.Tensor:
-    """Per-row negative log-probability of the true labels: ints, checked
-    against the class count, or their one-hot rows as a Tensor (a tape leaf
-    in a loss that is replayed on new labels)."""
-    if not isinstance(labels, ad.Tensor):
-        labels = ad.Tensor(_one_hot(labels, logits.shape[-1]))
-    return ad.sub(ad.logsumexp(logits, axis=1), ad.gather(logits, labels))
+def _nll_rows(logits: ad.Tensor, onehot) -> ad.Tensor:
+    """Per-row negative log-probability of the true labels, given as one-hot
+    rows (a tape leaf in a loss that is replayed on new labels)."""
+    return ad.sub(ad.logsumexp(logits, axis=1), ad.gather(logits, onehot))
 
 
 def _penalty_from_logits(logits: ad.Tensor, x_leaf: ad.Tensor) -> ad.Tensor:

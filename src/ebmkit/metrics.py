@@ -125,17 +125,16 @@ def histogram(values, n_bins: int, value_range: Optional[tuple] = None) -> Histo
 
 def score_dataset(model, params, dataset, kind: en.ScoreKind,
                   programs: Optional[dict] = None) -> np.ndarray:
-    """Chosen OOD score for every example, in dataset order. Logits and
+    """Chosen OOD score for every example of the ``Dataset``, in order. Logits and
     input gradients are computed one row block (``ModelSpec.block_rows``)
     at a time, so peak memory follows a block, not the set; the input
     gradients replay ``programs`` as ``energy.approximate_mass_score`` does,
     so calls that share the dict record each block shape once."""
     if not isinstance(kind, en.ScoreKind):
         raise ValueError(f"score_dataset: invalid score kind {kind!r}")
-    x = dataset.x if hasattr(dataset, "x") else np.asarray(dataset, dtype=np.float64)
     if kind is en.ScoreKind.APPROXIMATE_MASS:
-        return en.approximate_mass_score(model, params, x, programs)
-    logits = en._logits_in_blocks(model, params, x)
+        return en.approximate_mass_score(model, params, dataset.x, programs)
+    logits = en._logits_in_blocks(model, params, dataset.x)
     if kind is en.ScoreKind.LOG_DENSITY_PROXY:
         return en.log_px_proxy(logits).value
     return en.max_softmax_score(logits)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import contextlib
 import copy
-import functools
 import json
 import zipfile
 from dataclasses import dataclass, field
@@ -83,20 +82,11 @@ class EpochRecord:
 class Checkpoint:
     model: nn.ModelSpec
     params: nn.Parameters
-    adam: nn.AdamState
+    adam: Optional[nn.AdamState]            # None when loaded: only a resumed train reads it
     epoch: int                              # completed epochs
     sampler_rng_state: Optional[dict] = None
     buffer_rng_state: Optional[dict] = None
     buffer_samples: Optional[np.ndarray] = None
-
-    def __getattr__(self, name):
-        # checkpoint_load leaves adam unset, with the function that reads its
-        # moments from the file: only a resumed train reads them
-        if name != "adam" or "_load_adam" not in self.__dict__:
-            raise AttributeError(name)
-        self.adam = self._load_adam()
-        del self._load_adam
-        return self.adam
 
 
 @dataclass
@@ -119,21 +109,22 @@ def _accuracy(model, params, dataset) -> float:
 
 def train(config: TrainConfig, dataset_train: datamod.Dataset,
           dataset_eval: datamod.Dataset,
-          resume: Optional[Checkpoint] = None) -> tuple[Checkpoint, list[EpochRecord]]:
+          resume=None) -> tuple[Checkpoint, list[EpochRecord]]:
     """Run the configured number of epochs and return the final state.
 
-    ``resume`` continues a previous run: training from a checkpoint
-    written at epoch k up to epoch n reproduces an uninterrupted run to
-    n bit-exactly in the deterministic modes.
+    ``resume``, a checkpoint's path, continues a previous run: training from
+    a checkpoint written at epoch k up to epoch n >= k reproduces an
+    uninterrupted run to n bit-exactly in the deterministic modes.
     """
     # checked here, not in TrainConfig: the CLI fills checkpoint_dir once --out is known
     if config.checkpoint_interval and not config.checkpoint_dir:
         raise losses.ConfigError("checkpoint_interval set without checkpoint_dir")
     mode = config.loss.mode
-    if resume is not None:
-        params = resume.params.copy()
-        adam = copy.deepcopy(resume.adam)
-        start_epoch = resume.epoch
+    start = None if resume is None else checkpoint_load(resume)
+    if start is not None:
+        if start.epoch > config.epochs:
+            raise losses.ConfigError(f"{resume}: epoch {start.epoch} > epochs {config.epochs}")
+        params, adam, start_epoch = start.params, _load_adam(resume), start.epoch
     else:
         params = nn.init(config.model, config.seed)
         adam = nn.AdamState.for_params(params, lr=config.schedule.base_rate)
@@ -144,14 +135,14 @@ def train(config: TrainConfig, dataset_train: datamod.Dataset,
     if mode is losses.Mode.JEM:
         buffer = smp.ReplayBuffer(rng=np.random.default_rng([config.seed, 3]),
                                   sanity_bound=config.loss.sampler.bound)
-    if resume is not None:
-        if resume.sampler_rng_state is not None:
-            sampler_rng.bit_generator.state = resume.sampler_rng_state
-        if buffer is not None and resume.buffer_rng_state is not None:
-            buffer.rng.bit_generator.state = resume.buffer_rng_state
-        if buffer is not None and resume.buffer_samples is not None:
-            smp.buffer_push(buffer, resume.buffer_samples,
-                            np.full(resume.buffer_samples.shape[0], -1))
+    if start is not None:
+        if start.sampler_rng_state is not None:
+            sampler_rng.bit_generator.state = start.sampler_rng_state
+        if buffer is not None and start.buffer_rng_state is not None:
+            buffer.rng.bit_generator.state = start.buffer_rng_state
+        if buffer is not None and start.buffer_samples is not None:
+            smp.buffer_push(buffer, start.buffer_samples,
+                            np.full(start.buffer_samples.shape[0], -1))
 
     log = []
     programs: dict = {}     # the recorded step of each input shape
@@ -282,29 +273,28 @@ def _archive(path):
 
 
 def checkpoint_load(path) -> Checkpoint:
-    """The checkpoint at ``path``, but for Adam's moments, which are read from
-    the file when ``adam`` is first read (only a resumed train reads it)."""
+    """The checkpoint at ``path``, but for Adam's state: ``adam`` is None, and
+    ``train(resume=path)`` reads the moments with ``_load_adam``."""
     with _archive(path) as archive:
         meta = json.loads(bytes(archive["__meta__"]).decode())
         if meta.get("format_version") != CHECKPOINT_FORMAT_VERSION:
             raise CheckpointError(
                 f"{path}: format version {meta.get('format_version')} "
                 f"!= expected {CHECKPOINT_FORMAT_VERSION}")
-        checkpoint = Checkpoint(
+        return Checkpoint(
             model=nn.ModelSpec.from_dict(meta["model"]),
             params=nn.Parameters({name: archive[f"param::{name}"] for name in meta["param_names"]}),
             adam=None, epoch=meta["epoch"],
             sampler_rng_state=meta["sampler_rng_state"],
             buffer_rng_state=meta["buffer_rng_state"],
             buffer_samples=archive["buffer::samples"] if meta["has_buffer"] else None)
-        scalars = {key: meta["adam"][key] for key in ("t", "lr", "beta1", "beta2", "eps")}
-    del checkpoint.adam
-    checkpoint._load_adam = functools.partial(_load_adam, path, meta["param_names"], scalars)
-    return checkpoint
 
 
-def _load_adam(path, names, scalars: dict) -> nn.AdamState:
+def _load_adam(path) -> nn.AdamState:
     with _archive(path) as archive:
-        return nn.AdamState(**{key: {name: archive[f"adam_{key}::{name}"] for name in names}
-                               for key in ("m", "v")}, **scalars)
+        meta = json.loads(bytes(archive["__meta__"]).decode())
+        moments = {key: {name: archive[f"adam_{key}::{name}"] for name in meta["param_names"]}
+                   for key in ("m", "v")}
+        scalars = {key: meta["adam"][key] for key in ("t", "lr", "beta1", "beta2", "eps")}
+        return nn.AdamState(**moments, **scalars)     # a member that is no array fails here
 

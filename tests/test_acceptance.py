@@ -332,11 +332,9 @@ def test_criterion_12_adversarial_direction(noisy_bank):
         ng_ckpt, _, _, _ = noisy_bank.runs[seed]["ngebm"]
         clean_test = datamod.gen_gaussian_mixture_2d(1000, CENTERS, 0.35,
                                                      seed=seed + 1000, split="test")
-        ce_acc = attacks.attack_sweep(ce_ckpt.model, ce_ckpt.params, clean_test,
-                                      attacks.Norm.L2, [eps], config=cfg,
+        ce_acc = attacks.attack_sweep(ce_ckpt.model, ce_ckpt.params, clean_test, [eps], cfg,
                                       seed=seed).adversarial_accuracy[0]
-        ng_acc = attacks.attack_sweep(ng_ckpt.model, ng_ckpt.params, clean_test,
-                                      attacks.Norm.L2, [eps], config=cfg,
+        ng_acc = attacks.attack_sweep(ng_ckpt.model, ng_ckpt.params, clean_test, [eps], cfg,
                                       seed=seed).adversarial_accuracy[0]
         pairs.append((ce_acc, ng_acc))
         wins += ng_acc >= ce_acc
@@ -364,8 +362,7 @@ def test_criterion_13_determinism(tmp_path):
     half, _ = trainer.train(ce_config(3), train, test)
     path = tmp_path / "half.npz"
     trainer.checkpoint_save(half, path)
-    resumed, _ = trainer.train(ce_config(6), train, test,
-                               resume=trainer.checkpoint_load(path))
+    resumed, _ = trainer.train(ce_config(6), train, test, resume=path)
     resume_equivalent = resumed.params == a.params
     ok = twice_identical and resume_equivalent
     report(13, ok, f"same-seed reruns bit-identical: {twice_identical}; "

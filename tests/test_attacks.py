@@ -5,6 +5,7 @@ import pytest
 
 from ebmkit import attacks
 from ebmkit import autodiff as ad
+from ebmkit import data as datamod
 from ebmkit import energy as en
 from ebmkit import losses, nn
 from ebmkit.attacks import AttackConfig, Norm
@@ -125,7 +126,7 @@ class TestPgd:
         params = nn.init(spec, 1)
         tape = ad.Tape()
         x_leaf = tape.leaf(x)
-        loss = losses.cross_entropy(nn.forward(spec, params, x_leaf), y)
+        loss = losses.cross_entropy(nn.forward(spec, params, x_leaf), losses._one_hot(y, 3))
         whole = ad.backward(tape, loss, [x_leaf])[x_leaf].value
         assert np.array_equal(set_gradient(spec, params, x, y), whole)
         monkeypatch.setattr(nn, "_ROW_BLOCK_BYTES", 12 * 16 * 8)
@@ -244,7 +245,8 @@ class TestAttackSweep:
         rng = np.random.default_rng(3)
         x = rng.uniform(-1, 1, size=(30, 2))
         y = (x[:, 0] > x[:, 1]).astype(np.int64)
-        report = attacks.attack_sweep(spec, params, (x, y), Norm.LINF, [0.0])
+        report = attacks.attack_sweep(spec, params, datamod.Dataset(x, y, classes=2), [0.0],
+                                      AttackConfig(norm=Norm.LINF))
         assert report.adversarial_accuracy[0] == report.clean_accuracy
 
     def test_epsilon_zero_takes_no_pass_of_its_own(self, monkeypatch):
@@ -260,8 +262,8 @@ class TestAttackSweep:
             return real(model, params, x)
         monkeypatch.setattr(en, "_logits_in_blocks", counted)
         config = AttackConfig(n_steps=3)
-        report = attacks.attack_sweep(spec, params, (x, y), Norm.LINF, [0.0, 0.2],
-                                      config=config, seed=4)
+        report = attacks.attack_sweep(spec, params, datamod.Dataset(x, y, classes=2), [0.0, 0.2],
+                                      config, seed=4)
         assert len(passes) == 2 and passes[0] is x
         x_adv = attacks.pgd(spec, params, x, y, AttackConfig(epsilon=0.2, n_steps=3),
                             rng=np.random.default_rng([4, 1]))
@@ -275,8 +277,8 @@ class TestAttackSweep:
         params = nn.init(spec, 1234)
         x = rng.uniform(-1, 1, size=(400, 2))
         y = rng.integers(0, 2, size=400)
-        report = attacks.attack_sweep(spec, params, (x, y), Norm.L2, [0.1],
-                                      config=AttackConfig(norm=Norm.L2, n_steps=5))
+        report = attacks.attack_sweep(spec, params, datamod.Dataset(x, y, classes=2), [0.1],
+                                      AttackConfig(norm=Norm.L2, n_steps=5))
         # labels are independent of the model: accuracy ~ Binomial(400, 1/2)
         assert abs(report.adversarial_accuracy[0] - 0.5) < 0.1
 
@@ -285,13 +287,13 @@ class TestAttackSweep:
         rng = np.random.default_rng(5)
         x = rng.uniform(-1, 1, size=(100, 2))
         y = (x[:, 0] > x[:, 1]).astype(np.int64)
-        report = attacks.attack_sweep(spec, params, (x, y), Norm.L2,
-                                      [0.0, 0.1, 0.3, 0.6], seed=7)
+        report = attacks.attack_sweep(spec, params, datamod.Dataset(x, y, classes=2),
+                                      [0.0, 0.1, 0.3, 0.6], AttackConfig(norm=Norm.L2), seed=7)
         accs = report.adversarial_accuracy
         assert all(b <= a + 0.01 for a, b in zip(accs, accs[1:]))
 
     def test_unsorted_epsilons_rejected(self):
         spec, params = two_class_linear()
+        zeros = datamod.Dataset(np.zeros((2, 2)), np.zeros(2), classes=2)
         with pytest.raises(ValueError):
-            attacks.attack_sweep(spec, params, (np.zeros((2, 2)), np.zeros(2, dtype=int)),
-                                 Norm.L2, [0.3, 0.1])
+            attacks.attack_sweep(spec, params, zeros, [0.3, 0.1], AttackConfig(norm=Norm.L2))

@@ -600,6 +600,41 @@ class TestCheckpointFitsData:
                          "--checkpoint", str(out / "checkpoint_final.npz")]) == 0
 
 
+class TestCsvWidth:
+    """A csv file whose inputs the model does not take is a config error (exit
+    1), found once the file is read and before the command computes: the
+    error names the file's key, its width and the model's input shape."""
+
+    @staticmethod
+    def wide_csv(tmp_path):
+        rng = np.random.default_rng(0)
+        path = tmp_path / "wide.csv"
+        dataset_to_csv(data.Dataset(rng.uniform(-1, 1, size=(8, 3)), rng.integers(0, 2, size=8),
+                                    classes=2), path)
+        return path
+
+    def test_train_exits_one_and_writes_no_checkpoint(self, tmp_path, capsys):
+        config = toy_config(tmp_path / "out", epochs=1)
+        config["data"] = {"kind": "csv", "path": str(self.wide_csv(tmp_path)), "classes": 2}
+        assert cli.main(["train", "--config", str(write_config(tmp_path, config))]) == 1
+        err = capsys.readouterr().err
+        assert "data.path" in err and "has 3 input columns" in err, err
+        assert "model.input_shape is [2]" in err, err
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_ood_exits_one_and_writes_no_table(self, trained, tmp_path, capsys):
+        out, config_path = trained
+        config = json.loads(config_path.read_text())
+        config["ood_data"] = {"kind": "csv", "path": str(self.wide_csv(tmp_path)), "classes": 2}
+        assert cli.main(["ood", "--config", str(write_config(tmp_path, config)),
+                         "--out", str(tmp_path / "out"),
+                         "--checkpoint", str(out / "checkpoint_final.npz")]) == 1
+        err = capsys.readouterr().err
+        assert "ood_data.path" in err and "has 3 input columns" in err, err
+        assert "the checkpoint's model.input_shape is [2]" in err, err
+        assert list((tmp_path / "out").iterdir()) == []
+
+
 class TestFlagValidation:
     """--epsilons and --n replace the config keys they name and are checked
     by the same rules, before any data is read or a checkpoint opened."""

@@ -41,13 +41,13 @@ def generative_term(spec, params, xt, xg):
 class TestCrossEntropy:
     def test_uniform_two_classes(self):
         logits = ad.Tensor(np.zeros((4, 2)))
-        ce = float(losses.cross_entropy(logits, [0, 1, 0, 1]).value)
+        ce = float(losses.cross_entropy(logits, losses._one_hot([0, 1, 0, 1], 2)).value)
         assert ce == pytest.approx(math.log(2.0))
 
     def test_analytic_two_logit_gap(self):
         a, b = 1.3, -0.4
         want = -math.log(math.exp(a) / (math.exp(a) + math.exp(b)))
-        got = float(losses.cross_entropy(ad.Tensor([[a, b]]), [0]).value)
+        got = float(losses.cross_entropy(ad.Tensor([[a, b]]), losses._one_hot([0], 2)).value)
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_batch_permutation_invariant(self):
@@ -55,13 +55,14 @@ class TestCrossEntropy:
         logits = rng.normal(size=(6, 3))
         labels = np.array([0, 2, 1, 1, 0, 2])
         perm = rng.permutation(6)
-        a = float(losses.cross_entropy(ad.Tensor(logits), labels).value)
-        b = float(losses.cross_entropy(ad.Tensor(logits[perm]), labels[perm]).value)
+        onehot = losses._one_hot(labels, 3)
+        a = float(losses.cross_entropy(ad.Tensor(logits), onehot).value)
+        b = float(losses.cross_entropy(ad.Tensor(logits[perm]), onehot[perm]).value)
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_label_out_of_range(self):
         with pytest.raises(ValueError, match="label"):
-            losses.cross_entropy(ad.Tensor(np.zeros((2, 3))), [0, 3])
+            losses.cross_entropy(ad.Tensor(np.zeros((2, 3))), losses._one_hot([0, 3], 3))
 
 
 class TestEbmLoss:
@@ -217,13 +218,15 @@ class TestCombinedLoss:
     def test_beta_zero_reduces_to_cross_entropy(self):
         cfg = losses.LossConfig(mode=losses.Mode.NGEBM, beta=0.0, gamma=1.0)
         graph, _ = bound_loss_graph(cfg, self.spec, self.params, self.x, self.y)
-        ce = float(losses.cross_entropy(nn.forward(self.spec, self.params, self.x), self.y).value)
+        ce = float(losses.cross_entropy(nn.forward(self.spec, self.params, self.x),
+                                        losses._one_hot(self.y, 2)).value)
         assert float(graph.total.value) == pytest.approx(ce, abs=1e-12)
 
     def test_equal_weights_arithmetic(self):
         cfg = losses.LossConfig(mode=losses.Mode.NGEBM, beta=0.5, gamma=0.5)
         graph, _ = bound_loss_graph(cfg, self.spec, self.params, self.x, self.y)
-        ce = float(losses.cross_entropy(nn.forward(self.spec, self.params, self.x), self.y).value)
+        ce = float(losses.cross_entropy(nn.forward(self.spec, self.params, self.x),
+                                        losses._one_hot(self.y, 2)).value)
         pen = penalty(self.spec, self.params, self.x)
         assert float(graph.total.value) == pytest.approx(0.5 * ce + 0.5 * pen, abs=1e-12)
         assert float(graph.ce.value) == pytest.approx(ce, abs=1e-12)
@@ -238,7 +241,8 @@ class TestCombinedLoss:
     def test_jem_with_generated_equal_to_train_is_ce(self):
         cfg = losses.LossConfig(mode=losses.Mode.JEM, sampler=smp.SgldConfig())
         graph, _ = bound_loss_graph(cfg, self.spec, self.params, self.x, self.y, x_gen=self.x)
-        ce = float(losses.cross_entropy(nn.forward(self.spec, self.params, self.x), self.y).value)
+        ce = float(losses.cross_entropy(nn.forward(self.spec, self.params, self.x),
+                                        losses._one_hot(self.y, 2)).value)
         assert float(graph.total.value) == pytest.approx(ce, abs=1e-12)
 
     def test_jem_without_generated_batch_errors(self):

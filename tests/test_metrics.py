@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from ebmkit import data as datamod
 from ebmkit import energy as en
 from ebmkit import metrics
 from ebmkit import nn
@@ -184,10 +185,15 @@ class FixedLogitModel:
                             (x.shape[0], self.row.size))
 
 
+def unlabelled(x):
+    """Inputs ``x`` as a Dataset, all of class 0: score_dataset reads no label."""
+    return datamod.Dataset(x, np.zeros(len(x)), classes=1)
+
+
 class TestScoreDataset:
     def test_max_softmax_on_uniform_model(self):
         model = FixedLogitModel(np.zeros(4))
-        scores = metrics.score_dataset(model, {}, np.zeros((10, 3)),
+        scores = metrics.score_dataset(model, {}, unlabelled(np.zeros((10, 3))),
                                        en.ScoreKind.MAX_SOFTMAX)
         assert np.allclose(scores, 0.25, atol=1e-12)
 
@@ -196,12 +202,12 @@ class TestScoreDataset:
         params = nn.Parameters({"layer0.w": np.array([[3.0], [4.0]]),
                                 "layer0.b": np.zeros(1)})
         scores = metrics.score_dataset(spec, params,
-                                       np.random.default_rng(0).normal(size=(7, 2)),
+                                       unlabelled(np.random.default_rng(0).uniform(-1, 1, (7, 2))),
                                        en.ScoreKind.APPROXIMATE_MASS)
         assert np.allclose(scores, -5.0, atol=1e-12)
 
     def test_batch_size_independence(self, monkeypatch):
-        x = np.random.default_rng(9).normal(size=(23, 2))
+        x = unlabelled(np.random.default_rng(9).uniform(-1, 1, size=(23, 2)))
 
         def scores(rows):
             # the widest activation is the 5-unit hidden layer: 40 bytes a row
@@ -220,7 +226,7 @@ class TestScoreDataset:
         rng = np.random.default_rng(1)
 
         def peak(n):
-            x = rng.uniform(-1, 1, size=(n, 1, 8, 8))
+            x = unlabelled(rng.uniform(-1, 1, size=(n, 1, 8, 8)))
             return traced_peak_bytes(metrics.score_dataset, spec, params, x,
                                      en.ScoreKind.APPROXIMATE_MASS)
         assert peak(4 * spec.block_rows) < 1.5 * peak(spec.block_rows)
@@ -235,11 +241,11 @@ class TestScoreDataset:
         rng = np.random.default_rng(2)
 
         def peak(n):
-            x = rng.normal(size=(n, 256))
+            x = unlabelled(rng.uniform(-1, 1, size=(n, 256)))
             return traced_peak_bytes(metrics.score_dataset, spec, params, x,
                                      en.ScoreKind.APPROXIMATE_MASS)
         assert peak(16 * spec.block_rows) < 1.5 * peak(spec.block_rows)
 
     def test_invalid_kind(self):
         with pytest.raises(ValueError):
-            metrics.score_dataset(None, {}, np.zeros((1, 2)), "not-a-kind")
+            metrics.score_dataset(None, {}, unlabelled(np.zeros((1, 2))), "not-a-kind")

@@ -59,9 +59,23 @@ class TestTrain:
         half, _ = trainer.train(ce_config(epochs=3, seed=5), train_ds, test_ds)
         path = tmp_path / "half.npz"
         trainer.checkpoint_save(half, path)
-        resumed, _ = trainer.train(ce_config(epochs=6, seed=5), train_ds, test_ds,
-                                   resume=trainer.checkpoint_load(path))
+        resumed, _ = trainer.train(ce_config(epochs=6, seed=5), train_ds, test_ds, resume=path)
         assert resumed.params == full.params
+
+    def test_resume_past_the_configured_epochs_is_refused(self, tmp_path, monkeypatch):
+        train_ds, test_ds = blob_task(n=20)
+        ckpt, _ = trainer.train(ce_config(epochs=3), train_ds, test_ds)
+        path = tmp_path / "epoch3.npz"
+        trainer.checkpoint_save(ckpt, path)
+        steps = []
+        monkeypatch.setattr(trainer, "_batch_step", lambda *args: steps.append(args))
+        with pytest.raises(losses.ConfigError, match="epoch 3 > epochs 2"):
+            trainer.train(ce_config(epochs=2), train_ds, test_ds, resume=path)
+        assert steps == []
+        # resumed at its last epoch, a run takes no step and returns the checkpoint
+        again, log = trainer.train(ce_config(epochs=3), train_ds, test_ds, resume=path)
+        assert steps == [] and log == []
+        assert again.epoch == 3 and again.params == ckpt.params
 
     def test_jem_resume_equivalence(self, tmp_path):
         train_ds, test_ds = blob_task(n=20)
@@ -77,8 +91,7 @@ class TestTrain:
         half, _ = trainer.train(jem_config(2), train_ds, test_ds)
         path = tmp_path / "half.npz"
         trainer.checkpoint_save(half, path)
-        resumed, _ = trainer.train(jem_config(4), train_ds, test_ds,
-                                   resume=trainer.checkpoint_load(path))
+        resumed, _ = trainer.train(jem_config(4), train_ds, test_ds, resume=path)
         assert resumed.params == full.params
         for moments in ("m", "v"):
             want = getattr(full.adam, moments)
@@ -369,9 +382,13 @@ class TestEvaluate:
 
 class TestCheckpointIO:
     def roundtrip(self, tmp_path, ckpt):
+        """The checkpoint read back, with its Adam state as a resumed train reads it."""
         path = tmp_path / "ckpt.npz"
         trainer.checkpoint_save(ckpt, path)
-        return trainer.checkpoint_load(path)
+        back = trainer.checkpoint_load(path)
+        assert back.adam is None        # the load reads no moment
+        back.adam = trainer._load_adam(path)
+        return back
 
     def test_views_stay_on_the_flat_vectors(self, tmp_path):
         # after a copy, a load or a deepcopy, each name's array is still a view
@@ -416,8 +433,8 @@ class TestCheckpointIO:
         assert np.array_equal(back.buffer_samples, ckpt.buffer_samples)
 
     @pytest.mark.parametrize("damage", ["missing", "garbage"])
-    def test_bad_moment_member_raises_when_adam_is_read(self, tmp_path, damage):
-        # the load reads no moment; the first read of adam does, and a resume with it
+    def test_bad_moment_member_raises_when_adam_is_read(self, tmp_path, damage, monkeypatch):
+        # the load reads no moment; a resume does, before its first epoch
         train_ds, test_ds = blob_task(n=20)
         ckpt, _ = trainer.train(ce_config(epochs=1), train_ds, test_ds)
         path, damaged = tmp_path / "ckpt.npz", tmp_path / "damaged.npz"
@@ -429,13 +446,14 @@ class TestCheckpointIO:
                     dst.writestr(name, src.read(name))
                 elif damage == "garbage":
                     dst.writestr(name, b"garbage")
+        steps = []
+        monkeypatch.setattr(trainer, "_batch_step", lambda *args: steps.append(args))
         for _ in range(2):      # a failed read leaves nothing half-loaded behind
             back = trainer.checkpoint_load(damaged)
-            assert back.params == ckpt.params
+            assert back.params == ckpt.params and back.adam is None
             with pytest.raises(trainer.CheckpointError, match="corrupt"):
-                back.adam
-            with pytest.raises(trainer.CheckpointError, match="corrupt"):
-                trainer.train(ce_config(epochs=2), train_ds, test_ds, resume=back)
+                trainer.train(ce_config(epochs=2), train_ds, test_ds, resume=damaged)
+        assert steps == []
 
     def test_truncated_file_rejected(self, tmp_path):
         train_ds, test_ds = blob_task(n=20)
