@@ -272,7 +272,9 @@ def read_data(config: dict, command: str, model: nn.ModelSpec) -> list:
     checkpoint the other commands open. ood_data's labels are never read, so
     only its inputs are checked."""
     owner = "" if command == "train" else "the checkpoint's "
-    for name in dict.fromkeys(name for name, _ in _READS[command]):
+    reads = _READS[command]
+    sections = dict.fromkeys(name for name, _ in reads)
+    for name in sections:
         section = config[name]
         kind = _kind(section, "data")
         if kind == "csv":
@@ -289,8 +291,11 @@ def read_data(config: dict, command: str, model: nn.ModelSpec) -> list:
         if shape and model.input_shape != shape:
             raise losses.ConfigError(f"{name}.kind {kind} needs {needs}, but {owner}"
                                      f"model.input_shape is {list(model.input_shape)}")
-    datasets = [build_dataset(config[name], (split,))[0] for name, split in _READS[command]]
-    for (name, _), ds in zip(_READS[command], datasets):
+    # one build per section, so a csv file is parsed once for all its splits
+    built = {name: iter(build_dataset(config[name], tuple(s for n, s in reads if n == name)))
+             for name in sections}
+    datasets = [next(built[name]) for name, _ in reads]
+    for (name, _), ds in zip(reads, datasets):
         if ds.x.shape[1:] != model.input_shape:     # a csv: the other kinds passed above
             raise losses.ConfigError(f"{name}.path {config[name]['path']} has {ds.x.shape[1]} "
                                      f"input columns, but {owner}model.input_shape is "
@@ -306,7 +311,8 @@ def build_sampler(section: dict) -> smp.SgldConfig:
 
 
 def build_train_config(config: dict) -> trainer.TrainConfig:
-    """The TrainConfig of a checked config; a value its dataclasses reject is a config error."""
+    """The TrainConfig of a checked config. The table admitted each value, so
+    the one rule left to check is LossConfig's beta + gamma = 1, which spans two keys."""
     if _kind(config["model"], "model") in _BOWLS:
         raise losses.ConfigError("this command requires a trainable model (mlp or conv)")
     model = build_model(config["model"])
@@ -319,8 +325,8 @@ def build_train_config(config: dict) -> trainer.TrainConfig:
             model=model, loss=losses.LossConfig(**loss),
             schedule=nn.LrSchedule(**_fields("train", section, "schedule")),
             **_fields("", config), **_fields("train", section))
-    except ValueError as exc:
-        raise losses.ConfigError(f"train: {exc}") from None
+    except losses.ConfigError as exc:
+        raise losses.ConfigError(f"train.beta, train.gamma: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

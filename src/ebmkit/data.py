@@ -56,10 +56,6 @@ def gen_gaussian_mixture_2d(n_per_class: int, centers: Sequence, std: float,
     """Labeled 2-d Gaussian blobs, squeezed into [-1, 1] only when they
     overflow it (centers inside the square stay put as std -> 0)."""
     centers = [tuple(map(float, c)) for c in centers]
-    if len(set(centers)) != len(centers):
-        raise ValueError("centers must be distinct")
-    if std < 0:
-        raise ValueError("std must be >= 0")
     rng = np.random.default_rng(seed)
     xs, ys = [], []
     for label, center in enumerate(centers):
@@ -84,8 +80,6 @@ def read_cifar_binary(path, variant: str = "cifar10", split: str = "train") -> D
     label is kept. Pre-converted SVHN-style files with the same layout
     read identically.
     """
-    if variant not in ("cifar10", "cifar100"):
-        raise ValueError(f"unknown variant {variant!r}")
     record = CIFAR10_RECORD if variant == "cifar10" else CIFAR100_RECORD
     classes = 10 if variant == "cifar10" else 100
     raw = np.fromfile(str(path), dtype=np.uint8)
@@ -119,8 +113,6 @@ def batches(dataset: Dataset, batch_size: int, seed: int,
     the same seed reproduces the same order, and every epoch visits each
     example exactly once (the final batch may be short).
     """
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
     order = np.random.default_rng([seed, epoch]).permutation(len(dataset))
     for start in range(0, len(dataset), batch_size):
         pick = order[start:start + batch_size]
@@ -129,8 +121,6 @@ def batches(dataset: Dataset, batch_size: int, seed: int,
 
 def with_label_noise(dataset: Dataset, fraction: float, seed: int) -> Dataset:
     """Flip a fraction of labels to a different class, uniformly."""
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError("fraction must be in [0, 1]")
     rng = np.random.default_rng(seed)
     y = dataset.y.copy()
     n_flip = int(round(fraction * len(dataset)))

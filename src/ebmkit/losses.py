@@ -48,12 +48,8 @@ class LossConfig:
     sampler: Optional[smp.SgldConfig] = None
 
     def __post_init__(self):
-        if self.beta < 0 or self.gamma < 0:
-            raise ConfigError("beta and gamma must be non-negative")
         if abs(self.beta + self.gamma - 1.0) > 1e-12:
             raise ConfigError(f"beta + gamma must equal 1, got {self.beta + self.gamma}")
-        if self.mode is Mode.JEM and self.sampler is None:
-            raise ConfigError("JEM mode requires a sampler config")
 
 
 @dataclass
@@ -73,8 +69,9 @@ def cross_entropy(logits: ad.Tensor, onehot) -> ad.Tensor:
 
 def _one_hot(labels, k: int) -> np.ndarray:
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)
-    if labels.size and (labels.min() < 0 or labels.max() >= k):
-        raise ValueError(f"cross_entropy: label out of range [0, {k})")
+    outside = labels[(labels < 0) | (labels >= k)]
+    if outside.size:
+        raise ValueError(f"label out of range [0, {k}): {outside[0]}")
     out = np.zeros((labels.size, k))
     out[np.arange(labels.size), labels] = 1.0
     return out
@@ -114,8 +111,6 @@ def loss_graph(config: LossConfig, model, params: dict, x: ad.Tensor, onehot: ad
     the other modes ignore it. The penalty alone is NGEBM mode with beta=1,
     gamma=0; the generative term alone is ``graph.aux`` in JEM mode.
     """
-    if config.mode is Mode.JEM and x_gen is None:
-        raise ConfigError("JEM mode needs a generated batch x_gen")
     logits = model(params, x)
     ce = cross_entropy(logits, onehot)
     total, aux = ce, ad.Tensor(0.0)

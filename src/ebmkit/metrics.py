@@ -65,8 +65,6 @@ def ece(confidences, correct, n_bins: int = DEFAULT_ECE_BINS) -> EceReport:
         raise ValueError("ece: confidences and correctness lengths differ")
     if conf.min() < 0.0 or conf.max() > 1.0:
         raise ValueError("ece: confidences must lie in [0, 1]")
-    if n_bins < 1:
-        raise ValueError("ece: n_bins must be >= 1")
 
     # right-inclusive upper edges: bin i covers (i/n, (i+1)/n], bin 0 includes 0
     idx = np.ceil(conf * n_bins).astype(np.int64) - 1
@@ -117,8 +115,6 @@ def histogram(values, n_bins: int, value_range: Optional[tuple] = None) -> Histo
     vals = np.asarray(values, dtype=np.float64).reshape(-1)
     if vals.size == 0:
         raise ValueError("histogram: empty input")
-    if n_bins < 1:
-        raise ValueError("histogram: n_bins must be >= 1")
     density, edges = np.histogram(vals, bins=n_bins, range=value_range, density=True)
     return Histogram(edges=edges, density=density)
 
@@ -130,8 +126,6 @@ def score_dataset(model, params, dataset, kind: en.ScoreKind,
     at a time, so peak memory follows a block, not the set; the input
     gradients replay ``programs`` as ``energy.approximate_mass_score`` does,
     so calls that share the dict record each block shape once."""
-    if not isinstance(kind, en.ScoreKind):
-        raise ValueError(f"score_dataset: invalid score kind {kind!r}")
     if kind is en.ScoreKind.APPROXIMATE_MASS:
         return en.approximate_mass_score(model, params, dataset.x, programs)
     logits = en._logits_in_blocks(model, params, dataset.x)

@@ -334,10 +334,6 @@ class LrSchedule:
 
     def __post_init__(self):
         object.__setattr__(self, "milestones", tuple(int(m) for m in self.milestones))
-        if any(b <= a for a, b in zip(self.milestones, self.milestones[1:])):
-            raise ValueError("milestones must be strictly increasing")
-        if not (0.0 < self.factor <= 1.0):
-            raise ValueError("decay factor must be in (0, 1]")
 
 
 def lr_at(schedule: LrSchedule, epoch: int) -> float:

@@ -50,16 +50,6 @@ class SgldConfig:
     divergence_bound: Optional[float] = None
     convergence_eta: float = 1e-3
 
-    def __post_init__(self):
-        if self.n_steps < 0:
-            raise ValueError("n_steps must be >= 0")
-        if self.step_size <= 0:
-            raise ValueError("step_size must be > 0")
-        if not self.init_lo < self.init_hi:
-            raise ValueError("init bounds must satisfy lo < hi")
-        if self.divergence_bound is not None and not self.divergence_bound > 0:
-            raise ValueError("divergence_bound must be > 0")    # NaN included
-
     @property
     def bound(self) -> float:
         if self.divergence_bound is not None:
@@ -76,7 +66,6 @@ class DivergenceReport:
 
     diverged: bool = False
     step: Optional[int] = None
-    magnitude: Optional[float] = None
     reason: Optional[str] = None          # "non-finite" | "bound-exceeded"
     diverged_mask: Optional[np.ndarray] = None  # per-chain flags
 
@@ -104,10 +93,6 @@ class ReplayBuffer:
     def __init__(self, capacity: int = 10000, reinit_prob: float = 0.05,
                  rng: Union[np.random.Generator, int, None] = None,
                  sanity_bound: Optional[float] = None):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        if not 0.0 <= reinit_prob <= 1.0:
-            raise ValueError("reinit_prob must be in [0, 1]")
         self.capacity = capacity
         self.reinit_prob = reinit_prob
         self.sanity_bound = sanity_bound
@@ -137,8 +122,6 @@ def buffer_draw(buffer: ReplayBuffer, batch_size: int,
     yields all-fresh samples. The draws are, in order: every fresh sample,
     then per row a uniform draw and, if it picks the cache, a slot.
     """
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
     lo, hi = init_bounds
     x0 = buffer.rng.uniform(lo, hi, size=(batch_size,) + tuple(shape))
     indices = np.full(batch_size, -1, dtype=np.int64)
@@ -186,14 +169,13 @@ def buffer_push(buffer: ReplayBuffer, samples: np.ndarray,
     return buffer
 
 
-def _check_rows(x: np.ndarray, bound: float) -> tuple[np.ndarray, np.ndarray, Optional[str]]:
+def _check_rows(x: np.ndarray, bound: float) -> tuple[np.ndarray, Optional[str]]:
     # one pass: a row's max |x| is NaN or inf exactly when the row is not finite
     magnitude = ad._reduce(np.maximum, np.abs(x.reshape(x.shape[0], -1)), (1,))
     finite = np.isfinite(magnitude)
-    magnitude[~finite] = np.inf
     bad = ~finite | (magnitude > bound)
     reason = "non-finite" if not finite.all() else "bound-exceeded" if bad.any() else None
-    return bad, magnitude, reason
+    return bad, reason
 
 
 def sgld_chain(model, params, x0: np.ndarray, config: SgldConfig,
@@ -234,14 +216,11 @@ def sgld_chain(model, params, x0: np.ndarray, config: SgldConfig,
             proposal = np.where(report.diverged_mask.reshape(rows), x, proposal)
         if not np.abs(proposal).max() <= limit:
             # some row is bad; a frozen row holds its state, so re-freezing it changes nothing
-            bad, magnitude, reason = _check_rows(proposal, config.bound)
+            bad, reason = _check_rows(proposal, config.bound)
             if not report.diverged:
                 report.diverged = True
                 report.step = i
                 report.reason = reason
-                worst = magnitude[bad]
-                report.magnitude = float(worst[np.isfinite(worst)].max()) \
-                    if np.isfinite(worst).any() else float("inf")
             report.diverged_mask |= bad
             # frozen chains keep their last finite state
             proposal = np.where(bad.reshape(rows), x, proposal)

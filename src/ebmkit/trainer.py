@@ -59,11 +59,6 @@ class TrainConfig:
     checkpoint_dir: Optional[str] = None
     divergence_policy: str = DIVERGENCE_POLICIES[0]
 
-    def __post_init__(self):
-        if self.divergence_policy not in DIVERGENCE_POLICIES:
-            raise losses.ConfigError(
-                f"unknown divergence policy {self.divergence_policy!r}")
-
 
 @dataclass
 class EpochRecord:
@@ -116,9 +111,6 @@ def train(config: TrainConfig, dataset_train: datamod.Dataset,
     a checkpoint written at epoch k up to epoch n >= k reproduces an
     uninterrupted run to n bit-exactly in the deterministic modes.
     """
-    # checked here, not in TrainConfig: the CLI fills checkpoint_dir once --out is known
-    if config.checkpoint_interval and not config.checkpoint_dir:
-        raise losses.ConfigError("checkpoint_interval set without checkpoint_dir")
     mode = config.loss.mode
     start = None if resume is None else checkpoint_load(resume)
     if start is not None:

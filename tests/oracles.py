@@ -347,14 +347,13 @@ def list_buffer_push(buffer: ListReplayBuffer, samples: np.ndarray,
     return buffer
 
 
-def per_row_check_rows(x: np.ndarray, bound: float) -> tuple[np.ndarray, np.ndarray, Optional[str]]:
+def per_row_check_rows(x: np.ndarray, bound: float) -> tuple[np.ndarray, Optional[str]]:
     # one pass: a row's max |x| is NaN or inf exactly when the row is not finite
     magnitude = np.abs(x.reshape(x.shape[0], -1)).max(axis=1)
     finite = np.isfinite(magnitude)
-    magnitude[~finite] = np.inf
     bad = ~finite | (magnitude > bound)
     reason = "non-finite" if not finite.all() else "bound-exceeded" if bad.any() else None
-    return bad, magnitude, reason
+    return bad, reason
 
 
 def per_row_sgld_chain(model, params, x0: np.ndarray, config: smp.SgldConfig,
@@ -387,16 +386,13 @@ def per_row_sgld_chain(model, params, x0: np.ndarray, config: smp.SgldConfig,
         if config.noise:
             update = update + rng.normal(0.0, np.sqrt(step), size=x.shape)
         proposal = np.where(alive.reshape((-1,) + (1,) * (x.ndim - 1)), x + update, x)
-        bad, magnitude, reason = per_row_check_rows(proposal, config.bound)
+        bad, reason = per_row_check_rows(proposal, config.bound)
         newly_bad = bad & alive
         if newly_bad.any():
             if not report.diverged:
                 report.diverged = True
                 report.step = i
                 report.reason = reason
-                worst = magnitude[newly_bad]
-                report.magnitude = float(worst[np.isfinite(worst)].max()) \
-                    if np.isfinite(worst).any() else float("inf")
             report.diverged_mask |= newly_bad
             alive &= ~newly_bad
             # frozen chains keep their last finite state

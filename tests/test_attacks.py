@@ -58,6 +58,12 @@ class TestPgd:
         out = attacks.pgd(spec, params, x, np.array([0]), cfg)
         assert np.array_equal(out, x)
 
+    def test_a_label_out_of_range_is_named(self):
+        spec, params = two_class_linear()
+        cfg = AttackConfig(norm=Norm.LINF, epsilon=0.1, n_steps=1)
+        with pytest.raises(ValueError, match=r"label out of range \[0, 2\): 5"):
+            attacks.pgd(spec, params, np.zeros((2, 2)), np.array([0, 5]), cfg)
+
     def test_single_step_linf_hand_computation(self):
         # one sign-step of size min(step, eps) from a linear model
         spec, params = two_class_linear()
@@ -291,9 +297,3 @@ class TestAttackSweep:
                                       [0.0, 0.1, 0.3, 0.6], AttackConfig(norm=Norm.L2), seed=7)
         accs = report.adversarial_accuracy
         assert all(b <= a + 0.01 for a, b in zip(accs, accs[1:]))
-
-    def test_unsorted_epsilons_rejected(self):
-        spec, params = two_class_linear()
-        zeros = datamod.Dataset(np.zeros((2, 2)), np.zeros(2), classes=2)
-        with pytest.raises(ValueError):
-            attacks.attack_sweep(spec, params, zeros, [0.3, 0.1], AttackConfig(norm=Norm.L2))

@@ -452,7 +452,15 @@ class TestConfigTable:
         # finite, but center + z * std would overflow
         bad("data.std", 1e308), bad("data.std", 2 ** -4 * sys.float_info.max),
         bad("data.centers", [[-0.5, 0.0], [1e308, 0.0]]),
-        bad("attack.epsilons", [0.0], command="attack", flags=("--epsilons", "0", "inf"))])
+        bad("attack.epsilons", [0.0], command="attack", flags=("--epsilons", "0", "inf")),
+        # the rules the dataclasses and functions under the table do not check again
+        bad("data.centers", [[0.5, 0.0], [0.5, 0.0]]), bad("data.std", -0.1),
+        bad("data.label_noise", 1.5), bad("data.kind", "svhn"), bad("train.beta", -0.5),
+        bad("train.divergence_policy", "explode"), bad("train.sampler.n_steps", -1),
+        bad("train.sampler.step_size", 0), bad("train.sampler.init", [1.0, -1.0]),
+        bad("attack.n_steps", 0, command="attack"),
+        # beta + gamma = 1 spans two keys, so LossConfig checks it below the table
+        bad("train.beta", 0.3, names="train.beta, train.gamma")])
     def test_exits_one_naming_the_key_before_reading(self, trained, tmp_path, monkeypatch,
                                                      capsys, command, key, value, flags, names):
         out, config_path = trained
@@ -928,6 +936,22 @@ class TestSplitsRead:
                                                str(root / "run" / "checkpoint_final.npz")]
         assert cli.main([command, "--config", str(path), "--out", str(tmp_path), *flags]) == 0
         assert calls == [(str(files[name]), split) for name, split in reads]
+
+    def test_train_parses_a_csv_file_once_for_both_splits(self, tmp_path, monkeypatch):
+        path = tmp_path / "points.csv"
+        dataset_to_csv(data.gen_gaussian_mixture_2d(
+            20, [(-0.5, 0.0), (0.5, 0.0)], 0.15, seed=3), path)
+        config = toy_config(tmp_path / "run", epochs=1)
+        config["data"] = {"kind": "csv", "path": str(path), "classes": 2}
+        calls = []
+        real = data.dataset_from_csv
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(data, "dataset_from_csv", counting)
+        assert cli.main(["train", "--config", str(write_config(tmp_path, config))]) == 0
+        assert calls == [(str(path),)]
 
     @pytest.mark.parametrize("section,key,value,message", [
         ("train", "mode", "bogus", "bogus"),

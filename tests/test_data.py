@@ -41,10 +41,6 @@ class TestGaussianMixture:
         ds = data.gen_gaussian_mixture_2d(500, [(-0.9, 0.9), (0.9, -0.9)], 0.5, seed=2)
         assert ds.x.min() >= -1.0 and ds.x.max() <= 1.0
 
-    def test_duplicate_centers_rejected(self):
-        with pytest.raises(ValueError):
-            data.gen_gaussian_mixture_2d(5, [(0, 0), (0, 0)], 0.1, seed=0)
-
 
 class TestCifarReader:
     def test_all_zero_record(self, tmp_path):

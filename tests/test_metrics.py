@@ -245,7 +245,3 @@ class TestScoreDataset:
             return traced_peak_bytes(metrics.score_dataset, spec, params, x,
                                      en.ScoreKind.APPROXIMATE_MASS)
         assert peak(16 * spec.block_rows) < 1.5 * peak(spec.block_rows)
-
-    def test_invalid_kind(self):
-        with pytest.raises(ValueError):
-            metrics.score_dataset(None, {}, unlabelled(np.zeros((1, 2))), "not-a-kind")

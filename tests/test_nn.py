@@ -218,12 +218,6 @@ class TestSchedule:
         rates = [nn.lr_at(sched, e) for e in range(15)]
         assert all(b <= a for a, b in zip(rates, rates[1:]))
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            nn.LrSchedule(1e-3, (7, 3), 0.1)
-        with pytest.raises(ValueError):
-            nn.LrSchedule(1e-3, (3,), 0.0)
-
 
 class TestModelSpec:
     def test_shape_inference_rejects_bad_stack(self):
