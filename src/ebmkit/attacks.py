@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -79,7 +79,7 @@ def _random_start(rng: np.random.Generator, shape: tuple, norm: Norm,
 
 
 def pgd(model, params, x: np.ndarray, y: np.ndarray, config: AttackConfig,
-        rng: Union[np.random.Generator, int] = 0) -> np.ndarray:
+        rng: np.random.Generator) -> np.ndarray:
     """Adversarial inputs within the epsilon ball around x.
 
     The returned batch satisfies the budget exactly for L-inf and up to
@@ -89,7 +89,6 @@ def pgd(model, params, x: np.ndarray, y: np.ndarray, config: AttackConfig,
     y = np.asarray(y, dtype=np.int64)
     if config.epsilon == 0.0:
         return x.copy()
-    rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
 
     delta = np.zeros_like(x)
     if config.random_start:

@@ -405,16 +405,13 @@ _BLOCK_BYTES = 1 << 20
 
 
 def _tap_blocks(x: np.ndarray, k: int, pad: int):
-    """The k horizontal taps of ``x`` padded by ``pad`` on each side (cropped
-    when ``pad`` < 0), as (images, taps) pairs over consecutive blocks of
-    images. taps is block x (C*k) x (Hp*Wp): row (c, dj) is padded channel c,
-    flattened and shifted left by dj, so kernel row di of every output reads
-    the column window [di*Wp, (di+Ho)*Wp), whose Wp - Wo last columns of each
-    output row wrap around. A block is at most _BLOCK_BYTES unless one image
-    alone is larger. Both buffers are reused, so the next block overwrites
-    these taps."""
-    if pad < 0:
-        x, pad = x[:, :, -pad:pad, -pad:pad], 0
+    """The k horizontal taps of ``x`` padded by ``pad`` on each side, as
+    (images, taps) pairs over consecutive blocks of images. taps is block x
+    (C*k) x (Hp*Wp): row (c, dj) is padded channel c, flattened and shifted
+    left by dj, so kernel row di of every output reads the column window
+    [di*Wp, (di+Ho)*Wp), whose Wp - Wo last columns of each output row wrap
+    around. A block is at most _BLOCK_BYTES unless one image alone is larger.
+    Both buffers are reused, so the next block overwrites these taps."""
     n, c, h, w = x.shape
     hp, wp = h + 2 * pad, w + 2 * pad
     step = min(n, max(1, _BLOCK_BYTES // (c * k * hp * wp * 8)))
@@ -431,34 +428,33 @@ def _tap_blocks(x: np.ndarray, k: int, pad: int):
 
 
 def _corr(x: np.ndarray, w: np.ndarray, pad: int) -> np.ndarray:
-    """Forward correlation: x N x C x H x W, w F x C x k x k; one GEMM per
-    kernel row, on a column window of the taps."""
+    """Forward correlation: x N x C x H x W, w F x C x k x k with k = 2*pad + 1,
+    out N x F x H x W; one GEMM per kernel row, on a column window of the taps."""
     f, c, k, _ = w.shape
-    wp = x.shape[3] + 2 * pad
-    ho, wo = x.shape[2] + 2 * pad - k + 1, wp - k + 1
-    out = np.empty((x.shape[0], f, ho, wo))
+    n, _, h, wo = x.shape
+    wp = wo + 2 * pad
+    out = np.empty((n, f, h, wo))
     w_rows = w.transpose(2, 0, 1, 3).reshape(k, f, c * k)
     for images, taps in _tap_blocks(x, k, pad):
-        acc = np.matmul(w_rows[0], taps[:, :, :ho * wp])
+        acc = np.matmul(w_rows[0], taps[:, :, :h * wp])
         for di in range(1, k):
-            acc += np.matmul(w_rows[di], taps[:, :, di * wp:(di + ho) * wp])
-        out[images] = acc.reshape(-1, f, ho, wp)[..., :wo]
+            acc += np.matmul(w_rows[di], taps[:, :, di * wp:(di + h) * wp])
+        out[images] = acc.reshape(-1, f, h, wp)[..., :wo]
     return out
 
 
 def _corr_input_grad(g: np.ndarray, w: np.ndarray, pad: int) -> np.ndarray:
-    """Adjoint of ``_corr`` in x: the full correlation of g with the flipped,
-    channel-swapped kernel, cropped by ``pad`` on each side."""
-    k = w.shape[2]
-    return _corr(g, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), k - 1 - pad)
+    """Adjoint of ``_corr`` in x: the correlation of g with the flipped,
+    channel-swapped kernel, at the same pad (k - 1 - pad is pad for k = 2*pad + 1)."""
+    return _corr(g, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), pad)
 
 
 def _corr_weight_grad(x: np.ndarray, g: np.ndarray, pad: int) -> np.ndarray:
     """Adjoint of ``_corr`` in w: the taps' column windows against the output
     gradient g, laid out at the padded width with zeros in its wrap columns."""
     n, f, ho, wo = g.shape
-    c, k = x.shape[1], x.shape[2] + 2 * pad - ho + 1
-    wp = wo + k - 1
+    c, k = x.shape[1], 2 * pad + 1
+    wp = wo + 2 * pad
     per_image, g_wide = np.empty((n, k, f, c * k)), None
     for images, taps in _tap_blocks(x, k, pad):
         b = len(taps)
@@ -499,17 +495,19 @@ def _conv_op(kernel: Callable, a: Tensor, b: Tensor, pad: int,
     return _register((a, b) if bias is None else (a, b, bias), fn, vjp)
 
 
-def conv2d(x, w, b=None, padding: int = 0) -> Tensor:
-    """2-d convolution, stride 1, as one node. x: B x C x H x W,
-    w: F x C x k x k, b: F."""
+def conv2d(x, w, b=None) -> Tensor:
+    """2-d same-size convolution, stride 1, zero-padded by k // 2, as one node.
+    x: B x C x H x W, w: F x C x k x k with k odd, b: F; out: B x F x H x W."""
     x, w = _lift(x), _lift(w)
-    if x.ndim != 4 or w.ndim != 4 or x.shape[1] != w.shape[1] or w.shape[2] != w.shape[3]:
-        raise ShapeError(f"conv2d: incompatible shapes {x.shape} and {w.shape}")
+    if (x.ndim != 4 or w.ndim != 4 or x.shape[1] != w.shape[1] or w.shape[2] != w.shape[3]
+            or w.shape[2] % 2 == 0):
+        raise ShapeError(f"conv2d: incompatible shapes {x.shape} and {w.shape} "
+                         f"(the kernel must be square and odd)")
     if b is not None:
         b = _lift(b)
         if b.shape != w.shape[:1]:
             raise ShapeError(f"conv2d: bias of shape {b.shape} for {w.shape[0]} filters")
-    return _conv_op(_corr, x, w, int(padding), b)
+    return _conv_op(_corr, x, w, w.shape[2] // 2, b)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ mutation, evaluation reads frozen snapshots.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import MISSING, astuple, dataclass, field, fields, replace
-from typing import Iterable, Optional
+from dataclasses import astuple, dataclass, field, replace
+from typing import Iterable
 
 import numpy as np
 
@@ -79,25 +79,19 @@ class Flatten(_Layer):
 
 @dataclass(frozen=True)
 class Conv(_Layer):
+    """A same-size conv: an odd kernel, zero-padded by kernel // 2."""
+
     in_channels: int
     out_channels: int
     kernel: int
-    padding: Optional[int] = None  # None -> kernel // 2 ("same" for stride 1)
-    kind, keys = "conv", ("in", "out", "kernel", "padding")
-
-    @property
-    def pad(self) -> int:
-        return self.kernel // 2 if self.padding is None else self.padding
+    kind, keys = "conv", ("in", "out", "kernel")
 
     def out_shape(self, shape: tuple) -> tuple:
         if len(shape) != 3 or shape[0] != self.in_channels:
             raise ValueError(f"{self} expects {self.in_channels} channels, got {shape}")
-        _, h, w = shape
-        hp = h + 2 * self.pad - self.kernel + 1
-        wp = w + 2 * self.pad - self.kernel + 1
-        if hp <= 0 or wp <= 0:
-            raise ValueError(f"{self}: kernel {self.kernel} too large for {shape}")
-        return (self.out_channels, hp, wp)
+        if self.kernel % 2 == 0:
+            raise ValueError(f"{self}: the kernel must be odd")
+        return (self.out_channels,) + shape[1:]
 
     @property
     def parameters(self) -> tuple:
@@ -106,7 +100,7 @@ class Conv(_Layer):
                 self.in_channels * k ** 2)
 
     def op(self, h: ad.Tensor, params: Mapping, prefix: str) -> ad.Tensor:
-        return ad.conv2d(h, params[prefix + "w"], params[prefix + "b"], padding=self.pad)
+        return ad.conv2d(h, params[prefix + "w"], params[prefix + "b"])
 
 
 @dataclass(frozen=True)
@@ -194,9 +188,9 @@ class ModelSpec:
             kind = next((k for k in _Layer.__subclasses__() if k.kind == entry["kind"]), None)
             if kind is None:
                 raise ValueError(f"unknown layer kind {entry['kind']!r}")
-            # a key whose field has a default (a conv's padding) may be left out
-            layers.append(kind(*[entry[key] if f.default is MISSING else entry.get(key, f.default)
-                                 for key, f in zip(kind.keys, fields(kind))]))
+            if entry.get("padding") is not None:   # older files wrote a conv's "padding": null
+                raise ValueError(f"padding {entry['padding']!r}: a conv pads by kernel // 2")
+            layers.append(kind(*[entry[key] for key in kind.keys]))
         return ModelSpec(tuple(layers), tuple(d["input_shape"]), d["classes"])
 
 

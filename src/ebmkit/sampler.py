@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -90,13 +90,12 @@ class ReplayBuffer:
     stays 0.
     """
 
-    def __init__(self, capacity: int = 10000, reinit_prob: float = 0.05,
-                 rng: Union[np.random.Generator, int, None] = None,
-                 sanity_bound: Optional[float] = None):
+    def __init__(self, rng: np.random.Generator, capacity: int = 10000,
+                 reinit_prob: float = 0.05, sanity_bound: Optional[float] = None):
+        self.rng = rng
         self.capacity = capacity
         self.reinit_prob = reinit_prob
         self.sanity_bound = sanity_bound
-        self.rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
         self._ring = np.empty(0)
         self._start = 0
         self._len = 0
@@ -179,8 +178,7 @@ def _check_rows(x: np.ndarray, bound: float) -> tuple[np.ndarray, Optional[str]]
 
 
 def sgld_chain(model, params, x0: np.ndarray, config: SgldConfig,
-               rng: Union[np.random.Generator, int] = 0,
-               programs: Optional[dict] = None) -> ChainResult:
+               rng: np.random.Generator, programs: Optional[dict] = None) -> ChainResult:
     """Run a batch of chains for config.n_steps updates.
 
     Model parameters are read-only throughout. Chains that produce a
@@ -194,7 +192,6 @@ def sgld_chain(model, params, x0: np.ndarray, config: SgldConfig,
     binds its gradient function once, so a step reaches its block's
     program with one dict lookup.
     """
-    rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     x = np.array(x0, dtype=np.float64, copy=True)
     report = DivergenceReport(diverged_mask=np.zeros(x.shape[0], dtype=bool))
     trace: list[float] = []

@@ -217,18 +217,18 @@ def test_criterion_05_auroc_oracle():
 def test_criterion_06_sgld_analytic():
     model = bowl(2, 1)
     x0 = np.array([[0.8, -0.6], [0.25, 0.5]])
-    one = smp.sgld_chain(model, {}, x0, smp.SgldConfig(n_steps=1, step_size=1.0,
-                                                       noise=False))
+    one = smp.sgld_chain(model, {}, x0, smp.SgldConfig(n_steps=1, step_size=1.0, noise=False),
+                         rng=np.random.default_rng(0))
     contraction_exact = np.array_equal(one.samples, x0 / 2.0)
-    twenty = smp.sgld_chain(model, {}, x0, smp.SgldConfig(n_steps=20, step_size=1.0,
-                                                          noise=False))
+    twenty = smp.sgld_chain(model, {}, x0, smp.SgldConfig(n_steps=20, step_size=1.0, noise=False),
+                            rng=np.random.default_rng(0))
     geometric_exact = np.array_equal(twenty.samples, x0 * 0.5 ** 20)
 
     concave = bowl(1, -1)
     start = np.array([[1.0]])
     out = smp.sgld_chain(concave, {}, start,
                          smp.SgldConfig(n_steps=60, step_size=1.0, noise=False,
-                                        divergence_bound=10.0))
+                                        divergence_bound=10.0), rng=np.random.default_rng(0))
     # |x| after k updates is 1.5^k; first k over the bound, as 0-based step
     predicted = int(np.ceil(np.log(10.0) / np.log(1.5))) - 1
     divergence_ok = (out.report.diverged and out.report.reason == "bound-exceeded"
@@ -239,7 +239,7 @@ def test_criterion_06_sgld_analytic():
 
 
 def test_criterion_07_replay_buffer_statistics():
-    buf = smp.ReplayBuffer(capacity=100, reinit_prob=0.05, rng=4242)
+    buf = smp.ReplayBuffer(capacity=100, reinit_prob=0.05, rng=np.random.default_rng(4242))
     smp.buffer_push(buf, np.zeros((100, 1)), np.full(100, -1))
     n = 100_000
     _, idx = smp.buffer_draw(buf, n, (-1.0, 1.0), (1,))
@@ -256,14 +256,15 @@ def test_criterion_08_pgd_budget(clean_bank):
     for norm, eps in ((attacks.Norm.LINF, 0.1), (attacks.Norm.LINF, 0.3),
                       (attacks.Norm.L2, 0.2), (attacks.Norm.L2, 0.5)):
         cfg = attacks.AttackConfig(norm=norm, epsilon=eps, n_steps=20)
-        adv = attacks.pgd(ckpt.model, ckpt.params, x, y, cfg, rng=8)
+        adv = attacks.pgd(ckpt.model, ckpt.params, x, y, cfg, rng=np.random.default_rng(8))
         delta = adv - x
         if norm is attacks.Norm.LINF:
             violations += int(np.sum(np.abs(delta).max(axis=1) > eps))
         else:
             violations += int(np.sum(np.linalg.norm(delta, axis=1) > eps + 1e-9))
     zero = attacks.pgd(ckpt.model, ckpt.params, x, y,
-                       attacks.AttackConfig(norm=attacks.Norm.L2, epsilon=0.0), rng=9)
+                       attacks.AttackConfig(norm=attacks.Norm.L2, epsilon=0.0),
+                       rng=np.random.default_rng(9))
     identity = np.array_equal(zero, x)
     ok = violations == 0 and identity
     report(8, ok, f"budget violations {violations}/ {4 * len(x)} adversarial "

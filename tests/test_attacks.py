@@ -55,14 +55,15 @@ class TestPgd:
         spec, params = two_class_linear()
         x = np.array([[0.3, -0.1]])
         cfg = AttackConfig(norm=Norm.LINF, epsilon=0.0)
-        out = attacks.pgd(spec, params, x, np.array([0]), cfg)
+        out = attacks.pgd(spec, params, x, np.array([0]), cfg, rng=np.random.default_rng(0))
         assert np.array_equal(out, x)
 
     def test_a_label_out_of_range_is_named(self):
         spec, params = two_class_linear()
         cfg = AttackConfig(norm=Norm.LINF, epsilon=0.1, n_steps=1)
         with pytest.raises(ValueError, match=r"label out of range \[0, 2\): 5"):
-            attacks.pgd(spec, params, np.zeros((2, 2)), np.array([0, 5]), cfg)
+            attacks.pgd(spec, params, np.zeros((2, 2)), np.array([0, 5]), cfg,
+                        rng=np.random.default_rng(0))
 
     def test_single_step_linf_hand_computation(self):
         # one sign-step of size min(step, eps) from a linear model
@@ -71,7 +72,7 @@ class TestPgd:
         y = np.array([0])
         cfg = AttackConfig(norm=Norm.LINF, epsilon=0.05, n_steps=1,
                            step_size=0.3, random_start=False)
-        out = attacks.pgd(spec, params, x, y, cfg)
+        out = attacks.pgd(spec, params, x, y, cfg, rng=np.random.default_rng(0))
         # CE for label 0 increases along -(logit0 - logit1) direction:
         # grad_x CE = -(1 - p0) * 2w with w = (1, -1) -> sign = (-1, +1)
         want = np.clip(x + 0.05 * np.array([[-1.0, 1.0]]), -1.0, 1.0)
@@ -84,7 +85,7 @@ class TestPgd:
         x = rng.uniform(-1, 1, size=(20, 2))
         y = rng.integers(0, 2, size=20)
         cfg = AttackConfig(norm=Norm.LINF, epsilon=0.1, n_steps=10)
-        out = attacks.pgd(spec, params, x, y, cfg, rng=1)
+        out = attacks.pgd(spec, params, x, y, cfg, rng=np.random.default_rng(1))
         assert np.max(np.abs(out - x)) <= 0.1
         assert np.all(out >= -1.0) and np.all(out <= 1.0)
 
@@ -95,7 +96,7 @@ class TestPgd:
         x = rng.uniform(-1, 1, size=(20, 3))
         y = rng.integers(0, 3, size=20)
         cfg = AttackConfig(norm=Norm.L2, epsilon=0.5, n_steps=10)
-        out = attacks.pgd(spec, params, x, y, cfg, rng=2)
+        out = attacks.pgd(spec, params, x, y, cfg, rng=np.random.default_rng(2))
         assert np.all(np.linalg.norm(out - x, axis=1) <= 0.5 + 1e-9)
 
     def test_deterministic_without_random_start(self):
@@ -103,8 +104,8 @@ class TestPgd:
         x = np.array([[0.2, -0.3], [0.1, 0.4]])
         y = np.array([0, 1])
         cfg = AttackConfig(norm=Norm.L2, epsilon=0.2, n_steps=5, random_start=False)
-        a = attacks.pgd(spec, params, x, y, cfg, rng=0)
-        b = attacks.pgd(spec, params, x, y, cfg, rng=99)
+        a = attacks.pgd(spec, params, x, y, cfg, rng=np.random.default_rng(0))
+        b = attacks.pgd(spec, params, x, y, cfg, rng=np.random.default_rng(99))
         assert np.array_equal(a, b)
 
     def test_linear_model_one_step_solves_inner_max(self):
@@ -115,7 +116,7 @@ class TestPgd:
         eps = 0.1
         cfg = AttackConfig(norm=Norm.LINF, epsilon=eps, n_steps=1,
                            step_size=eps, random_start=False)
-        adv = attacks.pgd(spec, params, x, y, cfg)
+        adv = attacks.pgd(spec, params, x, y, cfg, rng=np.random.default_rng(0))
 
         def margin(pt):
             logits = nn.forward(spec, params, pt.reshape(1, -1)).value[0]
@@ -190,9 +191,10 @@ class TestReplayedAttack:
         rng = np.random.default_rng(4)
         x, y = rng.uniform(-1, 1, size=(10,) + shape), rng.integers(0, 3, size=10)
         cfg = AttackConfig(norm=norm, epsilon=0.3, n_steps=5)
-        replayed = attacks.pgd(spec, params, x, y, cfg, rng=6)
+        replayed = attacks.pgd(spec, params, x, y, cfg, rng=np.random.default_rng(6))
         eager_steps(monkeypatch)
-        assert np.array_equal(replayed, attacks.pgd(spec, params, x, y, cfg, rng=6))
+        assert np.array_equal(replayed, attacks.pgd(spec, params, x, y, cfg,
+                                                    rng=np.random.default_rng(6)))
 
     def test_one_program_per_block_shape_serves_every_block(self, monkeypatch):
         # the labels are leaves, so blocks of 12, 12 and 5 rows record twice
@@ -211,10 +213,11 @@ class TestReplayedAttack:
 
         monkeypatch.setattr(ad, "Program", Counted)
         cfg = AttackConfig(norm=Norm.LINF, epsilon=0.2, n_steps=4)
-        replayed = attacks.pgd(spec, params, x, y, cfg, rng=2)
+        replayed = attacks.pgd(spec, params, x, y, cfg, rng=np.random.default_rng(2))
         assert recorded == [(12, 2), (5, 2)]
         eager_steps(monkeypatch)
-        assert np.array_equal(replayed, attacks.pgd(spec, params, x, y, cfg, rng=2))
+        assert np.array_equal(replayed, attacks.pgd(spec, params, x, y, cfg,
+                                                    rng=np.random.default_rng(2)))
 
     def test_a_step_replays_no_more_numpy_calls(self, monkeypatch):
         # a toy MLP's PGD step: 19 calls with the labels held by value, and one
@@ -229,7 +232,7 @@ class TestReplayedAttack:
         spec = nn.ModelSpec.mlp(2, [32, 32], 2)
         x = np.random.default_rng(7).uniform(-1, 1, size=(8, 2))
         attacks.pgd(spec, nn.init(spec, 7), x, np.arange(8) % 2,
-                    AttackConfig(epsilon=0.1, n_steps=2))
+                    AttackConfig(epsilon=0.1, n_steps=2), rng=np.random.default_rng(0))
         assert [source.count(" = f") for source in sources] == [20]
 
     def test_blocks_taking_their_steps_in_turn_match_the_whole_set_stepping_together(
@@ -241,7 +244,7 @@ class TestReplayedAttack:
         rng = np.random.default_rng(5)
         x, y = rng.uniform(-1, 1, size=(10, 2, 6, 6)), rng.integers(0, 3, size=10)
         cfg = AttackConfig(norm=Norm.L2, epsilon=0.5, n_steps=6)
-        assert np.array_equal(attacks.pgd(spec, params, x, y, cfg, rng=3),
+        assert np.array_equal(attacks.pgd(spec, params, x, y, cfg, rng=np.random.default_rng(3)),
                               stepwise_pgd(spec, params, x, y, cfg, 3))
 
 

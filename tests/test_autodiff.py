@@ -339,55 +339,52 @@ def test_primitive_gradient_matches_finite_differences(kind):
         assert close_rel(g, fd, 1e-5), f"{kind}: autodiff vs finite differences"
 
 
-# (x shape, w shape, padding): padding past k - 1 crops the input gradient's
-# full correlation; k = 1 and H != W exercise the window arithmetic
-_CONV_CASES = [((2, 2, 4, 4), (3, 2, 3, 3), pad) for pad in (0, 1, 2, 3)] + [
-    ((2, 3, 4, 4), (2, 3, 1, 1), 0), ((2, 3, 4, 4), (2, 3, 1, 1), 2),
-    ((2, 2, 5, 3), (3, 2, 3, 3), 1), ((1, 2, 3, 6), (2, 2, 2, 2), 0)]
+# the image for each odd kernel k: k = 7 is larger than its 6 x 5 image, and
+# H != W exercises the window arithmetic
+_CONV_IMAGES = {1: (2, 3, 4, 4), 3: (2, 2, 5, 3), 5: (2, 2, 4, 5), 7: (2, 2, 6, 5)}
 
 
-def test_conv2d_gradient_matches_finite_differences():
-    rng = np.random.default_rng(99)
-    for x_shape, w_shape, pad in _CONV_CASES:
-        for _ in range(10):
-            x_val = rng.normal(size=x_shape)
-            w_val = rng.normal(size=w_shape)
-            b_val = rng.normal(size=w_shape[:1])
+@pytest.mark.parametrize("k", sorted(_CONV_IMAGES))
+def test_conv2d_gradient_matches_finite_differences(k):
+    rng = np.random.default_rng(99 + k)
+    x_shape = _CONV_IMAGES[k]
+    w_shape = (3, x_shape[1], k, k)
+    for _ in range(10):
+        x_val = rng.normal(size=x_shape)
+        w_val = rng.normal(size=w_shape)
+        b_val = rng.normal(size=w_shape[:1])
 
-            tape = ad.Tape()
-            x = tape.leaf(x_val)
-            w = tape.leaf(w_val)
-            b = tape.leaf(b_val)
-            out = ad.conv2d(x, w, b, padding=pad)
-            proj = rng.normal(size=out.shape)
-            loss = ad.sum_(ad.mul(out, proj))
-            gm = ad.backward(tape, loss, [x, w, b])
+        tape = ad.Tape()
+        x = tape.leaf(x_val)
+        w = tape.leaf(w_val)
+        b = tape.leaf(b_val)
+        out = ad.conv2d(x, w, b)
+        assert out.shape == (x_shape[0], 3) + x_shape[2:]
+        proj = rng.normal(size=out.shape)
+        loss = ad.sum_(ad.mul(out, proj))
+        gm = ad.backward(tape, loss, [x, w, b])
 
-            def value(xv, wv, bv):
-                return float(np.sum(ad.conv2d(ad.Tensor(xv), ad.Tensor(wv), ad.Tensor(bv),
-                                              padding=pad).value * proj))
+        def value(xv, wv, bv):
+            return float(np.sum(ad.conv2d(ad.Tensor(xv), ad.Tensor(wv), ad.Tensor(bv)).value
+                                * proj))
 
-            case = f"x {x_shape}, w {w_shape}, padding {pad}"
-            assert close_rel(gm[x].value, central_diff(lambda v: value(v, w_val, b_val), x_val),
-                             1e-5), case
-            assert close_rel(gm[w].value, central_diff(lambda v: value(x_val, v, b_val), w_val),
-                             1e-5), case
-            assert close_rel(gm[b].value, central_diff(lambda v: value(x_val, w_val, v), b_val),
-                             1e-5), case
+        assert close_rel(gm[x].value, central_diff(lambda v: value(v, w_val, b_val), x_val), 1e-5)
+        assert close_rel(gm[w].value, central_diff(lambda v: value(x_val, v, b_val), w_val), 1e-5)
+        assert close_rel(gm[b].value, central_diff(lambda v: value(x_val, w_val, v), b_val), 1e-5)
 
 
-@pytest.mark.parametrize("pad", [1, 3])
-def test_conv2d_double_backward_matches_finite_differences(pad):
+@pytest.mark.parametrize("k", sorted(_CONV_IMAGES))
+def test_conv2d_double_backward_matches_finite_differences(k):
     # d/d(w, b) of mean_i ||dE_i/dx_i|| through one conv, E_i = -logsumexp(conv(x_i))
-    rng = np.random.default_rng(7 + pad)
-    x_val = rng.normal(size=(2, 2, 5, 4))
-    w_val = rng.normal(size=(2, 2, 3, 3)) * 0.5
+    rng = np.random.default_rng(7 + k)
+    x_val = rng.normal(size=_CONV_IMAGES[k])
+    w_val = rng.normal(size=(2, x_val.shape[1], k, k)) * 0.5
     b_val = rng.normal(size=(2,)) * 0.1
 
     def graph(wv, bv, create_graph):
         tape = ad.Tape()
         x, w, b = tape.leaf(x_val), tape.leaf(wv), tape.leaf(bv)
-        out = ad.conv2d(x, w, b, padding=pad)
+        out = ad.conv2d(x, w, b)
         energy = ad.neg(ad.logsumexp(ad.reshape(out, (2, -1)), axis=1))
         gx = ad.backward(tape, ad.sum_(energy), [x], create_graph=create_graph)[x]
         return tape, ad.mean(ad.l2norm(ad.reshape(gx, (2, -1)), axis=1)), (w, b)
@@ -406,8 +403,15 @@ def test_conv2d_records_one_node():
     tape = ad.Tape()
     x = tape.leaf(np.ones((1, 2, 4, 4)))
     w = tape.leaf(np.ones((3, 2, 3, 3)))
-    ad.conv2d(x, w, padding=1)
+    ad.conv2d(x, w)
     assert len(tape.nodes) == 3
+
+
+@pytest.mark.parametrize("w_shape", [(3, 2, 2, 2), (3, 2, 3, 2), (3, 3, 3, 3)],
+                         ids=["even", "not_square", "channels"])
+def test_conv2d_refuses_a_kernel_that_is_even_not_square_or_of_other_channels(w_shape):
+    with pytest.raises(ad.ShapeError, match="conv2d"):
+        ad.conv2d(np.ones((1, 2, 4, 4)), np.ones(w_shape))
 
 
 @pytest.mark.parametrize("n", [1, 3])
@@ -419,10 +423,10 @@ def test_conv2d_with_bias_is_one_node_equal_to_conv_plus_bias(n):
                            rng.normal(size=(3,)))
 
     def fused(x, w, b):
-        return ad.conv2d(x, w, b, padding=1)
+        return ad.conv2d(x, w, b)
 
     def composed(x, w, b):
-        return ad.add(ad.conv2d(x, w, padding=1), ad.reshape(b, (1, 3, 1, 1)))
+        return ad.add(ad.conv2d(x, w), ad.reshape(b, (1, 3, 1, 1)))
 
     results = []
     for conv in (fused, composed):
@@ -442,39 +446,39 @@ def test_conv2d_with_bias_is_one_node_equal_to_conv_plus_bias(n):
     assert close_rel(results[0][0], naive_conv2d(x_val, w_val, b_val, 1), 1e-12)
 
 
-def test_conv2d_matches_loop_oracle():
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        k = int(rng.integers(1, 4))
-        n, c, f = (int(v) for v in rng.integers(1, 4, size=3))
-        h, width = (int(v) for v in rng.integers(k, k + 5, size=2))
-        pad = int(rng.integers(0, 4))
-        x = rng.normal(size=(n, c, h, width))
-        w = rng.normal(size=(f, c, k, k))
+@pytest.mark.parametrize("k", sorted(_CONV_IMAGES))
+def test_conv2d_matches_loop_oracle(k):
+    rng = np.random.default_rng(5 + k)
+    # the image of _CONV_IMAGES, then random ones both smaller and larger than k
+    shapes = [_CONV_IMAGES[k]] + [(*rng.integers(1, 4, size=2), *rng.integers(1, k + 4, size=2))
+                                  for _ in range(4)]
+    for shape in shapes:
+        f = int(rng.integers(1, 4))
+        x = rng.normal(size=shape)
+        w = rng.normal(size=(f, shape[1], k, k))
         b = rng.normal(size=(f,))
-        out = ad.conv2d(ad.Tensor(x), ad.Tensor(w), ad.Tensor(b), padding=pad).value
-        assert close_rel(out, naive_conv2d(x, w, b, pad), 1e-12), (x.shape, w.shape, pad)
+        out = ad.conv2d(ad.Tensor(x), ad.Tensor(w), ad.Tensor(b)).value
+        assert close_rel(out, naive_conv2d(x, w, b, k // 2), 1e-12), (x.shape, w.shape)
 
 
-# padding 0, 1 and > k - 1 (the input gradient then crops), a cropping pad,
-# k = 1 and an even k
-_BLOCK_CASES = [((7, 2, 6, 5), (3, 2, 3, 3), pad) for pad in (0, 1, 4, -1)] + [
-    ((7, 3, 5, 5), (2, 3, 1, 1), 2), ((7, 2, 5, 6), (2, 2, 2, 2), 0)]
+# (x shape, w shape) for k = 1, 3, 5 and 7, the last larger than its 6 x 5 image
+_BLOCK_CASES = [((7, 3, 5, 5), (2, 3, 1, 1)), ((7, 2, 6, 5), (3, 2, 3, 3)),
+                ((7, 2, 5, 6), (2, 2, 5, 5)), ((7, 2, 6, 5), (3, 2, 7, 7))]
 
 
 # a budget under one image's taps gives each image a block of its own
 @pytest.mark.parametrize("per_block", [0.5, 1, 3, 7])
-@pytest.mark.parametrize("x_shape,w_shape,pad", _BLOCK_CASES)
+@pytest.mark.parametrize("x_shape,w_shape", _BLOCK_CASES)
 def test_blocked_conv_kernels_match_whole_batch_bit_for_bit(monkeypatch, per_block,
-                                                            x_shape, w_shape, pad):
+                                                            x_shape, w_shape):
     # 7 images in blocks of one, of 3 (the last one ragged) and all in one
     n, c, h, width = x_shape
     f, _, k, _ = w_shape
+    pad = k // 2
     hp, wp = h + 2 * pad, width + 2 * pad
-    ho, wo = hp - k + 1, wp - k + 1
     monkeypatch.setattr(ad, "_BLOCK_BYTES", int(per_block * c * k * hp * wp * 8))
     rng = np.random.default_rng(int(10 * per_block) + pad + 1)
-    x, w, g = rng.normal(size=x_shape), rng.normal(size=w_shape), rng.normal(size=(n, f, ho, wo))
+    x, w, g = rng.normal(size=x_shape), rng.normal(size=w_shape), rng.normal(size=(n, f, h, width))
     step = max(1, per_block)
     # each image holds C*k rows of its padded image, not C*k*k
     assert [taps.shape for _, taps in ad._tap_blocks(x, k, pad)] == [
@@ -740,21 +744,23 @@ class TestProgram:
         for value, want in zip(got, fresh):
             assert np.array_equal(value, want.value), kind
 
+    # k = 7 is larger than the 6 x 5 image
+    @pytest.mark.parametrize("k", [1, 3, 5, 7])
     @pytest.mark.parametrize("bias", [False, True])
-    def test_conv2d_replays_in_both_inputs(self, bias):
+    def test_conv2d_replays_in_both_inputs(self, bias, k):
         rng = np.random.default_rng(8)
         b = rng.normal(size=3) if bias else None
 
         def record(x_val, w_val):
             tape = ad.Tape()
             x, w = tape.leaf(x_val), tape.leaf(w_val)
-            y = ad.relu(ad.conv2d(x, w, b, padding=1))
+            y = ad.relu(ad.conv2d(x, w, b))
             grads = ad.backward(tape, ad.sum_(ad.square(y)), [x, w], create_graph=True)
             penalty = ad.sum_(ad.square(grads[x]))
             return tape, x, w, [y, grads[x], grads[w],
                                 ad.backward(tape, penalty, [w], create_graph=True)[w]]
 
-        shapes = ((2, 2, 5, 5), (3, 2, 3, 3))
+        shapes = ((2, 2, 6, 5), (3, 2, k, k))
         tape, x, w, outputs = record(*(rng.normal(size=s) for s in shapes))
         program = ad.Program(tape, [x, w], outputs)
         second = [rng.normal(size=s) for s in shapes]

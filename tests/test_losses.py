@@ -240,7 +240,7 @@ class TestCombinedLoss:
     def test_jem_end_to_end_with_buffer(self):
         cfg = losses.LossConfig(mode=losses.Mode.JEM,
                                 sampler=smp.SgldConfig(n_steps=3, step_size=0.1))
-        buffer = smp.ReplayBuffer(capacity=50, rng=3)
+        buffer = smp.ReplayBuffer(capacity=50, rng=np.random.default_rng(3))
         x_gen, _, _ = losses._jem_samples(cfg, self.spec, self.params, self.x.shape, buffer,
                                           np.random.default_rng(11), {})
         graph, _ = bound_loss_graph(cfg, self.spec, self.params, self.x, self.y, x_gen=x_gen)

@@ -117,8 +117,8 @@ class TestInit:
     @pytest.mark.parametrize("spec", [
         nn.ModelSpec.mlp(3, [5, 4], 2),
         nn.ModelSpec.small_conv((2, 6, 6), [3, 4], 5),
-        nn.ModelSpec((nn.Conv(2, 3, 5, 0), nn.Relu(), nn.Flatten(), nn.Dense(12, 4)), (2, 6, 6), 4),
-    ], ids=["mlp", "small_conv", "conv_pad0"])
+        nn.ModelSpec((nn.Conv(2, 3, 5), nn.Relu(), nn.Flatten(), nn.Dense(108, 4)), (2, 6, 6), 4),
+    ], ids=["mlp", "small_conv", "conv_k5"])
     def test_draws_equal_a_he_normal_oracle_bit_for_bit(self, spec):
         got, want = nn.init(spec, 11), he_normal_init(spec, 11)
         assert list(got) == list(want)
@@ -229,6 +229,17 @@ class TestModelSpec:
         with pytest.raises(ValueError, match="logits"):
             nn.ModelSpec(layers=(nn.Dense(2, 3),), input_shape=(2,), classes=2)
 
+    # k = 7 is larger than the 6 x 5 image
+    @pytest.mark.parametrize("k", [1, 3, 5, 7])
+    def test_a_conv_keeps_its_input_size(self, k):
+        spec = nn.ModelSpec((nn.Conv(2, 3, k), nn.Flatten(), nn.Dense(90, 4)), (2, 6, 5), 4)
+        assert spec.layers[0].out_shape((2, 6, 5)) == (3, 6, 5)
+        assert spec(nn.init(spec, 0), np.zeros((1, 2, 6, 5))).shape == (1, 4)
+
+    def test_an_even_conv_kernel_is_rejected(self):
+        with pytest.raises(ValueError, match="odd"):
+            nn.ModelSpec((nn.Conv(2, 3, 2), nn.Flatten(), nn.Dense(90, 4)), (2, 6, 5), 4)
+
     def test_roundtrip_dict(self):
         spec = nn.ModelSpec.small_conv((3, 8, 8), [4], 10)
         assert nn.ModelSpec.from_dict(spec.to_dict()) == spec
@@ -251,16 +262,11 @@ class TestModelSpec:
          '{"kind": "dense", "in": 32, "out": 32}, {"kind": "relu"}, '
          '{"kind": "dense", "in": 32, "out": 2}], "input_shape": [2], "classes": 2}'),
         (nn.ModelSpec.small_conv((3, 32, 32), [8, 8], 10),
-         '{"layers": [{"kind": "conv", "in": 3, "out": 8, "kernel": 3, "padding": null}, '
-         '{"kind": "relu"}, {"kind": "conv", "in": 8, "out": 8, "kernel": 3, "padding": null}, '
+         '{"layers": [{"kind": "conv", "in": 3, "out": 8, "kernel": 3}, '
+         '{"kind": "relu"}, {"kind": "conv", "in": 8, "out": 8, "kernel": 3}, '
          '{"kind": "relu"}, {"kind": "flatten"}, {"kind": "dense", "in": 8192, "out": 10}], '
          '"input_shape": [3, 32, 32], "classes": 10}'),
-        (nn.ModelSpec((nn.Conv(3, 4, 3, 0), nn.Relu(), nn.Flatten(), nn.Dense(144, 5)),
-                      (3, 8, 8), 5),
-         '{"layers": [{"kind": "conv", "in": 3, "out": 4, "kernel": 3, "padding": 0}, '
-         '{"kind": "relu"}, {"kind": "flatten"}, {"kind": "dense", "in": 144, "out": 5}], '
-         '"input_shape": [3, 8, 8], "classes": 5}'),
-    ], ids=["mlp", "small_conv", "conv_pad0"])
+    ], ids=["mlp", "small_conv"])
     def test_dict_json_is_unchanged(self, spec, text):
         assert json.dumps(spec.to_dict()) == text
         assert nn.ModelSpec.from_dict(json.loads(text)) == spec

@@ -20,14 +20,14 @@ def quad_config(**kw):
 
 class TestBufferDraw:
     def test_empty_buffer_all_fresh_within_bounds(self):
-        buf = smp.ReplayBuffer(capacity=10, rng=0)
+        buf = smp.ReplayBuffer(capacity=10, rng=np.random.default_rng(0))
         x0, idx = smp.buffer_draw(buf, 16, (-1.0, 1.0), (3,))
         assert np.all(idx == -1)
         assert x0.shape == (16, 3)
         assert np.all((x0 >= -1.0) & (x0 <= 1.0))
 
     def test_reinit_prob_one_ignores_cache(self):
-        buf = smp.ReplayBuffer(capacity=10, reinit_prob=1.0, rng=0)
+        buf = smp.ReplayBuffer(capacity=10, reinit_prob=1.0, rng=np.random.default_rng(0))
         smp.buffer_push(buf, np.full((5, 2), 7.0), np.full(5, -1))
         x0, idx = smp.buffer_draw(buf, 8, (-1.0, 1.0), (2,))
         assert np.all(idx == -1)
@@ -35,7 +35,7 @@ class TestBufferDraw:
 
     def test_fresh_fraction_statistics(self):
         # binomial CI: 1e5 draws at p=0.05 -> fraction within 0.05 +/- 0.005
-        buf = smp.ReplayBuffer(capacity=100, reinit_prob=0.05, rng=42)
+        buf = smp.ReplayBuffer(capacity=100, reinit_prob=0.05, rng=np.random.default_rng(42))
         smp.buffer_push(buf, np.zeros((100, 1)), np.full(100, -1))
         n = 100_000
         x0, idx = smp.buffer_draw(buf, n, (-1.0, 1.0), (1,))
@@ -43,8 +43,8 @@ class TestBufferDraw:
         assert abs(fresh - 0.05) <= 0.005
 
     def test_draw_determinism(self):
-        a = smp.ReplayBuffer(capacity=10, rng=9)
-        b = smp.ReplayBuffer(capacity=10, rng=9)
+        a = smp.ReplayBuffer(capacity=10, rng=np.random.default_rng(9))
+        b = smp.ReplayBuffer(capacity=10, rng=np.random.default_rng(9))
         for buf in (a, b):
             smp.buffer_push(buf, np.arange(6, dtype=float).reshape(3, 2), np.full(3, -1))
         xa, ia = smp.buffer_draw(a, 12, (-1.0, 1.0), (2,))
@@ -55,38 +55,38 @@ class TestBufferDraw:
 
 class TestBufferPush:
     def test_push_to_empty_stores_all(self):
-        buf = smp.ReplayBuffer(capacity=10, rng=0)
+        buf = smp.ReplayBuffer(capacity=10, rng=np.random.default_rng(0))
         smp.buffer_push(buf, np.ones((4, 2)), np.full(4, -1))
         assert len(buf) == 4
 
     def test_fifo_eviction(self):
-        buf = smp.ReplayBuffer(capacity=3, rng=0)
+        buf = smp.ReplayBuffer(capacity=3, rng=np.random.default_rng(0))
         smp.buffer_push(buf, np.array([[0.0], [1.0], [2.0], [3.0]]), np.full(4, -1))
         assert len(buf) == 3
         assert buf.samples()[:, 0].tolist() == [1.0, 2.0, 3.0]
 
     def test_replaces_drawn_entries_in_place(self):
-        buf = smp.ReplayBuffer(capacity=5, rng=0)
+        buf = smp.ReplayBuffer(capacity=5, rng=np.random.default_rng(0))
         smp.buffer_push(buf, np.array([[1.0], [2.0]]), np.full(2, -1))
         smp.buffer_push(buf, np.array([[9.0]]), np.array([0]))
         assert buf.samples()[0, 0] == 9.0
         assert len(buf) == 2
 
     def test_cached_rows_keep_their_slots_when_a_fresh_row_evicts(self):
-        buf = smp.ReplayBuffer(capacity=3, rng=0)
+        buf = smp.ReplayBuffer(capacity=3, rng=np.random.default_rng(0))
         smp.buffer_push(buf, np.array([[0.0], [1.0], [2.0]]), np.full(3, -1))
         smp.buffer_push(buf, np.array([[10.0], [22.0]]), np.array([-1, 2]))
         assert buf.samples()[:, 0].tolist() == [1.0, 22.0, 10.0]
 
     def test_non_finite_rows_dropped(self):
-        buf = smp.ReplayBuffer(capacity=5, rng=0)
+        buf = smp.ReplayBuffer(capacity=5, rng=np.random.default_rng(0))
         bad = np.array([[np.nan], [np.inf], [1.0]])
         smp.buffer_push(buf, bad, np.full(3, -1))
         assert len(buf) == 1
         assert buf.samples()[0, 0] == 1.0
 
     def test_sanity_bound_filters(self):
-        buf = smp.ReplayBuffer(capacity=5, rng=0, sanity_bound=2.0)
+        buf = smp.ReplayBuffer(capacity=5, rng=np.random.default_rng(0), sanity_bound=2.0)
         smp.buffer_push(buf, np.array([[1.5], [5.0]]), np.full(2, -1))
         assert len(buf) == 1
 
@@ -95,21 +95,21 @@ class TestSgldChain:
     def test_quadratic_one_step_halves(self):
         model = bowl(2, 1)
         x0 = np.array([[0.8, -0.6]])
-        out = smp.sgld_chain(model, {}, x0, quad_config(n_steps=1))
+        out = smp.sgld_chain(model, {}, x0, quad_config(n_steps=1), rng=np.random.default_rng(0))
         assert np.allclose(out.samples, x0 / 2.0, atol=1e-12)
         assert not out.report.diverged
 
     def test_quadratic_twenty_steps_geometric(self):
         model = bowl(2, 1)
         x0 = np.array([[1.0, 0.0]])
-        out = smp.sgld_chain(model, {}, x0, quad_config(n_steps=20))
+        out = smp.sgld_chain(model, {}, x0, quad_config(n_steps=20), rng=np.random.default_rng(0))
         assert np.linalg.norm(out.samples) == pytest.approx(2.0 ** -20, rel=1e-9)
 
     def test_concave_divergence_at_predicted_step(self):
         model = bowl(1, -1)
         x0 = np.array([[1.0]])
         config = quad_config(n_steps=60, divergence_bound=10.0)
-        out = smp.sgld_chain(model, {}, x0, config)
+        out = smp.sgld_chain(model, {}, x0, config, rng=np.random.default_rng(0))
         assert out.report.diverged
         assert out.report.reason == "bound-exceeded"
         # |x| after k updates = 1.5^k; first k with 1.5^k > 10, 0-based step k-1
@@ -120,7 +120,7 @@ class TestSgldChain:
         model = bowl(1, -1)
         x0 = np.array([[1.0], [1e-6]])
         config = quad_config(n_steps=10, divergence_bound=10.0)
-        out = smp.sgld_chain(model, {}, x0, config)
+        out = smp.sgld_chain(model, {}, x0, config, rng=np.random.default_rng(0))
         assert out.report.diverged_mask.tolist() == [True, False]
         assert np.all(np.isfinite(out.samples))
 
@@ -128,8 +128,8 @@ class TestSgldChain:
         model = bowl(2, 1)
         x0 = np.random.default_rng(0).uniform(-1, 1, size=(4, 2))
         config = smp.SgldConfig(n_steps=5, step_size=0.1, noise=True)
-        a = smp.sgld_chain(model, {}, x0, config, rng=123)
-        b = smp.sgld_chain(model, {}, x0, config, rng=123)
+        a = smp.sgld_chain(model, {}, x0, config, rng=np.random.default_rng(123))
+        b = smp.sgld_chain(model, {}, x0, config, rng=np.random.default_rng(123))
         assert np.array_equal(a.samples, b.samples)
 
     def test_parameters_never_mutated(self):
@@ -137,7 +137,8 @@ class TestSgldChain:
         params = nn.init(spec, 0)
         before = params.copy()
         x0 = np.random.default_rng(1).uniform(-1, 1, size=(3, 2))
-        smp.sgld_chain(spec, params, x0, smp.SgldConfig(n_steps=5, step_size=0.1), rng=7)
+        smp.sgld_chain(spec, params, x0, smp.SgldConfig(n_steps=5, step_size=0.1),
+                       rng=np.random.default_rng(7))
         assert params == before
 
     def test_polynomial_decay_schedule(self):
@@ -147,15 +148,20 @@ class TestSgldChain:
         assert config.step_at(3) == 0.5
 
     def test_peak_memory_follows_the_block_not_the_chain_count(self):
+        # an added chain row holds a few input-sized rows (its state, gradient,
+        # update, noise and proposal), not a gradient pass's activations: about
+        # 18 input rows here when the chain takes its gradient in one block
         spec = nn.ModelSpec.small_conv((1, 8, 8), [4], 3)
         params = nn.init(spec, 0)
         config = quad_config(n_steps=2, step_size=0.01, noise=True)
-        rng = np.random.default_rng(1)
+        rng, block, row_bytes = np.random.default_rng(1), spec.block_rows, 8 * 64
 
         def peak(n):
             x0 = rng.uniform(-1, 1, size=(n, 1, 8, 8))
-            return traced_peak_bytes(smp.sgld_chain, spec, params, x0, config)
-        assert peak(4 * spec.block_rows) < 1.5 * peak(spec.block_rows)
+            return traced_peak_bytes(smp.sgld_chain, spec, params, x0, config,
+                                     np.random.default_rng(0))
+        per_row = (peak(4 * block) - peak(block)) / (3 * block)
+        assert per_row <= 8 * row_bytes, per_row / row_bytes
 
 
 def eager_steps(monkeypatch):
@@ -200,8 +206,10 @@ class TestReplayedChain:
         x0 = np.random.default_rng(3).uniform(-1, 1, size=(6, 2))
         programs = {}
         for seed in (5, 6):
-            kept = smp.sgld_chain(model, {}, x0, config, rng=seed, programs=programs)
-            assert_same_chain(kept, smp.sgld_chain(model, {}, x0, config, rng=seed))
+            kept = smp.sgld_chain(model, {}, x0, config, rng=np.random.default_rng(seed),
+                                  programs=programs)
+            assert_same_chain(kept, smp.sgld_chain(model, {}, x0, config,
+                                                   rng=np.random.default_rng(seed)))
         assert list(programs) == [((6, 2),)]
 
     def test_a_step_replays_no_more_numpy_calls(self, monkeypatch):
@@ -215,7 +223,8 @@ class TestReplayedChain:
         monkeypatch.setattr(ad, "_compile", counted)
         spec = nn.ModelSpec.mlp(2, [32, 32], 2)
         x0 = np.random.default_rng(8).uniform(-1, 1, size=(8, 2))
-        smp.sgld_chain(spec, nn.init(spec, 8), x0, smp.SgldConfig(n_steps=2))
+        smp.sgld_chain(spec, nn.init(spec, 8), x0, smp.SgldConfig(n_steps=2),
+                       rng=np.random.default_rng(0))
         assert [source.count(" = f") for source in sources] == [18]
 
     # model -> (spec, input shape, a divergence bound that some chains cross)
@@ -235,9 +244,10 @@ class TestReplayedChain:
                   "diverging": smp.SgldConfig(n_steps=6, step_size=0.5,
                                               divergence_bound=bound)}[kind]
         x0 = np.random.default_rng(rows).uniform(-1, 1, size=(rows,) + shape)
-        replayed = smp.sgld_chain(spec, params, x0, config, rng=5)
+        replayed = smp.sgld_chain(spec, params, x0, config, rng=np.random.default_rng(5))
         eager_steps(monkeypatch)
-        assert_same_chain(replayed, smp.sgld_chain(spec, params, x0, config, rng=5))
+        assert_same_chain(replayed, smp.sgld_chain(spec, params, x0, config,
+                                                   rng=np.random.default_rng(5)))
         if kind == "diverging":
             assert 0 < replayed.report.diverged_mask.sum() < rows
 
@@ -249,10 +259,12 @@ class TestReplayedChain:
         params = nn.init(spec, 0)
         x0 = np.random.default_rng(2).uniform(-1, 1, size=(spec.block_rows, 3, 32, 32))
         config = smp.SgldConfig(n_steps=4, step_size=0.01)
-        replayed = traced_peak_bytes(smp.sgld_chain, spec, params, x0, config)
+        replayed = traced_peak_bytes(smp.sgld_chain, spec, params, x0, config,
+                                     np.random.default_rng(0))
         eager_steps(monkeypatch)
         one_eager = traced_peak_bytes(smp.sgld_chain, spec, params, x0,
-                                      dataclasses.replace(config, n_steps=1))
+                                      dataclasses.replace(config, n_steps=1),
+                                      np.random.default_rng(0))
         assert replayed <= 1.4 * one_eager, replayed / one_eager
 
 
@@ -299,7 +311,7 @@ class TestChainAgainstPerRowLoop:
         return spec, params, x0
 
     @staticmethod
-    def both(spec, params, x0, config, rng=lambda: 5):
+    def both(spec, params, x0, config, rng=lambda: np.random.default_rng(5)):
         """Both chains from the same start and noise; NaN compared by its bits."""
         want = per_row_sgld_chain(spec, params, x0, config, rng=rng())
         got = smp.sgld_chain(spec, params, x0, config, rng=rng())
@@ -385,8 +397,9 @@ class TestRingAgainstListStore:
         rng = np.random.default_rng([seed, 11])
         capacity = int(rng.integers(1, 9))
         kwargs = dict(capacity=capacity, reinit_prob=float(rng.uniform(0.0, 0.6)),
-                      rng=seed, sanity_bound=2.0)
-        ring, ref = smp.ReplayBuffer(**kwargs), ListReplayBuffer(**kwargs)
+                      sanity_bound=2.0)
+        ring = smp.ReplayBuffer(rng=np.random.default_rng(seed), **kwargs)
+        ref = ListReplayBuffer(rng=seed, **kwargs)
         shape = (2, 3)
         drawn = np.zeros(0, dtype=np.int64)
         for _ in range(60):
@@ -418,7 +431,7 @@ class TestRingAgainstListStore:
         rows = np.random.default_rng(0).uniform(-1, 1, size=(64, 3, 32, 32))
         tracemalloc.start()
         try:
-            buffer = smp.ReplayBuffer(rng=0)
+            buffer = smp.ReplayBuffer(rng=np.random.default_rng(0))
             smp.buffer_push(buffer, rows, np.full(64, -1))
             held = tracemalloc.get_traced_memory()[0]
         finally:
@@ -457,7 +470,8 @@ def test_check_rows_in_one_pass_matches_two(rows):
 
 
 def noise_free_chain(model, x0, config):
-    return smp.sgld_chain(model, {}, x0, dataclasses.replace(config, noise=False))
+    return smp.sgld_chain(model, {}, x0, dataclasses.replace(config, noise=False),
+                          rng=np.random.default_rng(0))
 
 
 class TestDeterministicChain:
@@ -479,7 +493,8 @@ class TestDeterministicChain:
 
     def test_noisy_chain_records_no_trace(self):
         model = bowl(1, 1)
-        out = smp.sgld_chain(model, {}, np.array([[0.5]]), quad_config(noise=True))
+        out = smp.sgld_chain(model, {}, np.array([[0.5]]), quad_config(noise=True),
+                             rng=np.random.default_rng(0))
         assert out.egm_trace is None and out.converged is None
 
     def test_trace_length_equals_steps(self):

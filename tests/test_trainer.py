@@ -499,13 +499,23 @@ class TestCheckpointIO:
         with pytest.raises(trainer.CheckpointError, match="corrupt"):
             trainer.checkpoint_load(path)
 
-    def test_conv_entry_without_padding_loads_with_padding_none(self, tmp_path):
-        # padding 1 is a 3-kernel's default, so the stack still composes without it
-        spec = nn.ModelSpec((nn.Conv(1, 2, 3, 1), nn.Relu(), nn.Flatten(), nn.Dense(32, 2)),
+    # older files wrote a conv's "padding": null; newer ones write no padding
+    @pytest.mark.parametrize("edit", [
+        lambda layers: layers[0].update(padding=None),
+        lambda layers: None,
+    ], ids=["padding_null", "no_padding"])
+    def test_conv_entry_with_null_or_no_padding_loads(self, tmp_path, edit):
+        spec = nn.ModelSpec((nn.Conv(1, 2, 3), nn.Relu(), nn.Flatten(), nn.Dense(32, 2)),
                             (1, 4, 4), 2)
-        path = self.save_with_model_entry(tmp_path, spec, lambda layers: layers[0].pop("padding"))
-        conv = trainer.checkpoint_load(path).model.layers[0]
-        assert conv == nn.Conv(1, 2, 3) and conv.padding is None and conv.pad == 1
+        path = self.save_with_model_entry(tmp_path, spec, edit)
+        assert trainer.checkpoint_load(path).model == spec
+
+    def test_conv_entry_with_a_padding_is_rejected(self, tmp_path):
+        spec = nn.ModelSpec((nn.Conv(1, 2, 3), nn.Relu(), nn.Flatten(), nn.Dense(32, 2)),
+                            (1, 4, 4), 2)
+        path = self.save_with_model_entry(tmp_path, spec, lambda layers: layers[0].update(padding=0))
+        with pytest.raises(trainer.CheckpointError, match="padding 0"):
+            trainer.checkpoint_load(path)
 
     def test_interval_checkpoints_written(self, tmp_path):
         train_ds, test_ds = blob_task(n=20)
