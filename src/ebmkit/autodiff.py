@@ -495,18 +495,14 @@ def _conv_op(kernel: Callable, a: Tensor, b: Tensor, pad: int,
     return _register((a, b) if bias is None else (a, b, bias), fn, vjp)
 
 
-def conv2d(x, w, b=None) -> Tensor:
+def conv2d(x, w, b) -> Tensor:
     """2-d same-size convolution, stride 1, zero-padded by k // 2, as one node.
     x: B x C x H x W, w: F x C x k x k with k odd, b: F; out: B x F x H x W."""
-    x, w = _lift(x), _lift(w)
+    x, w, b = _lift(x), _lift(w), _lift(b)
     if (x.ndim != 4 or w.ndim != 4 or x.shape[1] != w.shape[1] or w.shape[2] != w.shape[3]
-            or w.shape[2] % 2 == 0):
-        raise ShapeError(f"conv2d: incompatible shapes {x.shape} and {w.shape} "
-                         f"(the kernel must be square and odd)")
-    if b is not None:
-        b = _lift(b)
-        if b.shape != w.shape[:1]:
-            raise ShapeError(f"conv2d: bias of shape {b.shape} for {w.shape[0]} filters")
+            or w.shape[2] % 2 == 0 or b.shape != w.shape[:1]):
+        raise ShapeError(f"conv2d: incompatible shapes {x.shape}, {w.shape} and {b.shape} "
+                         f"(the kernel must be square and odd, with one bias per filter)")
     return _conv_op(_corr, x, w, w.shape[2] // 2, b)
 
 

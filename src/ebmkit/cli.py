@@ -126,11 +126,9 @@ _TABLE = {
         "sampler": ("loss.sampler", "sampler")},
     "sampler": {
         "n_steps": ("n_steps", _INT0), "step_size": ("step_size", _POSITIVE),
-        "decay_exponent": ("decay_exponent", _NUMBER),
-        "init": ("init", _Rule("a pair [lo, hi] of finite numbers, lo < hi",   # init_lo, init_hi
+        "init": ("init", _Rule("a pair [lo, hi] of finite numbers, lo < hi",
                                lambda v: _list(v, _NUMBER.test, 2) and v[0] < v[1])),
-        "noise": ("noise", _BOOL), "divergence_bound": ("divergence_bound", _STEP),
-        "convergence_eta": ("convergence_eta", _NUMBER0)},
+        "noise": ("noise", _BOOL), "divergence_bound": ("divergence_bound", _STEP)},
     "metrics": {"ece_bins": (None, _INT1)},
     "attack": {
         "norm": ("norm", attacks.Norm),
@@ -177,12 +175,15 @@ def check_config(config: dict, command: str, name: str = "", where: str = "") ->
 
 def _fields(name: str, section: dict, target: str = "") -> dict:
     """The keyword arguments that ``section`` gives the ``target`` object ("" for
-    the one the section itself builds), with enum choices as their members."""
+    the one the section itself builds), with enum choices as their members and
+    lists as tuples, so a built dataclass equals one made in Python."""
     kwargs = {}
     for key, (field, rule, *_) in _TABLE[name].items():
         owner, _, arg = (field or "").rpartition(".")
         if field and key in section and owner == target:
-            kwargs[arg] = rule(section[key]) if isinstance(rule, enum.EnumMeta) else section[key]
+            value = section[key]
+            kwargs[arg] = (rule(value) if isinstance(rule, enum.EnumMeta)
+                           else tuple(value) if isinstance(value, list) else value)
     return kwargs
 
 
@@ -303,13 +304,6 @@ def read_data(config: dict, command: str, model: nn.ModelSpec) -> list:
     return datasets
 
 
-def build_sampler(section: dict) -> smp.SgldConfig:
-    kwargs = _fields("sampler", section)
-    if "init" in kwargs:
-        kwargs["init_lo"], kwargs["init_hi"] = kwargs.pop("init")
-    return smp.SgldConfig(**kwargs)
-
-
 def build_train_config(config: dict) -> trainer.TrainConfig:
     """The TrainConfig of a checked config. The table admitted each value, so
     the one rule left to check is LossConfig's beta + gamma = 1, which spans two keys."""
@@ -318,8 +312,7 @@ def build_train_config(config: dict) -> trainer.TrainConfig:
     model = build_model(config["model"])
     section = config.get("train", {})
     loss = _fields("train", section, "loss")
-    if "sampler" in loss or loss.get("mode") is losses.Mode.JEM:
-        loss["sampler"] = build_sampler(loss.get("sampler", {}))
+    loss["sampler"] = smp.SgldConfig(**_fields("sampler", loss.get("sampler", {})))
     try:
         return trainer.TrainConfig(
             model=model, loss=losses.LossConfig(**loss),
@@ -487,7 +480,7 @@ def cmd_hist_egm(args, config: dict, out: Path, ckpt, train_ds) -> None:
 def cmd_sample(args, config: dict, out: Path, ckpt) -> None:
     section = config.get("sample", {})
     n = section.get("n", 64)
-    sampler_cfg = build_sampler(section.get("sampler", {}))
+    sampler_cfg = smp.SgldConfig(**_fields("sampler", section.get("sampler", {})))
     if ckpt is not None:
         model, params = ckpt.model, ckpt.params
     else:
@@ -496,10 +489,9 @@ def cmd_sample(args, config: dict, out: Path, ckpt) -> None:
             raise losses.ConfigError("sample without --checkpoint needs a test-energy "
                                      "model.kind (quadratic_bowl or concave_bowl)")
         model, params = build_model(spec), {}
-    rng = np.random.default_rng(config.get("seed", 0))
-    x0 = rng.uniform(sampler_cfg.init_lo, sampler_cfg.init_hi, size=(n,) + model.input_shape)
-    result = smp.sgld_chain(model, params, x0, sampler_cfg,
-                            rng=np.random.default_rng([config.get("seed", 0), 1]))
+    seed = config.get("seed", 0)
+    x0 = np.random.default_rng(seed).uniform(*sampler_cfg.init, size=(n,) + model.input_shape)
+    result = smp.sgld_chain(model, params, x0, sampler_cfg, rng=np.random.default_rng([seed, 1]))
     ok = ~result.report.diverged_mask
     flat_dim = int(np.prod(result.samples.shape[1:]))
     survivors = result.samples[ok].reshape(int(ok.sum()), flat_dim)

@@ -132,7 +132,7 @@ def with_label_noise(dataset: Dataset, fraction: float, seed: int) -> Dataset:
                    provenance=dataset.provenance + f"+label_noise({fraction}, seed={seed})")
 
 
-def dataset_from_csv(path, classes: int, split: str = "train") -> Dataset:
+def dataset_from_csv(path, classes: int) -> Dataset:
     """A header row, then per example its x values and its label. A malformed
     file raises a ValueError that names the file and the line."""
     xs, ys = [], []
@@ -151,5 +151,4 @@ def dataset_from_csv(path, classes: int, split: str = "train") -> Dataset:
     if not xs:
         raise ValueError(f"{path}: line {reader.line_num + 1}: "
                          "expected a header row, then data rows")
-    return Dataset(np.asarray(xs), np.asarray(ys), classes=classes, split=split,
-                   provenance=f"csv:{path}")
+    return Dataset(np.asarray(xs), np.asarray(ys), classes=classes, provenance=f"csv:{path}")

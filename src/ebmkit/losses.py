@@ -45,7 +45,7 @@ class LossConfig:
     mode: Mode = Mode.CROSS_ENTROPY
     beta: float = 0.5
     gamma: float = 0.5
-    sampler: Optional[smp.SgldConfig] = None
+    sampler: smp.SgldConfig = smp.SgldConfig()
 
     def __post_init__(self):
         if abs(self.beta + self.gamma - 1.0) > 1e-12:
@@ -95,9 +95,7 @@ def _jem_samples(config: LossConfig, model, params: nn.Parameters, batch_shape: 
                  buffer: smp.ReplayBuffer, rng, programs: dict) -> tuple:
     """JEM's generated batch: a buffer draw run through the configured chain (its
     ``programs`` kept by the caller); the survivors, their buffer slots and the diverged count."""
-    x0, indices = smp.buffer_draw(buffer, batch_shape[0],
-                                  (config.sampler.init_lo, config.sampler.init_hi),
-                                  batch_shape[1:])
+    x0, indices = smp.buffer_draw(buffer, batch_shape[0], config.sampler.init, batch_shape[1:])
     chain = smp.sgld_chain(model, params, x0, config.sampler, rng=rng, programs=programs)
     ok = ~chain.report.diverged_mask
     return chain.samples[ok], indices[ok], int((~ok).sum())

@@ -236,16 +236,22 @@ class Parameters(Mapping):
                 and all(np.array_equal(self.arrays[k], other.arrays[k]) for k in self.arrays))
 
 
-def init(spec: ModelSpec, seed: int) -> Parameters:
-    """He-scaled normal weights, zero biases, reproducible from seed."""
-    rng = np.random.default_rng(seed)
-    arrays: dict[str, np.ndarray] = {}
+def _parameter_list(spec: ModelSpec):
+    """Each parameter's name, shape and He fan-in (None for a bias), in order:
+    the list ``init`` draws and a checkpoint of ``spec`` holds."""
     for i, layer in enumerate(spec.layers):
         if layer.parameters:
             weight, bias, fan_in = layer.parameters
-            arrays[f"layer{i}.w"] = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=weight)
-            arrays[f"layer{i}.b"] = np.zeros(bias)
-    return Parameters(arrays)
+            yield f"layer{i}.w", weight, fan_in
+            yield f"layer{i}.b", bias, None
+
+
+def init(spec: ModelSpec, seed: int) -> Parameters:
+    """He-scaled normal weights, zero biases, reproducible from seed."""
+    rng = np.random.default_rng(seed)
+    return Parameters({name: np.zeros(shape) if fan_in is None
+                       else rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
+                       for name, shape, fan_in in _parameter_list(spec)})
 
 
 def forward(spec: ModelSpec, params: Mapping, x) -> ad.Tensor:
@@ -289,10 +295,9 @@ class AdamState:
         return replace(self)    # packs copies of the moments into new vectors
 
     @staticmethod
-    def for_params(params: Parameters, lr: float = 1e-4, beta1: float = 0.9,
-                   beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
+    def for_params(params: Parameters, lr: float = 1e-4) -> "AdamState":
         zeros = {k: np.zeros_like(v) for k, v in params.arrays.items()}
-        return AdamState(m=zeros, v=zeros, t=0, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+        return AdamState(m=zeros, v=zeros, lr=lr)
 
 
 def adam_step(state: AdamState, params: Parameters,
@@ -325,9 +330,6 @@ class LrSchedule:
     base_rate: float = 1e-4
     milestones: tuple = ()
     factor: float = 0.1
-
-    def __post_init__(self):
-        object.__setattr__(self, "milestones", tuple(int(m) for m in self.milestones))
 
 
 def lr_at(schedule: LrSchedule, epoch: int) -> float:

@@ -1,9 +1,9 @@
 """Langevin sampling over model inputs, with a replay buffer.
 
-Chains follow x_{i+1} = x_i - (step/2) * dE/dx + noise, where the noise
-is zero-mean Gaussian with variance equal to the current step size. The
-step size follows a polynomial decay step * (i+1)^(-decay_exponent); the
-exponent defaults to 0 (constant step).
+Chains follow x_{i+1} = x_i - (step/2) * dE/dx + noise at a constant step
+size, where the noise is zero-mean Gaussian with standard deviation the
+square root of the step size. Noise-free chains count as converged when
+their final mean energy-gradient magnitude is below ``CONVERGENCE_ETA``.
 
 Chains are monitored for the documented failure mode of unbounded
 growth: any non-finite coordinate, or any coordinate beyond the
@@ -34,30 +34,25 @@ __all__ = [
     "buffer_draw", "buffer_push", "sgld_chain",
 ]
 
+CONVERGENCE_ETA = 1e-3
+
 
 @dataclass(frozen=True)
 class SgldConfig:
-    """Chain hyperparameters. Defaults: 20 steps, constant step size,
-    uniform init on [-1, 1] per coordinate, divergence bound at 10x the
-    half-width of the init interval."""
+    """Chain hyperparameters. Defaults: 20 steps of size 1, uniform init on
+    ``init`` = (lo, hi) per coordinate, divergence bound at 10x its half-width."""
 
     n_steps: int = 20
     step_size: float = 1.0
-    decay_exponent: float = 0.0
-    init_lo: float = -1.0
-    init_hi: float = 1.0
+    init: tuple = (-1.0, 1.0)
     noise: bool = True
     divergence_bound: Optional[float] = None
-    convergence_eta: float = 1e-3
 
     @property
     def bound(self) -> float:
         if self.divergence_bound is not None:
             return self.divergence_bound
-        return 10.0 * (self.init_hi - self.init_lo) / 2.0
-
-    def step_at(self, i: int) -> float:
-        return self.step_size * (i + 1) ** (-self.decay_exponent)
+        return 10.0 * (self.init[1] - self.init[0]) / 2.0
 
 
 @dataclass
@@ -187,7 +182,7 @@ def sgld_chain(model, params, x0: np.ndarray, config: SgldConfig,
     keep running. Noise-free chains (``config.noise`` False) descend the
     energy and also record a per-step trace of the mean energy-gradient
     magnitude; they count as converged when its final value drops below
-    ``config.convergence_eta``. Steps replay each row-block shape's input
+    ``CONVERGENCE_ETA``. Steps replay each row-block shape's input
     gradient recorded in ``programs`` (by default a new dict); the chain
     binds its gradient function once, so a step reaches its block's
     program with one dict lookup.
@@ -200,14 +195,14 @@ def sgld_chain(model, params, x0: np.ndarray, config: SgldConfig,
     # passes it exactly when no row is bad
     limit = min(config.bound, sys.float_info.max)
     grad = en._block_grads(model, params, en._summed_energy, programs)
+    drift, std = -(config.step_size / 2.0), math.sqrt(config.step_size)
     for i in range(config.n_steps):
-        step = config.step_at(i)
         grads = en._in_blocks(grad, model, x)
         if not config.noise:
             trace.append(float(en._row_norms(grads).mean()))
-        update = -(step / 2.0) * grads
+        update = drift * grads
         if config.noise:
-            update += rng.normal(0.0, math.sqrt(step), size=x.shape)
+            update += rng.normal(0.0, std, size=x.shape)
         proposal = x + update
         if report.diverged:     # frozen chains keep their state
             proposal = np.where(report.diverged_mask.reshape(rows), x, proposal)
@@ -223,8 +218,6 @@ def sgld_chain(model, params, x0: np.ndarray, config: SgldConfig,
             proposal = np.where(bad.reshape(rows), x, proposal)
         x = proposal
         del grads, update       # so the next step's gradient pass runs without them
-    result = ChainResult(samples=x, report=report)
-    if not config.noise:
-        result.egm_trace = trace
-        result.converged = bool(trace and trace[-1] < config.convergence_eta)
-    return result
+    if config.noise:
+        return ChainResult(samples=x, report=report)
+    return ChainResult(x, report, trace, converged=bool(trace and trace[-1] < CONVERGENCE_ETA))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import itertools
 import json
 import zipfile
 from dataclasses import dataclass, field
@@ -264,6 +265,23 @@ def _archive(path):
         raise CheckpointError(f"{path}: corrupt or unreadable checkpoint: {exc}") from exc
 
 
+def _members(path, archive, meta: dict, kind: str) -> dict:
+    """The ``kind`` arrays ("param", "adam_m" or "adam_v") of the parameters
+    ``meta`` names, by name. Their names and shapes must be those of
+    ``meta["model"]``, in order; the first that is not raises CheckpointError."""
+    # a member that is no array is corrupt: _archive reports the ValueError
+    arrays = {name: np.asarray(archive[f"{kind}::{name}"], dtype=np.float64)
+              for name in meta["param_names"]}
+    have = [(name, a.shape) for name, a in arrays.items()]
+    want = [(name, shape) for name, shape, _ in
+            nn._parameter_list(nn.ModelSpec.from_dict(meta["model"]))]
+    for i, pair in enumerate(itertools.zip_longest(have, want)):
+        if pair[0] != pair[1]:
+            stored, wanted = ("{!r} of shape {}".format(*p) if p else "none" for p in pair)
+            raise CheckpointError(f"{path}: {kind} {i} is {stored}, but the model's is {wanted}")
+    return arrays
+
+
 def checkpoint_load(path) -> Checkpoint:
     """The checkpoint at ``path``, but for Adam's state: ``adam`` is None, and
     ``train(resume=path)`` reads the moments with ``_load_adam``."""
@@ -275,7 +293,7 @@ def checkpoint_load(path) -> Checkpoint:
                 f"!= expected {CHECKPOINT_FORMAT_VERSION}")
         return Checkpoint(
             model=nn.ModelSpec.from_dict(meta["model"]),
-            params=nn.Parameters({name: archive[f"param::{name}"] for name in meta["param_names"]}),
+            params=nn.Parameters(_members(path, archive, meta, "param")),
             adam=None, epoch=meta["epoch"],
             sampler_rng_state=meta["sampler_rng_state"],
             buffer_rng_state=meta["buffer_rng_state"],
@@ -285,8 +303,7 @@ def checkpoint_load(path) -> Checkpoint:
 def _load_adam(path) -> nn.AdamState:
     with _archive(path) as archive:
         meta = json.loads(bytes(archive["__meta__"]).decode())
-        moments = {key: {name: archive[f"adam_{key}::{name}"] for name in meta["param_names"]}
-                   for key in ("m", "v")}
+        moments = {key: _members(path, archive, meta, f"adam_{key}") for key in ("m", "v")}
         scalars = {key: meta["adam"][key] for key in ("t", "lr", "beta1", "beta2", "eps")}
-        return nn.AdamState(**moments, **scalars)     # a member that is no array fails here
+        return nn.AdamState(**moments, **scalars)
 

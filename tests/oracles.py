@@ -367,7 +367,7 @@ def per_row_sgld_chain(model, params, x0: np.ndarray, config: smp.SgldConfig,
     keep running. Noise-free chains (``config.noise`` False) descend the
     energy and also record a per-step trace of the mean energy-gradient
     magnitude; they count as converged when its final value drops below
-    ``config.convergence_eta``. Steps replay each row-block shape's input
+    ``smp.CONVERGENCE_ETA``. Steps replay each row-block shape's input
     gradient recorded in ``programs`` (by default a new dict).
     """
     rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
@@ -376,8 +376,8 @@ def per_row_sgld_chain(model, params, x0: np.ndarray, config: smp.SgldConfig,
     trace: list[float] = []
     alive = np.ones(x.shape[0], dtype=bool)
     programs = {} if programs is None else programs
+    step = config.step_size
     for i in range(config.n_steps):
-        step = config.step_at(i)
         grads = energy_grads(model, params, x, programs)
         if not config.noise:
             trace.append(float(np.linalg.norm(
@@ -401,7 +401,7 @@ def per_row_sgld_chain(model, params, x0: np.ndarray, config: smp.SgldConfig,
     result = smp.ChainResult(samples=x, report=report)
     if not config.noise:
         result.egm_trace = trace
-        result.converged = bool(trace and trace[-1] < config.convergence_eta)
+        result.converged = bool(trace and trace[-1] < smp.CONVERGENCE_ETA)
     return result
 
 

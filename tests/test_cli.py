@@ -102,7 +102,7 @@ class TestConfigDefaults:
         built = cli.build_train_config({"model": self.MODEL, "train": {}})
         assert built == trainer.TrainConfig(model=cli.build_model(self.MODEL),
                                             loss=losses.LossConfig())
-        assert cli.build_sampler({}) == smp.SgldConfig()
+        assert built.loss.sampler == smp.SgldConfig()
         jem = cli.build_train_config({"model": self.MODEL,
                                       "train": {"mode": "jem", "sampler": {}}})
         assert jem.loss == losses.LossConfig(mode=losses.Mode.JEM, sampler=smp.SgldConfig())
@@ -117,7 +117,7 @@ class TestConfigDefaults:
         assert built.divergence_policy == "abort"
         assert built.schedule == nn.LrSchedule(0.01, (2,), 0.5)
         assert (built.loss.beta, built.loss.gamma) == (0.25, 0.75)
-        assert built.loss.sampler == smp.SgldConfig(n_steps=4, init_lo=-2.0, init_hi=3.0,
+        assert built.loss.sampler == smp.SgldConfig(n_steps=4, init=(-2.0, 3.0),
                                                     noise=False)
 
 
@@ -251,6 +251,25 @@ class TestHistEgm:
         total = sum(float(r["density"]) * (float(r["bin_upper"]) - float(r["bin_lower"]))
                     for r in rows)
         assert total == pytest.approx(1.0, abs=1e-9)
+
+
+def test_a_checkpoint_that_does_not_fit_its_model_exits_two_before_reading(
+        trained, tmp_path, monkeypatch, capsys):
+    spec = nn.ModelSpec.mlp(2, [16], 2)
+    arrays = dict(nn.init(spec, 0).arrays)
+    del arrays["layer2.b"]
+    params = nn.Parameters(arrays)
+    ckpt = tmp_path / "ckpt.npz"
+    trainer.checkpoint_save(trainer.Checkpoint(
+        model=spec, params=params, adam=nn.AdamState.for_params(params), epoch=0), ckpt)
+    calls = []
+    monkeypatch.setattr(data, "gen_gaussian_mixture_2d", lambda *a, **k: calls.append(a))
+    _, config_path = trained
+    assert cli.main(["eval", "--config", str(config_path), "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "CheckpointError" in err and "'layer2.b'" in err
+    assert calls == []
 
 
 class TestConvApproximateMass:
@@ -447,7 +466,7 @@ class TestConfigTable:
         bad("attack.random_start", "no", command="attack"),
         # json reads NaN and Infinity; no number in a config may be either
         bad("train.lr", math.inf), bad("data.std", math.inf),
-        bad("train.sampler.decay_exponent", math.nan),
+        bad("train.sampler.divergence_bound", math.nan),
         bad("data.centers", [[-0.5, 0.0], [math.inf, 0.0]]),
         # finite, but center + z * std would overflow
         bad("data.std", 1e308), bad("data.std", 2 ** -4 * sys.float_info.max),
@@ -459,6 +478,10 @@ class TestConfigTable:
         bad("train.divergence_policy", "explode"), bad("train.sampler.n_steps", -1),
         bad("train.sampler.step_size", 0), bad("train.sampler.init", [1.0, -1.0]),
         bad("attack.n_steps", 0, command="attack"),
+        # keys that are gone: chains run at a constant step, and a noise-free
+        # chain converges below sampler.CONVERGENCE_ETA
+        *(bad(f"train.sampler.{key}", 0.5, names=f"['{key}'] in section 'train.sampler'")
+          for key in ("decay_exponent", "convergence_eta")),
         # beta + gamma = 1 spans two keys, so LossConfig checks it below the table
         bad("train.beta", 0.3, names="train.beta, train.gamma")])
     def test_exits_one_naming_the_key_before_reading(self, trained, tmp_path, monkeypatch,
@@ -481,6 +504,7 @@ class TestConfigTable:
         assert cli.main([command, "--config", str(path), "--out", str(tmp_path), *flags]) == 1
         assert names in capsys.readouterr().err
         assert calls == []
+        assert not (tmp_path / "checkpoint_final.npz").exists()
 
     def test_the_largest_std_and_centers_allowed_generate_data(self):
         half = sys.float_info.max / 2

@@ -141,12 +141,6 @@ class TestSgldChain:
                        rng=np.random.default_rng(7))
         assert params == before
 
-    def test_polynomial_decay_schedule(self):
-        config = smp.SgldConfig(n_steps=3, step_size=2.0, decay_exponent=1.0)
-        assert config.step_at(0) == 2.0
-        assert config.step_at(1) == 1.0
-        assert config.step_at(3) == 0.5
-
     def test_peak_memory_follows_the_block_not_the_chain_count(self):
         # an added chain row holds a few input-sized rows (its state, gradient,
         # update, noise and proposal), not a gradient pass's activations: about

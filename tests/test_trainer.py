@@ -455,6 +455,44 @@ class TestCheckpointIO:
                 trainer.train(ce_config(epochs=2), train_ds, test_ds, resume=damaged)
         assert steps == []
 
+    @pytest.mark.parametrize("damage,names", [
+        ("missing", r"param 3 is none, but the model's is 'layer2\.b' of shape \(2,\)"),
+        ("shape", r"param 2 is 'layer2\.w' of shape \(3, 2\), but the model's is "
+                  r"'layer2\.w' of shape \(4, 2\)")], ids=["missing", "shape"])
+    def test_parameters_that_do_not_fit_the_model_are_rejected_at_load(self, tmp_path,
+                                                                       damage, names):
+        spec = nn.ModelSpec.mlp(2, [4], 2)
+        arrays = dict(nn.init(spec, 0).arrays)
+        if damage == "missing":
+            del arrays["layer2.b"]
+        else:
+            arrays["layer2.w"] = np.zeros((3, 2))
+        params = nn.Parameters(arrays)
+        path = tmp_path / "ckpt.npz"
+        trainer.checkpoint_save(trainer.Checkpoint(
+            model=spec, params=params, adam=nn.AdamState.for_params(params), epoch=0), path)
+        with pytest.raises(trainer.CheckpointError, match=names):
+            trainer.checkpoint_load(path)
+
+    @pytest.mark.parametrize("moment", ["m", "v"])
+    def test_moments_that_do_not_fit_the_model_are_rejected_at_resume(self, tmp_path, moment,
+                                                                      monkeypatch):
+        train_ds, test_ds = blob_task(n=20)
+        ckpt, _ = trainer.train(ce_config(epochs=1), train_ds, test_ds)
+        moments = {"m": dict(ckpt.adam.m), "v": dict(ckpt.adam.v)}
+        moments[moment]["layer0.b"] = np.zeros(3)
+        ckpt.adam = nn.AdamState(**moments, t=ckpt.adam.t, lr=ckpt.adam.lr)
+        path = tmp_path / "ckpt.npz"
+        trainer.checkpoint_save(ckpt, path)
+        assert trainer.checkpoint_load(path).params == ckpt.params
+        steps = []
+        monkeypatch.setattr(trainer, "_batch_step", lambda *args: steps.append(args))
+        with pytest.raises(trainer.CheckpointError,
+                           match=rf"adam_{moment} 1 is 'layer0\.b' of shape \(3,\), but "
+                                 rf"the model's is 'layer0\.b' of shape \(16,\)"):
+            trainer.train(ce_config(epochs=2), train_ds, test_ds, resume=path)
+        assert steps == []
+
     def test_truncated_file_rejected(self, tmp_path):
         train_ds, test_ds = blob_task(n=20)
         ckpt, _ = trainer.train(ce_config(epochs=1), train_ds, test_ds)
