@@ -50,12 +50,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 # ---------------------------------------------------------------------------
-# config table: per section, key -> (field, rule) or (field, rule, kinds).
-# field: the keyword the key fills ("loss.beta": beta of the LossConfig the
-# train section builds), or None when a command reads the key; an absent key
-# keeps the field's default. rule: a _Rule, choices (an enum, or kinds with
-# the default first) or a subsection's table. kinds: the section kinds (for
-# the root, the commands) that require the key.
+# config table: per section, key -> (rule,) or (rule, kinds). A value key that
+# names a field of the dataclass its section builds (TrainConfig for train and
+# the root's seed, SgldConfig for sampler, AttackConfig for attack) fills that
+# field, an absent one keeps the field's default, and a command reads the rest
+# itself. rule: a _Rule, choices (an enum, or kinds with the default first) or
+# a subsection's table. kinds: the section kinds (for the root, the commands)
+# that require the key.
 
 class _Rule(NamedTuple):
     text: str                          # what a valid value is, for the error
@@ -94,57 +95,50 @@ _STD = _Rule(f"a number in [0, {_HALF_MAX / 16:.4g}]",
 _BOWLS = {"quadratic_bowl": 1.0, "concave_bowl": -1.0}   # the test energies' curvatures
 
 _TABLE = {
-    "": {"seed": ("seed", _INT0), "out_dir": (None, _STR), "model": (None, "model", ["train"]),
-         "ood_data": (None, "data"),
-         **{name: (None, name) for name in ("data", "train", "metrics", "attack", "sample", "hist")}},
+    "": {"seed": (_INT0,), "out_dir": (_STR,), "model": ("model", ["train"]),
+         "ood_data": ("data",),
+         **{name: (name,) for name in ("data", "train", "metrics", "attack", "sample", "hist")}},
     "model": {
-        "kind": (None, ["mlp", "conv", *_BOWLS]),
-        "input_dim": (None, _INT1, ["mlp"]), "hidden": (None, _WIDTHS),
-        "classes": (None, _INT1, ["mlp", "conv"]),
-        "input_shape": (None, _SHAPE, ["conv"]), "channels": (None, _WIDTHS),
-        "kernel": (None, _Rule("an odd integer >= 1", lambda v: _INT1.test(v) and v % 2 == 1)),
-        "dim": (None, _INT1)},
+        "kind": (["mlp", "conv", *_BOWLS],), "input_dim": (_INT1, ["mlp"]),
+        "hidden": (_WIDTHS,), "classes": (_INT1, ["mlp", "conv"]),
+        "input_shape": (_SHAPE, ["conv"]), "channels": (_WIDTHS,),
+        "kernel": (_Rule("an odd integer >= 1", lambda v: _INT1.test(v) and v % 2 == 1),),
+        "dim": (_INT1,)},
     "data": {
-        "kind": (None, ["gaussian_mixture", "cifar10", "cifar100", "csv"]),
-        "n_per_class": (None, _INT1, ["gaussian_mixture"]),
-        "centers": (None, _CENTERS, ["gaussian_mixture"]),
-        "std": (None, _STD, ["gaussian_mixture"]), "seed": (None, _INT0),
-        "label_noise": (None, _Rule("a number in [0, 1]", lambda v: _NUMBER0.test(v) and v <= 1)),
-        "train_files": (None, _STRS), "test_files": (None, _STRS),
-        "path": (None, _STR, ["csv"]), "classes": (None, _INT1, ["csv"])},
+        "kind": (["gaussian_mixture", "cifar10", "cifar100", "csv"],),
+        "n_per_class": (_INT1, ["gaussian_mixture"]),
+        "centers": (_CENTERS, ["gaussian_mixture"]), "std": (_STD, ["gaussian_mixture"]),
+        "seed": (_INT0,),
+        "label_noise": (_Rule("a number in [0, 1]", lambda v: _NUMBER0.test(v) and v <= 1),),
+        "train_files": (_STRS,), "test_files": (_STRS,),
+        "path": (_STR, ["csv"]), "classes": (_INT1, ["csv"])},
     "train": {
-        "mode": ("loss.mode", losses.Mode), "epochs": ("epochs", _INT0),
-        "batch_size": ("batch_size", _INT1), "lr": ("schedule.base_rate", _POSITIVE),
-        "milestones": ("schedule.milestones", _Rule(
-            "strictly ascending integers >= 0",
-            lambda v: _list(v, _INT0.test) and all(a < b for a, b in zip(v, v[1:])))),
-        "decay_factor": ("schedule.factor", _Rule(
-            "a number in (0, 1]", lambda v: _POSITIVE.test(v) and v <= 1)),
-        "beta": ("loss.beta", _NUMBER0), "gamma": ("loss.gamma", _NUMBER0),
-        "checkpoint_interval": ("checkpoint_interval", _INT0),
-        "divergence_policy": ("divergence_policy", trainer.DIVERGENCE_POLICIES),
-        "sampler": ("loss.sampler", "sampler")},
+        "mode": (losses.Mode,), "epochs": (_INT0,), "batch_size": (_INT1,), "lr": (_POSITIVE,),
+        "milestones": (_Rule("strictly ascending integers >= 0", lambda v: _list(
+            v, _INT0.test) and all(a < b for a, b in zip(v, v[1:]))),),
+        "decay_factor": (_Rule("a number in (0, 1]", lambda v: _POSITIVE.test(v) and v <= 1),),
+        "beta": (_NUMBER0,), "gamma": (_NUMBER0,), "checkpoint_interval": (_INT0,),
+        "divergence_policy": (trainer.DIVERGENCE_POLICIES,), "sampler": ("sampler",)},
     "sampler": {
-        "n_steps": ("n_steps", _INT0), "step_size": ("step_size", _POSITIVE),
-        "init": ("init", _Rule("a pair [lo, hi] of finite numbers, lo < hi",
-                               lambda v: _list(v, _NUMBER.test, 2) and v[0] < v[1])),
-        "noise": ("noise", _BOOL), "divergence_bound": ("divergence_bound", _STEP)},
-    "metrics": {"ece_bins": (None, _INT1)},
+        "n_steps": (_INT0,), "step_size": (_POSITIVE,),
+        "init": (_Rule("a pair [lo, hi] of finite numbers, lo < hi",
+                       lambda v: _list(v, _NUMBER.test, 2) and v[0] < v[1]),),
+        "noise": (_BOOL,), "divergence_bound": (_STEP,)},
+    "metrics": {"ece_bins": (_INT1,)},
     "attack": {
-        "norm": ("norm", attacks.Norm),
-        "epsilons": (None, _Rule("ascending finite numbers >= 0",
-                                 lambda v: _list(v, _NUMBER0.test) and v == sorted(v))),
-        "n_steps": ("n_steps", _INT1), "step_size": ("step_size", _STEP),
-        "random_start": ("random_start", _BOOL)},
-    "sample": {"n": (None, _INT1), "sampler": (None, "sampler")},
-    "hist": {"bins": (None, _INT1)},
+        "norm": (attacks.Norm,),
+        "epsilons": (_Rule("ascending finite numbers >= 0",
+                           lambda v: _list(v, _NUMBER0.test) and v == sorted(v)),),
+        "n_steps": (_INT1,), "step_size": (_STEP,), "random_start": (_BOOL,)},
+    "sample": {"n": (_INT1,), "sampler": ("sampler",)},
+    "hist": {"bins": (_INT1,)},
 }
 _HIST_BINS = 30   # hist.bins when absent, for ood's and hist-egm's histograms
 
 
 def _kind(section: dict, name: str) -> str:
     """The kind of a model or data section; its table names the default first."""
-    return section.get("kind", _TABLE[name]["kind"][1][0])
+    return section.get("kind", _TABLE[name]["kind"][0][0])
 
 
 def check_config(config: dict, command: str, name: str = "", where: str = "") -> None:
@@ -158,7 +152,7 @@ def check_config(config: dict, command: str, name: str = "", where: str = "") ->
         place = f"section {where!r}" if where else "config"
         raise losses.ConfigError(f"unknown key(s) {sorted(unknown)} in {place}")
     kind = _kind(config, name) if "kind" in table else command
-    for key, (_, rule, *required_by) in table.items():
+    for key, (rule, *required_by) in table.items():
         at = f"{where}.{key}" if where else key
         if key not in config:
             if required_by and kind in required_by[0]:
@@ -173,16 +167,17 @@ def check_config(config: dict, command: str, name: str = "", where: str = "") ->
                 raise losses.ConfigError(f"{at} must be {rule.text}, got {config[key]!r}")
 
 
-def _fields(name: str, section: dict, target: str = "") -> dict:
-    """The keyword arguments that ``section`` gives the ``target`` object ("" for
-    the one the section itself builds), with enum choices as their members and
-    lists as tuples, so a built dataclass equals one made in Python."""
+def _fields(cls, name: str, section: dict) -> dict:
+    """The keyword arguments that ``section``, checked against table ``name``,
+    gives dataclass ``cls``: the value of each key that names a field of ``cls``
+    and holds no subsection, enum choices as their members and lists as tuples,
+    so a built dataclass equals one made in Python."""
+    names = {f.name for f in dataclasses.fields(cls)}
     kwargs = {}
-    for key, (field, rule, *_) in _TABLE[name].items():
-        owner, _, arg = (field or "").rpartition(".")
-        if field and key in section and owner == target:
+    for key, (rule, *_) in _TABLE[name].items():
+        if key in names and key in section and not isinstance(rule, str):
             value = section[key]
-            kwargs[arg] = (rule(value) if isinstance(rule, enum.EnumMeta)
+            kwargs[key] = (rule(value) if isinstance(rule, enum.EnumMeta)
                            else tuple(value) if isinstance(value, list) else value)
     return kwargs
 
@@ -267,11 +262,11 @@ def check_data_files(config: dict, command: str) -> None:
 
 def read_data(config: dict, command: str, model: nn.ModelSpec) -> list:
     """The datasets of _READS for ``command``, in order. Data that holds more
-    classes than ``model``, or inputs ``model`` does not take, is a config error,
-    found before any data is generated or read but for a csv file's width, known
-    only once the file is read. The errors name train's model section or the
-    checkpoint the other commands open. ood_data's labels are never read, so
-    only its inputs are checked."""
+    classes than ``model``, inputs ``model`` does not take, or one class to add
+    label noise to, is a config error, found before any data is generated or
+    read but for a csv file's width, known only once the file is read. The
+    errors name train's model section or the checkpoint the other commands
+    open. ood_data's labels are never read, so only its inputs are checked."""
     owner = "" if command == "train" else "the checkpoint's "
     reads = _READS[command]
     sections = dict.fromkeys(name for name, _ in reads)
@@ -283,6 +278,9 @@ def read_data(config: dict, command: str, model: nn.ModelSpec) -> list:
         elif kind == "gaussian_mixture":
             source, classes, shape = f"{name}.centers", len(section["centers"]), (2,)
             needs = "model.kind mlp with model.input_dim 2"
+            if classes == 1 and section.get("label_noise") and (name, "train") in reads:
+                raise losses.ConfigError(f"{name}.label_noise moves labels to another class, "
+                                         f"but {name}.centers gives one class")
         else:
             source, classes, shape = f"{name}.kind", 10 if kind == "cifar10" else 100, (3, 32, 32)
             needs = "model.kind conv with model.input_shape [3, 32, 32]"
@@ -306,18 +304,16 @@ def read_data(config: dict, command: str, model: nn.ModelSpec) -> list:
 
 def build_train_config(config: dict) -> trainer.TrainConfig:
     """The TrainConfig of a checked config. The table admitted each value, so
-    the one rule left to check is LossConfig's beta + gamma = 1, which spans two keys."""
+    the one rule left to check is TrainConfig's beta + gamma = 1, which spans two keys."""
     if _kind(config["model"], "model") in _BOWLS:
         raise losses.ConfigError("this command requires a trainable model (mlp or conv)")
-    model = build_model(config["model"])
     section = config.get("train", {})
-    loss = _fields("train", section, "loss")
-    loss["sampler"] = smp.SgldConfig(**_fields("sampler", loss.get("sampler", {})))
     try:
         return trainer.TrainConfig(
-            model=model, loss=losses.LossConfig(**loss),
-            schedule=nn.LrSchedule(**_fields("train", section, "schedule")),
-            **_fields("", config), **_fields("train", section))
+            model=build_model(config["model"]), **_fields(trainer.TrainConfig, "", config),
+            sampler=smp.SgldConfig(**_fields(smp.SgldConfig, "sampler",
+                                             section.get("sampler", {}))),
+            **_fields(trainer.TrainConfig, "train", section))
     except losses.ConfigError as exc:
         raise losses.ConfigError(f"train.beta, train.gamma: {exc}") from None
 
@@ -394,9 +390,7 @@ def _write_hist(path, hist: metrics.Histogram) -> None:
 # hashes in place of --checkpoint.
 
 def cmd_train(args, config: dict, out: Path, tc, train_ds, test_ds) -> Path:
-    if tc.checkpoint_interval:
-        tc.checkpoint_dir = str(out)
-    ckpt, log = trainer.train(tc, train_ds, test_ds)
+    ckpt, log = trainer.train(tc, train_ds, test_ds, checkpoint_dir=out)
     ckpt_path = out / "checkpoint_final.npz"
     trainer.checkpoint_save(ckpt, ckpt_path)
     # one column per EpochRecord field: %d for int fields, %.12g for the rest
@@ -456,9 +450,9 @@ def cmd_ood(args, config: dict, out: Path, ckpt, in_ds, out_ds) -> None:
 
 def cmd_attack(args, config: dict, out: Path, ckpt, test_ds) -> None:
     section = config.get("attack", {})
+    settings = attacks.AttackConfig(**_fields(attacks.AttackConfig, "attack", section))
     report = attacks.attack_sweep(ckpt.model, ckpt.params, test_ds,
-                                  section.get("epsilons", [0.0, 0.1, 0.2]),
-                                  attacks.AttackConfig(**_fields("attack", section)),
+                                  section.get("epsilons", [0.0, 0.1, 0.2]), settings,
                                   seed=config.get("seed", 0))
     rows = [(report.norm.value, eps, report.clean_accuracy, acc, report.n_examples)
             for eps, acc in zip(report.epsilons, report.adversarial_accuracy)]
@@ -480,7 +474,7 @@ def cmd_hist_egm(args, config: dict, out: Path, ckpt, train_ds) -> None:
 def cmd_sample(args, config: dict, out: Path, ckpt) -> None:
     section = config.get("sample", {})
     n = section.get("n", 64)
-    sampler_cfg = smp.SgldConfig(**_fields("sampler", section.get("sampler", {})))
+    sampler_cfg = smp.SgldConfig(**_fields(smp.SgldConfig, "sampler", section.get("sampler", {})))
     if ckpt is not None:
         model, params = ckpt.model, ckpt.params
     else:

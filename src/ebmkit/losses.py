@@ -18,11 +18,9 @@ import numpy as np
 
 from . import autodiff as ad
 from . import energy as en
-from . import nn
-from . import sampler as smp
 
 __all__ = [
-    "Mode", "LossConfig", "LossGraph", "ConfigError",
+    "Mode", "LossGraph", "ConfigError",
     "cross_entropy", "loss_graph",
 ]
 
@@ -35,21 +33,6 @@ class Mode(enum.Enum):
     CROSS_ENTROPY = "ce"
     JEM = "jem"
     NGEBM = "ngebm"
-
-
-@dataclass(frozen=True)
-class LossConfig:
-    """Objective selection plus the penalty/cross-entropy mixing weights;
-    beta + gamma = 1 is enforced at construction."""
-
-    mode: Mode = Mode.CROSS_ENTROPY
-    beta: float = 0.5
-    gamma: float = 0.5
-    sampler: smp.SgldConfig = smp.SgldConfig()
-
-    def __post_init__(self):
-        if abs(self.beta + self.gamma - 1.0) > 1e-12:
-            raise ConfigError(f"beta + gamma must equal 1, got {self.beta + self.gamma}")
 
 
 @dataclass
@@ -91,24 +74,17 @@ def _penalty_from_logits(logits: ad.Tensor, x_leaf: ad.Tensor) -> ad.Tensor:
     return ad.mean(rows)
 
 
-def _jem_samples(config: LossConfig, model, params: nn.Parameters, batch_shape: tuple,
-                 buffer: smp.ReplayBuffer, rng, programs: dict) -> tuple:
-    """JEM's generated batch: a buffer draw run through the configured chain (its
-    ``programs`` kept by the caller); the survivors, their buffer slots and the diverged count."""
-    x0, indices = smp.buffer_draw(buffer, batch_shape[0], config.sampler.init, batch_shape[1:])
-    chain = smp.sgld_chain(model, params, x0, config.sampler, rng=rng, programs=programs)
-    ok = ~chain.report.diverged_mask
-    return chain.samples[ok], indices[ok], int((~ok).sum())
-
-
-def loss_graph(config: LossConfig, model, params: dict, x: ad.Tensor, onehot: ad.Tensor,
+def loss_graph(config, params: dict, x: ad.Tensor, onehot: ad.Tensor,
                x_gen: Optional[ad.Tensor] = None) -> LossGraph:
-    """The configured objective on leaves of one tape: ``params`` maps each
-    parameter name to its leaf, ``onehot`` holds the batch's labels as one-hot
-    rows and ``x_gen`` (jem) the generated batch, which ``_jem_samples`` draws;
-    the other modes ignore it. The penalty alone is NGEBM mode with beta=1,
-    gamma=0; the generative term alone is ``graph.aux`` in JEM mode.
+    """The objective of ``config`` (a ``trainer.TrainConfig``: its ``mode``,
+    ``beta``, ``gamma`` and ``model``) on leaves of one tape: ``params`` maps
+    each parameter name to its leaf, ``onehot`` holds the batch's labels as
+    one-hot rows and ``x_gen`` (jem) the generated batch, which
+    ``trainer._jem_samples`` draws; the other modes ignore it. The penalty
+    alone is NGEBM mode with beta=1, gamma=0; the generative term alone is
+    ``graph.aux`` in JEM mode.
     """
+    model = config.model
     logits = model(params, x)
     ce = cross_entropy(logits, onehot)
     total, aux = ce, ad.Tensor(0.0)

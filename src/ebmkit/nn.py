@@ -19,7 +19,7 @@ from . import autodiff as ad
 
 __all__ = [
     "Dense", "Relu", "Flatten", "Conv", "Bowl", "ModelSpec", "Parameters",
-    "init", "forward", "AdamState", "NonFiniteGradient", "adam_step", "LrSchedule", "lr_at",
+    "init", "forward", "AdamState", "NonFiniteGradient", "adam_step",
 ]
 
 # Passes over a set run in row blocks whose widest activation fills 2 MB: 32
@@ -318,22 +318,3 @@ def adam_step(state: AdamState, params: Parameters,
     params.flat -= state.lr * mhat / (np.sqrt(vhat) + state.eps)
     return params, state
 
-
-# ---------------------------------------------------------------------------
-# learning-rate schedule
-
-@dataclass(frozen=True)
-class LrSchedule:
-    """Staircase decay: rate drops by ``factor`` at each milestone epoch
-    (inclusive: the decay applies from the milestone epoch onward)."""
-
-    base_rate: float = 1e-4
-    milestones: tuple = ()
-    factor: float = 0.1
-
-
-def lr_at(schedule: LrSchedule, epoch: int) -> float:
-    if epoch < 0:
-        raise ValueError("epoch must be >= 0")
-    passed = sum(1 for m in schedule.milestones if m <= epoch)
-    return schedule.base_rate * schedule.factor ** passed

@@ -14,7 +14,7 @@ import copy
 import itertools
 import json
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -50,15 +50,27 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass
 class TrainConfig:
+    """A config's train section, one field per key, plus its model and root seed.
+    The learning rate is ``lr`` times ``decay_factor`` once for each of the
+    ``milestones`` at or before the epoch; beta + gamma = 1 is enforced here."""
+
     model: nn.ModelSpec
-    loss: losses.LossConfig
+    mode: losses.Mode = losses.Mode.CROSS_ENTROPY
     epochs: int = 150
     batch_size: int = 64
-    seed: int = 0
-    schedule: nn.LrSchedule = field(default_factory=nn.LrSchedule)
+    lr: float = 1e-4
+    milestones: tuple = ()
+    decay_factor: float = 0.1
+    beta: float = 0.5                  # ngebm's weight on the penalty
+    gamma: float = 0.5                 # and on cross-entropy
+    sampler: smp.SgldConfig = smp.SgldConfig()     # jem's chains
     checkpoint_interval: int = 0       # 0 -> no intermediate checkpoints
-    checkpoint_dir: Optional[str] = None
     divergence_policy: str = DIVERGENCE_POLICIES[0]
+    seed: int = 0
+
+    def __post_init__(self):
+        if abs(self.beta + self.gamma - 1.0) > 1e-12:
+            raise losses.ConfigError(f"beta + gamma must equal 1, got {self.beta + self.gamma}")
 
 
 @dataclass
@@ -104,15 +116,17 @@ def _accuracy(model, params, dataset) -> float:
 
 
 def train(config: TrainConfig, dataset_train: datamod.Dataset,
-          dataset_eval: datamod.Dataset,
-          resume=None) -> tuple[Checkpoint, list[EpochRecord]]:
+          dataset_eval: datamod.Dataset, resume=None,
+          checkpoint_dir=".") -> tuple[Checkpoint, list[EpochRecord]]:
     """Run the configured number of epochs and return the final state.
 
     ``resume``, a checkpoint's path, continues a previous run: training from
     a checkpoint written at epoch k up to epoch n >= k reproduces an
-    uninterrupted run to n bit-exactly in the deterministic modes.
+    uninterrupted run to n bit-exactly in the deterministic modes. Every
+    ``config.checkpoint_interval`` epochs a checkpoint goes to ``checkpoint_dir``,
+    the current directory by default.
     """
-    mode = config.loss.mode
+    mode = config.mode
     start = None if resume is None else checkpoint_load(resume)
     if start is not None:
         if start.epoch > config.epochs:
@@ -120,14 +134,14 @@ def train(config: TrainConfig, dataset_train: datamod.Dataset,
         params, adam, start_epoch = start.params, _load_adam(resume), start.epoch
     else:
         params = nn.init(config.model, config.seed)
-        adam = nn.AdamState.for_params(params, lr=config.schedule.base_rate)
+        adam = nn.AdamState.for_params(params, lr=config.lr)
         start_epoch = 0
 
     sampler_rng = np.random.default_rng([config.seed, 2])
     buffer = None
     if mode is losses.Mode.JEM:
         buffer = smp.ReplayBuffer(rng=np.random.default_rng([config.seed, 3]),
-                                  sanity_bound=config.loss.sampler.bound)
+                                  sanity_bound=config.sampler.bound)
     if start is not None:
         if start.sampler_rng_state is not None:
             sampler_rng.bit_generator.state = start.sampler_rng_state
@@ -141,7 +155,7 @@ def train(config: TrainConfig, dataset_train: datamod.Dataset,
     programs: dict = {}     # the recorded step of each input shape
     gradients: dict = {}    # the recorded dE/dx of each row-block shape: chains and EGM probe
     for epoch in range(start_epoch, config.epochs):
-        adam.lr = nn.lr_at(config.schedule, epoch)
+        adam.lr = config.lr * config.decay_factor ** sum(m <= epoch for m in config.milestones)
         totals = np.zeros(3)
         n_batches = 0
         diverged = 0
@@ -150,8 +164,8 @@ def train(config: TrainConfig, dataset_train: datamod.Dataset,
                 datamod.batches(dataset_train, config.batch_size, config.seed, epoch)):
             x_gen = None
             if buffer is not None:      # drawn first: the survivor count picks the program
-                x_gen, gen_indices, n_diverged = losses._jem_samples(
-                    config.loss, config.model, params, x.shape, buffer, sampler_rng, gradients)
+                x_gen, gen_indices, n_diverged = _jem_samples(
+                    config, params, x.shape, buffer, sampler_rng, gradients)
                 diverged += n_diverged
             total, ce, aux, *grads = _batch_step(config, params, x, y, x_gen, programs)
             try:
@@ -181,10 +195,20 @@ def train(config: TrainConfig, dataset_train: datamod.Dataset,
 
         if config.checkpoint_interval and (epoch + 1) % config.checkpoint_interval == 0:
             ckpt = _snapshot(config, params, adam, epoch + 1, sampler_rng, buffer)
-            checkpoint_save(ckpt, f"{config.checkpoint_dir}/checkpoint_epoch{epoch + 1}.npz")
+            checkpoint_save(ckpt, f"{checkpoint_dir}/checkpoint_epoch{epoch + 1}.npz")
 
     final = _snapshot(config, params, adam, config.epochs, sampler_rng, buffer)
     return final, log
+
+
+def _jem_samples(config: TrainConfig, params: nn.Parameters, batch_shape: tuple,
+                 buffer: smp.ReplayBuffer, rng, programs: dict) -> tuple:
+    """JEM's generated batch: a buffer draw run through the configured chain (its
+    ``programs`` kept by the caller); the survivors, their buffer slots and the diverged count."""
+    x0, indices = smp.buffer_draw(buffer, batch_shape[0], config.sampler.init, batch_shape[1:])
+    chain = smp.sgld_chain(config.model, params, x0, config.sampler, rng=rng, programs=programs)
+    ok = ~chain.report.diverged_mask
+    return chain.samples[ok], indices[ok], int((~ok).sum())
 
 
 def _batch_step(config, params, x, y, x_gen, programs: dict) -> list:
@@ -195,8 +219,7 @@ def _batch_step(config, params, x, y, x_gen, programs: dict) -> list:
     dies on return, so no two batches' tapes, nor a tape and the epoch's
     telemetry, are ever alive at once."""
     def loss(*leaves):
-        graph = losses.loss_graph(config.loss, config.model, dict(zip(params, leaves)),
-                                  *leaves[len(params):])
+        graph = losses.loss_graph(config, dict(zip(params, leaves)), *leaves[len(params):])
         return graph.total, graph.ce, graph.aux
     batch = [x, losses._one_hot(y, config.model.classes)] + ([] if x_gen is None else [x_gen])
     return ad.record(loss, [*params.arrays.values(), *batch], len(params), programs)

@@ -439,11 +439,11 @@ def energy_grads(model, params, x, programs=None):
     return en._in_blocks(en._block_grads(model, params, en._summed_energy, programs), model, x)
 
 
-def bound_loss_graph(config, model, params, x, y, x_gen=None):
-    """``losses.loss_graph`` on a fresh tape whose leaves hold the parameters,
-    the batch, its labels' one-hot rows and (jem) the generated batch; the
-    graph, and the parameters' leaves by name."""
+def bound_loss_graph(config, params, x, y, x_gen=None):
+    """``losses.loss_graph`` of a ``trainer.TrainConfig`` on a fresh tape whose
+    leaves hold the parameters, the batch, its labels' one-hot rows and (jem)
+    the generated batch; the graph, and the parameters' leaves by name."""
     tape = ad.Tape()
     bound = {name: tape.leaf(v) for name, v in params.items()}
-    batch = [x, losses._one_hot(y, model.classes)] + ([] if x_gen is None else [x_gen])
-    return losses.loss_graph(config, model, bound, *map(tape.leaf, batch)), bound
+    batch = [x, losses._one_hot(y, config.model.classes)] + ([] if x_gen is None else [x_gen])
+    return losses.loss_graph(config, bound, *map(tape.leaf, batch)), bound

@@ -48,11 +48,8 @@ def train_toy(mode, seed, epochs, std, beta=0.5, label_noise=0.0, n_test=200):
     if label_noise:
         train = datamod.with_label_noise(train, label_noise, seed=seed + 1)
         test = datamod.with_label_noise(test, label_noise, seed=seed + 2)
-    loss = losses.LossConfig(mode=mode, beta=beta, gamma=1.0 - beta) \
-        if mode is losses.Mode.NGEBM else losses.LossConfig(mode=mode)
-    config = trainer.TrainConfig(model=toy_mlp(), loss=loss, epochs=epochs,
-                                 batch_size=64, seed=seed,
-                                 schedule=nn.LrSchedule(1e-2))
+    config = trainer.TrainConfig(model=toy_mlp(), mode=mode, epochs=epochs, batch_size=64,
+                                 lr=1e-2, beta=beta, gamma=1.0 - beta, seed=seed)
     ckpt, log = trainer.train(config, train, test)
     return ckpt, log, train, test
 
@@ -126,8 +123,9 @@ def test_criterion_01_gradient_oracle_suite():
                   f"{worst:.2e} (<= 1e-5), {elapsed:.1f}s (< 30s)")
 
 
-# NGEBM objective with gamma = 0: the input-gradient penalty alone
-_PENALTY_ONLY = losses.LossConfig(mode=losses.Mode.NGEBM, beta=1.0, gamma=0.0)
+def _penalty_only(spec):
+    """NGEBM objective with gamma = 0: the input-gradient penalty alone."""
+    return trainer.TrainConfig(spec, losses.Mode.NGEBM, beta=1.0, gamma=0.0)
 
 
 def test_criterion_02_double_backprop_suite():
@@ -150,7 +148,7 @@ def test_criterion_02_double_backprop_suite():
             def first_order(v, name=name):
                 arrays = {k: a.copy() for k, a in params.arrays.items()}
                 arrays[name] = v
-                graph = bound_loss_graph(_PENALTY_ONLY, spec, nn.Parameters(arrays), x,
+                graph = bound_loss_graph(_penalty_only(spec), nn.Parameters(arrays), x,
                                          np.zeros(3, dtype=np.int64))[0]
                 return float(graph.aux.value)
 
@@ -349,10 +347,8 @@ def test_criterion_12_adversarial_direction(noisy_bank):
 
 def test_criterion_13_determinism(tmp_path):
     def ce_config(epochs):
-        return trainer.TrainConfig(
-            model=toy_mlp(),
-            loss=losses.LossConfig(mode=losses.Mode.CROSS_ENTROPY),
-            epochs=epochs, batch_size=32, seed=13, schedule=nn.LrSchedule(1e-2))
+        return trainer.TrainConfig(model=toy_mlp(), mode=losses.Mode.CROSS_ENTROPY,
+                                   epochs=epochs, batch_size=32, lr=1e-2, seed=13)
 
     train = datamod.gen_gaussian_mixture_2d(60, CENTERS, 0.2, seed=0)
     test = datamod.gen_gaussian_mixture_2d(60, CENTERS, 0.2, seed=1, split="test")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ebmkit import autodiff as ad
-from ebmkit import energy, losses, nn
+from ebmkit import energy, losses, nn, trainer
 from oracles import (bound_loss_graph, central_diff, close_rel, eager_record, energy_grads,
                      naive_conv2d, naive_matmul, traced_peak_bytes, whole_batch_corr,
                      whole_batch_corr_input_grad, whole_batch_corr_weight_grad)
@@ -268,7 +268,7 @@ class TestPruning:
                     depth[0] -= 1
             monkeypatch.setattr(ad, name, counted)
 
-        graph, bound = bound_loss_graph(losses.LossConfig(mode=losses.Mode.NGEBM), spec, params,
+        graph, bound = bound_loss_graph(trainer.TrainConfig(spec, losses.Mode.NGEBM), params,
                                         x, np.array([0, 1, 2, 0]))
         ad.backward(graph.tape, graph.total, list(bound.values()))
         # forward 2; dE/dx pass 2 (no weight gradients); parameter pass 7 (no
@@ -512,7 +512,7 @@ def test_a_conv_ngebm_step_neither_pads_nor_views_windows(monkeypatch):
     xs = np.random.default_rng(0).normal(size=(2, 4, 2, 6, 6))
 
     def loss(*leaves):
-        graph = losses.loss_graph(losses.LossConfig(mode=losses.Mode.NGEBM), spec,
+        graph = losses.loss_graph(trainer.TrainConfig(spec, losses.Mode.NGEBM),
                                   dict(zip(params, leaves)), *leaves[len(params):])
         return graph.total, graph.aux
 
@@ -689,10 +689,10 @@ class TestTapeIsolation:
     def test_dropped_tape_is_freed_without_the_cyclic_collector(self):
         spec = nn.ModelSpec.mlp(2, [8], 2)
         x = np.random.default_rng(0).normal(size=(4, 2))
-        cfg = losses.LossConfig(mode=losses.Mode.NGEBM)
+        cfg = trainer.TrainConfig(spec, losses.Mode.NGEBM)
         gc.disable()
         try:
-            graph, bound = bound_loss_graph(cfg, spec, nn.init(spec, seed=0), x,
+            graph, bound = bound_loss_graph(cfg, nn.init(spec, seed=0), x,
                                             np.zeros(4, dtype=np.int64))
             ad.backward(graph.tape, graph.total, list(bound.values()))
             tape = weakref.ref(graph.tape)

@@ -13,7 +13,7 @@ from ebmkit import autodiff as ad
 from ebmkit import cli
 from ebmkit import data
 from ebmkit import energy as en
-from ebmkit import losses, metrics, nn, trainer
+from ebmkit import attacks, losses, metrics, nn, trainer
 from ebmkit import sampler as smp
 from oracles import dataset_to_csv, eager_record
 
@@ -99,13 +99,13 @@ class TestConfigDefaults:
     MODEL = {"kind": "mlp", "input_dim": 2, "hidden": [4], "classes": 2}
 
     def test_empty_sections_build_the_dataclass_defaults(self):
+        model = cli.build_model(self.MODEL)
         built = cli.build_train_config({"model": self.MODEL, "train": {}})
-        assert built == trainer.TrainConfig(model=cli.build_model(self.MODEL),
-                                            loss=losses.LossConfig())
-        assert built.loss.sampler == smp.SgldConfig()
+        assert built == trainer.TrainConfig(model=model)
+        assert built.sampler == smp.SgldConfig()
         jem = cli.build_train_config({"model": self.MODEL,
                                       "train": {"mode": "jem", "sampler": {}}})
-        assert jem.loss == losses.LossConfig(mode=losses.Mode.JEM, sampler=smp.SgldConfig())
+        assert jem == trainer.TrainConfig(model=model, mode=losses.Mode.JEM)
 
     def test_given_keys_reach_their_fields(self):
         section = {"mode": "jem", "epochs": 3, "batch_size": 8, "lr": 0.01,
@@ -113,12 +113,20 @@ class TestConfigDefaults:
                    "checkpoint_interval": 0, "divergence_policy": "abort",
                    "sampler": {"n_steps": 4, "init": [-2.0, 3.0], "noise": False}}
         built = cli.build_train_config({"seed": 9, "model": self.MODEL, "train": section})
-        assert (built.epochs, built.batch_size, built.seed) == (3, 8, 9)
-        assert built.divergence_policy == "abort"
-        assert built.schedule == nn.LrSchedule(0.01, (2,), 0.5)
-        assert (built.loss.beta, built.loss.gamma) == (0.25, 0.75)
-        assert built.loss.sampler == smp.SgldConfig(n_steps=4, init=(-2.0, 3.0),
-                                                    noise=False)
+        assert built == trainer.TrainConfig(
+            model=cli.build_model(self.MODEL), mode=losses.Mode.JEM, epochs=3, batch_size=8,
+            lr=0.01, milestones=(2,), decay_factor=0.5, beta=0.25, gamma=0.75,
+            checkpoint_interval=0, divergence_policy="abort",
+            sampler=smp.SgldConfig(n_steps=4, init=(-2.0, 3.0), noise=False), seed=9)
+
+    def test_every_value_key_names_a_field(self):
+        # a key is passed to the field of its own name, so a key left behind
+        # by a renamed field would pass the table and then do nothing
+        owners = {"train": trainer.TrainConfig, "sampler": smp.SgldConfig,
+                  "attack": attacks.AttackConfig}
+        unfilled = [f"{name}.{key}" for name, cls in owners.items() for key in cli._TABLE[name]
+                    if key not in {f.name for f in dataclasses.fields(cls)}]
+        assert unfilled == ["attack.epsilons"]      # attack_sweep takes it
 
 
 class TestEvalAndCalibrate:
@@ -482,7 +490,7 @@ class TestConfigTable:
         # chain converges below sampler.CONVERGENCE_ETA
         *(bad(f"train.sampler.{key}", 0.5, names=f"['{key}'] in section 'train.sampler'")
           for key in ("decay_exponent", "convergence_eta")),
-        # beta + gamma = 1 spans two keys, so LossConfig checks it below the table
+        # beta + gamma = 1 spans two keys, so TrainConfig checks it below the table
         bad("train.beta", 0.3, names="train.beta, train.gamma")])
     def test_exits_one_naming_the_key_before_reading(self, trained, tmp_path, monkeypatch,
                                                      capsys, command, key, value, flags, names):
@@ -519,7 +527,7 @@ class TestConfigTable:
         schema = readme.split("### Config schema", 1)[1]
         example = json.loads(schema.split("```json", 1)[1].split("```", 1)[0])
         cli.check_config(example, "train")
-        assert cli.build_train_config(example).loss.mode is losses.Mode.NGEBM
+        assert cli.build_train_config(example).mode is losses.Mode.NGEBM
 
 
 class TestModelFitsData:
@@ -544,7 +552,10 @@ class TestModelFitsData:
         pytest.param(dict(CONV, input_shape=[3, 16, 16]), dict(CIFAR, kind="cifar10"),
                      ("data.kind", "model.input_shape"), id="cifar-16x16-input"),
         pytest.param({"classes": 2}, {"kind": "csv", "path": "absent.csv", "classes": 3},
-                     ("data.classes", "model.classes"), id="csv-three-classes")])
+                     ("data.classes", "model.classes"), id="csv-three-classes"),
+        # with_label_noise moves a label to another class, and one centre gives no other
+        pytest.param({}, {"centers": [[0.0, 0.0]], "label_noise": 0.1},
+                     ("data.label_noise", "data.centers"), id="label-noise-on-one-class")])
     def test_exits_one_naming_both_keys_before_reading(self, tmp_path, monkeypatch, capsys,
                                                        model, data_section, names):
         config = toy_config(tmp_path / "run", epochs=1)
@@ -594,6 +605,12 @@ class TestCheckpointFitsData:
                                               command):
         self._exits_one(trained, tmp_path, monkeypatch, capsys, command, self.THREE_CENTERS,
                         {}, ("data.centers", "checkpoint's model.classes"))
+
+    def test_label_noise_on_one_class(self, trained, tmp_path, monkeypatch, capsys):
+        # hist-egm reads the train split, the one that label_noise changes
+        self._exits_one(trained, tmp_path, monkeypatch, capsys, "hist-egm",
+                        {"centers": [[0.0, 0.0]], "label_noise": 0.1}, {},
+                        ("data.label_noise", "data.centers"))
 
     @pytest.fixture(scope="class")
     def ten_classes(self, tmp_path_factory):

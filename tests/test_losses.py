@@ -8,6 +8,7 @@ from ebmkit import energy as en
 from ebmkit import losses
 from ebmkit import nn
 from ebmkit import sampler as smp
+from ebmkit import trainer
 from oracles import bound_loss_graph, central_diff, close_rel
 
 
@@ -19,9 +20,18 @@ def linear_single_logit(w, b=0.0):
     return spec, params
 
 
-# the penalty alone: NGEBM mode with beta=1, gamma=0
-PENALTY = losses.LossConfig(mode=losses.Mode.NGEBM, beta=1.0, gamma=0.0)
-JEM = losses.LossConfig(mode=losses.Mode.JEM, sampler=smp.SgldConfig())
+def loss_config(spec, mode=losses.Mode.NGEBM, **kw):
+    """The TrainConfig whose objective ``losses.loss_graph`` builds on ``spec``."""
+    return trainer.TrainConfig(model=spec, mode=mode, **kw)
+
+
+def penalty_only(spec):
+    """The penalty alone: NGEBM mode with beta=1, gamma=0."""
+    return loss_config(spec, beta=1.0, gamma=0.0)
+
+
+def jem(spec):
+    return loss_config(spec, losses.Mode.JEM)
 
 
 def zero_labels(x):
@@ -29,12 +39,12 @@ def zero_labels(x):
 
 
 def penalty(spec, params, x):
-    return float(bound_loss_graph(PENALTY, spec, params, x, zero_labels(x))[0].aux.value)
+    return float(bound_loss_graph(penalty_only(spec), params, x, zero_labels(x))[0].aux.value)
 
 
 def generative_term(spec, params, xt, xg):
     """JEM's generative term alone, over fixed generated samples."""
-    graph, _ = bound_loss_graph(JEM, spec, params, xt, zero_labels(xt), x_gen=xg)
+    graph, _ = bound_loss_graph(jem(spec), params, xt, zero_labels(xt), x_gen=xg)
     return float(graph.aux.value)
 
 
@@ -107,7 +117,7 @@ class TestEbmLoss:
         rng = np.random.default_rng(3)
         xt = rng.normal(size=(4, 2))
         xg = rng.normal(size=(4, 2))
-        graph, bound = bound_loss_graph(JEM, spec, params, xt, zero_labels(xt), x_gen=xg)
+        graph, bound = bound_loss_graph(jem(spec), params, xt, zero_labels(xt), x_gen=xg)
         gm = ad.backward(graph.tape, graph.total, list(bound.values()))
         want_w = (xg.mean(0) - xt.mean(0)).reshape(-1, 1)
         assert np.all(np.abs(gm[bound["layer0.w"]].value - want_w) < 1e-10)
@@ -127,7 +137,7 @@ class TestEbmLoss:
             return e_train - e_gen
 
         before = gap(params)
-        graph, bound = bound_loss_graph(JEM, spec, params, xt, zero_labels(xt), x_gen=xg)
+        graph, bound = bound_loss_graph(jem(spec), params, xt, zero_labels(xt), x_gen=xg)
         assert float(graph.ce.value) == 0.0
         grads = ad.backward(graph.tape, graph.total, list(bound.values()))
         adam = nn.AdamState.for_params(params, lr=1e-2)
@@ -193,12 +203,6 @@ class TestGradPenalty:
         assert np.linalg.norm(stepped) < np.linalg.norm(params.arrays["layer0.w"])
 
 
-class TestLossConfig:
-    def test_weights_must_sum_to_one(self):
-        with pytest.raises(losses.ConfigError):
-            losses.LossConfig(mode=losses.Mode.NGEBM, beta=0.4, gamma=0.4)
-
-
 class TestCombinedLoss:
     def setup_method(self):
         self.spec = nn.ModelSpec.mlp(2, [6], 2)
@@ -208,15 +212,15 @@ class TestCombinedLoss:
         self.y = np.array([0, 1, 0, 1, 1])
 
     def test_beta_zero_reduces_to_cross_entropy(self):
-        cfg = losses.LossConfig(mode=losses.Mode.NGEBM, beta=0.0, gamma=1.0)
-        graph, _ = bound_loss_graph(cfg, self.spec, self.params, self.x, self.y)
+        cfg = loss_config(self.spec, beta=0.0, gamma=1.0)
+        graph, _ = bound_loss_graph(cfg, self.params, self.x, self.y)
         ce = float(losses.cross_entropy(nn.forward(self.spec, self.params, self.x),
                                         losses._one_hot(self.y, 2)).value)
         assert float(graph.total.value) == pytest.approx(ce, abs=1e-12)
 
     def test_equal_weights_arithmetic(self):
-        cfg = losses.LossConfig(mode=losses.Mode.NGEBM, beta=0.5, gamma=0.5)
-        graph, _ = bound_loss_graph(cfg, self.spec, self.params, self.x, self.y)
+        cfg = loss_config(self.spec, beta=0.5, gamma=0.5)
+        graph, _ = bound_loss_graph(cfg, self.params, self.x, self.y)
         ce = float(losses.cross_entropy(nn.forward(self.spec, self.params, self.x),
                                         losses._one_hot(self.y, 2)).value)
         pen = penalty(self.spec, self.params, self.x)
@@ -225,25 +229,25 @@ class TestCombinedLoss:
         assert float(graph.aux.value) == pytest.approx(pen, abs=1e-12)
 
     def test_breakdown_recomputes_total(self):
-        cfg = losses.LossConfig(mode=losses.Mode.NGEBM, beta=0.3, gamma=0.7)
-        graph, _ = bound_loss_graph(cfg, self.spec, self.params, self.x, self.y)
+        cfg = loss_config(self.spec, beta=0.3, gamma=0.7)
+        graph, _ = bound_loss_graph(cfg, self.params, self.x, self.y)
         total, ce, aux = (float(t.value) for t in (graph.total, graph.ce, graph.aux))
         assert total == pytest.approx(0.7 * ce + 0.3 * aux, abs=1e-12)
 
     def test_jem_with_generated_equal_to_train_is_ce(self):
-        cfg = losses.LossConfig(mode=losses.Mode.JEM, sampler=smp.SgldConfig())
-        graph, _ = bound_loss_graph(cfg, self.spec, self.params, self.x, self.y, x_gen=self.x)
+        cfg = jem(self.spec)
+        graph, _ = bound_loss_graph(cfg, self.params, self.x, self.y, x_gen=self.x)
         ce = float(losses.cross_entropy(nn.forward(self.spec, self.params, self.x),
                                         losses._one_hot(self.y, 2)).value)
         assert float(graph.total.value) == pytest.approx(ce, abs=1e-12)
 
     def test_jem_end_to_end_with_buffer(self):
-        cfg = losses.LossConfig(mode=losses.Mode.JEM,
-                                sampler=smp.SgldConfig(n_steps=3, step_size=0.1))
+        cfg = loss_config(self.spec, losses.Mode.JEM,
+                          sampler=smp.SgldConfig(n_steps=3, step_size=0.1))
         buffer = smp.ReplayBuffer(capacity=50, rng=np.random.default_rng(3))
-        x_gen, _, _ = losses._jem_samples(cfg, self.spec, self.params, self.x.shape, buffer,
-                                          np.random.default_rng(11), {})
-        graph, _ = bound_loss_graph(cfg, self.spec, self.params, self.x, self.y, x_gen=x_gen)
+        x_gen, _, _ = trainer._jem_samples(cfg, self.params, self.x.shape, buffer,
+                                           np.random.default_rng(11), {})
+        graph, _ = bound_loss_graph(cfg, self.params, self.x, self.y, x_gen=x_gen)
         total, ce, aux = (float(t.value) for t in (graph.total, graph.ce, graph.aux))
         assert np.isfinite(total)
         assert total == pytest.approx(ce + aux, abs=1e-12)

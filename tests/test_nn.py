@@ -198,27 +198,6 @@ class TestAdam:
         assert np.array_equal(state.flat_m, moments[0]) and np.array_equal(state.flat_v, moments[1])
 
 
-class TestSchedule:
-    def test_before_first_milestone(self):
-        sched = nn.LrSchedule(1e-3, (10, 20), 0.1)
-        assert nn.lr_at(sched, 0) == 1e-3
-        assert nn.lr_at(sched, 9) == 1e-3
-
-    def test_two_decays(self):
-        sched = nn.LrSchedule(1e-4, (60, 120), 0.1)
-        assert nn.lr_at(sched, 130) == pytest.approx(1e-6)
-
-    def test_milestone_boundary_inclusive(self):
-        sched = nn.LrSchedule(1.0, (5,), 0.5)
-        assert nn.lr_at(sched, 4) == 1.0
-        assert nn.lr_at(sched, 5) == 0.5
-
-    def test_non_increasing(self):
-        sched = nn.LrSchedule(1e-3, (3, 7, 11), 0.3)
-        rates = [nn.lr_at(sched, e) for e in range(15)]
-        assert all(b <= a for a, b in zip(rates, rates[1:]))
-
-
 class TestModelSpec:
     def test_shape_inference_rejects_bad_stack(self):
         with pytest.raises(ValueError):

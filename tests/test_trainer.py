@@ -24,11 +24,41 @@ def blob_task(seed=0, n=100, std=0.15):
 
 
 def ce_config(epochs=5, seed=0, **kw):
-    return trainer.TrainConfig(
-        model=nn.ModelSpec.mlp(2, [16], 2),
-        loss=losses.LossConfig(mode=losses.Mode.CROSS_ENTROPY),
-        epochs=epochs, batch_size=32, seed=seed,
-        schedule=nn.LrSchedule(1e-2), **kw)
+    return trainer.TrainConfig(model=nn.ModelSpec.mlp(2, [16], 2), mode=losses.Mode.CROSS_ENTROPY,
+                               epochs=epochs, batch_size=32, lr=1e-2, seed=seed, **kw)
+
+
+class TestTrainConfig:
+    def test_weights_must_sum_to_one(self):
+        with pytest.raises(losses.ConfigError, match="beta \\+ gamma must equal 1"):
+            trainer.TrainConfig(nn.ModelSpec.mlp(2, [4], 2), losses.Mode.NGEBM,
+                                beta=0.4, gamma=0.4)
+
+
+class TestSchedule:
+    """Each epoch's learning rate, as its EpochRecord logs it: lr times
+    decay_factor once for each milestone at or before the epoch."""
+
+    @staticmethod
+    def rates(lr, milestones, decay_factor, epochs):
+        train_ds, test_ds = blob_task(n=4)
+        config = trainer.TrainConfig(nn.ModelSpec.mlp(2, [4], 2), epochs=epochs, batch_size=8,
+                                     lr=lr, milestones=milestones, decay_factor=decay_factor)
+        return [record.lr for record in trainer.train(config, train_ds, test_ds)[1]]
+
+    def test_before_first_milestone(self):
+        assert self.rates(1e-3, (4, 6), 0.1, 4) == [1e-3] * 4
+
+    def test_two_decays(self):
+        assert self.rates(1e-4, (2, 4), 0.1, 6)[4:] == [pytest.approx(1e-6)] * 2
+
+    def test_milestone_boundary_inclusive(self):
+        assert self.rates(1.0, (2,), 0.5, 4) == [1.0, 1.0, 0.5, 0.5]
+
+    def test_non_increasing(self):
+        rates = self.rates(1e-3, (3, 7, 11), 0.3, 15)
+        assert all(b <= a for a, b in zip(rates, rates[1:]))
+        assert rates[-1] == pytest.approx(1e-3 * 0.3 ** 3)
 
 
 class TestTrain:
@@ -82,10 +112,9 @@ class TestTrain:
 
         def jem_config(epochs):
             return trainer.TrainConfig(
-                model=nn.ModelSpec.mlp(2, [8], 2),
-                loss=losses.LossConfig(mode=losses.Mode.JEM,
-                                       sampler=smp.SgldConfig(n_steps=3, step_size=0.05)),
-                epochs=epochs, batch_size=10, seed=6, schedule=nn.LrSchedule(1e-3))
+                model=nn.ModelSpec.mlp(2, [8], 2), mode=losses.Mode.JEM,
+                epochs=epochs, batch_size=10, lr=1e-3,
+                sampler=smp.SgldConfig(n_steps=3, step_size=0.05), seed=6)
 
         full, _ = trainer.train(jem_config(4), train_ds, test_ds)
         half, _ = trainer.train(jem_config(2), train_ds, test_ds)
@@ -104,10 +133,8 @@ class TestTrain:
 
     def test_ngebm_mode_trains_and_logs_penalty(self):
         train_ds, test_ds = blob_task(n=40)
-        config = trainer.TrainConfig(
-            model=nn.ModelSpec.mlp(2, [16], 2),
-            loss=losses.LossConfig(mode=losses.Mode.NGEBM),
-            epochs=3, batch_size=32, seed=0, schedule=nn.LrSchedule(1e-2))
+        config = trainer.TrainConfig(model=nn.ModelSpec.mlp(2, [16], 2), mode=losses.Mode.NGEBM,
+                                     epochs=3, batch_size=32, lr=1e-2, seed=0)
         ckpt, log = trainer.train(config, train_ds, test_ds)
         assert all(r.loss_aux > 0 for r in log)
         assert all(np.isfinite(r.mean_egm) for r in log)
@@ -117,10 +144,9 @@ class TestTrain:
         # near-zero bound makes every chain trip the divergence check
         sampler_cfg = smp.SgldConfig(n_steps=3, step_size=1.0, noise=True,
                                      divergence_bound=1e-9)
-        config = trainer.TrainConfig(
-            model=nn.ModelSpec.mlp(2, [8], 2),
-            loss=losses.LossConfig(mode=losses.Mode.JEM, sampler=sampler_cfg),
-            epochs=2, batch_size=20, seed=1, schedule=nn.LrSchedule(1e-3))
+        config = trainer.TrainConfig(model=nn.ModelSpec.mlp(2, [8], 2), mode=losses.Mode.JEM,
+                                     epochs=2, batch_size=20, lr=1e-3, sampler=sampler_cfg,
+                                     seed=1)
         ckpt, log = trainer.train(config, train_ds, test_ds)
         assert all(r.diverged_chains > 0 for r in log)
         assert all(np.isfinite(r.loss_total) for r in log)
@@ -128,10 +154,9 @@ class TestTrain:
     def test_jem_mode_healthy_run(self):
         train_ds, test_ds = blob_task(n=40)
         sampler_cfg = smp.SgldConfig(n_steps=5, step_size=0.05)
-        config = trainer.TrainConfig(
-            model=nn.ModelSpec.mlp(2, [8], 2),
-            loss=losses.LossConfig(mode=losses.Mode.JEM, sampler=sampler_cfg),
-            epochs=2, batch_size=20, seed=2, schedule=nn.LrSchedule(1e-3))
+        config = trainer.TrainConfig(model=nn.ModelSpec.mlp(2, [8], 2), mode=losses.Mode.JEM,
+                                     epochs=2, batch_size=20, lr=1e-3, sampler=sampler_cfg,
+                                     seed=2)
         ckpt, log = trainer.train(config, train_ds, test_ds)
         assert len(log) == 2
         assert all(np.isfinite(r.loss_total) for r in log)
@@ -148,7 +173,7 @@ class TestTrain:
                 yield (np.full_like(x, np.nan) if (e, i) == (epoch, batch) else x), y
 
         def loss_graph(*args, **kw):
-            recorded.append(args[3].shape)
+            recorded.append(args[2].shape)
             return real_graph(*args, **kw)
 
         monkeypatch.setattr(trainer.datamod, "batches", batches)
@@ -183,13 +208,12 @@ class TestTrain:
         train_ds = datamod.Dataset(rng.uniform(-1, 1, size=(32, 3, 16, 16)),
                                    rng.integers(0, 3, size=32), classes=3)
         eval_ds = datamod.Dataset(train_ds.x[:2], train_ds.y[:2], classes=3)
-        config = trainer.TrainConfig(model=spec, loss=losses.LossConfig(mode=losses.Mode.NGEBM),
-                                     epochs=1, batch_size=16, seed=0,
-                                     schedule=nn.LrSchedule(1e-3))
+        config = trainer.TrainConfig(model=spec, mode=losses.Mode.NGEBM, epochs=1, batch_size=16,
+                                     lr=1e-3, seed=0)
         params = nn.init(spec, 0)
 
         def one_step():
-            graph, bound = bound_loss_graph(config.loss, spec, params, train_ds.x[:16],
+            graph, bound = bound_loss_graph(config, params, train_ds.x[:16],
                                             train_ds.y[:16])
             ad.backward(graph.tape, graph.total, list(bound.values()))
 
@@ -200,15 +224,15 @@ class TestTrain:
 
 _STEP_MODELS = {"mlp": nn.ModelSpec.mlp(2, [8, 8], 3),
                 "conv": nn.ModelSpec.small_conv((2, 6, 6), [3, 3], 3)}
-_STEP_LOSSES = {"ce": losses.LossConfig(mode=losses.Mode.CROSS_ENTROPY),
-                "ngebm": losses.LossConfig(mode=losses.Mode.NGEBM, beta=0.3, gamma=0.7),
-                "jem": losses.LossConfig(mode=losses.Mode.JEM, sampler=smp.SgldConfig())}
+_STEP_LOSSES = {"ce": {"mode": losses.Mode.CROSS_ENTROPY},
+                "ngebm": {"mode": losses.Mode.NGEBM, "beta": 0.3, "gamma": 0.7},
+                "jem": {"mode": losses.Mode.JEM}}
 
 
 def _eager_step(config, params, x, y, x_gen):
     """A step as loss_graph + a plain backward: total, ce, aux, then every
     parameter gradient."""
-    graph, bound = bound_loss_graph(config.loss, config.model, params, x, y, x_gen=x_gen)
+    graph, bound = bound_loss_graph(config, params, x, y, x_gen=x_gen)
     grads = ad.backward(graph.tape, graph.total, list(bound.values()))
     return [float(graph.total.value), float(graph.ce.value), float(graph.aux.value)] + [
         grads[leaf].value for leaf in bound.values()]
@@ -228,7 +252,7 @@ class TestStepProgram:
     @pytest.mark.parametrize("mode", sorted(_STEP_LOSSES))
     def test_replay_is_bit_identical_to_an_eager_step(self, model, mode):
         spec = _STEP_MODELS[model]
-        config = trainer.TrainConfig(model=spec, loss=_STEP_LOSSES[mode], batch_size=8)
+        config = trainer.TrainConfig(model=spec, batch_size=8, **_STEP_LOSSES[mode])
         rng = np.random.default_rng(3)
         jem = mode == "jem"
         # full batches, then a ragged last batch; for jem also some chains
@@ -252,7 +276,7 @@ class TestStepProgram:
         # two same-shape batches on the same parameters: a program that froze
         # the first batch's x, labels or samples would repeat its gradients
         spec = _STEP_MODELS["mlp"]
-        config = trainer.TrainConfig(model=spec, loss=_STEP_LOSSES[mode], batch_size=6)
+        config = trainer.TrainConfig(model=spec, batch_size=6, **_STEP_LOSSES[mode])
         params = nn.init(spec, 4)
         rng = np.random.default_rng(5)
         gen_rows = 6 if mode == "jem" else None
@@ -270,7 +294,7 @@ class TestStepProgram:
 
     def test_labels_are_checked_on_a_replay(self):
         spec = _STEP_MODELS["mlp"]
-        config = trainer.TrainConfig(model=spec, loss=_STEP_LOSSES["ce"], batch_size=4)
+        config = trainer.TrainConfig(model=spec, batch_size=4, **_STEP_LOSSES["ce"])
         params = nn.init(spec, 0)
         x = np.zeros((4, 2))
         programs = {}
@@ -322,7 +346,7 @@ class TestStepProgram:
 
     def test_peak_memory_of_a_replay_is_below_its_recording(self):
         spec = nn.ModelSpec.small_conv((3, 16, 16), [4, 4], 3)
-        config = trainer.TrainConfig(model=spec, loss=_STEP_LOSSES["ngebm"], batch_size=16)
+        config = trainer.TrainConfig(model=spec, batch_size=16, **_STEP_LOSSES["ngebm"])
         params = nn.init(spec, 0)
         x, y, _ = self._batch(np.random.default_rng(6), spec, 16, None)
         programs = {}
@@ -423,10 +447,9 @@ class TestCheckpointIO:
     def test_buffer_roundtrip(self, tmp_path):
         train_ds, test_ds = blob_task(n=20)
         sampler_cfg = smp.SgldConfig(n_steps=2, step_size=0.05)
-        config = trainer.TrainConfig(
-            model=nn.ModelSpec.mlp(2, [4], 2),
-            loss=losses.LossConfig(mode=losses.Mode.JEM, sampler=sampler_cfg),
-            epochs=1, batch_size=10, seed=4, schedule=nn.LrSchedule(1e-3))
+        config = trainer.TrainConfig(model=nn.ModelSpec.mlp(2, [4], 2), mode=losses.Mode.JEM,
+                                     epochs=1, batch_size=10, lr=1e-3, sampler=sampler_cfg,
+                                     seed=4)
         ckpt, _ = trainer.train(config, train_ds, test_ds)
         assert ckpt.buffer_samples is not None
         back = self.roundtrip(tmp_path, ckpt)
@@ -557,10 +580,15 @@ class TestCheckpointIO:
 
     def test_interval_checkpoints_written(self, tmp_path):
         train_ds, test_ds = blob_task(n=20)
-        config = ce_config(epochs=4, checkpoint_interval=2,
-                           checkpoint_dir=str(tmp_path))
-        trainer.train(config, train_ds, test_ds)
+        config = ce_config(epochs=4, checkpoint_interval=2)
+        trainer.train(config, train_ds, test_ds, checkpoint_dir=tmp_path)
         assert (tmp_path / "checkpoint_epoch2.npz").exists()
         assert (tmp_path / "checkpoint_epoch4.npz").exists()
         mid = trainer.checkpoint_load(tmp_path / "checkpoint_epoch2.npz")
         assert mid.epoch == 2
+
+    def test_interval_checkpoints_default_to_the_current_directory(self, tmp_path, monkeypatch):
+        train_ds, test_ds = blob_task(n=20)
+        monkeypatch.chdir(tmp_path)
+        trainer.train(ce_config(epochs=1, checkpoint_interval=1), train_ds, test_ds)
+        assert trainer.checkpoint_load(tmp_path / "checkpoint_epoch1.npz").epoch == 1
